@@ -1,7 +1,9 @@
 """Command-line driver.
 
-Exit codes: 0 success, 1 type error / DISTINCT / unsound rule, 2 parse error
-or mismatched equivalence query, 3 wire budget exceeded.
+Exit codes: 0 success; 1 type error, any other zetacalc error (translation,
+diagram, evaluation), DISTINCT or an unsound rule; 2 parse error, unreadable
+file, malformed ZETA_WIRE_BUDGET or mismatched equivalence query; 3 wire
+budget exceeded or term too deep to process.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .evaluator import (
     render_matrix,
 )
 from .semantics import eval_as_map, translate
-from .syntax import Basis, ParseError, parse, print_term
+from .syntax import Basis, ParseError, ZetaError, parse, print_term
 from .theory import commutes_with_sharing, run_suite
 from .types import (
     ZetaTypeError,
@@ -40,12 +42,16 @@ EXIT_PARSE = 2
 EXIT_BUDGET = 3
 
 
+class SettingError(ZetaError):
+    pass
+
+
 def wire_budget() -> int:
     raw = os.environ.get("ZETA_WIRE_BUDGET", "14")
     try:
         return int(raw)
     except ValueError:
-        return 14
+        raise SettingError(f"ZETA_WIRE_BUDGET must be an integer, got {raw!r}") from None
 
 
 def _read_term(path: str):
@@ -247,6 +253,12 @@ def main(argv=None) -> int:
         return _fail(EXIT_BUDGET, str(exc))
     except ZetaTypeError as exc:
         return _fail(EXIT_TYPE, f"type error: {exc}")
+    except SettingError as exc:
+        return _fail(EXIT_PARSE, str(exc))
+    except ZetaError as exc:
+        return _fail(EXIT_TYPE, f"{type(exc).__name__}: {exc}")
+    except RecursionError:
+        return _fail(EXIT_BUDGET, "term too deep: nesting exceeds the recursion limit")
     except OSError as exc:
         return _fail(EXIT_PARSE, str(exc))
 

@@ -3,12 +3,18 @@
 Diagrams are trees over generators (spiders, cups/caps, Hadamard, swaps,
 scalars) combined with sequential (`Seq`) and parallel (`Par`) composition.
 Wire 0 is the most significant qubit everywhere.
+
+Every node carries its wire arity as `inputs` and `outputs`: generators
+give it by property, and `Seq` and `Par` compute it once from their
+children when they are built. A `Seq` whose first part's outputs do not
+match its second part's inputs raises `ArityError` at construction, so a
+diagram that exists is well formed and no walk has to re-derive its arity.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .syntax import Basis, Phase, ZetaError
 
@@ -21,67 +27,100 @@ class ArityError(DiagramError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Diagram:
-    pass
+    """A diagram node. Every node has `inputs` and `outputs`, its wire
+    arity: leaves give them by property, `Seq` and `Par` store them."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Id(Diagram):
     n: int
+
+    inputs = property(lambda self: self.n)
+    outputs = property(lambda self: self.n)
 
     def __post_init__(self):
         if self.n < 0:
             raise DiagramError("negative wire count")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Spider(Diagram):
     basis: Basis
     phase: Phase
     m: int  # inputs
     n: int  # outputs
 
+    inputs = property(lambda self: self.m)
+    outputs = property(lambda self: self.n)
+
     def __post_init__(self):
         if self.m < 0 or self.n < 0:
             raise DiagramError("negative spider arity")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Had(Diagram):
-    pass
+    inputs = property(lambda self: 1)
+    outputs = property(lambda self: 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Swap(Diagram):
-    pass
+    inputs = property(lambda self: 2)
+    outputs = property(lambda self: 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cup(Diagram):
-    pass
+    inputs = property(lambda self: 0)
+    outputs = property(lambda self: 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cap(Diagram):
-    pass
+    inputs = property(lambda self: 2)
+    outputs = property(lambda self: 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scalar(Diagram):
     value: complex
 
+    inputs = property(lambda self: 0)
+    outputs = property(lambda self: 0)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Seq(Diagram):
     first: Diagram
     second: Diagram
+    inputs: int = field(init=False, compare=False, repr=False)
+    outputs: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        a, b = self.first, self.second
+        if a.outputs != b.inputs:
+            raise ArityError(
+                f"sequential mismatch: {a.outputs} outputs of {type(a).__name__}"
+                f" feed {b.inputs} inputs of {type(b).__name__}"
+            )
+        object.__setattr__(self, "inputs", a.inputs)
+        object.__setattr__(self, "outputs", b.outputs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Par(Diagram):
     top: Diagram
     bottom: Diagram
+    inputs: int = field(init=False, compare=False, repr=False)
+    outputs: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        a, b = self.top, self.bottom
+        object.__setattr__(self, "inputs", a.inputs + b.inputs)
+        object.__setattr__(self, "outputs", a.outputs + b.outputs)
 
 
 @dataclass(frozen=True)
@@ -91,45 +130,30 @@ class WireArity:
 
 
 def arity(d: Diagram) -> WireArity:
-    """Wire arity by structural recursion; rejects ill-formed Seq."""
-    if isinstance(d, Id):
-        return WireArity(d.n, d.n)
-    if isinstance(d, Spider):
-        return WireArity(d.m, d.n)
-    if isinstance(d, Had):
-        return WireArity(1, 1)
-    if isinstance(d, Swap):
-        return WireArity(2, 2)
-    if isinstance(d, Cup):
-        return WireArity(0, 2)
-    if isinstance(d, Cap):
-        return WireArity(2, 0)
-    if isinstance(d, Scalar):
-        return WireArity(0, 0)
-    if isinstance(d, Seq):
-        a = arity(d.first)
-        b = arity(d.second)
-        if a.outputs != b.inputs:
-            raise ArityError(
-                f"sequential mismatch: {a.outputs} outputs feed {b.inputs} inputs"
-                f" in Seq({d.first!r}, {d.second!r})"
-            )
-        return WireArity(a.inputs, b.outputs)
-    if isinstance(d, Par):
-        a = arity(d.top)
-        b = arity(d.bottom)
-        return WireArity(a.inputs + b.inputs, a.outputs + b.outputs)
-    raise DiagramError(f"not a diagram: {d!r}")
+    """Wire arity of a diagram, as stored on its root node."""
+    return WireArity(d.inputs, d.outputs)
 
 
 def max_width(d: Diagram) -> int:
-    """Largest simultaneous wire count in the diagram (for budget checks)."""
-    if isinstance(d, Seq):
-        return max(max_width(d.first), max_width(d.second))
-    if isinstance(d, Par):
-        return max_width(d.top) + max_width(d.bottom)
-    a = arity(d)
-    return max(a.inputs, a.outputs)
+    """Largest simultaneous wire count in the diagram (for budget checks):
+    the max over a Seq's parts, the sum over a Par's. Walked post-order with
+    explicit stacks, so deep diagrams do not hit the recursion limit."""
+    widths: list[int] = []
+    todo: list = [(d, False)]
+    while todo:
+        node, children_done = todo.pop()
+        if not isinstance(node, (Seq, Par)):
+            widths.append(max(node.inputs, node.outputs))
+        elif children_done:
+            b, a = widths.pop(), widths.pop()
+            widths.append(max(a, b) if isinstance(node, Seq) else a + b)
+        else:
+            todo.append((node, True))
+            if isinstance(node, Seq):
+                todo += [(node.first, False), (node.second, False)]
+            else:
+                todo += [(node.top, False), (node.bottom, False)]
+    return widths[0]
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +317,7 @@ def from_json_obj(doc) -> Diagram:
         if kind == "scalar":
             return Scalar(complex(doc["re"], doc["im"]))
         if kind == "seq":
-            d = Seq(from_json_obj(doc["first"]), from_json_obj(doc["second"]))
-            arity(d)  # arity consistency on load
-            return d
+            return Seq(from_json_obj(doc["first"]), from_json_obj(doc["second"]))
         if kind == "par":
             return Par(from_json_obj(doc["top"]), from_json_obj(doc["bottom"]))
     except (KeyError, ValueError) as exc:
@@ -319,7 +341,6 @@ _SPIDER_COLORS = {Basis.Z: "green", Basis.X: "red"}
 
 def to_dot(d: Diagram) -> str:
     """Left-to-right graph, one node per generator, spiders colored by basis."""
-    arity(d)
     lines = ["digraph zx {", "  rankdir=LR;", '  node [shape=circle];']
     counter = [0]
 
@@ -362,13 +383,12 @@ def to_dot(d: Diagram) -> str:
         if isinstance(dg, Seq):
             return emit(dg.second, emit(dg.first, ins))
         if isinstance(dg, Par):
-            k = arity(dg.top).inputs
+            k = dg.top.inputs
             return emit(dg.top, ins[:k]) + emit(dg.bottom, ins[k:])
         raise DiagramError(f"not a diagram: {dg!r}")
 
-    a = arity(d)
     ins = []
-    for i in range(a.inputs):
+    for i in range(d.inputs):
         name = node(f"in{i}", shape="plaintext")
         ins.append(name)
     outs = emit(d, ins)

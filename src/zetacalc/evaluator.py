@@ -1,9 +1,13 @@
 """Dense complex-matrix semantics of diagrams, and an independent oracle.
 
-`denote` evaluates by structural recursion (matrix product for Seq,
-Kronecker product for Par, wire 0 = most significant qubit). No
-normalization is applied anywhere: the cup denotes |00> + |11| with unit
-entries.
+`denote` evaluates by structural recursion (wire 0 = most significant
+qubit). A Seq is folded left to right over its layers, carrying one running
+matrix. A layer that only permutes wires is applied as a transpose; any
+other Par layer is applied factor by factor, each factor acting on its own
+wires of the running matrix (Id factors are skipped, factors that shrink
+the wire count go first), so the layer's `kron(c, I)` is never built. A Par
+outside any Seq is a Kronecker product. No normalization is applied
+anywhere: the cup denotes |00> + |11| with unit entries.
 
 `oracle_contract` evaluates the same diagram by a disjoint route: the
 diagram is flattened to a list of generator tensors over named edges (built
@@ -22,7 +26,6 @@ from typing import Union
 import numpy as np
 
 from .diagram import (
-    ArityError,
     Cap,
     Cup,
     Diagram,
@@ -34,7 +37,6 @@ from .diagram import (
     Seq,
     Spider,
     Swap,
-    arity,
     max_width,
 )
 from .syntax import Basis, Phase, ZetaError
@@ -107,36 +109,48 @@ _CUP = np.array([[1.0], [0.0], [0.0], [1.0]], dtype=complex)
 
 def denote(d: Diagram) -> np.ndarray:
     """Dense denotation: a 2^outputs x 2^inputs complex matrix."""
-    arity(d)
     return _denote(d)
 
 
-def _seq_parts(d: Diagram, out: list) -> list:
-    if isinstance(d, Seq):
-        _seq_parts(d.first, out)
-        _seq_parts(d.second, out)
-    else:
-        out.append(d)
-    return out
+def _seq_parts(d: Diagram) -> list:
+    """The layers of a Seq tree, left to right."""
+    parts, todo = [], [d]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Seq):
+            todo.append(node.second)
+            todo.append(node.first)
+        else:
+            parts.append(node)
+    return parts
 
 
-def _as_wire_perm(d: Diagram):
+def _par_factors(d: Diagram) -> list:
+    """The factors of a Par tree, top to bottom."""
+    factors, todo = [], [d]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Par):
+            todo.append(node.bottom)
+            todo.append(node.top)
+        else:
+            factors.append(node)
+    return factors
+
+
+def _as_wire_perm(factors: list):
     """The wire permutation (perm[i] = output position of input wire i) if
-    the layer is built purely from Id/Swap/Par, else None."""
-    if isinstance(d, Id):
-        return list(range(d.n))
-    if isinstance(d, Swap):
-        return [1, 0]
-    if isinstance(d, Par):
-        top = _as_wire_perm(d.top)
-        if top is None:
+    every factor is an Id or a Swap, else None."""
+    perm: list[int] = []
+    for f in factors:
+        k = len(perm)
+        if isinstance(f, Id):
+            perm.extend(range(k, k + f.n))
+        elif isinstance(f, Swap):
+            perm.extend((k + 1, k))
+        else:
             return None
-        bottom = _as_wire_perm(d.bottom)
-        if bottom is None:
-            return None
-        k = len(top)
-        return top + [k + q for q in bottom]
-    return None
+    return perm
 
 
 def _apply_perm(perm: list, m: np.ndarray) -> np.ndarray:
@@ -152,6 +166,26 @@ def _apply_perm(perm: list, m: np.ndarray) -> np.ndarray:
         inv[p] = i
     t = np.transpose(t, tuple(inv) + (k,))
     return np.ascontiguousarray(t).reshape(2**k, cols)
+
+
+def _apply_factors(factors: list, m: np.ndarray) -> np.ndarray:
+    """Apply the Par of `factors` to the rows of m without forming their
+    Kronecker product: each non-Id factor acts on its own wires. Factors
+    that shrink the wire count go first, so no intermediate has more rows
+    than m or the result."""
+    cols = m.shape[1]
+    widths = [f.inputs for f in factors]
+    order = sorted(
+        (i for i, f in enumerate(factors) if not isinstance(f, Id)),
+        key=lambda i: factors[i].outputs - factors[i].inputs,
+    )
+    for i in order:
+        f = factors[i]
+        left, right = sum(widths[:i]), sum(widths[i + 1 :])
+        t = m.reshape(2**left, 2**f.inputs, 2**right * cols)
+        m = np.matmul(_denote(f), t).reshape(-1, cols)
+        widths[i] = f.outputs
+    return m
 
 
 def _denote(d: Diagram) -> np.ndarray:
@@ -170,22 +204,21 @@ def _denote(d: Diagram) -> np.ndarray:
     if isinstance(d, Scalar):
         return np.array([[d.value]], dtype=complex)
     if isinstance(d, Seq):
-        # fold the pipeline left to right so a state diagram stays a vector
-        # and permutation layers never materialize dense matrices
-        parts = _seq_parts(d, [])
-        first, rest = parts[0], parts[1:]
-        perm = _as_wire_perm(first)
-        if perm is None:
-            m = _denote(first)
+        # fold the pipeline left to right so a state diagram stays a vector;
+        # wire layers (Id/Swap/Par) act on the running matrix, starting from
+        # the identity, and never materialize their own dense matrix
+        parts = _seq_parts(d)
+        if isinstance(parts[0], (Id, Swap, Par)):
+            m = np.eye(2 ** d.inputs, dtype=complex)
         else:
-            m = np.eye(2 ** len(perm), dtype=complex)
-            m = _apply_perm(perm, m)
-        for p in rest:
-            perm = _as_wire_perm(p)
-            if perm is None:
-                m = _denote(p) @ m
+            m = _denote(parts.pop(0))
+        for p in parts:
+            if isinstance(p, (Id, Swap, Par)):
+                factors = _par_factors(p)
+                perm = _as_wire_perm(factors)
+                m = _apply_factors(factors, m) if perm is None else _apply_perm(perm, m)
             else:
-                m = _apply_perm(perm, m)
+                m = _denote(p) @ m
         return m
     if isinstance(d, Par):
         return kron(_denote(d.top), _denote(d.bottom))
@@ -316,8 +349,6 @@ class _Flattener:
         if isinstance(d, Seq):
             ins1, outs1 = self.flatten(d.first)
             ins2, outs2 = self.flatten(d.second)
-            if len(outs1) != len(ins2):
-                raise ArityError("sequential mismatch")
             remap = dict(zip(ins2, outs1))
             for _, edges in self.tensors:
                 for k, e in enumerate(edges):
@@ -336,7 +367,6 @@ class _Flattener:
 def oracle_contract(d: Diagram) -> np.ndarray:
     """Evaluate by flattening to a tensor network and summing over all
     internal edge assignments. Independent of `denote`."""
-    a = arity(d)
     if max_width(d) > ORACLE_WIRE_BUDGET:
         raise WireBudgetError(
             f"diagram needs {max_width(d)} wires, oracle budget is {ORACLE_WIRE_BUDGET}"

@@ -174,11 +174,8 @@ def _stack(c1: Diagram, c2: Diagram) -> Diagram:
     """Par(c1, c2) in staircase form: run c1 while c2's inputs wait, then c2.
     Same morphism, but the peak wire count is max over the children instead
     of their sum, which keeps nested applications inside the wire budget."""
-    from .diagram import arity
-
-    a1, a2 = arity(c1), arity(c2)
-    first = c1 if a2.inputs == 0 else Par(c1, Id(a2.inputs))
-    second = c2 if a1.outputs == 0 else Par(Id(a1.outputs), c2)
+    first = c1 if c2.inputs == 0 else Par(c1, Id(c2.inputs))
+    second = c2 if c1.outputs == 0 else Par(Id(c1.outputs), c2)
     return Seq(first, second)
 
 

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from zetacalc import cli
 from zetacalc.cli import main
-from zetacalc.evaluator import matrix_to_json, denote
+from zetacalc.diagram import Id, Seq
+from zetacalc.evaluator import EvalError, matrix_to_json, denote
 from zetacalc.semantics import eval_as_map, translate
 from zetacalc.syntax import parse
 from zetacalc.types import Context, infer
@@ -108,6 +110,43 @@ class TestEval:
         monkeypatch.setenv("ZETA_WIRE_BUDGET", "3")
         f = write("wide.zeta", "Z[3]")
         assert main(["eval", f]) == 0
+
+    def test_budget_env_malformed(self, write, capsys, monkeypatch):
+        monkeypatch.setenv("ZETA_WIRE_BUDGET", "abc")
+        f = write("unit.zeta", "Z[1]")
+        assert main(["eval", f]) == 2
+        assert "ZETA_WIRE_BUDGET" in capsys.readouterr().err
+
+
+class TestErrorExits:
+    def test_translation_error(self, write, capsys):
+        f = write("state.zeta", "Z[1]")
+        assert main(["eval", f, "--as-map"]) == 1
+        assert "TranslationError" in capsys.readouterr().err
+
+    def test_diagram_error(self, write, capsys, monkeypatch):
+        def ill_formed(deriv):
+            return Seq(Id(1), Id(2))
+
+        monkeypatch.setattr(cli, "translate", ill_formed)
+        f = write("unit.zeta", "Z[1]")
+        assert main(["diagram", f]) == 1
+        assert "ArityError" in capsys.readouterr().err
+
+    def test_eval_error(self, write, capsys, monkeypatch):
+        def failing(diagram):
+            raise EvalError("dimension mismatch")
+
+        monkeypatch.setattr(cli, "denote", failing)
+        f = write("unit.zeta", "Z[1]")
+        assert main(["eval", f]) == 1
+        assert "dimension mismatch" in capsys.readouterr().err
+
+    def test_too_deep(self, write, capsys):
+        f = write("deep.zeta", "<" * 999 + "*" + ",*>" * 999)
+        assert main(["check", f]) == 3
+        err = capsys.readouterr().err
+        assert "too deep" in err and "Traceback" not in err
 
 
 class TestEquiv:

@@ -41,8 +41,16 @@ class TestArity:
         assert arity(Had()).inputs == 1
 
     def test_seq_mismatch(self):
+        # rejected when the node is built, not when its arity is asked for
         with pytest.raises(ArityError):
-            arity(Seq(Id(1), Id(2)))
+            Seq(Id(1), Id(2))
+
+    def test_nodes_carry_arity(self):
+        d = Seq(Par(Cup(), Spider(Basis.Z, Phase.zero(), 1, 2)), par(Cap(), Id(2)))
+        assert (d.inputs, d.outputs) == (1, 2)
+        assert (d.first.inputs, d.first.outputs) == (1, 4)
+        # slotted nodes: no per-node __dict__
+        assert not hasattr(d, "__dict__") and not hasattr(Had(), "__dict__")
 
     def test_par_sums(self):
         a = arity(Par(Spider(Basis.X, Phase.zero(), 1, 2), Cup()))

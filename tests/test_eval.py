@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from zetacalc.diagram import (
     Seq,
     Spider,
     Swap,
+    par,
     seq,
 )
 from zetacalc.evaluator import (
@@ -31,9 +33,11 @@ from zetacalc.evaluator import (
     phase_exp,
     spider_matrix,
 )
-from zetacalc.syntax import Basis, Phase
+from zetacalc.semantics import eval_as_map, translate
+from zetacalc.syntax import Basis, Phase, parse
+from zetacalc.types import Context, fn_parts, infer
 
-from conftest import random_diagram
+from conftest import random_diagram, term_pool
 
 Z0 = Phase.zero()
 
@@ -177,6 +181,51 @@ class TestOracle:
     def test_budget(self):
         with pytest.raises(WireBudgetError):
             oracle_contract(Id(15))
+
+    def test_matches_denote_on_pool(self):
+        for src in term_pool():
+            ty, deriv = infer(Context(), parse(src))
+            jd = translate(deriv)
+            diagrams = [jd.diagram]
+            if fn_parts(ty) is not None:
+                diagrams.append(eval_as_map(jd).diagram)
+            for d in diagrams:
+                assert np.max(np.abs(denote(d) - oracle_contract(d))) <= 1e-12, src
+
+
+def _denote_peak(d):
+    """denote(d) and the tracemalloc peak of the call, in bytes."""
+    tracemalloc.start()
+    try:
+        m = denote(d)
+        return m, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestParLayers:
+    def test_factors_applied_in_place(self):
+        # a Par layer with a shrinking and a growing factor around Id wires
+        layer = Par(Par(Cap(), Id(1)), Par(Spider(Basis.X, Phase.exact(1, 2), 1, 3), Scalar(2j)))
+        d = Seq(Spider(Basis.Z, Phase.exact(1), 1, 4), layer)
+        expect = np.kron(np.kron(denote(Cap()), np.eye(2)),
+                         spider_matrix(Basis.X, Phase.exact(1, 2), 1, 3)) * 2j
+        assert np.max(np.abs(denote(d) - expect @ denote(d.first))) <= 1e-12
+
+    def test_shrinking_factors_go_first(self):
+        # 14 wires in and out; applying the 1->7 spider before the 7->1 one
+        # would pass through a 2^20-row intermediate (16 MB)
+        layer = par(Spider(Basis.X, Z0, 1, 7), Spider(Basis.X, Z0, 7, 1), Id(6))
+        m, peak = _denote_peak(Seq(Spider(Basis.Z, Z0, 0, 14), layer))
+        assert m.shape == (2**14, 1)
+        assert peak < 8 * m.nbytes  # building the 14-wire state alone takes 4x
+
+    def test_wide_sharing_map_peak(self):
+        source = "Z x:1. " + "<x," * 10 + "x" + ">" * 10
+        _, deriv = infer(Context(), parse(source))
+        m, peak = _denote_peak(eval_as_map(translate(deriv)).diagram)
+        assert m.shape == (2**11, 2)
+        assert peak < 64 * 2**20
 
 
 class TestMatrixJson:

@@ -193,3 +193,13 @@ class TestJudgementJson:
     def test_context_labels(self):
         ctx = context_of(("x", Basis.Z, Numeral(2)))
         assert context_labels(ctx) == (("x", 0), ("x", 1))
+
+
+class TestDeepComposition:
+    def test_long_rotation_chain(self):
+        # 100 rotations by pi/4 add up to 25 pi, the same phase as pi
+        chain = eval_as_map(jd_of(" o ".join(["rot Z^pi/4"] * 100)))
+        m = denote(chain.diagram)
+        ref = denote(eval_as_map(jd_of("rot Z^pi")).diagram)
+        assert m.shape == (2, 2)
+        assert equal_up_to_scalar(m, ref, 1e-12) is not None

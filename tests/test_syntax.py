@@ -54,7 +54,9 @@ class TestPhase:
         p = Phase.exact(a.numerator, a.denominator)
         q = Phase.exact(b.numerator, b.denominator)
         total = (p + q).value
-        assert math.isclose(total, (p.value + q.value) % (2 * math.pi), abs_tol=1e-12)
+        expected = (p.value + q.value) % (2 * math.pi)
+        # compare on the circle: 0 and 2pi - 1e-15 are the same phase
+        assert abs((total - expected + math.pi) % (2 * math.pi) - math.pi) <= 1e-12
 
     def test_str_forms(self):
         assert str(Phase.exact(1)) == "pi"
