@@ -1,12 +1,18 @@
 """Dense complex-matrix semantics of diagrams, and an independent oracle.
 
-`denote` evaluates by structural recursion (wire 0 = most significant
-qubit). A Seq is folded left to right over its layers, carrying one running
-matrix. A layer that only permutes wires is applied as a transpose; any
-other Par layer is applied factor by factor, each factor acting on its own
-wires of the running matrix (Id factors are skipped, factors that shrink
-the wire count go first), so the layer's `kron(c, I)` is never built. A Par
-outside any Seq is a Kronecker product. No normalization is applied
+`denote` makes one walk over the diagram (wire 0 = most significant qubit).
+Each node is applied to a running tensor of shape (L, 2^inputs, R): the
+node's input wires sit in the middle axis, and the L * R columns around it
+are wires (and identity columns) that flow past. A generator is one matmul
+with its small matrix (an Id is skipped, a Swap is a transpose), a Seq
+applies its parts in order, a Par that only permutes wires is one
+transpose, and any other Par applies each non-Id factor to its own wires,
+factors that shrink the wire count first. A Seq or Par is evaluated on
+whichever is fewer, the L * R columns flowing into it or its own 2^inputs
+identity; in the second case its matrix is then applied to the running
+tensor with one matmul. So no sub-diagram is widened by wires it does not
+touch, and none is evaluated on more columns than its own identity. Leaf
+matrices are built once per `denote` call. No normalization is applied
 anywhere: the cup denotes |00> + |11| with unit entries.
 
 `oracle_contract` evaluates the same diagram by a disjoint route: the
@@ -71,23 +77,10 @@ _KETS = {
 }
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, first factor = most significant qubits."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape[1] != b.shape[0]:
-        raise EvalError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
 def _ket_power(ket: np.ndarray, n: int) -> np.ndarray:
     out = np.array([[1.0 + 0j]])
     for _ in range(n):
-        out = kron(out, ket)
+        out = np.kron(out, ket)
     return out
 
 
@@ -100,20 +93,17 @@ def spider_matrix(basis: Basis, phase: Phase, m: int, n: int) -> np.ndarray:
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / SQRT2
 
-_SWAP = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
-
 _CUP = np.array([[1.0], [0.0], [0.0], [1.0]], dtype=complex)
 
 
 def denote(d: Diagram) -> np.ndarray:
     """Dense denotation: a 2^outputs x 2^inputs complex matrix."""
-    return _denote(d)
+    n = 2**d.inputs
+    return _apply(d, np.eye(n, dtype=complex)[None], {}).reshape(-1, n)
 
 
 def _seq_parts(d: Diagram) -> list:
-    """The layers of a Seq tree, left to right."""
+    """The parts of a Seq tree, left to right."""
     parts, todo = [], [d]
     while todo:
         node = todo.pop()
@@ -153,76 +143,67 @@ def _as_wire_perm(factors: list):
     return perm
 
 
-def _apply_perm(perm: list, m: np.ndarray) -> np.ndarray:
-    """Row-permute m (rows indexed by wire bits, wire 0 most significant) by
-    the wire permutation, as a transpose instead of a dense matmul."""
-    k = len(perm)
-    if k == 0 or perm == list(range(k)):
-        return m
-    cols = m.shape[1]
-    t = m.reshape((2,) * k + (cols,))
-    inv = [0] * k
-    for i, p in enumerate(perm):
-        inv[p] = i
-    t = np.transpose(t, tuple(inv) + (k,))
-    return np.ascontiguousarray(t).reshape(2**k, cols)
-
-
-def _apply_factors(factors: list, m: np.ndarray) -> np.ndarray:
-    """Apply the Par of `factors` to the rows of m without forming their
-    Kronecker product: each non-Id factor acts on its own wires. Factors
-    that shrink the wire count go first, so no intermediate has more rows
-    than m or the result."""
-    cols = m.shape[1]
-    widths = [f.inputs for f in factors]
-    order = sorted(
-        (i for i, f in enumerate(factors) if not isinstance(f, Id)),
-        key=lambda i: factors[i].outputs - factors[i].inputs,
-    )
-    for i in order:
-        f = factors[i]
-        left, right = sum(widths[:i]), sum(widths[i + 1 :])
-        t = m.reshape(2**left, 2**f.inputs, 2**right * cols)
-        m = np.matmul(_denote(f), t).reshape(-1, cols)
-        widths[i] = f.outputs
-    return m
-
-
-def _denote(d: Diagram) -> np.ndarray:
-    if isinstance(d, Id):
-        return np.eye(2**d.n, dtype=complex)
+def _leaf_matrix(d: Diagram) -> np.ndarray:
     if isinstance(d, Spider):
         return spider_matrix(d.basis, d.phase, d.m, d.n)
     if isinstance(d, Had):
-        return HADAMARD.copy()
-    if isinstance(d, Swap):
-        return _SWAP.copy()
+        return HADAMARD
     if isinstance(d, Cup):
-        return _CUP.copy()
+        return _CUP
     if isinstance(d, Cap):
-        return _CUP.T.copy()
+        return _CUP.T
     if isinstance(d, Scalar):
         return np.array([[d.value]], dtype=complex)
-    if isinstance(d, Seq):
-        # fold the pipeline left to right so a state diagram stays a vector;
-        # wire layers (Id/Swap/Par) act on the running matrix, starting from
-        # the identity, and never materialize their own dense matrix
-        parts = _seq_parts(d)
-        if isinstance(parts[0], (Id, Swap, Par)):
-            m = np.eye(2 ** d.inputs, dtype=complex)
-        else:
-            m = _denote(parts.pop(0))
-        for p in parts:
-            if isinstance(p, (Id, Swap, Par)):
-                factors = _par_factors(p)
-                perm = _as_wire_perm(factors)
-                m = _apply_factors(factors, m) if perm is None else _apply_perm(perm, m)
-            else:
-                m = _denote(p) @ m
-        return m
-    if isinstance(d, Par):
-        return kron(_denote(d.top), _denote(d.bottom))
     raise DiagramError(f"not a diagram: {d!r}")
+
+
+def _apply(d: Diagram, t: np.ndarray, leaves: dict) -> np.ndarray:
+    """Apply d to t, of shape (L, 2^d.inputs, R); the result has shape
+    (L, 2^d.outputs, R). `leaves` holds the leaf matrices built so far in
+    this walk. A Seq or Par runs on whichever is fewer, the L * R columns
+    of t or its own 2^inputs identity (then one matmul onto t)."""
+    L, _, R = t.shape
+    if isinstance(d, Id):
+        return t
+    if isinstance(d, Swap):
+        return t.reshape(L, 2, 2, R).transpose(0, 2, 1, 3).reshape(L, 4, R)
+    if not isinstance(d, (Seq, Par)):
+        m = leaves.get(d)
+        if m is None:
+            m = leaves[d] = _leaf_matrix(d)
+        return np.matmul(m, t)
+    own = 2**d.inputs < L * R
+    s = np.eye(2**d.inputs, dtype=complex)[None] if own else t
+    if isinstance(d, Seq):
+        for p in _seq_parts(d):
+            s = _apply(p, s, leaves)
+    else:
+        factors = _par_factors(d)
+        perm = _as_wire_perm(factors)
+        l, _, r = s.shape
+        if perm is not None:
+            # a wire permutation: one transpose of the wire axes
+            k = len(perm)
+            inv = [0] * k
+            for i, p in enumerate(perm):
+                inv[p] = i + 1
+            s = s.reshape((l,) + (2,) * k + (r,))
+            s = s.transpose([0, *inv, k + 1]).reshape(l, 2**k, r)
+        else:
+            # each non-Id factor acts on its own wires, shrinking ones first,
+            # so no intermediate has more rows than s or the result
+            widths = [f.inputs for f in factors]
+            order = sorted(
+                (i for i, f in enumerate(factors) if not isinstance(f, Id)),
+                key=lambda i: factors[i].outputs - factors[i].inputs,
+            )
+            for i in order:
+                f = factors[i]
+                left, right = sum(widths[:i]), sum(widths[i + 1 :])
+                s = s.reshape(l * 2**left, 2**f.inputs, 2**right * r)
+                s = _apply(f, s, leaves).reshape(l, -1, r)
+                widths[i] = f.outputs
+    return np.matmul(s[0], t) if own else s
 
 
 # ---------------------------------------------------------------------------

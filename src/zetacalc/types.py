@@ -522,21 +522,31 @@ class _Inferencer:
         def res_ctx(ctx: Context) -> Context:
             return Context(tuple(Entry(e.name, e.basis, res_type(e.type)) for e in ctx))
 
-        def go(node: Derivation) -> Derivation:
+        def go(node: Derivation, children: tuple) -> Derivation:
             payload = dict(node.payload)
             if "entry" in payload:
                 e = payload["entry"]
                 payload["entry"] = Entry(e.name, e.basis, res_type(e.type))
             return Derivation(
-                node.rule,
-                res_ctx(node.ctx),
-                node.term,
-                res_type(node.type),
-                tuple(go(c) for c in node.children),
-                payload,
+                node.rule, res_ctx(node.ctx), node.term, res_type(node.type),
+                children, payload,
             )
 
-        return go(d)
+        # post-order with an explicit stack, so derivation depth is not
+        # bounded by the recursion limit
+        done: list[Derivation] = []
+        todo: list = [(d, False)]
+        while todo:
+            node, children_done = todo.pop()
+            if children_done:
+                k = len(node.children)
+                children = tuple(done[len(done) - k :])
+                del done[len(done) - k :]
+                done.append(go(node, children))
+            else:
+                todo.append((node, True))
+                todo.extend((c, False) for c in reversed(node.children))
+        return done[0]
 
 
 def _first_var(t: Type) -> Optional[int]:

@@ -59,6 +59,13 @@ class TestCheck:
         assert doc["type"] == "1 -> 1 * 1"
         assert doc["summary"]["c_nodes"]["x"]["arity"] == 2
 
+    def test_long_h_chain(self, write, capsys):
+        # the derivation is deeper than the recursion limit allows a
+        # recursive walk to resolve
+        f = write("hchain.zeta", " o ".join(["H"] * 128))
+        assert main(["check", f]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "1 -> 1"
+
     def test_missing_file(self, capsys):
         assert main(["check", "/nonexistent.zeta"]) == 2
 

@@ -228,6 +228,45 @@ class TestParLayers:
         assert peak < 64 * 2**20
 
 
+def _map_of(source):
+    _, deriv = infer(Context(), parse(source))
+    return eval_as_map(translate(deriv)).diagram
+
+
+class TestEvaluationWalk:
+    def test_par_is_kron(self):
+        rng = random.Random(31)
+        for _ in range(60):
+            a, b = random_diagram(rng, max_wires=5), random_diagram(rng, max_wires=5)
+            expect = np.kron(denote(a), denote(b))
+            assert np.max(np.abs(denote(Par(a, b)) - expect)) <= 1e-12
+
+    def test_sub_diagrams_see_only_the_columns_flowing_in(self):
+        # each wide factor of the 11-way copy map is applied to the 2
+        # columns that reach it, never to its own 1024-wide identity
+        m, peak = _denote_peak(_map_of("Z x:1. " + "<x," * 10 + "x" + ">" * 10))
+        assert m.shape == (2**11, 2)
+        assert peak < 2**20
+
+    def test_narrow_sub_diagrams_run_on_their_identity(self):
+        # the staircase of the rotation chain carries many wires past each
+        # rotation; applied to all those columns, the rotations' cups would
+        # need gigabytes
+        m, peak = _denote_peak(_map_of(" o ".join(["rot Z^pi/4"] * 100)))
+        assert m.shape == (2, 2)
+        assert peak < 2**20
+
+    def test_leaf_matrices_do_not_escape(self):
+        for d in [Spider(Basis.Z, Phase.exact(1, 2), 1, 2), Had(), Cup(), Cap()]:
+            a, b = denote(d), denote(d)
+            assert not np.shares_memory(a, b)
+            assert a.flags.writeable
+            a[...] = 7
+            assert np.array_equal(denote(d), b)
+            assert not np.array_equal(a, b)
+        assert np.allclose(HADAMARD @ HADAMARD, np.eye(2))
+
+
 class TestMatrixJson:
     def test_round_trip(self):
         m = np.array([[1 + 2j, 0], [0.5, -1j]])
