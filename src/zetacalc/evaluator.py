@@ -12,8 +12,11 @@ whichever is fewer, the L * R columns flowing into it or its own 2^inputs
 identity; in the second case its matrix is then applied to the running
 tensor with one matmul. So no sub-diagram is widened by wires it does not
 touch, and none is evaluated on more columns than its own identity. Leaf
-matrices are built once per `denote` call. No normalization is applied
-anywhere: the cup denotes |00> + |11| with unit entries.
+matrices are built once per `denote` call, each spider entry by entry: a Z
+spider has two nonzero entries, the first and the last, and an m -> n X
+spider is (1 + e^{ia} s_out[i] s_in[j]) / 2^((m+n)/2), where s[i] is
+(-1)^popcount(i). No normalization is applied anywhere: the cup denotes
+|00> + |11| with unit entries.
 
 `oracle_contract` evaluates the same diagram by a disjoint route: the
 diagram is flattened to a list of generator tensors over named edges (built
@@ -68,27 +71,23 @@ def phase_exp(p: Phase) -> complex:
     return cmath.exp(1j * p.value)
 
 
-_KETS = {
-    Basis.Z: (np.array([[1.0], [0.0]], dtype=complex), np.array([[0.0], [1.0]], dtype=complex)),
-    Basis.X: (
-        np.array([[1.0], [1.0]], dtype=complex) / SQRT2,
-        np.array([[1.0], [-1.0]], dtype=complex) / SQRT2,
-    ),
-}
-
-
-def _ket_power(ket: np.ndarray, n: int) -> np.ndarray:
-    out = np.array([[1.0 + 0j]])
-    for _ in range(n):
-        out = np.kron(out, ket)
-    return out
-
-
 def spider_matrix(basis: Basis, phase: Phase, m: int, n: int) -> np.ndarray:
-    k0, k1 = _KETS[basis]
-    ket0, ket1 = _ket_power(k0, n), _ket_power(k1, n)
-    bra0, bra1 = _ket_power(k0, m).conj().T, _ket_power(k1, m).conj().T
-    return ket0 @ bra0 + phase_exp(phase) * (ket1 @ bra1)
+    """The 2^n x 2^m matrix |b0..b0><b0..b0| + e^{i phase} |b1..b1><b1..b1|
+    of an m -> n spider in basis b, written entry by entry."""
+    w = phase_exp(phase)
+    if basis is Basis.Z:
+        out = np.zeros((2**n, 2**m), dtype=complex)
+        out[0, 0] = 1.0
+        out[-1, -1] += w
+        return out
+    # entry (i, j) of |+..+><+..+| is 2^(-k/2) and of |-..-><-..-| is
+    # (-1)^popcount(i 2^m + j) 2^(-k/2); index i + 2^b (i < 2^b) has one more
+    # set bit than i, so the sign flips
+    k = m + n
+    signs = np.ones(2**k)
+    for b in range(k):
+        signs[2**b : 2 ** (b + 1)] = -signs[: 2**b]
+    return ((1.0 + w * signs) * 2.0 ** (-k / 2)).reshape(2**n, 2**m)
 
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / SQRT2

@@ -26,7 +26,7 @@ from .diagram import (
     seq,
     upsilon,
 )
-from .syntax import Abs, Gen, Term, free_vars, print_term
+from .syntax import Abs, Gen, Term, print_term
 from .types import (
     Context,
     Derivation,
@@ -131,24 +131,32 @@ def _peel_weakenings(node: Derivation, drop: set[str]) -> Derivation:
     return node
 
 
+def _used_names(node: Derivation) -> set[str]:
+    """Names of the context below the node's leading W chain. Derivations
+    built by `infer` weaken every unused entry before any other rule, so
+    these are the free variables of the node's term."""
+    while node.rule == "W":
+        (node,) = node.children
+    return {e.name for e in node.ctx}
+
+
 def _split_binary(ctx: Context, c1: Derivation, c2: Derivation):
     """Context routing for a binary node. After W/C preprocessing every entry
     occurs exactly once in the node's term, hence in exactly one child; the
     full-context sharing of the child judgements collapses (a same-basis
     copy spider with one leg discarded is an identity wire), so each entry is
-    routed only to its user. Returns (router to [c1 block, c2 block], peeled
-    c1, peeled c2, block sizes) or None when the occurrence invariant fails,
-    in which case the caller falls back to literal sharing."""
-    used1 = set(free_vars(c1.term))
+    routed only to the child that keeps it past its W chain. Returns (router
+    to [c1 block, c2 block], peeled c1, peeled c2, block sizes) or None when
+    some entry is kept by both children or by neither, in which case the
+    caller falls back to literal sharing."""
+    used1, used2 = _used_names(c1), _used_names(c2)
     offs = _wire_offsets(ctx)
     to_first = []
     for e in ctx:
-        if e.name in used1:
-            to_first.append(True)
-        elif e.name in set(free_vars(c2.term)):
-            to_first.append(False)
-        else:
+        first, second = e.name in used1, e.name in used2
+        if first == second:
             return None
+        to_first.append(first)
     g1 = sum(size(e.type) for e, f in zip(ctx, to_first) if f)
     perm = [0] * ctx.wire_count()
     pos1, pos2 = 0, g1

@@ -228,43 +228,48 @@ def lam(var: str, body: Term, annotation=None) -> Term:
 def free_vars(term: Term) -> list[str]:
     """Free variables in first-use order."""
     out: list[str] = []
-
-    def go(t: Term, bound: frozenset[str]):
+    # pre-order, left to right, with an explicit stack so term depth is not
+    # bounded by the recursion limit
+    todo: list[tuple[Term, frozenset[str]]] = [(term, frozenset())]
+    while todo:
+        t, bound = todo.pop()
         if isinstance(t, Var):
             if t.name not in bound and t.name not in out:
                 out.append(t.name)
         elif isinstance(t, Abs):
-            go(t.body, bound | {t.var})
+            todo.append((t.body, bound | {t.var}))
         elif isinstance(t, App):
-            go(t.fn, bound)
-            go(t.arg, bound)
+            todo.append((t.arg, bound))
+            todo.append((t.fn, bound))
         elif isinstance(t, Tup):
-            go(t.left, bound)
-            go(t.right, bound)
+            todo.append((t.right, bound))
+            todo.append((t.left, bound))
         elif isinstance(t, Let):
-            go(t.bound, bound)
-            go(t.body, bound | {t.var1, t.var2})
-
-    go(term, frozenset())
+            todo.append((t.body, bound | {t.var1, t.var2}))
+            todo.append((t.bound, bound))
     return out
 
 
 def occurrences(name: str, term: Term) -> int:
     """Number of free occurrences of `name`, ignoring shadowed scopes."""
-    if isinstance(term, Var):
-        return 1 if term.name == name else 0
-    if isinstance(term, Abs):
-        return 0 if term.var == name else occurrences(name, term.body)
-    if isinstance(term, App):
-        return occurrences(name, term.fn) + occurrences(name, term.arg)
-    if isinstance(term, Tup):
-        return occurrences(name, term.left) + occurrences(name, term.right)
-    if isinstance(term, Let):
-        k = occurrences(name, term.bound)
-        if name not in (term.var1, term.var2):
-            k += occurrences(name, term.body)
-        return k
-    return 0
+    k = 0
+    todo = [term]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, Var):
+            k += t.name == name
+        elif isinstance(t, Abs):
+            if t.var != name:
+                todo.append(t.body)
+        elif isinstance(t, App):
+            todo.extend((t.fn, t.arg))
+        elif isinstance(t, Tup):
+            todo.extend((t.left, t.right))
+        elif isinstance(t, Let):
+            todo.append(t.bound)
+            if name not in (t.var1, t.var2):
+                todo.append(t.body)
+    return k
 
 
 def _freshen(name: str, avoid: set[str]) -> str:

@@ -394,11 +394,78 @@ class Derivation:
             yield from c.walk()
 
 
+def _subterms(t: Term) -> tuple:
+    if isinstance(t, Abs):
+        return (t.body,)
+    if isinstance(t, App):
+        return (t.fn, t.arg)
+    if isinstance(t, Tup):
+        return (t.left, t.right)
+    if isinstance(t, Let):
+        return (t.bound, t.body)
+    return ()
+
+
+def _without(counts: dict[str, int], names: tuple) -> dict[str, int]:
+    if not any(n in counts for n in names):
+        return counts
+    return {k: v for k, v in counts.items() if k not in names}
+
+
+def _merged(first: dict[str, int], second: dict[str, int]) -> dict[str, int]:
+    """Counts of two subterms in sequence, keeping first-use order."""
+    if not second:
+        return first
+    if not first:
+        return second
+    out = dict(first)
+    for k, v in second.items():
+        out[k] = out.get(k, 0) + v
+    return out
+
+
 class _Inferencer:
     def __init__(self):
         self.subst: Subst = {}
         self.counter = 0
         self.origin: dict[int, str] = {}
+        # id(term) -> (term, free-variable counts); holding the term keeps
+        # its id from being reused while the entry lives
+        self.counts: dict[int, tuple[Term, dict[str, int]]] = {}
+
+    def free_counts(self, term: Term) -> dict[str, int]:
+        """Free-variable occurrence counts of `term`, in first-use order.
+
+        Every subterm is counted once per inference, bottom-up with an
+        explicit stack, and memoised by identity, so derive asking at each
+        node costs a lookup. Result dicts may be shared between terms and
+        must not be changed."""
+        memo = self.counts
+        todo: list = [(term, False)]
+        while todo:
+            t, children_done = todo.pop()
+            if id(t) in memo:
+                continue
+            kids = _subterms(t)
+            if kids and not children_done:
+                todo.append((t, True))
+                todo.extend((k, False) for k in kids)
+                continue
+            if isinstance(t, Var):
+                counts = {t.name: 1}
+            elif isinstance(t, Abs):
+                counts = _without(memo[id(t.body)][1], (t.var,))
+            elif isinstance(t, App):
+                counts = _merged(memo[id(t.fn)][1], memo[id(t.arg)][1])
+            elif isinstance(t, Tup):
+                counts = _merged(memo[id(t.left)][1], memo[id(t.right)][1])
+            elif isinstance(t, Let):
+                body = _without(memo[id(t.body)][1], (t.var1, t.var2))
+                counts = _merged(memo[id(t.bound)][1], body)
+            else:
+                counts = {}
+            memo[id(t)] = (t, counts)
+        return memo[id(term)][1]
 
     def fresh(self, origin: str) -> TypeVar:
         self.counter += 1
@@ -409,7 +476,7 @@ class _Inferencer:
         self.subst = unify(a, b, self.subst)
 
     def derive(self, ctx: Context, term: Term) -> Derivation:
-        fvs = free_vars(term)
+        fvs = self.free_counts(term)
 
         # Weakening: strip the leftmost unused entry.
         for i, e in enumerate(ctx.entries):
@@ -421,7 +488,7 @@ class _Inferencer:
 
         # Contraction: split the leftmost entry used >= 2 times.
         for i, e in enumerate(ctx.entries):
-            k = occurrences(e.name, term)
+            k = fvs.get(e.name, 0)
             if k >= 2:
                 names = tuple(f"{e.name}#{j + 1}" for j in range(k))
                 renamed = rename_free_occurrences(term, e.name, list(names))
@@ -452,13 +519,14 @@ class _Inferencer:
         if isinstance(term, Abs):
             var, body = term.var, term.body
             if ctx.get(var) is not None:
-                var = _freshen(var, set(ctx.names) | set(free_vars(body)))
+                var = _freshen(var, set(ctx.names) | self.free_counts(body).keys())
                 body = substitute(term.body, term.var, Var(var))
                 term = Abs(term.basis, term.phase, var, term.annotation, body, term.is_lambda)
-            if term.is_lambda and occurrences(var, body) != 1:
+            uses = self.free_counts(body).get(var, 0)
+            if term.is_lambda and uses != 1:
                 raise LinearityError(
                     f"lambda-bound variable {var} must occur exactly once"
-                    f" (found {occurrences(var, body)})"
+                    f" (found {uses})"
                 )
             a = term.annotation if term.annotation is not None else self.fresh(
                 f"binder {var}"
@@ -495,7 +563,7 @@ class _Inferencer:
             v1, v2, body = term.var1, term.var2, term.body
             taken = set(ctx.names)
             if v1 in taken or v2 in taken:
-                avoid = taken | set(free_vars(body))
+                avoid = taken | self.free_counts(body).keys()
                 n1 = _freshen(v1, avoid)
                 n2 = _freshen(v2, avoid | {n1})
                 body = substitute(substitute(body, v1, Var(n1)), v2, Var(n2))
@@ -509,24 +577,41 @@ class _Inferencer:
         raise TypeError(f"not a term: {term!r}")
 
     def resolve(self, d: Derivation) -> Derivation:
+        # id(object) -> (object, resolved), for types, entries and contexts:
+        # nodes share them, so each is resolved once and the resolved
+        # derivation shares the results in turn
+        memo: dict[int, tuple] = {}
+
         def res_type(t: Type) -> Type:
-            t = apply_subst(t, self.subst)
-            if contains_var(t):
+            hit = memo.get(id(t))
+            if hit is not None:
+                return hit[1]
+            r = apply_subst(t, self.subst)
+            if contains_var(r):
                 hint = ""
-                vid = _first_var(t)
+                vid = _first_var(r)
                 if vid is not None and vid in self.origin:
                     hint = f" (add an annotation at {self.origin[vid]})"
-                raise AmbiguousTypeError(f"ambiguous type {print_type(t)}{hint}")
-            return t
+                raise AmbiguousTypeError(f"ambiguous type {print_type(r)}{hint}")
+            memo[id(t)] = (t, r)
+            return r
+
+        def res_entry(e: Entry) -> Entry:
+            hit = memo.get(id(e))
+            if hit is None:
+                hit = memo[id(e)] = (e, Entry(e.name, e.basis, res_type(e.type)))
+            return hit[1]
 
         def res_ctx(ctx: Context) -> Context:
-            return Context(tuple(Entry(e.name, e.basis, res_type(e.type)) for e in ctx))
+            hit = memo.get(id(ctx))
+            if hit is None:
+                hit = memo[id(ctx)] = (ctx, Context(tuple(res_entry(e) for e in ctx)))
+            return hit[1]
 
         def go(node: Derivation, children: tuple) -> Derivation:
             payload = dict(node.payload)
             if "entry" in payload:
-                e = payload["entry"]
-                payload["entry"] = Entry(e.name, e.basis, res_type(e.type))
+                payload["entry"] = res_entry(payload["entry"])
             return Derivation(
                 node.rule, res_ctx(node.ctx), node.term, res_type(node.type),
                 children, payload,
@@ -559,13 +644,20 @@ def _first_var(t: Type) -> Optional[int]:
     return None
 
 
-def infer(ctx: Context, term: Term) -> tuple[Type, Derivation]:
-    """Principal monomorphic type and canonical derivation of ctx |- term."""
-    missing = [x for x in free_vars(term) if ctx.get(x) is None]
+def _derive(ctx: Context, term: Term) -> tuple[_Inferencer, Derivation]:
+    """The unresolved derivation of ctx |- term and its inferencer."""
+    inf = _Inferencer()
+    missing = [x for x in inf.free_counts(term) if ctx.get(x) is None]
     if missing:
         raise UnboundVariableError(f"unbound variable {missing[0]}")
-    inf = _Inferencer()
     d = inf.derive(ctx, term)
+    inf.counts = {}  # the terms stay alive in the derivation; their counts need not
+    return inf, d
+
+
+def infer(ctx: Context, term: Term) -> tuple[Type, Derivation]:
+    """Principal monomorphic type and canonical derivation of ctx |- term."""
+    inf, d = _derive(ctx, term)
     d = inf.resolve(d)
     return d.type, d
 
@@ -574,11 +666,7 @@ def check(ctx: Context, term: Term, expected: Type) -> Derivation:
     """Infer, then unify against the expected (fully inferred) type."""
     if contains_var(expected):
         raise AmbiguousTypeError("expected type must be fully inferred")
-    missing = [x for x in free_vars(term) if ctx.get(x) is None]
-    if missing:
-        raise UnboundVariableError(f"unbound variable {missing[0]}")
-    inf = _Inferencer()
-    d = inf.derive(ctx, term)
+    inf, d = _derive(ctx, term)
     inf.unify(d.type, expected)
     return inf.resolve(d)
 

@@ -6,6 +6,7 @@ import pytest
 
 from zetacalc.diagram import Cap, Cup, Had, Id, Scalar, Spider, Swap, arity, par, seq
 from zetacalc.syntax import Basis, Phase, parse
+from zetacalc.theory import standard_instances
 
 
 def term_pool() -> list[str]:
@@ -36,6 +37,15 @@ def term_pool() -> list[str]:
         "<*, Z[1]>",
         "Z x:1*1. x",
         "\\f:1->1. \\x:1. f x",
+    ]
+
+
+def rule_sides() -> list:
+    """(context, term) for both sides of every standard rule instance."""
+    return [
+        (ctx, side(bindings))
+        for rule, bindings, ctx in standard_instances()
+        for side in (rule.lhs, rule.rhs)
     ]
 
 

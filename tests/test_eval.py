@@ -71,6 +71,31 @@ class TestSpiders:
         m = spider_matrix(Basis.Z, Phase.exact(1), 0, 0)
         assert np.allclose(m, [[1 + phase_exp(Phase.exact(1))]])
 
+    def test_matches_kron_construction(self):
+        kets = {
+            Basis.Z: (np.array([1.0, 0.0]), np.array([0.0, 1.0])),
+            Basis.X: (np.array([1.0, 1.0]) / np.sqrt(2), np.array([1.0, -1.0]) / np.sqrt(2)),
+        }
+
+        def power(ket, k):
+            out = np.ones(1, dtype=complex)
+            for _ in range(k):
+                out = np.kron(out, ket)
+            return out
+
+        phases = [Phase.zero(), Phase.exact(1, 2), Phase.exact(1), Phase.exact(1, 4),
+                  Phase.radians(1.25)]
+        for basis, (k0, k1) in kets.items():
+            for phase in phases:
+                for m in range(6):
+                    for n in range(6):
+                        want = np.outer(power(k0, n), power(k0, m)) + phase_exp(
+                            phase
+                        ) * np.outer(power(k1, n), power(k1, m))
+                        got = spider_matrix(basis, phase, m, n)
+                        assert got.dtype == complex and got.shape == want.shape
+                        assert np.max(np.abs(got - want)) <= 1e-15, (basis, phase, m, n)
+
 
 class TestDenote:
     def test_cup_cap(self):

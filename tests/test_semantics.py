@@ -7,15 +7,17 @@ from zetacalc.diagram import Id, Seq, arity, par, upsilon
 from zetacalc.evaluator import denote, equal_up_to_scalar, oracle_contract
 from zetacalc.semantics import (
     TranslationError,
+    _split_binary,
+    _used_names,
     context_labels,
     eval_as_map,
     share_context,
     translate,
 )
-from zetacalc.syntax import Basis, parse, substitute
-from zetacalc.types import Context, Entry, Numeral, context_of, infer, size
+from zetacalc.syntax import Basis, free_vars, parse, substitute
+from zetacalc.types import Context, Entry, Numeral, ZetaTypeError, context_of, infer, size
 
-from conftest import term_pool
+from conftest import rule_sides, term_pool
 
 EMPTY = Context()
 Q = Numeral(1)
@@ -203,3 +205,27 @@ class TestDeepComposition:
         ref = denote(eval_as_map(jd_of("rot Z^pi")).diagram)
         assert m.shape == (2, 2)
         assert equal_up_to_scalar(m, ref, 1e-12) is not None
+
+
+class TestRouting:
+    def test_w_chains_keep_exactly_the_free_variables(self):
+        # binary nodes route each entry by the names its children keep past
+        # their W chains; for inferred derivations those are the free
+        # variables, so the literal-sharing fallback is never taken
+        binary = 0
+        for ctx, term in [(EMPTY, parse(s)) for s in term_pool()] + rule_sides():
+            try:
+                _, d = infer(ctx, term)
+            except ZetaTypeError:
+                continue
+            for node in d.walk():
+                if node.rule not in ("A", "T", "E"):
+                    continue
+                for child in node.children:
+                    assert _used_names(child) == set(free_vars(child.term))
+                c1, c2 = node.children
+                if node.rule == "E":
+                    c1, c2 = c2, c1
+                assert _split_binary(node.ctx, c1, c2) is not None
+                binary += 1
+        assert binary > 500

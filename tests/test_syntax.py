@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -148,6 +149,22 @@ class TestFreeVarsOccurrences:
         assert occurrences("x", parse("Z x. x")) == 0
         assert occurrences("x", parse("<x, Z x. x>")) == 1
         assert occurrences("x", parse("<x, <x, x>>")) == 3
+
+    def test_deep_nest(self):
+        # built directly, since parsing a term this deep still recurses
+        t, uses = Var("x0"), Counter({"x0": 1})
+        for i in range(1, 5001):
+            if i % 2:
+                leaf = f"x{i % 3}"
+                t = Tup(t, Var(leaf))
+            else:
+                leaf = "y"
+                t = App(Var(leaf), t)
+            uses[leaf] += 1
+        assert free_vars(t) == ["y", "x0", "x1", "x2"]
+        for name, k in uses.items():
+            assert occurrences(name, t) == k
+        assert occurrences("z", t) == 0
 
 
 class TestSubstitute:

@@ -1,8 +1,10 @@
 import dataclasses
+from collections import Counter
 
 import pytest
 
-from zetacalc.syntax import Basis, Phase, Gen, parse
+from zetacalc import syntax, types
+from zetacalc.syntax import Abs, App, Basis, Gen, Let, Phase, Tup, free_vars, occurrences, parse
 from zetacalc.types import (
     TOP,
     AmbiguousTypeError,
@@ -12,6 +14,7 @@ from zetacalc.types import (
     Derivation,
     Dual,
     Entry,
+    ZetaTypeError,
     Fn,
     LinearityError,
     Numeral,
@@ -22,6 +25,7 @@ from zetacalc.types import (
     UnificationError,
     apply_subst,
     check,
+    contains_var,
     context_of,
     derivation_summary,
     infer,
@@ -34,7 +38,7 @@ from zetacalc.types import (
     unify,
     validate_derivation,
 )
-from conftest import term_pool
+from conftest import rule_sides, term_pool
 
 EMPTY = Context()
 Q = Numeral(1)
@@ -237,3 +241,131 @@ class TestValidator:
         bad = self._tamper(d, term=Gen(Basis.Z, Phase.zero(), 2))
         with pytest.raises(Exception):
             validate_derivation(bad)
+
+
+def _naive_counts(_inferencer, term):
+    """The counts derive reads, walking the term once per variable."""
+    return {x: occurrences(x, term) for x in free_vars(term)}
+
+
+def _naive_resolve(d: Derivation, subst) -> Derivation:
+    """Resolve every node on its own, sharing nothing between nodes."""
+
+    def ty(t):
+        r = apply_subst(t, subst)
+        if contains_var(r):
+            raise AmbiguousTypeError(print_type(r))
+        return r
+
+    def entry(e):
+        return Entry(e.name, e.basis, ty(e.type))
+
+    def go(node):
+        payload = dict(node.payload)
+        if "entry" in payload:
+            payload["entry"] = entry(payload["entry"])
+        ctx = Context(tuple(entry(e) for e in node.ctx))
+        children = tuple(go(c) for c in node.children)
+        return Derivation(node.rule, ctx, node.term, ty(node.type), children, payload)
+
+    return go(d)
+
+
+def _subterms(term):
+    out, todo = [], [term]
+    while todo:
+        t = todo.pop()
+        out.append(t)
+        if isinstance(t, Abs):
+            todo.append(t.body)
+        elif isinstance(t, App):
+            todo.extend((t.fn, t.arg))
+        elif isinstance(t, Tup):
+            todo.extend((t.left, t.right))
+        elif isinstance(t, Let):
+            todo.extend((t.bound, t.body))
+    return out
+
+
+def _typing_cases():
+    """Every pool term, both sides of every rule instance, and H x 2..20."""
+    return (
+        [(EMPTY, parse(s)) for s in term_pool()]
+        + rule_sides()
+        + [(EMPTY, parse(" o ".join(["H"] * n))) for n in range(2, 21)]
+    )
+
+
+def _outcome(run):
+    try:
+        return run()
+    except ZetaTypeError as exc:
+        return type(exc)
+
+
+class TestCountsOncePerInference:
+    def test_derivations_match_naive_counting_and_resolving(self, monkeypatch):
+        for ctx, term in _typing_cases():
+            got = _outcome(lambda: infer(ctx, term)[1])
+            with monkeypatch.context() as m:
+                m.setattr(types._Inferencer, "free_counts", _naive_counts)
+                inf = types._Inferencer()
+                want = _outcome(lambda: _naive_resolve(inf.derive(ctx, term), inf.subst))
+            assert got == want, syntax.print_term(term)
+
+    def test_counts_match_naive_in_first_use_order(self, monkeypatch):
+        asked = []
+        real = types._Inferencer.free_counts
+
+        def recording(inf, term):
+            counts = real(inf, term)
+            asked.append((term, counts))
+            return counts
+
+        monkeypatch.setattr(types._Inferencer, "free_counts", recording)
+        c_children = 0
+        for ctx, term in _typing_cases():
+            # every term derive asks about, C-renamed ones included
+            asked.clear()
+            d = _outcome(lambda: infer(ctx, term)[1])
+            for t, counts in asked:
+                assert list(counts.items()) == list(_naive_counts(None, t).items())
+            if isinstance(d, Derivation):
+                seen = {id(t) for t, _ in asked}
+                for node in d.walk():
+                    if node.rule == "C":
+                        assert id(node.children[0].term) in seen
+                        c_children += 1
+            # every subterm, read back from one inference's memo
+            inf = types._Inferencer()
+            inf.free_counts(term)
+            for t in _subterms(term):
+                assert list(inf.free_counts(t).items()) == list(_naive_counts(None, t).items())
+        assert c_children > 100
+
+    def test_no_per_node_term_walks(self, monkeypatch):
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapped
+
+        for module in (syntax, types):
+            for name in ("free_vars", "occurrences"):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+
+        def walks(n):
+            term = parse(" o ".join(["H"] * n))
+            calls.clear()
+            infer(EMPTY, term)
+            return sum(calls.values())
+
+        assert walks(16) == walks(4)
+
+    def test_counts_dropped_after_derive(self):
+        inf, d = types._derive(EMPTY, parse("Z x:1. <x,x>"))
+        assert inf.counts == {}
+        assert d.rule == "B"
