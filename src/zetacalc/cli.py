@@ -3,7 +3,8 @@
 Exit codes: 0 success; 1 type error, any other zetacalc error (translation,
 diagram, evaluation), DISTINCT or an unsound rule; 2 parse error, unreadable
 file, malformed ZETA_WIRE_BUDGET or mismatched equivalence query; 3 wire
-budget exceeded or term too deep to process.
+budget exceeded (evaluation would hold a tensor of more than ZETA_WIRE_BUDGET
+legs, default 14, whatever the diagram's width) or term too deep to process.
 """
 
 from __future__ import annotations
@@ -13,27 +14,24 @@ import json
 import os
 import sys
 
-from .diagram import max_width, to_dot
+from .diagram import to_dot
 from .evaluator import (
-    BOTH_ZERO,
+    WIRE_BUDGET,
     WireBudgetError,
     denote,
     format_complex,
     matrix_to_json,
-    max_deviation,
-    equal_up_to_scalar,
     render_matrix,
 )
 from .semantics import eval_as_map, translate
 from .syntax import Basis, ParseError, ZetaError, parse, print_term
-from .theory import commutes_with_sharing, run_suite
+from .theory import commutes_with_sharing, compare, run_suite
 from .types import (
     ZetaTypeError,
     derivation_summary,
     infer,
     parse_context,
     print_type,
-    size,
 )
 
 EXIT_OK = 0
@@ -47,7 +45,7 @@ class SettingError(ZetaError):
 
 
 def wire_budget() -> int:
-    raw = os.environ.get("ZETA_WIRE_BUDGET", "14")
+    raw = os.environ.get("ZETA_WIRE_BUDGET", str(WIRE_BUDGET))
     try:
         return int(raw)
     except ValueError:
@@ -87,8 +85,6 @@ def cmd_check(args) -> int:
         print(f"C-node: {var} shared {info['arity']} ways in basis {info['basis']}")
     if summary["w_count"]:
         print(f"W-nodes: {summary['w_count']}")
-    if summary["x_count"]:
-        print(f"X-nodes: {summary['x_count']}")
     return EXIT_OK
 
 
@@ -107,10 +103,7 @@ def cmd_eval(args) -> int:
     jd = translate(deriv)
     if args.as_map:
         jd = eval_as_map(jd)
-    budget = wire_budget()
-    if max_width(jd.diagram) > budget:
-        return _fail(EXIT_BUDGET, f"diagram exceeds the {budget}-wire budget")
-    m = denote(jd.diagram)
+    m = denote(jd.diagram, wire_budget())
     if args.json:
         print(matrix_to_json(m))
     else:
@@ -123,38 +116,24 @@ def cmd_equiv(args) -> int:
     term1 = _read_term(args.file1)
     term2 = _read_term(args.file2)
     ctx = parse_context(args.ctx)
-    ty1, d1 = infer(ctx, term1)
-    ty2, d2 = infer(ctx, term2)
-    if size(ty1) != size(ty2):
+    result = compare(ctx, term1, term2, args.tol, wire_budget())
+    if result.status == "size-mismatch":
         return _fail(
             EXIT_PARSE,
-            f"types {print_type(ty1)} and {print_type(ty2)} have different wire counts",
+            f"types {print_type(result.type1)} and {print_type(result.type2)}"
+            " have different wire counts",
         )
-    budget = wire_budget()
-    jd1, jd2 = translate(d1), translate(d2)
-    if max(max_width(jd1.diagram), max_width(jd2.diagram)) > budget:
-        return _fail(EXIT_BUDGET, f"diagram exceeds the {budget}-wire budget")
-    m1, m2 = denote(jd1.diagram), denote(jd2.diagram)
-    witness = equal_up_to_scalar(m1, m2, args.tol)
-    if witness is None:
-        verdict = {"verdict": "DISTINCT", "deviation": max_deviation(m1, m2)}
-        code = EXIT_TYPE
+    s = result.scalar
+    if result.status == "distinct":
+        verdict = {"verdict": "DISTINCT", "deviation": result.deviation}
+        line = f"DISTINCT  max deviation = {result.deviation:.3e}"
     else:
-        scalar = None if witness is BOTH_ZERO else witness
-        verdict = {
-            "verdict": "EQUIVALENT",
-            "scalar": None if scalar is None else [scalar.real, scalar.imag],
-        }
-        code = EXIT_OK
-    if args.json:
-        print(json.dumps(verdict))
-    elif code == EXIT_OK:
-        s = verdict["scalar"]
-        shown = "0 (both sides zero)" if s is None else format_complex(complex(*s))
-        print(f"EQUIVALENT  scalar = {shown}")
-    else:
-        print(f"DISTINCT  max deviation = {verdict['deviation']:.3e}")
-    return code
+        verdict = {"verdict": "EQUIVALENT",
+                   "scalar": None if s is None else [s.real, s.imag]}
+        shown = "0 (both sides zero)" if s is None else format_complex(s)
+        line = f"EQUIVALENT  scalar = {shown}"
+    print(json.dumps(verdict) if args.json else line)
+    return EXIT_TYPE if result.status == "distinct" else EXIT_OK
 
 
 def cmd_rules(args) -> int:
@@ -186,9 +165,10 @@ def cmd_share_check(args) -> int:
     term = _read_term(args.file)
     ctx = parse_context(args.ctx)
     basis = Basis(args.basis)
+    budget = wire_budget()
     results = {}
     for n in _parse_copies(args.copies):
-        results[n] = commutes_with_sharing(ctx, term, basis, n, args.tol)
+        results[n] = commutes_with_sharing(ctx, term, basis, n, args.tol, budget)
     if args.json:
         print(json.dumps({str(n): ok for n, ok in results.items()}))
     else:

@@ -135,7 +135,7 @@ def arity(d: Diagram) -> WireArity:
 
 
 def max_width(d: Diagram) -> int:
-    """Largest simultaneous wire count in the diagram (for budget checks):
+    """Largest simultaneous wire count in the diagram (the oracle's budget):
     the max over a Seq's parts, the sum over a Par's. Walked post-order with
     explicit stacks, so deep diagrams do not hit the recursion limit."""
     widths: list[int] = []

@@ -18,6 +18,11 @@ spider is (1 + e^{ia} s_out[i] s_in[j]) / 2^((m+n)/2), where s[i] is
 (-1)^popcount(i). No normalization is applied anywhere: the cup denotes
 |00> + |11| with unit entries.
 
+`denote(d, budget)` raises WireBudgetError before it would create an array
+of more than 2^budget entries (the starting identity, a leaf matrix, or a
+product with the running tensor), so the budget counts the legs of the
+largest tensor the walk holds, not the width of the diagram.
+
 `oracle_contract` evaluates the same diagram by a disjoint route: the
 diagram is flattened to a list of generator tensors over named edges (built
 entry-by-entry from the basis-vector definitions, not from kron), and all
@@ -30,7 +35,7 @@ import cmath
 import itertools
 import json
 import math
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -51,6 +56,8 @@ from .diagram import (
 from .syntax import Basis, Phase, ZetaError
 
 SQRT2 = math.sqrt(2.0)
+
+WIRE_BUDGET = 14
 
 ORACLE_WIRE_BUDGET = 14
 
@@ -95,10 +102,22 @@ HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / SQRT2
 _CUP = np.array([[1.0], [0.0], [0.0], [1.0]], dtype=complex)
 
 
-def denote(d: Diagram) -> np.ndarray:
-    """Dense denotation: a 2^outputs x 2^inputs complex matrix."""
+def denote(d: Diagram, budget: Optional[int] = None) -> np.ndarray:
+    """Dense denotation: a 2^outputs x 2^inputs complex matrix. With a
+    budget, raises WireBudgetError instead of creating an array of more
+    than 2^budget entries; without one, the walk is unbounded."""
+    limit = math.inf if budget is None else 2**budget
     n = 2**d.inputs
-    return _apply(d, np.eye(n, dtype=complex)[None], {}).reshape(-1, n)
+    _fits(n * n, limit)
+    return _apply(d, np.eye(n, dtype=complex)[None], {}, limit).reshape(-1, n)
+
+
+def _fits(entries: int, limit) -> None:
+    if entries > limit:
+        raise WireBudgetError(
+            f"evaluation needs a tensor of {entries.bit_length() - 1} legs,"
+            f" over the {math.log2(limit):g}-leg wire budget"
+        )
 
 
 def _seq_parts(d: Diagram) -> list:
@@ -156,11 +175,12 @@ def _leaf_matrix(d: Diagram) -> np.ndarray:
     raise DiagramError(f"not a diagram: {d!r}")
 
 
-def _apply(d: Diagram, t: np.ndarray, leaves: dict) -> np.ndarray:
+def _apply(d: Diagram, t: np.ndarray, leaves: dict, limit) -> np.ndarray:
     """Apply d to t, of shape (L, 2^d.inputs, R); the result has shape
     (L, 2^d.outputs, R). `leaves` holds the leaf matrices built so far in
     this walk. A Seq or Par runs on whichever is fewer, the L * R columns
-    of t or its own 2^inputs identity (then one matmul onto t)."""
+    of t or its own 2^inputs identity (then one matmul onto t), which is
+    smaller than t. No array of more than `limit` entries is created."""
     L, _, R = t.shape
     if isinstance(d, Id):
         return t
@@ -169,13 +189,15 @@ def _apply(d: Diagram, t: np.ndarray, leaves: dict) -> np.ndarray:
     if not isinstance(d, (Seq, Par)):
         m = leaves.get(d)
         if m is None:
+            _fits(2 ** (d.inputs + d.outputs), limit)
             m = leaves[d] = _leaf_matrix(d)
+        _fits(L * m.shape[0] * R, limit)
         return np.matmul(m, t)
     own = 2**d.inputs < L * R
     s = np.eye(2**d.inputs, dtype=complex)[None] if own else t
     if isinstance(d, Seq):
         for p in _seq_parts(d):
-            s = _apply(p, s, leaves)
+            s = _apply(p, s, leaves, limit)
     else:
         factors = _par_factors(d)
         perm = _as_wire_perm(factors)
@@ -200,9 +222,12 @@ def _apply(d: Diagram, t: np.ndarray, leaves: dict) -> np.ndarray:
                 f = factors[i]
                 left, right = sum(widths[:i]), sum(widths[i + 1 :])
                 s = s.reshape(l * 2**left, 2**f.inputs, 2**right * r)
-                s = _apply(f, s, leaves).reshape(l, -1, r)
+                s = _apply(f, s, leaves, limit).reshape(l, -1, r)
                 widths[i] = f.outputs
-    return np.matmul(s[0], t) if own else s
+    if not own:
+        return s
+    _fits(L * s.shape[1] * R, limit)
+    return np.matmul(s[0], t)
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +244,18 @@ BOTH_ZERO = _BothZero()
 ScalarWitness = Union[complex, _BothZero, None]
 
 
+def _fit(a: np.ndarray, b: np.ndarray):
+    """The scalar fit of a to b: c = a/b at b's largest-magnitude entry,
+    that magnitude, and max|a - c*b|. When b vanishes, c is None and the
+    deviation is max|a|."""
+    absb = np.abs(b)
+    if not b.size or not absb.max():
+        return None, 0.0, float(np.abs(a).max()) if a.size else 0.0
+    idx = np.unravel_index(np.argmax(absb), b.shape)
+    c = a[idx] / b[idx]
+    return c, absb[idx], float(np.abs(a - c * b).max())
+
+
 def equal_up_to_scalar(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> ScalarWitness:
     """A nonzero c with max|a - c*b| <= tol, BOTH_ZERO if both vanish,
     None otherwise. c is the entry ratio at b's largest-magnitude entry."""
@@ -226,29 +263,18 @@ def equal_up_to_scalar(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> Scala
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise EvalError(f"shape mismatch: {a.shape} vs {b.shape}")
-    bmax = np.abs(b).max() if b.size else 0.0
-    amax = np.abs(a).max() if a.size else 0.0
+    c, bmax, deviation = _fit(a, b)
     if bmax <= tol:
+        amax = np.abs(a).max() if a.size else 0.0
         return BOTH_ZERO if amax <= tol else None
-    idx = np.unravel_index(np.argmax(np.abs(b)), b.shape)
-    c = a[idx] / b[idx]
-    if c == 0:
-        return None
-    if np.abs(a - c * b).max() <= tol:
+    if c != 0 and deviation <= tol:
         return complex(c)
     return None
 
 
 def max_deviation(a: np.ndarray, b: np.ndarray) -> float:
     """Deviation after the best scalar fit at b's largest entry (for reports)."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    bmax = np.abs(b).max() if b.size else 0.0
-    if bmax == 0.0:
-        return float(np.abs(a).max()) if a.size else 0.0
-    idx = np.unravel_index(np.argmax(np.abs(b)), b.shape)
-    c = a[idx] / b[idx]
-    return float(np.abs(a - c * b).max())
+    return _fit(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))[2]
 
 
 # ---------------------------------------------------------------------------

@@ -296,17 +296,6 @@ def _translate(node: Derivation) -> Diagram:
         before, after = offs[i], offs[-1] - offs[i + 1]
         share = par(Id(before), upsilon(size(e.type), e.basis, k), Id(after))
         return Seq(share, _translate(child))
-    if node.rule == "X":
-        (child,) = node.children
-        perm_entries = node.payload["perm"]
-        offs = _wire_offsets(ctx)
-        child_offs = _wire_offsets(child.ctx)
-        wire_perm = [0] * ctx.wire_count()
-        for i, e in enumerate(ctx.entries):
-            target = perm_entries[i]
-            for k in range(size(e.type)):
-                wire_perm[offs[i] + k] = child_offs[target] + k
-        return Seq(permutation(wire_perm), _translate(child))
     raise TranslationError(f"unknown rule {node.rule!r}")
 
 

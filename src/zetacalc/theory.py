@@ -14,7 +14,7 @@ from typing import Callable, Optional
 from .diagram import Id, Seq, par, upsilon
 from .evaluator import (
     BOTH_ZERO,
-    WireBudgetError,
+    WIRE_BUDGET,
     denote,
     equal_up_to_scalar,
     max_deviation,
@@ -54,8 +54,6 @@ from .types import (
 )
 
 DEFAULT_TOL = 1e-9
-
-WIRE_BUDGET = 14
 
 
 @dataclass(frozen=True)
@@ -272,16 +270,51 @@ def rules() -> list[EquationRule]:
     ]
 
 
-def denotational_equal(ctx: Context, t1: Term, t2: Term, tol: float):
-    """Scalar witness if both judgements denote proportional matrices of the
-    same shape, else None. Raises typing errors."""
+@dataclass(frozen=True)
+class Comparison:
+    """How two judgements' denotations compare. `status` is equal, distinct
+    or size-mismatch (the types have different wire counts, so nothing was
+    evaluated); `scalar` is the c with [[t1]] = c [[t2]] (None when both
+    sides vanish), and `deviation` is max|[[t1]] - c [[t2]]|."""
+
+    status: str
+    type1: Type
+    type2: Type
+    scalar: Optional[complex] = None
+    deviation: Optional[float] = None
+
+
+def compare(
+    ctx: Context, t1: Term, t2: Term, tol: float, budget: Optional[int] = None
+) -> Comparison:
+    """Type both terms in ctx, translate and evaluate them, and fit one
+    matrix to the other up to a nonzero scalar within tol. `budget` bounds
+    evaluation as in `denote`. Raises typing, translation and budget
+    errors."""
     ty1, d1 = infer(ctx, t1)
     ty2, d2 = infer(ctx, t2)
     if size(ty1) != size(ty2):
+        return Comparison("size-mismatch", ty1, ty2)
+    # unbounded, pass the diagram alone: perfbench/tracing.py swaps in a
+    # one-argument denote
+    bound = () if budget is None else (budget,)
+    m1 = denote(translate(d1).diagram, *bound)
+    m2 = denote(translate(d2).diagram, *bound)
+    witness = equal_up_to_scalar(m1, m2, tol)
+    deviation = max_deviation(m1, m2)
+    if witness is None:
+        return Comparison("distinct", ty1, ty2, deviation=deviation)
+    scalar = None if witness is BOTH_ZERO else witness
+    return Comparison("equal", ty1, ty2, scalar, deviation)
+
+
+def denotational_equal(ctx: Context, t1: Term, t2: Term, tol: float):
+    """Scalar witness if both judgements denote proportional matrices of the
+    same shape, else None. Raises typing errors."""
+    result = compare(ctx, t1, t2, tol)
+    if result.status != "equal":
         return None
-    m1 = denote(translate(d1).diagram)
-    m2 = denote(translate(d2).diagram)
-    return equal_up_to_scalar(m1, m2, tol)
+    return BOTH_ZERO if result.scalar is None else result.scalar
 
 
 def describe_bindings(bindings: dict) -> str:
@@ -315,26 +348,17 @@ def check_rule_instance(
     if not rule.side_condition(bindings, ctx, tol):
         return RuleVerdict(rule.id, desc, "side-condition-unmet")
     try:
-        ty1, d1 = infer(ctx, lhs)
-        ty2, d2 = infer(ctx, rhs)
-        if size(ty1) != size(ty2):
-            return RuleVerdict(
-                rule.id, desc, "type-error",
-                detail=f"sides have different wire counts ({size(ty1)} vs {size(ty2)})",
-            )
-        m1 = denote(translate(d1).diagram)
-        m2 = denote(translate(d2).diagram)
+        result = compare(ctx, lhs, rhs, tol)
     except ZetaTypeError as exc:
         return RuleVerdict(rule.id, desc, "type-error", detail=str(exc))
-    witness = equal_up_to_scalar(m1, m2, tol)
-    if witness is None:
+    if result.status == "size-mismatch":
         return RuleVerdict(
-            rule.id, desc, "unsound", deviation=max_deviation(m1, m2)
+            rule.id, desc, "type-error",
+            detail="sides have different wire counts"
+            f" ({size(result.type1)} vs {size(result.type2)})",
         )
-    scalar = None if witness is BOTH_ZERO else witness
-    return RuleVerdict(
-        rule.id, desc, "sound", scalar=scalar, deviation=max_deviation(m1, m2)
-    )
+    status = "sound" if result.status == "equal" else "unsound"
+    return RuleVerdict(rule.id, desc, status, result.scalar, result.deviation)
 
 
 # ---------------------------------------------------------------------------
@@ -342,22 +366,19 @@ def check_rule_instance(
 
 
 def commutes_with_sharing(
-    ctx: Context, term: Term, basis: Basis, n: int, tol: float = DEFAULT_TOL
+    ctx: Context, term: Term, basis: Basis, n: int, tol: float = DEFAULT_TOL,
+    budget: Optional[int] = WIRE_BUDGET,
 ) -> bool:
     """Does sharing the output of `term` across `basis` equal sharing its
-    context and running n copies? Compared up to scalar within tol."""
+    context and running n copies? Compared up to scalar within tol; both
+    sides are evaluated within `budget` (see `denote`)."""
     ty, d = infer(ctx, term)
     a = size(ty)
-    g = ctx.wire_count()
-    if g + n * max(a, 1) > WIRE_BUDGET:
-        raise WireBudgetError(
-            f"sharing check needs {g + n * a} wires, budget is {WIRE_BUDGET}"
-        )
     jd = translate(d)
     lhs = Seq(jd.diagram, upsilon(a, basis, n))
     copies = par(*([jd.diagram] * n)) if n else Id(0)
     rhs = Seq(share_context(ctx, n), copies)
-    return equal_up_to_scalar(denote(lhs), denote(rhs), tol) is not None
+    return equal_up_to_scalar(denote(lhs, budget), denote(rhs, budget), tol) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
 """Types, basis-annotated contexts, unification, and typing derivations.
 
 Typing is algorithmic: weakening (W) fires where a context entry is unused,
-contraction (C) fires once per variable used two or more times, and exchange
-(X) is supported by the re-checker and translator but never needed by the
-canonical derivations built here (context order is preserved throughout).
+and contraction (C) fires once per variable used two or more times. Context
+order is preserved throughout, so no exchange rule is needed.
 """
 
 from __future__ import annotations
@@ -373,7 +372,7 @@ def unify(t1: Type, t2: Type, subst: Optional[Subst] = None) -> Subst:
 
 @dataclass(frozen=True)
 class Derivation:
-    """A typing-derivation node. `rule` is one of U V G D B A T E W C X.
+    """A typing-derivation node. `rule` is one of U V G D B A T E W C.
 
     Bound variables may have been alpha-renamed relative to the source term
     (shadowed binders are freshened so context names stay distinct), and C
@@ -809,19 +808,6 @@ def validate_derivation(d: Derivation) -> None:
                 fail(node, "premise subject is not the renamed conclusion subject")
             if child.type != t:
                 fail(node, "type changed across contraction")
-        elif node.rule == "X":
-            (child,) = node.children
-            perm = node.payload["perm"]
-            if sorted(perm) != list(range(len(ctx))):
-                fail(node, "payload is not a permutation")
-            # entry i of the conclusion moves to position perm[i] of the premise
-            want = [None] * len(ctx)
-            for i, e in enumerate(ctx.entries):
-                want[perm[i]] = e
-            if tuple(want) != child.ctx.entries:
-                fail(node, "premise context is not the recorded permutation")
-            if child.term != term or child.type != t:
-                fail(node, "subject or type changed across exchange")
         else:
             fail(node, f"unknown rule {node.rule!r}")
 
@@ -832,7 +818,6 @@ def derivation_summary(d: Derivation) -> dict:
     """Counts of structural rules, per variable where applicable."""
     c_nodes = {}
     w_count = 0
-    x_count = 0
     for node in d.walk():
         if node.rule == "C":
             c_nodes[node.payload["var"]] = {
@@ -841,6 +826,4 @@ def derivation_summary(d: Derivation) -> dict:
             }
         elif node.rule == "W":
             w_count += 1
-        elif node.rule == "X":
-            x_count += 1
-    return {"c_nodes": c_nodes, "w_count": w_count, "x_count": x_count}
+    return {"c_nodes": c_nodes, "w_count": w_count}

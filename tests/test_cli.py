@@ -125,6 +125,47 @@ class TestEval:
         assert "ZETA_WIRE_BUDGET" in capsys.readouterr().err
 
 
+def _copy_map(ways):
+    return "Z x:1. " + "<x," * (ways - 1) + "x" + ">" * (ways - 1)
+
+
+class TestBudgetCountsTensors:
+    """The budget bounds the legs of the largest tensor evaluation holds,
+    not the width of the diagram."""
+
+    def test_wide_narrow_chains_evaluate(self, write, capsys):
+        # 15 wires wide at their widest, 4-leg tensors at most
+        for src in ["H o H", " o ".join(["rot Z^pi/4"] * 4)]:
+            assert main(["eval", "--as-map", write("chain.zeta", src)]) == 0, src
+            assert "[2x2]" in capsys.readouterr().out
+
+    def test_equiv_of_h_chains(self, write, capsys):
+        f1 = write("a.zeta", "H o H")
+        f2 = write("b.zeta", "H o H o H o H")
+        assert main(["equiv", f1, f2]) == 0
+        assert capsys.readouterr().out.startswith("EQUIVALENT")
+
+    def test_twelve_way_copy_map(self, write, capsys, monkeypatch):
+        # 14 wires wide, but its walk holds a 2^15-entry tensor
+        f = write("copy12.zeta", _copy_map(12))
+        assert main(["eval", "--as-map", f]) == 3
+        assert "15 legs" in capsys.readouterr().err
+        monkeypatch.setenv("ZETA_WIRE_BUDGET", "15")
+        assert main(["eval", "--as-map", f]) == 0
+        assert "[4096x2]" in capsys.readouterr().out
+
+    def test_share_check_honours_env(self, write, capsys, monkeypatch):
+        # sharing one wire 3 ways is a 1 -> 3 spider, a 4-leg tensor
+        f = write("xpi.zeta", "X[1]^pi")
+        monkeypatch.setenv("ZETA_WIRE_BUDGET", "3")
+        assert main(["share-check", f, "--copies", "3"]) == 3
+        assert "4 legs" in capsys.readouterr().err
+        monkeypatch.setenv("ZETA_WIRE_BUDGET", "4")
+        assert main(["share-check", f, "--copies", "3"]) == 0
+        monkeypatch.setenv("ZETA_WIRE_BUDGET", "abc")
+        assert main(["share-check", f, "--copies", "3"]) == 2
+
+
 class TestErrorExits:
     def test_translation_error(self, write, capsys):
         f = write("state.zeta", "Z[1]")
@@ -141,7 +182,7 @@ class TestErrorExits:
         assert "ArityError" in capsys.readouterr().err
 
     def test_eval_error(self, write, capsys, monkeypatch):
-        def failing(diagram):
+        def failing(diagram, budget=None):
             raise EvalError("dimension mismatch")
 
         monkeypatch.setattr(cli, "denote", failing)

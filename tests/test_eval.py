@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from zetacalc import evaluator
 from zetacalc.diagram import (
     Cap,
     Cup,
@@ -290,6 +291,96 @@ class TestEvaluationWalk:
             assert np.array_equal(denote(d), b)
             assert not np.array_equal(a, b)
         assert np.allclose(HADAMARD @ HADAMARD, np.eye(2))
+
+
+class _RecordingNumpy:
+    """Stands in for numpy inside the evaluator and records the size of the
+    largest array any numpy call returns. Reshapes and transposes are array
+    methods and are not seen, but they copy at most an array already held."""
+
+    def __init__(self):
+        self.largest = 0
+
+    def __getattr__(self, name):
+        fn = getattr(np, name)
+        if not callable(fn) or isinstance(fn, type):
+            return fn
+
+        def recorded(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            if isinstance(out, np.ndarray):
+                self.largest = max(self.largest, out.size)
+            return out
+
+        return recorded
+
+
+def _largest_legs(d, budget=None):
+    """log2 of the entries of the largest array denote(d, budget) creates,
+    whether or not it raises WireBudgetError."""
+    rec = _RecordingNumpy()
+    evaluator.np = rec
+    try:
+        denote(d, budget)
+    except WireBudgetError:
+        pass
+    finally:
+        evaluator.np = np
+    return rec.largest.bit_length() - 1
+
+
+def _budget_cases():
+    """The conftest pool (states and maps) and the 6..11-way copy maps."""
+    sources = term_pool() + [
+        f"{b} x:1. " + "<x," * (w - 1) + "x" + ">" * (w - 1)
+        for b in "ZX" for w in range(6, 12)
+    ]
+    cases = []
+    for src in sources:
+        ty, deriv = infer(Context(), parse(src))
+        jd = translate(deriv)
+        cases.append((src, jd.diagram))
+        if fn_parts(ty) is not None:
+            cases.append((src + " (map)", eval_as_map(jd).diagram))
+    return cases
+
+
+class TestWireBudget:
+    def test_budget_is_the_largest_array_created(self):
+        for src, d in _budget_cases():
+            k = _largest_legs(d)
+            assert np.array_equal(denote(d, k), denote(d)), src
+            if k == 0:
+                continue
+            tracemalloc.start()
+            try:
+                with pytest.raises(WireBudgetError):
+                    denote(d, k - 1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # refused before any array of 2^k entries (16 bytes each) exists
+            assert peak < 2**k * 16 + 16 * 1024, src
+            assert _largest_legs(d, k - 1) <= k - 1, src
+
+    def test_counts_tensors_not_width(self):
+        # the H chain is 87 wires wide at its widest, but its walk holds
+        # 4-leg tensors at most
+        d = _map_of(" o ".join(["H"] * 20))
+        assert _largest_legs(d) == 4
+        assert equal_up_to_scalar(denote(d, 4), np.eye(2)) is not None
+
+    def test_identity_map_counts_its_matrix(self):
+        # an 8-wire identity map holds one array, its 2^16-entry matrix
+        assert denote(Id(8), 16).shape == (256, 256)
+        with pytest.raises(WireBudgetError):
+            denote(Id(8), 15)
+
+    def test_unbounded_by_default(self):
+        d = Spider(Basis.Z, Z0, 0, 15)
+        assert denote(d).shape == (2**15, 1)
+        with pytest.raises(WireBudgetError, match="15 legs"):
+            denote(d, evaluator.WIRE_BUDGET)
 
 
 class TestMatrixJson:

@@ -1,18 +1,27 @@
 import pytest
 
-from zetacalc.evaluator import WireBudgetError
-from zetacalc.syntax import Basis, Phase, alpha_eq, parse
+from zetacalc.evaluator import (
+    BOTH_ZERO,
+    WireBudgetError,
+    denote,
+    equal_up_to_scalar,
+    max_deviation,
+)
+from zetacalc.semantics import translate
+from zetacalc.syntax import Basis, Phase, ZetaError, alpha_eq, parse
 from zetacalc.theory import (
+    DEFAULT_TOL,
     beta_step,
     check_rule_instance,
     commutes_with_sharing,
+    compare,
     denotational_equal,
     normalize,
     rules,
     run_suite,
     standard_instances,
 )
-from zetacalc.types import Context, Numeral
+from zetacalc.types import Context, Numeral, ZetaTypeError, infer, size
 
 EMPTY = Context()
 
@@ -123,6 +132,66 @@ class TestSuite:
         assert sum(v.status == "sound" for v in verdicts) > len(verdicts) / 2
 
 
+def _chain_verdict(ctx, lhs, rhs, tol):
+    """(status, scalar, deviation) of a rule instance's two sides, worked
+    out step by step: infer both, compare wire counts, translate, denote
+    and fit the scalar."""
+    try:
+        ty1, d1 = infer(ctx, lhs)
+        ty2, d2 = infer(ctx, rhs)
+        if size(ty1) != size(ty2):
+            return "type-error", None, None
+        m1 = denote(translate(d1).diagram)
+        m2 = denote(translate(d2).diagram)
+    except ZetaTypeError:
+        return "type-error", None, None
+    witness = equal_up_to_scalar(m1, m2, tol)
+    if witness is None:
+        return "unsound", None, max_deviation(m1, m2)
+    scalar = None if witness is BOTH_ZERO else witness
+    return "sound", scalar, max_deviation(m1, m2)
+
+
+class TestCompare:
+    def test_matches_the_chain_on_every_standard_instance(self):
+        seen = set()
+        for rule, bindings, ctx in standard_instances():
+            verdict = check_rule_instance(rule, bindings, ctx)
+            seen.add(verdict.status)
+            if verdict.status == "side-condition-unmet":
+                continue
+            expect = _chain_verdict(ctx, rule.lhs(bindings), rule.rhs(bindings),
+                                    DEFAULT_TOL)
+            assert (verdict.status, verdict.scalar, verdict.deviation) == expect
+        assert "sound" in seen
+
+    def test_result_fields(self):
+        equal = compare(EMPTY, parse("Z x:1. x"), parse("\\y:1. y"), 1e-9)
+        assert equal.status == "equal"
+        assert equal.scalar == 1 and equal.deviation == 0
+        distinct = compare(EMPTY, parse("Z[1]"), parse("Z[1]^pi"), 1e-9)
+        assert distinct.status == "distinct"
+        assert distinct.scalar is None and distinct.deviation > 0.5
+        zero = parse("Z[-1]^pi Z[1]")  # (<0| - <1|)(|0> + |1>)
+        vanish = compare(EMPTY, zero, zero, 1e-9)
+        assert vanish.status == "equal" and vanish.scalar is None
+        mismatch = compare(EMPTY, parse("Z[1]"), parse("Z[2]"), 1e-9)
+        assert mismatch.status == "size-mismatch"
+        assert (size(mismatch.type1), size(mismatch.type2)) == (1, 2)
+        assert mismatch.scalar is None and mismatch.deviation is None
+
+    def test_budget(self):
+        h2, h4 = parse("H o H"), parse("H o H o H o H")
+        assert compare(EMPTY, h2, h4, 1e-9, budget=4).status == "equal"
+        with pytest.raises(WireBudgetError):
+            compare(EMPTY, h2, h4, 1e-9, budget=3)
+
+    def test_errors_propagate(self):
+        with pytest.raises(ZetaTypeError):
+            compare(EMPTY, parse("y"), parse("Z[1]"), 1e-9)
+        assert issubclass(WireBudgetError, ZetaError)
+
+
 class TestCommutesWithSharing:
     def test_x_pole_through_z(self):
         assert commutes_with_sharing(EMPTY, parse("X[1]^pi"), Basis.Z, 2)
@@ -139,6 +208,14 @@ class TestCommutesWithSharing:
     def test_budget(self):
         with pytest.raises(WireBudgetError):
             commutes_with_sharing(EMPTY, parse("Z[5]"), Basis.Z, 3)
+
+    def test_budget_counts_the_evaluated_tensors(self):
+        # n copies of a k-wire state end in a k*n-leg tensor
+        pair = parse("<X[1]^pi, X[1]^pi>")
+        assert commutes_with_sharing(EMPTY, pair, Basis.Z, 3, budget=6)
+        with pytest.raises(WireBudgetError):
+            commutes_with_sharing(EMPTY, pair, Basis.Z, 3, budget=5)
+        assert commutes_with_sharing(EMPTY, parse("Z[5]"), Basis.Z, 3, budget=None) is False
 
 
 class TestBetaStep:
