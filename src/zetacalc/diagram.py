@@ -9,12 +9,18 @@ give it by property, and `Seq` and `Par` compute it once from their
 children when they are built. A `Seq` whose first part's outputs do not
 match its second part's inputs raises `ArityError` at construction, so a
 diagram that exists is well formed and no walk has to re-derive its arity.
+
+The `Seq` and `Par` constructors build exactly the node asked for, and so
+do `from_json` and hand-built diagrams. The builders `seq` and `par` apply
+the monoidal unit laws instead: they drop `Id` stages, `Id(0)` factors and
+merge adjacent `Id`s, so diagrams built from them carry no removable unit.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import reduce
 
 from .syntax import Basis, Phase, ZetaError
 
@@ -92,6 +98,14 @@ class Scalar(Diagram):
     outputs = property(lambda self: 0)
 
 
+def _check_fit(a: Diagram, b: Diagram) -> None:
+    if a.outputs != b.inputs:
+        raise ArityError(
+            f"sequential mismatch: {a.outputs} outputs of {type(a).__name__}"
+            f" feed {b.inputs} inputs of {type(b).__name__}"
+        )
+
+
 @dataclass(frozen=True, slots=True)
 class Seq(Diagram):
     first: Diagram
@@ -101,11 +115,7 @@ class Seq(Diagram):
 
     def __post_init__(self):
         a, b = self.first, self.second
-        if a.outputs != b.inputs:
-            raise ArityError(
-                f"sequential mismatch: {a.outputs} outputs of {type(a).__name__}"
-                f" feed {b.inputs} inputs of {type(b).__name__}"
-            )
+        _check_fit(a, b)
         object.__setattr__(self, "inputs", a.inputs)
         object.__setattr__(self, "outputs", b.outputs)
 
@@ -135,9 +145,10 @@ def arity(d: Diagram) -> WireArity:
 
 
 def max_width(d: Diagram) -> int:
-    """Largest simultaneous wire count in the diagram (the oracle's budget):
-    the max over a Seq's parts, the sum over a Par's. Walked post-order with
-    explicit stacks, so deep diagrams do not hit the recursion limit."""
+    """Largest simultaneous wire count in the diagram: the max over a Seq's
+    parts, the sum over a Par's. A size statistic only; no evaluator gates
+    on it. Walked post-order with explicit stacks, so deep diagrams do not
+    hit the recursion limit."""
     widths: list[int] = []
     todo: list = [(d, False)]
     while todo:
@@ -161,23 +172,28 @@ def max_width(d: Diagram) -> int:
 
 
 def seq(*parts: Diagram) -> Diagram:
-    """Left-to-right pipeline; seq() is the empty diagram Id(0) -- callers
-    should prefer seq(first, ...) with at least one part."""
-    if not parts:
-        return Id(0)
-    out = parts[0]
-    for p in parts[1:]:
-        out = Seq(out, p)
-    return out
+    """Left-to-right pipeline under the unit law Seq(Id, d) = d = Seq(d, Id).
+    Every adjacent pair must fit (ArityError otherwise, Ids included); then
+    the Id parts are dropped. seq() and an all-Id pipeline are an Id."""
+    for a, b in zip(parts, parts[1:]):
+        _check_fit(a, b)
+    kept = [p for p in parts if not isinstance(p, Id)]
+    if not kept:
+        return parts[0] if parts else Id(0)
+    return reduce(Seq, kept)
 
 
 def par(*parts: Diagram) -> Diagram:
-    if not parts:
-        return Id(0)
-    out = parts[0]
-    for p in parts[1:]:
-        out = Par(out, p)
-    return out
+    """Top-to-bottom stack under the unit laws Par(Id(0), d) = d and
+    Id(a) (x) Id(b) = Id(a + b): Id(0) parts are dropped and adjacent Ids
+    merged. par() is Id(0)."""
+    kept: list[Diagram] = []
+    for p in parts:
+        if isinstance(p, Id) and kept and isinstance(kept[-1], Id):
+            kept[-1] = Id(kept[-1].n + p.n)
+        elif p != Id(0):
+            kept.append(p)
+    return reduce(Par, kept) if kept else Id(0)
 
 
 def permutation(perm: list[int]) -> Diagram:
@@ -185,8 +201,6 @@ def permutation(perm: list[int]) -> Diagram:
     k = len(perm)
     if sorted(perm) != list(range(k)):
         raise DiagramError(f"not a permutation: {perm}")
-    if k == 0:
-        return Id(0)
     targets = list(perm)
     layers = []
     changed = True
@@ -197,9 +211,7 @@ def permutation(perm: list[int]) -> Diagram:
                 targets[j], targets[j + 1] = targets[j + 1], targets[j]
                 layers.append(par(Id(j), Swap(), Id(k - j - 2)))
                 changed = True
-    if not layers:
-        return Id(k)
-    return seq(*layers)
+    return seq(Id(k), *layers)
 
 
 def upsilon(wires: int, basis: Basis, n: int) -> Diagram:
@@ -210,37 +222,29 @@ def upsilon(wires: int, basis: Basis, n: int) -> Diagram:
         raise DiagramError("negative upsilon parameters")
     if n == 1:
         return Id(wires)
-    if wires == 0:
-        return Id(0)
     spiders = par(*(Spider(basis, Phase.zero(), 1, n) for _ in range(wires)))
-    if n == 0:
-        return spiders
     # wire-major output (i, j) at i*n + j moves to copy-major j*wires + i
     perm = [0] * (wires * n)
     for i in range(wires):
         for j in range(n):
             perm[i * n + j] = j * wires + i
-    return Seq(spiders, permutation(perm))
+    return seq(spiders, permutation(perm))
 
 
 def cup_many(n: int) -> Diagram:
     """0 -> 2n diagram denoting sum_x |x>|x> over n-bit x: the first n output
     wires are entangled pairwise with the last n."""
-    if n == 0:
-        return Id(0)
     cups = par(*(Cup() for _ in range(n)))
     # pair i occupies (2i, 2i+1); route to (i, n+i)
     perm = [0] * (2 * n)
     for i in range(n):
         perm[2 * i] = i
         perm[2 * i + 1] = n + i
-    return Seq(cups, permutation(perm))
+    return seq(cups, permutation(perm))
 
 
 def discard(wires: int, basis: Basis) -> Diagram:
     """wires -> 0 basis-spider discard."""
-    if wires == 0:
-        return Id(0)
     return par(*(Spider(basis, Phase.zero(), 1, 0) for _ in range(wires)))
 
 

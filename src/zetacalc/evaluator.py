@@ -26,7 +26,10 @@ largest tensor the walk holds, not the width of the diagram.
 `oracle_contract` evaluates the same diagram by a disjoint route: the
 diagram is flattened to a list of generator tensors over named edges (built
 entry-by-entry from the basis-vector definitions, not from kron), and all
-internal edge assignments are summed out.
+internal edge assignments are summed out by one einsum. That sum visits
+2^indices assignments, one index per distinct edge, so the oracle refuses
+(WireBudgetError) a network of more than ORACLE_WIRE_BUDGET indices before
+it starts, whatever the diagram's width.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ import cmath
 import itertools
 import json
 import math
-from typing import Optional, Union
+from functools import partial
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -51,7 +55,6 @@ from .diagram import (
     Seq,
     Spider,
     Swap,
-    max_width,
 )
 from .syntax import Basis, Phase, ZetaError
 
@@ -59,7 +62,9 @@ SQRT2 = math.sqrt(2.0)
 
 WIRE_BUDGET = 14
 
-ORACLE_WIRE_BUDGET = 14
+# Most einsum indices the oracle will sum over: its one unoptimised einsum
+# visits all 2^indices assignments, so this bounds its time and memory.
+ORACLE_WIRE_BUDGET = 22
 
 
 class EvalError(ZetaError):
@@ -317,9 +322,12 @@ def _delta_tensor() -> np.ndarray:
 
 
 class _Flattener:
+    """Flattens a diagram to (tensor maker, edges) pairs. Tensors are made
+    only once the oracle has accepted the network's size."""
+
     def __init__(self):
         self.counter = itertools.count()
-        self.tensors: list[tuple[np.ndarray, list[int]]] = []
+        self.tensors: list[tuple[Callable[[], np.ndarray], list[int]]] = []
 
     def edge(self) -> int:
         return next(self.counter)
@@ -335,22 +343,24 @@ class _Flattener:
         if isinstance(d, Spider):
             ins = [self.edge() for _ in range(d.m)]
             outs = [self.edge() for _ in range(d.n)]
-            self.tensors.append((_spider_tensor(d.basis, d.phase, d.m, d.n), outs + ins))
+            self.tensors.append(
+                (partial(_spider_tensor, d.basis, d.phase, d.m, d.n), outs + ins)
+            )
             return ins, outs
         if isinstance(d, Had):
             i, o = self.edge(), self.edge()
-            self.tensors.append((_had_tensor(), [o, i]))
+            self.tensors.append((_had_tensor, [o, i]))
             return [i], [o]
         if isinstance(d, Cup):
             a, b = self.edge(), self.edge()
-            self.tensors.append((_delta_tensor(), [a, b]))
+            self.tensors.append((_delta_tensor, [a, b]))
             return [], [a, b]
         if isinstance(d, Cap):
             a, b = self.edge(), self.edge()
-            self.tensors.append((_delta_tensor(), [a, b]))
+            self.tensors.append((_delta_tensor, [a, b]))
             return [a, b], []
         if isinstance(d, Scalar):
-            self.tensors.append((np.array(d.value, dtype=complex), []))
+            self.tensors.append((partial(np.array, d.value, dtype=complex), []))
             return [], []
         if isinstance(d, Seq):
             ins1, outs1 = self.flatten(d.first)
@@ -372,11 +382,9 @@ class _Flattener:
 
 def oracle_contract(d: Diagram) -> np.ndarray:
     """Evaluate by flattening to a tensor network and summing over all
-    internal edge assignments. Independent of `denote`."""
-    if max_width(d) > ORACLE_WIRE_BUDGET:
-        raise WireBudgetError(
-            f"diagram needs {max_width(d)} wires, oracle budget is {ORACLE_WIRE_BUDGET}"
-        )
+    internal edge assignments. Independent of `denote`. Raises
+    WireBudgetError when the network has more than ORACLE_WIRE_BUDGET
+    einsum indices."""
     fl = _Flattener()
     ins, outs = fl.flatten(d)
     tensors = fl.tensors
@@ -389,7 +397,7 @@ def oracle_contract(d: Diagram) -> np.ndarray:
     for pos, e in enumerate(boundary):
         if e not in in_tensor and e in seen:
             e2 = fl.edge()
-            tensors.append((_delta_tensor(), [e2, e]))
+            tensors.append((_delta_tensor, [e2, e]))
             boundary[pos] = e2
             e = e2
         seen.add(e)
@@ -398,13 +406,16 @@ def oracle_contract(d: Diagram) -> np.ndarray:
         return np.array([[1.0 + 0j]])
 
     all_edges = sorted({e for _, edges in tensors for e in edges} | set(boundary))
-    if len(all_edges) > 52:
-        raise WireBudgetError("too many wire segments for the contraction oracle")
+    if len(all_edges) > ORACLE_WIRE_BUDGET:
+        raise WireBudgetError(
+            f"contraction sums over {len(all_edges)} indices,"
+            f" oracle budget is {ORACLE_WIRE_BUDGET}"
+        )
     label = {e: i for i, e in enumerate(all_edges)}
 
     operands: list = []
-    for t, edges in tensors:
-        operands.append(t)
+    for make, edges in tensors:
+        operands.append(make())
         operands.append([label[e] for e in edges])
     operands.append([label[e] for e in boundary])
     result = np.asarray(np.einsum(*operands), dtype=complex)

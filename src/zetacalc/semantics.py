@@ -4,7 +4,12 @@ Every judgement Gamma |- M : A becomes a diagram whose input wires carry the
 labels of the context (in context order) and whose output wires carry the
 labels of A. Abstraction bends the binder's wires into dual outputs via
 cups; application caps the dual outputs of the function against the
-argument's outputs, pairing label a* with label a in label order.
+argument's outputs, pairing label a* with label a in label order; the
+function and argument diagrams run side by side, as one `par`.
+
+Every diagram here is built with `seq` and `par`, which apply the monoidal
+unit laws, so empty contexts, zero-wire binders and identity routings need
+no case of their own: they vanish as the diagram is built.
 """
 
 from __future__ import annotations
@@ -16,8 +21,6 @@ from .diagram import (
     Cap,
     Diagram,
     Id,
-    Par,
-    Seq,
     Spider,
     cup_many,
     discard,
@@ -80,14 +83,8 @@ def context_labels(ctx: Context) -> tuple:
 def share_context(ctx: Context, n: int) -> Diagram:
     """Share every entry in its own basis into n copies, regrouped so the
     output is n consecutive full copies of the context block (copy-major)."""
-    if len(ctx) == 0:
-        return Id(0)
     sizes = [size(e.type) for e in ctx]
     shared = par(*(upsilon(s, e.basis, n) for s, e in zip(sizes, ctx)))
-    if n == 1:
-        return shared
-    if n == 0 or sum(sizes) == 0:
-        return shared
     # after per-entry sharing, wires are entry-major: entry i, copy j, offset k
     # at sum(sizes[:i])*n + j*sizes[i] + k; regroup to copy-major.
     total = sum(sizes)
@@ -97,7 +94,7 @@ def share_context(ctx: Context, n: int) -> Diagram:
         for j in range(n):
             for k in range(s):
                 perm.append(j * total + before + k)
-    return Seq(shared, permutation(perm))
+    return seq(shared, permutation(perm))
 
 
 def _wire_offsets(ctx: Context) -> list[int]:
@@ -111,8 +108,6 @@ def _caps(first_block: int, mid: int) -> Diagram:
     """Cap wires i and first_block+mid+i pairwise (i < first_block), passing
     the mid wires through: a (2*first_block + mid) -> mid diagram."""
     a = first_block
-    if a == 0:
-        return Id(mid)
     perm = [0] * (2 * a + mid)
     for i in range(a):
         perm[i] = 2 * i
@@ -120,7 +115,7 @@ def _caps(first_block: int, mid: int) -> Diagram:
     for j in range(mid):
         perm[a + j] = 2 * a + j
     caps = par(*([Cap()] * a + [Id(mid)]))
-    return Seq(permutation(perm), caps)
+    return seq(permutation(perm), caps)
 
 
 def _peel_weakenings(node: Derivation, drop: set[str]) -> Derivation:
@@ -178,15 +173,6 @@ def _split_binary(ctx: Context, c1: Derivation, c2: Derivation):
     return permutation(perm), p1, p2, g1, g2
 
 
-def _stack(c1: Diagram, c2: Diagram) -> Diagram:
-    """Par(c1, c2) in staircase form: run c1 while c2's inputs wait, then c2.
-    Same morphism, but the peak wire count is max over the children instead
-    of their sum, which keeps nested applications inside the wire budget."""
-    first = c1 if c2.inputs == 0 else Par(c1, Id(c2.inputs))
-    second = c2 if c1.outputs == 0 else Par(Id(c1.outputs), c2)
-    return Seq(first, second)
-
-
 def translate(derivation: Derivation) -> JudgementDiagram:
     """Structural translation of a validated derivation."""
     d = _translate(derivation)
@@ -201,7 +187,7 @@ def translate(derivation: Derivation) -> JudgementDiagram:
 
 
 def _discard_ctx(ctx: Context) -> Diagram:
-    return par(*(discard(size(e.type), e.basis) for e in ctx)) if len(ctx) else Id(0)
+    return par(*(discard(size(e.type), e.basis) for e in ctx))
 
 
 def _translate(node: Derivation) -> Diagram:
@@ -219,32 +205,24 @@ def _translate(node: Derivation) -> Diagram:
     if node.rule == "G":
         gen: Gen = node.term
         core = Spider(gen.basis, gen.phase, 0, gen.n)
-        return Par(_discard_ctx(ctx), core) if len(ctx) else core
+        return par(_discard_ctx(ctx), core)
     if node.rule == "D":
         gen = node.term
         k = -gen.n
-        core = Seq(cup_many(k), Par(Id(k), Spider(gen.basis, gen.phase, k, 0)))
-        return Par(_discard_ctx(ctx), core) if len(ctx) else core
+        core = seq(cup_many(k), par(Id(k), Spider(gen.basis, gen.phase, k, 0)))
+        return par(_discard_ctx(ctx), core)
     if node.rule == "B":
         (child,) = node.children
         term: Abs = node.term
         g = ctx.wire_count()
         a = size(child.ctx.entries[-1].type)
-        body = _translate(child)
-        rot = (
-            par(*(Spider(term.basis, term.phase, 1, 1) for _ in range(a)))
-            if a
-            else Id(0)
-        )
-        body_rot = Seq(Par(Id(g), rot), body) if a else body
-        if a == 0:
-            # nothing to bend; outputs are labels(A*) ++ labels(B) = labels(B)
-            return body_rot
+        rot = par(*(Spider(term.basis, term.phase, 1, 1) for _ in range(a)))
+        body_rot = seq(par(Id(g), rot), _translate(child))
         # Gamma -> [Gamma, dual block, copy block], move duals to the front,
         # then run the rotated body on [Gamma, copy block].
-        stage1 = Par(Id(g), cup_many(a))
+        stage1 = par(Id(g), cup_many(a))
         perm = list(range(a, a + g)) + list(range(a)) + list(range(a + g, 2 * a + g))
-        return seq(stage1, permutation(perm), Par(Id(a), body_rot))
+        return seq(stage1, permutation(perm), par(Id(a), body_rot))
     if node.rule == "A":
         c1, c2 = node.children
         parts = fn_parts(c1.type)
@@ -255,19 +233,19 @@ def _translate(node: Derivation) -> Diagram:
         split = _split_binary(ctx, c1, c2)
         if split is None:
             shared = share_context(ctx, 2)
-            both = _stack(_translate(c1), _translate(c2))
+            both = par(_translate(c1), _translate(c2))
         else:
             router, p1, p2, _, _ = split
             shared = router
-            both = _stack(_translate(p1), _translate(p2))
+            both = par(_translate(p1), _translate(p2))
         return seq(shared, both, _caps(a, b))
     if node.rule == "T":
         c1, c2 = node.children
         split = _split_binary(ctx, c1, c2)
         if split is None:
-            return seq(share_context(ctx, 2), _stack(_translate(c1), _translate(c2)))
+            return seq(share_context(ctx, 2), par(_translate(c1), _translate(c2)))
         router, p1, p2, _, _ = split
-        return Seq(router, _stack(_translate(p1), _translate(p2)))
+        return seq(router, par(_translate(p1), _translate(p2)))
     if node.rule == "E":
         c1, c2 = node.children
         g = ctx.wire_count()
@@ -276,17 +254,17 @@ def _translate(node: Derivation) -> Diagram:
         split = _split_binary(ctx, c2, c1)
         if split is None:
             return seq(
-                share_context(ctx, 2), Par(Id(g), _translate(c1)), _translate(c2)
+                share_context(ctx, 2), par(Id(g), _translate(c1)), _translate(c2)
             )
         router, pn, pm, gn, _ = split
-        return seq(router, Par(Id(gn), _translate(pm)), _translate(pn))
+        return seq(router, par(Id(gn), _translate(pm)), _translate(pn))
     if node.rule == "W":
         (child,) = node.children
         e, i = node.payload["entry"], node.payload["index"]
         offs = _wire_offsets(ctx)
         before, after = offs[i], offs[-1] - offs[i + 1]
         drop = par(Id(before), discard(size(e.type), e.basis), Id(after))
-        return Seq(drop, _translate(child))
+        return seq(drop, _translate(child))
     if node.rule == "C":
         (child,) = node.children
         i = node.payload["index"]
@@ -295,7 +273,7 @@ def _translate(node: Derivation) -> Diagram:
         offs = _wire_offsets(ctx)
         before, after = offs[i], offs[-1] - offs[i + 1]
         share = par(Id(before), upsilon(size(e.type), e.basis, k), Id(after))
-        return Seq(share, _translate(child))
+        return seq(share, _translate(child))
     raise TranslationError(f"unknown rule {node.rule!r}")
 
 
@@ -312,7 +290,7 @@ def eval_as_map(jd: JudgementDiagram) -> JudgementDiagram:
     g = jd.ctx.wire_count()
     # inputs [Gamma, A]; run the state diagram on Gamma, carry A through,
     # then cap each dual output against the matching carried input.
-    staged = Par(jd.diagram, Id(a))  # (g+a) -> (a + b + a)
-    capped = Seq(staged, _caps(a, b))
+    staged = par(jd.diagram, Id(a))  # (g+a) -> (a + b + a)
+    capped = seq(staged, _caps(a, b))
     in_labels = jd.input_labels + tuple(("<map-arg>", l) for l in labels(a_t))
     return JudgementDiagram(jd.ctx, jd.term, b_t, capped, in_labels, tuple(labels(b_t)))

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .diagram import Id, Seq, par, upsilon
+from .diagram import par, seq, upsilon
 from .evaluator import (
     BOTH_ZERO,
     WIRE_BUDGET,
@@ -375,9 +375,8 @@ def commutes_with_sharing(
     ty, d = infer(ctx, term)
     a = size(ty)
     jd = translate(d)
-    lhs = Seq(jd.diagram, upsilon(a, basis, n))
-    copies = par(*([jd.diagram] * n)) if n else Id(0)
-    rhs = Seq(share_context(ctx, n), copies)
+    lhs = seq(jd.diagram, upsilon(a, basis, n))
+    rhs = seq(share_context(ctx, n), par(*([jd.diagram] * n)))
     return equal_up_to_scalar(denote(lhs, budget), denote(rhs, budget), tol) is not None
 
 

@@ -1,10 +1,11 @@
 """Shared fixtures: term pools and a random-diagram generator."""
 
 import random
+from functools import reduce
 
 import pytest
 
-from zetacalc.diagram import Cap, Cup, Had, Id, Scalar, Spider, Swap, arity, par, seq
+from zetacalc.diagram import Cap, Cup, Had, Id, Par, Scalar, Seq, Spider, Swap, arity
 from zetacalc.syntax import Basis, Phase, parse
 from zetacalc.theory import standard_instances
 
@@ -56,7 +57,13 @@ def pool_terms():
 
 def random_diagram(rng: random.Random, max_wires: int = 10, layers: int = 6):
     """A random layered diagram within the wire cap. Starts from a random
-    number of open input wires and stacks primitive layers."""
+    number of open input wires and stacks primitive layers. Built with the
+    literal Seq/Par constructors, so its Id and Id(0) plumbing is kept and
+    the evaluators' identity paths stay exercised."""
+
+    def par(*factors):
+        return reduce(Par, factors)
+
     wires = rng.randint(0, 4)
     parts = [Id(wires)]
     for _ in range(layers):
@@ -88,6 +95,6 @@ def random_diagram(rng: random.Random, max_wires: int = 10, layers: int = 6):
             pos = rng.randint(0, wires - m)
             parts.append(par(Id(pos), Spider(basis, phase, m, n), Id(wires - pos - m)))
             wires += n - m
-    d = seq(*parts)
+    d = reduce(Seq, parts)
     arity(d)  # internal consistency
     return d

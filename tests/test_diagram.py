@@ -21,6 +21,7 @@ from zetacalc.diagram import (
     max_width,
     par,
     permutation,
+    seq,
     to_dot,
     to_json,
     upsilon,
@@ -130,6 +131,11 @@ class TestSerialization:
         for _ in range(40):
             d = random_diagram(rng)
             assert from_json(to_json(d)) == d
+
+    def test_units_stay_literal(self):
+        d = Seq(Par(Id(0), Cup()), Par(Id(1), Id(1)))
+        assert from_json(to_json(d)) == d
+        assert seq(par(Id(0), Cup()), par(Id(1), Id(1))) != d
 
     def test_exact_phase_survives(self):
         d = Spider(Basis.X, Phase.exact(2, 3), 1, 1)

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -207,6 +208,16 @@ class TestOracle:
     def test_budget(self):
         with pytest.raises(WireBudgetError):
             oracle_contract(Id(15))
+
+    def test_refuses_large_networks_at_once(self):
+        # 51 einsum indices, 30 spider legs: the sum would visit 2^51 or
+        # 2^30 assignments (a 30-leg spider tensor alone is 16 GiB)
+        chain = seq(*[Spider(Basis.Z, Phase.exact(1, 4), 1, 1)] * 50)
+        for d in (chain, Spider(Basis.Z, Z0, 0, 30)):
+            start = time.perf_counter()
+            with pytest.raises(WireBudgetError):
+                oracle_contract(d)
+            assert time.perf_counter() - start < 0.5
 
     def test_matches_denote_on_pool(self):
         for src in term_pool():

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from zetacalc.diagram import Id, Seq, arity, par, upsilon
+from zetacalc.diagram import ArityError, Id, Par, Seq, Spider, arity, par, seq, upsilon
 from zetacalc.evaluator import denote, equal_up_to_scalar, oracle_contract
 from zetacalc.semantics import (
     TranslationError,
@@ -14,7 +14,8 @@ from zetacalc.semantics import (
     share_context,
     translate,
 )
-from zetacalc.syntax import Basis, free_vars, parse, substitute
+from zetacalc.syntax import Basis, Phase, free_vars, parse, substitute
+from zetacalc.types import fn_parts
 from zetacalc.types import Context, Entry, Numeral, ZetaTypeError, context_of, infer, size
 
 from conftest import rule_sides, term_pool
@@ -229,3 +230,70 @@ class TestRouting:
                 assert _split_binary(node.ctx, c1, c2) is not None
                 binary += 1
         assert binary > 500
+
+
+def _removable_units(d):
+    """Seq nodes with an Id side, Par nodes with an Id(0) side and Par nodes
+    joining two Ids, anywhere in d."""
+    found, todo = [], [d]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Seq):
+            sides = (node.first, node.second)
+            removable = any(isinstance(x, Id) for x in sides)
+        elif isinstance(node, Par):
+            sides = (node.top, node.bottom)
+            removable = Id(0) in sides or all(isinstance(x, Id) for x in sides)
+        else:
+            continue
+        if removable:
+            found.append(node)
+        todo += sides
+    return found
+
+
+def _translated_diagrams():
+    """Every diagram translate/eval_as_map produce for the pool and its maps,
+    both sides of every rule instance, the H x 2..20 maps, the 6..11-way Z/X
+    copy maps and the higher-order share."""
+    for src in term_pool():
+        jd = jd_of(src)
+        yield src, jd.diagram
+        if fn_parts(jd.type) is not None:
+            yield src + " (map)", eval_as_map(jd).diagram
+    for ctx, term in rule_sides():
+        try:
+            _, d = infer(ctx, term)
+        except ZetaTypeError:
+            continue
+        yield str(term), translate(d).diagram
+    for n in range(2, 21):
+        yield f"H x {n}", eval_as_map(jd_of(" o ".join(["H"] * n))).diagram
+    for basis in "ZX":
+        for ways in range(6, 12):
+            src = f"{basis} x:1. " + "<x," * (ways - 1) + "x" + ">" * (ways - 1)
+            yield src, eval_as_map(jd_of(src)).diagram
+    yield "higher-order", jd_of("(X f:1->1*1. <f,f>) (Z x:1. <x,x>)").diagram
+
+
+class TestNoRemovableUnits:
+    def test_translations_carry_no_unit(self):
+        count = 0
+        for src, d in _translated_diagrams():
+            assert _removable_units(d) == [], src
+            count += 1
+        assert count > 500
+
+    def test_builders_apply_unit_laws_after_arity_checks(self):
+        with pytest.raises(ArityError):
+            seq(Id(1), Id(2))
+        with pytest.raises(ArityError):
+            seq(Spider(Basis.Z, Phase.zero(), 2, 3), Id(2))
+        assert seq(Id(2)) == Id(2)
+        assert seq() == Id(0)
+        assert par() == Id(0)
+        assert par(Id(0), Id(0)) == Id(0)
+        assert par(Id(1), Id(0), Id(2)) == Id(3)
+        h = Spider(Basis.X, Phase.exact(1, 2), 1, 1)
+        assert seq(Id(1), h, Id(1)) == h
+        assert par(Id(0), h, Id(0)) == h
