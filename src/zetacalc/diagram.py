@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import reduce
+from typing import Iterator
 
 from .syntax import Basis, Phase, ZetaError
 
@@ -167,6 +168,24 @@ def max_width(d: Diagram) -> int:
     return widths[0]
 
 
+def generators(d: Diagram) -> Iterator[tuple[Diagram, int]]:
+    """The leaves of d (every node but Seq and Par) in wire order, each with
+    `at`, the position of its first input among the wires open when it is
+    reached: a Seq runs its parts at the same offset, a Par its factors
+    side by side. A consumer that keeps a list of the open wires replaces
+    its slice [at, at + inputs) with the leaf's outputs. Walked with an
+    explicit stack, so deep diagrams do not hit the recursion limit."""
+    todo = [(d, 0)]
+    while todo:
+        node, at = todo.pop()
+        if isinstance(node, Seq):
+            todo += [(node.second, at), (node.first, at)]
+        elif isinstance(node, Par):
+            todo += [(node.bottom, at + node.top.outputs), (node.top, at)]
+        else:
+            yield node, at
+
+
 # ---------------------------------------------------------------------------
 # Builders
 
@@ -191,7 +210,7 @@ def par(*parts: Diagram) -> Diagram:
     for p in parts:
         if isinstance(p, Id) and kept and isinstance(kept[-1], Id):
             kept[-1] = Id(kept[-1].n + p.n)
-        elif p != Id(0):
+        elif not (isinstance(p, Id) and p.n == 0):
             kept.append(p)
     return reduce(Par, kept) if kept else Id(0)
 
@@ -358,45 +377,39 @@ def to_dot(d: Diagram) -> str:
     def edge(a: str, b: str):
         lines.append(f"  {a} -> {b};")
 
-    def emit(dg: Diagram, ins: list[str]) -> list[str]:
+    # the node names feeding the wires open so far
+    wires = [node(f"in{i}", shape="plaintext") for i in range(d.inputs)]
+    for dg, at in generators(d):
+        ins = wires[at : at + dg.inputs]
         if isinstance(dg, Id):
-            return ins
-        if isinstance(dg, Swap):
-            return [ins[1], ins[0]]
-        if isinstance(dg, Spider):
+            outs = ins
+        elif isinstance(dg, Swap):
+            outs = [ins[1], ins[0]]
+        elif isinstance(dg, Spider):
             label = "" if dg.phase.is_zero else str(dg.phase)
             name = node(label, style="filled", fillcolor=_SPIDER_COLORS[dg.basis])
             for src in ins:
                 edge(src, name)
-            return [name] * dg.n
-        if isinstance(dg, Had):
+            outs = [name] * dg.n
+        elif isinstance(dg, Had):
             name = node("H", shape="box", style="filled", fillcolor="yellow")
             edge(ins[0], name)
-            return [name]
-        if isinstance(dg, Cup):
+            outs = [name]
+        elif isinstance(dg, Cup):
             name = node("cup", shape="point")
-            return [name, name]
-        if isinstance(dg, Cap):
+            outs = [name, name]
+        elif isinstance(dg, Cap):
             name = node("cap", shape="point")
             edge(ins[0], name)
             edge(ins[1], name)
-            return []
-        if isinstance(dg, Scalar):
+            outs = []
+        elif isinstance(dg, Scalar):
             node(f"{dg.value:.3g}", shape="box")
-            return []
-        if isinstance(dg, Seq):
-            return emit(dg.second, emit(dg.first, ins))
-        if isinstance(dg, Par):
-            k = dg.top.inputs
-            return emit(dg.top, ins[:k]) + emit(dg.bottom, ins[k:])
-        raise DiagramError(f"not a diagram: {dg!r}")
-
-    ins = []
-    for i in range(d.inputs):
-        name = node(f"in{i}", shape="plaintext")
-        ins.append(name)
-    outs = emit(d, ins)
-    for i, src in enumerate(outs):
+            outs = []
+        else:
+            raise DiagramError(f"not a diagram: {dg!r}")
+        wires[at : at + dg.inputs] = outs
+    for i, src in enumerate(wires):
         name = node(f"out{i}", shape="plaintext")
         edge(src, name)
     lines.append("}")

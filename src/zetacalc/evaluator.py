@@ -23,13 +23,16 @@ of more than 2^budget entries (the starting identity, a leaf matrix, or a
 product with the running tensor), so the budget counts the legs of the
 largest tensor the walk holds, not the width of the diagram.
 
-`oracle_contract` evaluates the same diagram by a disjoint route: the
-diagram is flattened to a list of generator tensors over named edges (built
-entry-by-entry from the basis-vector definitions, not from kron), and all
-internal edge assignments are summed out by one einsum. That sum visits
-2^indices assignments, one index per distinct edge, so the oracle refuses
-(WireBudgetError) a network of more than ORACLE_WIRE_BUDGET indices before
-it starts, whatever the diagram's width.
+`oracle_contract` evaluates the same diagram by a disjoint route. The
+`generators` walk flattens the diagram into a tensor network: a leaf
+tensor per generator, built entry by entry from the basis-vector
+definitions (not from kron), over edge ids threaded along the wires. A
+plan, made from the leg lists alone, contracts pairs that share an edge in
+the order they are offered, and ends with the outer product of any
+disconnected parts; np.tensordot then runs it pair by pair. It raises
+WireBudgetError before any tensor exists if a leaf or a planned
+intermediate has more than 2^WIRE_BUDGET entries, the units of `denote`'s
+budget and the default the CLI and `theory` use.
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ import cmath
 import itertools
 import json
 import math
-from functools import partial
-from typing import Callable, Optional, Union
+from collections import deque
+from typing import Optional, Union
 
 import numpy as np
 
@@ -55,16 +58,13 @@ from .diagram import (
     Seq,
     Spider,
     Swap,
+    generators,
 )
 from .syntax import Basis, Phase, ZetaError
 
 SQRT2 = math.sqrt(2.0)
 
 WIRE_BUDGET = 14
-
-# Most einsum indices the oracle will sum over: its one unoptimised einsum
-# visits all 2^indices assignments, so this bounds its time and memory.
-ORACLE_WIRE_BUDGET = 22
 
 
 class EvalError(ZetaError):
@@ -321,104 +321,112 @@ def _delta_tensor() -> np.ndarray:
     return t
 
 
-class _Flattener:
-    """Flattens a diagram to (tensor maker, edges) pairs. Tensors are made
-    only once the oracle has accepted the network's size."""
+def _oracle_leaf(node: Diagram) -> np.ndarray:
+    """The tensor of a generator, axes outputs then inputs; an Id(1) is the
+    delta that splits a wire running straight through the diagram."""
+    if isinstance(node, Spider):
+        return _spider_tensor(node.basis, node.phase, node.m, node.n)
+    if isinstance(node, Had):
+        return _had_tensor()
+    if isinstance(node, (Cup, Cap, Id)):
+        return _delta_tensor()
+    if isinstance(node, Scalar):
+        return np.array(node.value, dtype=complex)
+    raise DiagramError(f"not a diagram: {node!r}")
 
-    def __init__(self):
-        self.counter = itertools.count()
-        self.tensors: list[tuple[Callable[[], np.ndarray], list[int]]] = []
 
-    def edge(self) -> int:
-        return next(self.counter)
+def _flatten(d: Diagram):
+    """The diagram as a tensor network: (leaves, legs, outs, ins). leaves[t]
+    is a generator, legs[t] the edge ids of its tensor's axes; outs and ins
+    are the boundary edges. Over the `generators` walk it keeps the list of
+    edges on the wires open so far: each generator replaces the slice of it
+    that it consumes with the fresh edges it emits, so every edge ends on
+    exactly two of the leaves and the boundary, and no leaf holds an edge
+    twice."""
+    edges = itertools.count()
+    ins = [next(edges) for _ in range(d.inputs)]
+    wires = list(ins)
+    leaves: list[Diagram] = []
+    legs: list[list[int]] = []
+    for node, at in generators(d):
+        if isinstance(node, Swap):
+            wires[at], wires[at + 1] = wires[at + 1], wires[at]
+        elif not isinstance(node, Id):
+            consumed = wires[at : at + node.inputs]
+            emitted = [next(edges) for _ in range(node.outputs)]
+            wires[at : at + node.inputs] = emitted
+            leaves.append(node)
+            legs.append(emitted + consumed)
+    # a wire running straight from input to output would be one edge on two
+    # boundary axes; split it with a delta
+    straight = set(ins)
+    for pos, e in enumerate(wires):
+        if e in straight:
+            wires[pos] = next(edges)
+            leaves.append(Id(1))
+            legs.append([wires[pos], e])
+    return leaves, legs, wires, ins
 
-    def flatten(self, d: Diagram) -> tuple[list[int], list[int]]:
-        """Returns (input edges, output edges), accumulating tensors."""
-        if isinstance(d, Id):
-            es = [self.edge() for _ in range(d.n)]
-            return es, list(es)
-        if isinstance(d, Swap):
-            a, b = self.edge(), self.edge()
-            return [a, b], [b, a]
-        if isinstance(d, Spider):
-            ins = [self.edge() for _ in range(d.m)]
-            outs = [self.edge() for _ in range(d.n)]
-            self.tensors.append(
-                (partial(_spider_tensor, d.basis, d.phase, d.m, d.n), outs + ins)
-            )
-            return ins, outs
-        if isinstance(d, Had):
-            i, o = self.edge(), self.edge()
-            self.tensors.append((_had_tensor, [o, i]))
-            return [i], [o]
-        if isinstance(d, Cup):
-            a, b = self.edge(), self.edge()
-            self.tensors.append((_delta_tensor, [a, b]))
-            return [], [a, b]
-        if isinstance(d, Cap):
-            a, b = self.edge(), self.edge()
-            self.tensors.append((_delta_tensor, [a, b]))
-            return [a, b], []
-        if isinstance(d, Scalar):
-            self.tensors.append((partial(np.array, d.value, dtype=complex), []))
-            return [], []
-        if isinstance(d, Seq):
-            ins1, outs1 = self.flatten(d.first)
-            ins2, outs2 = self.flatten(d.second)
-            remap = dict(zip(ins2, outs1))
-            for _, edges in self.tensors:
-                for k, e in enumerate(edges):
-                    if e in remap:
-                        edges[k] = remap[e]
-            outs2 = [remap.get(e, e) for e in outs2]
-            ins1 = [remap.get(e, e) for e in ins1]
-            return ins1, outs2
-        if isinstance(d, Par):
-            ins1, outs1 = self.flatten(d.top)
-            ins2, outs2 = self.flatten(d.bottom)
-            return ins1 + ins2, outs1 + outs2
-        raise DiagramError(f"not a diagram: {d!r}")
+
+def _joined(a: list[int], b: list[int]) -> list[int]:
+    """The legs of the contraction of tensors with legs a and b: every
+    shared edge is summed, the rest keep their order, a's first."""
+    shared = set(a) & set(b)
+    return [e for e in a + b if e not in shared]
+
+
+def _plan(legs: list[list[int]]) -> list[tuple[int, int]]:
+    """A pairwise contraction order over tensors given by their legs: pairs
+    that share an edge, first offered first (edges in the order the walk
+    made them, then each result with its neighbours), then the outer
+    product of what is left. Appends each result's legs to `legs` as tensor
+    len(legs); returns the (a, b) pairs in order, and leaves the whole
+    network in the last one."""
+    ends: dict[int, list[int]] = {}
+    for t, ls in enumerate(legs):
+        for e in ls:
+            ends.setdefault(e, []).append(t)
+    offered = deque(ts for ts in ends.values() if len(ts) == 2)
+    live = set(range(len(legs)))
+    steps: list[tuple[int, int]] = []
+    while offered:
+        a, b = offered.popleft()
+        if a not in live or b not in live:
+            continue
+        c = len(legs)
+        legs.append(_joined(legs[a], legs[b]))
+        steps.append((a, b))
+        live -= {a, b}
+        live.add(c)
+        for e in legs[c]:
+            ends[e] = [c if t in (a, b) else t for t in ends[e]]
+            offered.extend((c, t) for t in ends[e] if t != c)
+    acc, *rest = sorted(live)
+    for b in rest:
+        steps.append((acc, b))
+        legs.append(legs[acc] + legs[b])
+        acc = len(legs) - 1
+    return steps
 
 
 def oracle_contract(d: Diagram) -> np.ndarray:
-    """Evaluate by flattening to a tensor network and summing over all
-    internal edge assignments. Independent of `denote`. Raises
-    WireBudgetError when the network has more than ORACLE_WIRE_BUDGET
-    einsum indices."""
-    fl = _Flattener()
-    ins, outs = fl.flatten(d)
-    tensors = fl.tensors
-
-    # A wire running straight from the input to the output boundary would
-    # repeat its label in the einsum output; split it with an explicit delta.
-    boundary = outs + ins
-    in_tensor = {e for _, edges in tensors for e in edges}
-    seen: set[int] = set()
-    for pos, e in enumerate(boundary):
-        if e not in in_tensor and e in seen:
-            e2 = fl.edge()
-            tensors.append((_delta_tensor, [e2, e]))
-            boundary[pos] = e2
-            e = e2
-        seen.add(e)
-
-    if not tensors:
-        return np.array([[1.0 + 0j]])
-
-    all_edges = sorted({e for _, edges in tensors for e in edges} | set(boundary))
-    if len(all_edges) > ORACLE_WIRE_BUDGET:
-        raise WireBudgetError(
-            f"contraction sums over {len(all_edges)} indices,"
-            f" oracle budget is {ORACLE_WIRE_BUDGET}"
-        )
-    label = {e: i for i, e in enumerate(all_edges)}
-
-    operands: list = []
-    for make, edges in tensors:
-        operands.append(make())
-        operands.append([label[e] for e in edges])
-    operands.append([label[e] for e in boundary])
-    result = np.asarray(np.einsum(*operands), dtype=complex)
+    """Evaluate by contracting the diagram as a tensor network, pair by pair
+    in an order planned from the leg lists alone. Independent of `denote`.
+    Raises WireBudgetError, before any tensor is made, when a leaf or a
+    planned intermediate would have more than 2^WIRE_BUDGET entries."""
+    leaves, legs, outs, ins = _flatten(d)
+    if not leaves:
+        return np.ones((1, 1), dtype=complex)
+    steps = _plan(legs)
+    _fits(2 ** max(map(len, legs)), 2**WIRE_BUDGET)
+    tensors = [_oracle_leaf(n) for n in leaves]
+    for a, b in steps:
+        shared = set(legs[a]) & set(legs[b])
+        axes = ([legs[a].index(e) for e in shared], [legs[b].index(e) for e in shared])
+        tensors.append(np.tensordot(tensors[a], tensors[b], axes))
+        tensors[a] = tensors[b] = None
+    final = legs[-1]
+    result = tensors[-1].transpose([final.index(e) for e in outs + ins])
     return result.reshape(2 ** len(outs), 2 ** len(ins))
 
 

@@ -6,8 +6,10 @@ from functools import reduce
 import pytest
 
 from zetacalc.diagram import Cap, Cup, Had, Id, Par, Scalar, Seq, Spider, Swap, arity
+from zetacalc.semantics import eval_as_map, translate
 from zetacalc.syntax import Basis, Phase, parse
 from zetacalc.theory import standard_instances
+from zetacalc.types import Context, ZetaTypeError, fn_parts, infer
 
 
 def term_pool() -> list[str]:
@@ -48,6 +50,36 @@ def rule_sides() -> list:
         for rule, bindings, ctx in standard_instances()
         for side in (rule.lhs, rule.rhs)
     ]
+
+
+def translated_diagrams():
+    """(label, diagram) for every diagram translate/eval_as_map produce for
+    the pool and its maps, both sides of every rule instance, and the
+    benchmark inputs: the H x 2..20 maps, the 6..11-way Z/X copy maps at
+    all four quarter-turn phases and the higher-order share."""
+
+    def jd_of(src):
+        return translate(infer(Context(), parse(src))[1])
+
+    for src in term_pool():
+        jd = jd_of(src)
+        yield src, jd.diagram
+        if fn_parts(jd.type) is not None:
+            yield src + " (map)", eval_as_map(jd).diagram
+    for ctx, term in rule_sides():
+        try:
+            _, d = infer(ctx, term)
+        except ZetaTypeError:
+            continue
+        yield str(term), translate(d).diagram
+    for n in range(2, 21):
+        yield f"H x {n}", eval_as_map(jd_of(" o ".join(["H"] * n))).diagram
+    for basis in "ZX":
+        for phase in ("", "^pi/2", "^pi", "^3pi/2"):
+            for ways in range(6, 12):
+                src = f"{basis}{phase} x:1. " + "<x," * (ways - 1) + "x" + ">" * (ways - 1)
+                yield src, eval_as_map(jd_of(src)).diagram
+    yield "higher-order", jd_of("(X f:1->1*1. <f,f>) (Z x:1. <x,x>)").diagram
 
 
 @pytest.fixture

@@ -93,6 +93,12 @@ class TestDiagram:
         assert main(["diagram", f, "--format", "dot"]) == 0
         assert capsys.readouterr().out.startswith("digraph")
 
+    def test_dot_of_deep_chain(self, write, capsys):
+        # nested deeper than the recursion limit allows a recursive walk
+        f = write("hchain.zeta", " o ".join(["H"] * 200))
+        assert main(["diagram", f, "--format", "dot"]) == 0
+        assert capsys.readouterr().out.startswith("digraph")
+
 
 class TestEval:
     def test_as_map_matches_library_json(self, write, capsys):

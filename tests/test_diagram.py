@@ -18,6 +18,7 @@ from zetacalc.diagram import (
     cup_many,
     discard,
     from_json,
+    generators,
     max_width,
     par,
     permutation,
@@ -66,6 +67,15 @@ class TestArity:
     def test_max_width(self):
         d = Seq(cup_many(2), par(Cap(), Id(2)))
         assert max_width(d) == 4
+
+    def test_generators_in_wire_order(self):
+        h, cup, cap = Had(), Cup(), Cap()
+        d = Seq(Par(h, cup), Par(cap, Id(1)))
+        # the cap has already taken two of the three open wires when the
+        # Id is reached, so the Id's wire is open wire 0
+        assert list(generators(d)) == [(h, 0), (cup, 1), (cap, 0), (Id(1), 0)]
+        # deeper than the recursion limit
+        assert sum(1 for _ in generators(seq(*[h] * 5000))) == 5000
 
 
 class TestPermutation:

@@ -39,7 +39,7 @@ from zetacalc.semantics import eval_as_map, translate
 from zetacalc.syntax import Basis, Phase, parse
 from zetacalc.types import Context, fn_parts, infer
 
-from conftest import random_diagram, term_pool
+from conftest import random_diagram, term_pool, translated_diagrams
 
 Z0 = Phase.zero()
 
@@ -210,24 +210,71 @@ class TestOracle:
             oracle_contract(Id(15))
 
     def test_refuses_large_networks_at_once(self):
-        # 51 einsum indices, 30 spider legs: the sum would visit 2^51 or
-        # 2^30 assignments (a 30-leg spider tensor alone is 16 GiB)
-        chain = seq(*[Spider(Basis.Z, Phase.exact(1, 4), 1, 1)] * 50)
-        for d in (chain, Spider(Basis.Z, Z0, 0, 30)):
-            start = time.perf_counter()
-            with pytest.raises(WireBudgetError):
-                oracle_contract(d)
-            assert time.perf_counter() - start < 0.5
+        # a 30-leg spider tensor alone would be 16 GiB
+        start = time.perf_counter()
+        with pytest.raises(WireBudgetError, match="30 legs"):
+            oracle_contract(Spider(Basis.Z, Z0, 0, 30))
+        assert time.perf_counter() - start < 0.5
 
-    def test_matches_denote_on_pool(self):
-        for src in term_pool():
-            ty, deriv = infer(Context(), parse(src))
-            jd = translate(deriv)
-            diagrams = [jd.diagram]
-            if fn_parts(ty) is not None:
-                diagrams.append(eval_as_map(jd).diagram)
-            for d in diagrams:
-                assert np.max(np.abs(denote(d) - oracle_contract(d))) <= 1e-12, src
+    def test_long_chain_evaluates(self):
+        # 51 edges, but no tensor the contraction holds has more than 2 legs
+        chain = seq(*[Spider(Basis.Z, Phase.exact(1, 4), 1, 1)] * 50)
+        assert _plan_peak(chain) == 2
+        start = time.perf_counter()
+        o = oracle_contract(chain)
+        assert time.perf_counter() - start < 0.5
+        assert np.max(np.abs(denote(chain) - o)) <= 1e-12
+
+    def test_gates_on_the_largest_intermediate(self, monkeypatch):
+        # seven or eight 2-leg deltas, but their outer product is the
+        # 2^14- or 2^16-entry identity matrix
+        assert np.array_equal(oracle_contract(Id(7)), np.eye(128))
+
+        def no_tensors(node):
+            raise AssertionError("a tensor was made before the budget check")
+
+        monkeypatch.setattr(evaluator, "_oracle_leaf", no_tensors)
+        with pytest.raises(WireBudgetError, match="16 legs"):
+            oracle_contract(Id(8))
+
+    def test_closed_loops_and_disconnected_parts(self):
+        loop = Seq(Cup(), Cap())
+        for d in [
+            loop,
+            Par(loop, Had()),
+            Par(Cup(), Par(Scalar(0.5j), Cap())),
+            Seq(Par(Cup(), Id(1)), Par(Id(1), Swap())),
+        ]:
+            assert np.max(np.abs(denote(d) - oracle_contract(d))) <= 1e-12
+
+    def test_matches_denote_on_every_input(self):
+        count = 0
+        for src, d in translated_diagrams():
+            assert np.max(np.abs(denote(d) - oracle_contract(d))) <= 1e-12, src
+            count += 1
+        assert count > 500
+
+    def test_higher_order_share_within_twelve_legs(self):
+        _, deriv = infer(Context(), parse("(X f:1->1*1. <f,f>) (Z x:1. <x,x>)"))
+        d = translate(deriv).diagram
+        assert _plan_peak(d) <= 12
+        assert np.max(np.abs(denote(d) - oracle_contract(d))) <= 1e-12
+
+    def test_long_h_chain_map(self):
+        # 2 297 tensors in the plan, none with more than 2 legs
+        d = eval_as_map(translate(infer(Context(), parse(" o ".join(["H"] * 64)))[1])).diagram
+        assert _plan_peak(d) == 2
+        start = time.perf_counter()
+        o = oracle_contract(d)
+        assert time.perf_counter() - start < 1.0
+        assert equal_up_to_scalar(o, np.eye(2)) is not None
+
+
+def _plan_peak(d):
+    """The most legs any leaf or planned intermediate of the oracle holds."""
+    legs = evaluator._flatten(d)[1]
+    evaluator._plan(legs)
+    return max(map(len, legs))
 
 
 def _denote_peak(d):

@@ -15,10 +15,9 @@ from zetacalc.semantics import (
     translate,
 )
 from zetacalc.syntax import Basis, Phase, free_vars, parse, substitute
-from zetacalc.types import fn_parts
 from zetacalc.types import Context, Entry, Numeral, ZetaTypeError, context_of, infer, size
 
-from conftest import rule_sides, term_pool
+from conftest import rule_sides, term_pool, translated_diagrams
 
 EMPTY = Context()
 Q = Numeral(1)
@@ -252,34 +251,10 @@ def _removable_units(d):
     return found
 
 
-def _translated_diagrams():
-    """Every diagram translate/eval_as_map produce for the pool and its maps,
-    both sides of every rule instance, the H x 2..20 maps, the 6..11-way Z/X
-    copy maps and the higher-order share."""
-    for src in term_pool():
-        jd = jd_of(src)
-        yield src, jd.diagram
-        if fn_parts(jd.type) is not None:
-            yield src + " (map)", eval_as_map(jd).diagram
-    for ctx, term in rule_sides():
-        try:
-            _, d = infer(ctx, term)
-        except ZetaTypeError:
-            continue
-        yield str(term), translate(d).diagram
-    for n in range(2, 21):
-        yield f"H x {n}", eval_as_map(jd_of(" o ".join(["H"] * n))).diagram
-    for basis in "ZX":
-        for ways in range(6, 12):
-            src = f"{basis} x:1. " + "<x," * (ways - 1) + "x" + ">" * (ways - 1)
-            yield src, eval_as_map(jd_of(src)).diagram
-    yield "higher-order", jd_of("(X f:1->1*1. <f,f>) (Z x:1. <x,x>)").diagram
-
-
 class TestNoRemovableUnits:
     def test_translations_carry_no_unit(self):
         count = 0
-        for src, d in _translated_diagrams():
+        for src, d in translated_diagrams():
             assert _removable_units(d) == [], src
             count += 1
         assert count > 500
