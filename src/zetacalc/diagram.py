@@ -1,8 +1,9 @@
 """Compositional ZX string-diagram IR.
 
-Diagrams are trees over generators (spiders, cups/caps, Hadamard, swaps,
-scalars) combined with sequential (`Seq`) and parallel (`Par`) composition.
-Wire 0 is the most significant qubit everywhere.
+Diagrams are trees over generators (spiders, cups/caps, Hadamard, wire
+permutations, scalars) combined with sequential (`Seq`) and parallel (`Par`)
+composition. Wire 0 is the most significant qubit everywhere. A routing of
+any width is one `Perm` leaf; every walk reads it through `Perm.route`.
 
 Every node carries its wire arity as `inputs` and `outputs`: generators
 give it by property, and `Seq` and `Par` compute it once from their
@@ -74,9 +75,25 @@ class Had(Diagram):
 
 
 @dataclass(frozen=True, slots=True)
-class Swap(Diagram):
-    inputs = property(lambda self: 2)
-    outputs = property(lambda self: 2)
+class Perm(Diagram):
+    """A k -> k wire permutation: input wire i leaves at output position
+    perm[i]."""
+
+    perm: tuple[int, ...]
+
+    inputs = property(lambda self: len(self.perm))
+    outputs = property(lambda self: len(self.perm))
+
+    def __post_init__(self):
+        if sorted(self.perm) != list(range(len(self.perm))):
+            raise DiagramError(f"not a permutation: {self.perm}")
+
+    def route(self, items) -> list:
+        """The items on the output wires, given items[i] on input wire i."""
+        out = [None] * len(self.perm)
+        for item, p in zip(items, self.perm):
+            out[p] = item
+        return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -216,21 +233,10 @@ def par(*parts: Diagram) -> Diagram:
 
 
 def permutation(perm: list[int]) -> Diagram:
-    """A k->k diagram of swaps sending input wire i to output position perm[i]."""
-    k = len(perm)
-    if sorted(perm) != list(range(k)):
-        raise DiagramError(f"not a permutation: {perm}")
-    targets = list(perm)
-    layers = []
-    changed = True
-    while changed:
-        changed = False
-        for j in range(k - 1):
-            if targets[j] > targets[j + 1]:
-                targets[j], targets[j + 1] = targets[j + 1], targets[j]
-                layers.append(par(Id(j), Swap(), Id(k - j - 2)))
-                changed = True
-    return seq(Id(k), *layers)
+    """The k->k diagram sending input wire i to output position perm[i]:
+    Id(k) for the identity, else one Perm."""
+    perm = tuple(perm)
+    return Id(len(perm)) if perm == tuple(range(len(perm))) else Perm(perm)
 
 
 def upsilon(wires: int, basis: Basis, n: int) -> Diagram:
@@ -278,12 +284,14 @@ def _phase_to_json(p: Phase) -> dict:
 
 
 def _phase_from_json(doc) -> Phase:
-    if not isinstance(doc, dict):
-        raise DiagramError(f"malformed phase: {doc!r}")
-    if "pi_num" in doc:
-        return Phase.exact(doc["pi_num"], doc.get("pi_den", 1))
-    if "radians" in doc:
-        return Phase.radians(doc["radians"])
+    if isinstance(doc, dict):
+        try:
+            if "pi_num" in doc:
+                return Phase.exact(doc["pi_num"], doc.get("pi_den", 1))
+            if "radians" in doc:
+                return Phase.radians(doc["radians"])
+        except (TypeError, ZeroDivisionError) as exc:
+            raise DiagramError(f"malformed phase {doc!r}: {exc}") from exc
     raise DiagramError(f"malformed phase: {doc!r}")
 
 
@@ -300,8 +308,8 @@ def to_json_obj(d: Diagram) -> dict:
         }
     if isinstance(d, Had):
         return {"kind": "had"}
-    if isinstance(d, Swap):
-        return {"kind": "swap"}
+    if isinstance(d, Perm):
+        return {"kind": "perm", "perm": list(d.perm)}
     if isinstance(d, Cup):
         return {"kind": "cup"}
     if isinstance(d, Cap):
@@ -331,8 +339,8 @@ def from_json_obj(doc) -> Diagram:
             return Spider(basis, _phase_from_json(doc["phase"]), int(doc["in"]), int(doc["out"]))
         if kind == "had":
             return Had()
-        if kind == "swap":
-            return Swap()
+        if kind == "perm":
+            return Perm(tuple(map(int, doc["perm"])))
         if kind == "cup":
             return Cup()
         if kind == "cap":
@@ -343,7 +351,7 @@ def from_json_obj(doc) -> Diagram:
             return Seq(from_json_obj(doc["first"]), from_json_obj(doc["second"]))
         if kind == "par":
             return Par(from_json_obj(doc["top"]), from_json_obj(doc["bottom"]))
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, TypeError) as exc:
         raise DiagramError(f"malformed {kind} node: {exc}") from exc
     raise DiagramError(f"unknown node kind {kind!r}")
 
@@ -383,8 +391,8 @@ def to_dot(d: Diagram) -> str:
         ins = wires[at : at + dg.inputs]
         if isinstance(dg, Id):
             outs = ins
-        elif isinstance(dg, Swap):
-            outs = [ins[1], ins[0]]
+        elif isinstance(dg, Perm):
+            outs = dg.route(ins)
         elif isinstance(dg, Spider):
             label = "" if dg.phase.is_zero else str(dg.phase)
             name = node(label, style="filled", fillcolor=_SPIDER_COLORS[dg.basis])

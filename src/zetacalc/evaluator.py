@@ -4,19 +4,18 @@
 Each node is applied to a running tensor of shape (L, 2^inputs, R): the
 node's input wires sit in the middle axis, and the L * R columns around it
 are wires (and identity columns) that flow past. A generator is one matmul
-with its small matrix (an Id is skipped, a Swap is a transpose), a Seq
-applies its parts in order, a Par that only permutes wires is one
-transpose, and any other Par applies each non-Id factor to its own wires,
-factors that shrink the wire count first. A Seq or Par is evaluated on
-whichever is fewer, the L * R columns flowing into it or its own 2^inputs
-identity; in the second case its matrix is then applied to the running
-tensor with one matmul. So no sub-diagram is widened by wires it does not
-touch, and none is evaluated on more columns than its own identity. Leaf
-matrices are built once per `denote` call, each spider entry by entry: a Z
-spider has two nonzero entries, the first and the last, and an m -> n X
-spider is (1 + e^{ia} s_out[i] s_in[j]) / 2^((m+n)/2), where s[i] is
-(-1)^popcount(i). No normalization is applied anywhere: the cup denotes
-|00> + |11| with unit entries.
+with its small matrix (an Id is skipped, a Perm is one transpose of the
+wire axes), a Seq applies its parts in order, and a Par applies each non-Id
+factor to its own wires, factors that shrink the wire count first. A Seq or
+Par is evaluated on whichever is fewer, the L * R columns flowing into it
+or its own 2^inputs identity; in the second case its matrix is then applied
+to the running tensor with one matmul. So no sub-diagram is widened by
+wires it does not touch, and none is evaluated on more columns than its own
+identity. Leaf matrices are built once per `denote` call, each spider entry
+by entry: a Z spider has two nonzero entries, the first and the last, and
+an m -> n X spider is (1 + e^{ia} s_out[i] s_in[j]) / 2^((m+n)/2), where
+s[i] is (-1)^popcount(i). No normalization is applied anywhere: the cup
+denotes |00> + |11| with unit entries.
 
 `denote(d, budget)` raises WireBudgetError before it would create an array
 of more than 2^budget entries (the starting identity, a leaf matrix, or a
@@ -24,15 +23,15 @@ product with the running tensor), so the budget counts the legs of the
 largest tensor the walk holds, not the width of the diagram.
 
 `oracle_contract` evaluates the same diagram by a disjoint route. The
-`generators` walk flattens the diagram into a tensor network: a leaf
-tensor per generator, built entry by entry from the basis-vector
-definitions (not from kron), over edge ids threaded along the wires. A
-plan, made from the leg lists alone, contracts pairs that share an edge in
-the order they are offered, and ends with the outer product of any
-disconnected parts; np.tensordot then runs it pair by pair. It raises
-WireBudgetError before any tensor exists if a leaf or a planned
-intermediate has more than 2^WIRE_BUDGET entries, the units of `denote`'s
-budget and the default the CLI and `theory` use.
+`generators` walk flattens the diagram into a tensor network: a leaf tensor
+per generator but Perm, which only relabels the open wires, built entry by
+entry from the basis-vector definitions (not from kron), over edge ids
+threaded along the wires. A plan, made from the leg lists alone, contracts
+pairs that share an edge in the order they are offered, and ends with the
+outer product of any disconnected parts; np.tensordot then runs it pair by
+pair. It raises WireBudgetError before any tensor exists if a leaf or a
+planned intermediate has more than 2^WIRE_BUDGET entries, the units of
+`denote`'s budget and the default the CLI and `theory` use.
 """
 
 from __future__ import annotations
@@ -54,10 +53,10 @@ from .diagram import (
     Had,
     Id,
     Par,
+    Perm,
     Scalar,
     Seq,
     Spider,
-    Swap,
     generators,
 )
 from .syntax import Basis, Phase, ZetaError
@@ -151,21 +150,6 @@ def _par_factors(d: Diagram) -> list:
     return factors
 
 
-def _as_wire_perm(factors: list):
-    """The wire permutation (perm[i] = output position of input wire i) if
-    every factor is an Id or a Swap, else None."""
-    perm: list[int] = []
-    for f in factors:
-        k = len(perm)
-        if isinstance(f, Id):
-            perm.extend(range(k, k + f.n))
-        elif isinstance(f, Swap):
-            perm.extend((k + 1, k))
-        else:
-            return None
-    return perm
-
-
 def _leaf_matrix(d: Diagram) -> np.ndarray:
     if isinstance(d, Spider):
         return spider_matrix(d.basis, d.phase, d.m, d.n)
@@ -189,8 +173,10 @@ def _apply(d: Diagram, t: np.ndarray, leaves: dict, limit) -> np.ndarray:
     L, _, R = t.shape
     if isinstance(d, Id):
         return t
-    if isinstance(d, Swap):
-        return t.reshape(L, 2, 2, R).transpose(0, 2, 1, 3).reshape(L, 4, R)
+    if isinstance(d, Perm):
+        k = d.inputs
+        s = t.reshape((L,) + (2,) * k + (R,))
+        return s.transpose([0, *d.route(range(1, k + 1)), k + 1]).reshape(L, 2**k, R)
     if not isinstance(d, (Seq, Par)):
         m = leaves.get(d)
         if m is None:
@@ -204,31 +190,21 @@ def _apply(d: Diagram, t: np.ndarray, leaves: dict, limit) -> np.ndarray:
         for p in _seq_parts(d):
             s = _apply(p, s, leaves, limit)
     else:
+        # each non-Id factor acts on its own wires, shrinking ones first,
+        # so no intermediate has more rows than s or the result
         factors = _par_factors(d)
-        perm = _as_wire_perm(factors)
         l, _, r = s.shape
-        if perm is not None:
-            # a wire permutation: one transpose of the wire axes
-            k = len(perm)
-            inv = [0] * k
-            for i, p in enumerate(perm):
-                inv[p] = i + 1
-            s = s.reshape((l,) + (2,) * k + (r,))
-            s = s.transpose([0, *inv, k + 1]).reshape(l, 2**k, r)
-        else:
-            # each non-Id factor acts on its own wires, shrinking ones first,
-            # so no intermediate has more rows than s or the result
-            widths = [f.inputs for f in factors]
-            order = sorted(
-                (i for i, f in enumerate(factors) if not isinstance(f, Id)),
-                key=lambda i: factors[i].outputs - factors[i].inputs,
-            )
-            for i in order:
-                f = factors[i]
-                left, right = sum(widths[:i]), sum(widths[i + 1 :])
-                s = s.reshape(l * 2**left, 2**f.inputs, 2**right * r)
-                s = _apply(f, s, leaves, limit).reshape(l, -1, r)
-                widths[i] = f.outputs
+        widths = [f.inputs for f in factors]
+        order = sorted(
+            (i for i, f in enumerate(factors) if not isinstance(f, Id)),
+            key=lambda i: factors[i].outputs - factors[i].inputs,
+        )
+        for i in order:
+            f = factors[i]
+            left, right = sum(widths[:i]), sum(widths[i + 1 :])
+            s = s.reshape(l * 2**left, 2**f.inputs, 2**right * r)
+            s = _apply(f, s, leaves, limit).reshape(l, -1, r)
+            widths[i] = f.outputs
     if not own:
         return s
     _fits(L * s.shape[1] * R, limit)
@@ -339,18 +315,18 @@ def _flatten(d: Diagram):
     """The diagram as a tensor network: (leaves, legs, outs, ins). leaves[t]
     is a generator, legs[t] the edge ids of its tensor's axes; outs and ins
     are the boundary edges. Over the `generators` walk it keeps the list of
-    edges on the wires open so far: each generator replaces the slice of it
-    that it consumes with the fresh edges it emits, so every edge ends on
-    exactly two of the leaves and the boundary, and no leaf holds an edge
-    twice."""
+    edges on the wires open so far: a Perm reorders the slice of it that it
+    spans, and every other generator replaces the slice it consumes with
+    the fresh edges it emits, so every edge ends on exactly two of the
+    leaves and the boundary, and no leaf holds an edge twice."""
     edges = itertools.count()
     ins = [next(edges) for _ in range(d.inputs)]
     wires = list(ins)
     leaves: list[Diagram] = []
     legs: list[list[int]] = []
     for node, at in generators(d):
-        if isinstance(node, Swap):
-            wires[at], wires[at + 1] = wires[at + 1], wires[at]
+        if isinstance(node, Perm):
+            wires[at : at + node.inputs] = node.route(wires[at : at + node.inputs])
         elif not isinstance(node, Id):
             consumed = wires[at : at + node.inputs]
             emitted = [next(edges) for _ in range(node.outputs)]

@@ -141,9 +141,9 @@ def _split_binary(ctx: Context, c1: Derivation, c2: Derivation):
     full-context sharing of the child judgements collapses (a same-basis
     copy spider with one leg discarded is an identity wire), so each entry is
     routed only to the child that keeps it past its W chain. Returns (router
-    to [c1 block, c2 block], peeled c1, peeled c2, block sizes) or None when
-    some entry is kept by both children or by neither, in which case the
-    caller falls back to literal sharing."""
+    to [c1 block, c2 block], peeled c1, peeled c2, c1 block size) or None
+    when some entry is kept by both children or by neither, in which case
+    the caller falls back to literal sharing."""
     used1, used2 = _used_names(c1), _used_names(c2)
     offs = _wire_offsets(ctx)
     to_first = []
@@ -169,8 +169,7 @@ def _split_binary(ctx: Context, c1: Derivation, c2: Derivation):
     names2 = {e.name for e in ctx} - names1
     p1 = _peel_weakenings(c1, names2)
     p2 = _peel_weakenings(c2, names1)
-    g2 = ctx.wire_count() - g1
-    return permutation(perm), p1, p2, g1, g2
+    return permutation(perm), p1, p2, g1
 
 
 def translate(derivation: Derivation) -> JudgementDiagram:
@@ -235,7 +234,7 @@ def _translate(node: Derivation) -> Diagram:
             shared = share_context(ctx, 2)
             both = par(_translate(c1), _translate(c2))
         else:
-            router, p1, p2, _, _ = split
+            router, p1, p2, _ = split
             shared = router
             both = par(_translate(p1), _translate(p2))
         return seq(shared, both, _caps(a, b))
@@ -244,7 +243,7 @@ def _translate(node: Derivation) -> Diagram:
         split = _split_binary(ctx, c1, c2)
         if split is None:
             return seq(share_context(ctx, 2), par(_translate(c1), _translate(c2)))
-        router, p1, p2, _, _ = split
+        router, p1, p2, _ = split
         return seq(router, par(_translate(p1), _translate(p2)))
     if node.rule == "E":
         c1, c2 = node.children
@@ -256,7 +255,7 @@ def _translate(node: Derivation) -> Diagram:
             return seq(
                 share_context(ctx, 2), par(Id(g), _translate(c1)), _translate(c2)
             )
-        router, pn, pm, gn, _ = split
+        router, pn, pm, gn = split
         return seq(router, par(Id(gn), _translate(pm)), _translate(pn))
     if node.rule == "W":
         (child,) = node.children

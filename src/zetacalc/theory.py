@@ -50,6 +50,7 @@ from .types import (
     Type,
     ZetaTypeError,
     infer,
+    print_type,
     size,
 )
 
@@ -323,13 +324,7 @@ def describe_bindings(bindings: dict) -> str:
         v = bindings[k]
         if isinstance(v, Term):
             parts.append(f"{k}={print_term(v)}")
-        elif isinstance(v, Basis):
-            parts.append(f"{k}={v}")
-        elif isinstance(v, Phase):
-            parts.append(f"{k}={v}")
         elif isinstance(v, Type):
-            from .types import print_type
-
             parts.append(f"{k}={print_type(v)}")
         else:
             parts.append(f"{k}={v}")

@@ -5,7 +5,7 @@ from functools import reduce
 
 import pytest
 
-from zetacalc.diagram import Cap, Cup, Had, Id, Par, Scalar, Seq, Spider, Swap, arity
+from zetacalc.diagram import Cap, Cup, Had, Id, Par, Perm, Scalar, Seq, Spider, arity
 from zetacalc.semantics import eval_as_map, translate
 from zetacalc.syntax import Basis, Phase, parse
 from zetacalc.theory import standard_instances
@@ -110,7 +110,7 @@ def random_diagram(rng: random.Random, max_wires: int = 10, layers: int = 6):
             wires -= 2
         elif choice < 0.45 and wires >= 2:
             pos = rng.randint(0, wires - 2)
-            parts.append(par(Id(pos), Swap(), Id(wires - pos - 2)))
+            parts.append(par(Id(pos), Perm((1, 0)), Id(wires - pos - 2)))
         elif choice < 0.6 and wires >= 1:
             pos = rng.randint(0, wires - 1)
             parts.append(par(Id(pos), Had(), Id(wires - pos - 1)))

@@ -12,6 +12,7 @@ from zetacalc.diagram import (
     Had,
     Id,
     Par,
+    Perm,
     Seq,
     Spider,
     arity,
@@ -82,6 +83,11 @@ class TestPermutation:
     @given(st.permutations(list(range(5))))
     def test_matches_explicit_matrix(self, perm):
         d = permutation(list(perm))
+        # one node: a Perm, or an Id for the identity
+        if list(perm) == list(range(5)):
+            assert d == Id(5)
+        else:
+            assert d == Perm(tuple(perm))
         a = arity(d)
         assert a.inputs == a.outputs == 5
         m = denote(d)
@@ -159,6 +165,18 @@ class TestSerialization:
             from_json('{"kind": "mystery"}')
         with pytest.raises(DiagramError):
             from_json("not json")
+        spider = '{"kind":"spider","basis":"Z","phase":%s,"in":%s,"out":1}'
+        for doc in [
+            spider % ('{"pi_num":0}', "null"),
+            spider % ('{"pi_num":"a"}', "1"),
+            spider % ('{"pi_num":1,"pi_den":0}', "1"),
+            spider % ('{"radians":null}', "1"),
+            '{"kind":"scalar","re":null,"im":0}',
+            '{"kind":"perm","perm":5}',
+            '{"kind":"perm","perm":[0,0]}',
+        ]:
+            with pytest.raises(DiagramError):
+                from_json(doc)
 
     def test_arity_checked_on_load(self):
         bad = '{"kind":"seq","first":{"kind":"id","wires":1},"second":{"kind":"id","wires":2}}'

@@ -2,6 +2,7 @@ import json
 import random
 import time
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -13,12 +14,14 @@ from zetacalc.diagram import (
     Had,
     Id,
     Par,
+    Perm,
     Scalar,
     Seq,
     Spider,
-    Swap,
+    from_json,
     par,
     seq,
+    to_json,
 )
 from zetacalc.evaluator import (
     BOTH_ZERO,
@@ -189,7 +192,7 @@ class TestOracle:
             Cup(),
             Cap(),
             Had(),
-            Swap(),
+            Perm((1, 0)),
             Spider(Basis.Z, Phase.exact(1, 2), 2, 1),
             Spider(Basis.X, Phase.radians(0.7), 0, 3),
             Scalar(1.5 - 0.5j),
@@ -243,9 +246,27 @@ class TestOracle:
             loop,
             Par(loop, Had()),
             Par(Cup(), Par(Scalar(0.5j), Cap())),
-            Seq(Par(Cup(), Id(1)), Par(Id(1), Swap())),
+            Seq(Par(Cup(), Id(1)), Par(Id(1), Perm((1, 0)))),
         ]:
             assert np.max(np.abs(denote(d) - oracle_contract(d))) <= 1e-12
+
+    def test_matches_denote_on_random_perms(self):
+        # a Perm of 3..7 wires among Ids, after a cup and before a cap and a
+        # Hadamard, so the permuted edges meet both boundaries and leaves
+        rng = random.Random(8)
+        for _ in range(60):
+            k = rng.randint(3, 7)
+            p = Perm(tuple(rng.sample(range(k), k)))
+            w = rng.randint(max(0, k - 2), k)  # open wires before the cup
+            pos, at, cap = rng.randint(0, w), rng.randint(0, w + 2 - k), rng.randint(0, w)
+            d = reduce(Seq, [
+                Par(Par(Id(pos), Cup()), Id(w - pos)),
+                Par(Par(Id(at), p), Id(w + 2 - k - at)),
+                Par(Par(Id(cap), Cap()), Id(w - cap)),
+                Par(Had(), Id(w - 1)) if w else Id(0),
+            ])
+            assert np.max(np.abs(denote(d) - oracle_contract(d))) <= 1e-12
+            assert from_json(to_json(d)) == d
 
     def test_matches_denote_on_every_input(self):
         count = 0

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from zetacalc.diagram import ArityError, Id, Par, Seq, Spider, arity, par, seq, upsilon
+from zetacalc.diagram import ArityError, Id, Par, Perm, Seq, Spider, arity, par, seq, upsilon
 from zetacalc.evaluator import denote, equal_up_to_scalar, oracle_contract
 from zetacalc.semantics import (
     TranslationError,
@@ -232,8 +232,8 @@ class TestRouting:
 
 
 def _removable_units(d):
-    """Seq nodes with an Id side, Par nodes with an Id(0) side and Par nodes
-    joining two Ids, anywhere in d."""
+    """Seq nodes with an Id side, Par nodes with an Id(0) side, Par nodes
+    joining two Ids and identity Perms, anywhere in d."""
     found, todo = [], [d]
     while todo:
         node = todo.pop()
@@ -243,6 +243,9 @@ def _removable_units(d):
         elif isinstance(node, Par):
             sides = (node.top, node.bottom)
             removable = Id(0) in sides or all(isinstance(x, Id) for x in sides)
+        elif isinstance(node, Perm):
+            sides = ()
+            removable = node.perm == tuple(range(node.inputs))
         else:
             continue
         if removable:
