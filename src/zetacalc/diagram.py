@@ -327,20 +327,28 @@ def to_json(d: Diagram) -> str:
     return json.dumps(to_json_obj(d))
 
 
+def _count(value) -> int:
+    # int() would truncate 1.9 to 1 and read true as 1
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"expected an integer, found {value!r}")
+    return value
+
+
 def from_json_obj(doc) -> Diagram:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise DiagramError(f"malformed diagram document: {doc!r}")
     kind = doc["kind"]
     try:
         if kind == "id":
-            return Id(int(doc["wires"]))
+            return Id(_count(doc["wires"]))
         if kind == "spider":
             basis = Basis(doc["basis"])
-            return Spider(basis, _phase_from_json(doc["phase"]), int(doc["in"]), int(doc["out"]))
+            phase = _phase_from_json(doc["phase"])
+            return Spider(basis, phase, _count(doc["in"]), _count(doc["out"]))
         if kind == "had":
             return Had()
         if kind == "perm":
-            return Perm(tuple(map(int, doc["perm"])))
+            return Perm(tuple(map(_count, doc["perm"])))
         if kind == "cup":
             return Cup()
         if kind == "cap":

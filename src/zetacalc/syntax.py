@@ -1,6 +1,9 @@
 """Abstract syntax, concrete grammar, and term-level operations.
 
-Terms are immutable; every operation here is a pure function. The binder
+Terms are immutable; every operation here is a pure function. Each term
+node carries `fv`: its free variables, each mapped to its number of free
+occurrences, in first-use order. A node computes `fv` from its children's
+when it is built, so reading it never walks the term. The binder
 forms carry a basis (Z or X) and a phase; phases are exact rational
 multiples of pi whenever written symbolically, with decimal radians as an
 escape hatch.
@@ -11,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -121,9 +124,32 @@ class Phase:
 # Terms
 
 
+def _without(counts: dict[str, int], names: tuple) -> dict[str, int]:
+    if not any(n in counts for n in names):
+        return counts
+    return {k: v for k, v in counts.items() if k not in names}
+
+
+def _merged(first: dict[str, int], second: dict[str, int]) -> dict[str, int]:
+    """Counts of two subterms in sequence, keeping first-use order."""
+    if not second:
+        return first
+    if not first:
+        return second
+    out = dict(first)
+    for k, v in second.items():
+        out[k] = out.get(k, 0) + v
+    return out
+
+
 @dataclass(frozen=True)
 class Term:
-    pass
+    # see the module docstring; nodes may share one dict, so it must not be
+    # changed
+    fv: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "fv", {})
 
 
 @dataclass(frozen=True)
@@ -134,6 +160,9 @@ class Unit(Term):
 @dataclass(frozen=True)
 class Var(Term):
     name: str
+
+    def __post_init__(self):
+        object.__setattr__(self, "fv", {self.name: 1})
 
 
 @dataclass(frozen=True)
@@ -156,17 +185,26 @@ class Abs(Term):
     # Set for `\x. M` sugar: the typechecker must enforce single use of x.
     is_lambda: bool = False
 
+    def __post_init__(self):
+        object.__setattr__(self, "fv", _without(self.body.fv, (self.var,)))
+
 
 @dataclass(frozen=True)
 class App(Term):
     fn: Term
     arg: Term
 
+    def __post_init__(self):
+        object.__setattr__(self, "fv", _merged(self.fn.fv, self.arg.fv))
+
 
 @dataclass(frozen=True)
 class Tup(Term):
     left: Term
     right: Term
+
+    def __post_init__(self):
+        object.__setattr__(self, "fv", _merged(self.left.fv, self.right.fv))
 
 
 @dataclass(frozen=True)
@@ -179,40 +217,35 @@ class Let(Term):
     bound: Term
     body: Term
 
+    def __post_init__(self):
+        body = _without(self.body.fv, (self.var1, self.var2))
+        object.__setattr__(self, "fv", _merged(self.bound.fv, body))
+
 
 # ---------------------------------------------------------------------------
 # Sugar builders
-
-_fresh_counter = [0]
-
-
-def _fresh_name(hint: str = "_v") -> str:
-    _fresh_counter[0] += 1
-    return f"{hint}{_fresh_counter[0]}"
-
 
 def rotation(basis: Basis, phase: Phase) -> Term:
     """rotB^a  :=  B^a x:1. x (rotations act on single qubits)"""
     from .types import Numeral  # deferred: types imports this module
 
-    x = _fresh_name("_r")
-    return Abs(basis, phase, x, Numeral(1), Var(x))
+    return Abs(basis, phase, "_r", Numeral(1), Var("_r"))
 
 
 def compose(m: Term, n: Term, basis: Basis = Basis.Z) -> Term:
     """M o N  :=  B^0 x. M (N x); the basis is semantically irrelevant for
-    the linearly used x (asserted in tests), fixed to Z by default."""
-    x = _fresh_name("_c")
+    the linearly used x (asserted in tests), fixed to Z by default. x is not
+    free in M or N, so it captures nothing."""
+    x = _freshen("_c", m.fv.keys() | n.fv.keys())
     return Abs(basis, Phase.zero(), x, None, App(m, App(n, Var(x))))
 
 
-def hadamard_term(basis: Basis = Basis.Z) -> Term:
+def hadamard_term() -> Term:
     """H  :=  rotZ^{pi/2} o rotX^{pi/2} o rotZ^{pi/2}"""
     half = Phase.exact(1, 2)
     return compose(
         rotation(Basis.Z, half),
-        compose(rotation(Basis.X, half), rotation(Basis.Z, half), basis),
-        basis,
+        compose(rotation(Basis.X, half), rotation(Basis.Z, half)),
     )
 
 
@@ -227,49 +260,12 @@ def lam(var: str, body: Term, annotation=None) -> Term:
 
 def free_vars(term: Term) -> list[str]:
     """Free variables in first-use order."""
-    out: list[str] = []
-    # pre-order, left to right, with an explicit stack so term depth is not
-    # bounded by the recursion limit
-    todo: list[tuple[Term, frozenset[str]]] = [(term, frozenset())]
-    while todo:
-        t, bound = todo.pop()
-        if isinstance(t, Var):
-            if t.name not in bound and t.name not in out:
-                out.append(t.name)
-        elif isinstance(t, Abs):
-            todo.append((t.body, bound | {t.var}))
-        elif isinstance(t, App):
-            todo.append((t.arg, bound))
-            todo.append((t.fn, bound))
-        elif isinstance(t, Tup):
-            todo.append((t.right, bound))
-            todo.append((t.left, bound))
-        elif isinstance(t, Let):
-            todo.append((t.body, bound | {t.var1, t.var2}))
-            todo.append((t.bound, bound))
-    return out
+    return list(term.fv)
 
 
 def occurrences(name: str, term: Term) -> int:
     """Number of free occurrences of `name`, ignoring shadowed scopes."""
-    k = 0
-    todo = [term]
-    while todo:
-        t = todo.pop()
-        if isinstance(t, Var):
-            k += t.name == name
-        elif isinstance(t, Abs):
-            if t.var != name:
-                todo.append(t.body)
-        elif isinstance(t, App):
-            todo.extend((t.fn, t.arg))
-        elif isinstance(t, Tup):
-            todo.extend((t.left, t.right))
-        elif isinstance(t, Let):
-            todo.append(t.bound)
-            if name not in (t.var1, t.var2):
-                todo.append(t.body)
-    return k
+    return term.fv.get(name, 0)
 
 
 def _freshen(name: str, avoid: set[str]) -> str:
@@ -280,37 +276,34 @@ def _freshen(name: str, avoid: set[str]) -> str:
 
 
 def _subst(t: Term, sub: dict[str, Term]) -> Term:
-    sub = {k: v for k, v in sub.items() if occurrences(k, t) > 0}
+    sub = {k: v for k, v in sub.items() if k in t.fv}
     if not sub:
         return t
     if isinstance(t, Var):
-        return sub.get(t.name, t)
+        return sub[t.name]
     if isinstance(t, App):
         return App(_subst(t.fn, sub), _subst(t.arg, sub))
     if isinstance(t, Tup):
         return Tup(_subst(t.left, sub), _subst(t.right, sub))
     if isinstance(t, Abs):
-        inner = {k: v for k, v in sub.items() if k != t.var and occurrences(k, t.body) > 0}
-        if not inner:
-            return t
-        fvr = set().union(*(free_vars(v) for v in inner.values()))
+        fvr = set().union(*(v.fv for v in sub.values()))
         var, body = t.var, t.body
         if var in fvr:
-            var = _freshen(var, fvr | set(free_vars(body)) | set(inner))
+            var = _freshen(var, fvr | body.fv.keys() | sub.keys())
             body = _subst(body, {t.var: Var(var)})
-        return Abs(t.basis, t.phase, var, t.annotation, _subst(body, inner), t.is_lambda)
+        return Abs(t.basis, t.phase, var, t.annotation, _subst(body, sub), t.is_lambda)
     if isinstance(t, Let):
         bound = _subst(t.bound, sub)
         inner = {
             k: v
             for k, v in sub.items()
-            if k not in (t.var1, t.var2) and occurrences(k, t.body) > 0
+            if k not in (t.var1, t.var2) and k in t.body.fv
         }
         v1, v2, body = t.var1, t.var2, t.body
         if inner:
-            fvr = set().union(*(free_vars(v) for v in inner.values()))
+            fvr = set().union(*(v.fv for v in inner.values()))
             rename: dict[str, Term] = {}
-            avoid = fvr | set(free_vars(body)) | set(inner)
+            avoid = fvr | body.fv.keys() | inner.keys()
             if v1 in fvr:
                 v1 = _freshen(v1, avoid)
                 rename[t.var1] = Var(v1)
@@ -332,14 +325,16 @@ def substitute(term: Term, name: str, replacement: Term) -> Term:
 def rename_free_occurrences(term: Term, name: str, names: list[str]) -> Term:
     """Replace the k free occurrences of `name`, left to right, with the k
     given fresh names. Used to make contraction explicit."""
+    if term.fv.get(name, 0) != len(names):
+        raise ValueError(f"expected {len(names)} occurrences of {name}")
     it = iter(names)
 
     def go(t: Term) -> Term:
+        if name not in t.fv:
+            return t
         if isinstance(t, Var):
-            return Var(next(it)) if t.name == name else t
+            return Var(next(it))
         if isinstance(t, Abs):
-            if t.var == name:
-                return t
             return Abs(t.basis, t.phase, t.var, t.annotation, go(t.body), t.is_lambda)
         if isinstance(t, App):
             return App(go(t.fn), go(t.arg))
@@ -351,11 +346,7 @@ def rename_free_occurrences(term: Term, name: str, names: list[str]) -> Term:
             return Let(t.basis, t.var1, t.var2, t.annotation1, t.annotation2, bound, body)
         return t
 
-    out = go(term)
-    leftover = sum(1 for _ in it)
-    if leftover:
-        raise ValueError(f"expected {len(names)} occurrences of {name}")
-    return out
+    return go(term)
 
 
 def alpha_eq(t1: Term, t2: Term) -> bool:

@@ -388,39 +388,12 @@ class Derivation:
     payload: dict = field(default_factory=dict)
 
     def walk(self):
-        yield self
-        for c in self.children:
-            yield from c.walk()
-
-
-def _subterms(t: Term) -> tuple:
-    if isinstance(t, Abs):
-        return (t.body,)
-    if isinstance(t, App):
-        return (t.fn, t.arg)
-    if isinstance(t, Tup):
-        return (t.left, t.right)
-    if isinstance(t, Let):
-        return (t.bound, t.body)
-    return ()
-
-
-def _without(counts: dict[str, int], names: tuple) -> dict[str, int]:
-    if not any(n in counts for n in names):
-        return counts
-    return {k: v for k, v in counts.items() if k not in names}
-
-
-def _merged(first: dict[str, int], second: dict[str, int]) -> dict[str, int]:
-    """Counts of two subterms in sequence, keeping first-use order."""
-    if not second:
-        return first
-    if not first:
-        return second
-    out = dict(first)
-    for k, v in second.items():
-        out[k] = out.get(k, 0) + v
-    return out
+        """Every node in pre-order, children left to right."""
+        todo = [self]
+        while todo:
+            node = todo.pop()
+            yield node
+            todo.extend(reversed(node.children))
 
 
 class _Inferencer:
@@ -428,43 +401,6 @@ class _Inferencer:
         self.subst: Subst = {}
         self.counter = 0
         self.origin: dict[int, str] = {}
-        # id(term) -> (term, free-variable counts); holding the term keeps
-        # its id from being reused while the entry lives
-        self.counts: dict[int, tuple[Term, dict[str, int]]] = {}
-
-    def free_counts(self, term: Term) -> dict[str, int]:
-        """Free-variable occurrence counts of `term`, in first-use order.
-
-        Every subterm is counted once per inference, bottom-up with an
-        explicit stack, and memoised by identity, so derive asking at each
-        node costs a lookup. Result dicts may be shared between terms and
-        must not be changed."""
-        memo = self.counts
-        todo: list = [(term, False)]
-        while todo:
-            t, children_done = todo.pop()
-            if id(t) in memo:
-                continue
-            kids = _subterms(t)
-            if kids and not children_done:
-                todo.append((t, True))
-                todo.extend((k, False) for k in kids)
-                continue
-            if isinstance(t, Var):
-                counts = {t.name: 1}
-            elif isinstance(t, Abs):
-                counts = _without(memo[id(t.body)][1], (t.var,))
-            elif isinstance(t, App):
-                counts = _merged(memo[id(t.fn)][1], memo[id(t.arg)][1])
-            elif isinstance(t, Tup):
-                counts = _merged(memo[id(t.left)][1], memo[id(t.right)][1])
-            elif isinstance(t, Let):
-                body = _without(memo[id(t.body)][1], (t.var1, t.var2))
-                counts = _merged(memo[id(t.bound)][1], body)
-            else:
-                counts = {}
-            memo[id(t)] = (t, counts)
-        return memo[id(term)][1]
 
     def fresh(self, origin: str) -> TypeVar:
         self.counter += 1
@@ -475,7 +411,7 @@ class _Inferencer:
         self.subst = unify(a, b, self.subst)
 
     def derive(self, ctx: Context, term: Term) -> Derivation:
-        fvs = self.free_counts(term)
+        fvs = term.fv
 
         # Weakening: strip the leftmost unused entry.
         for i, e in enumerate(ctx.entries):
@@ -518,10 +454,10 @@ class _Inferencer:
         if isinstance(term, Abs):
             var, body = term.var, term.body
             if ctx.get(var) is not None:
-                var = _freshen(var, set(ctx.names) | self.free_counts(body).keys())
+                var = _freshen(var, set(ctx.names) | body.fv.keys())
                 body = substitute(term.body, term.var, Var(var))
                 term = Abs(term.basis, term.phase, var, term.annotation, body, term.is_lambda)
-            uses = self.free_counts(body).get(var, 0)
+            uses = body.fv.get(var, 0)
             if term.is_lambda and uses != 1:
                 raise LinearityError(
                     f"lambda-bound variable {var} must occur exactly once"
@@ -562,7 +498,7 @@ class _Inferencer:
             v1, v2, body = term.var1, term.var2, term.body
             taken = set(ctx.names)
             if v1 in taken or v2 in taken:
-                avoid = taken | self.free_counts(body).keys()
+                avoid = taken | body.fv.keys()
                 n1 = _freshen(v1, avoid)
                 n2 = _freshen(v2, avoid | {n1})
                 body = substitute(substitute(body, v1, Var(n1)), v2, Var(n2))
@@ -646,12 +582,10 @@ def _first_var(t: Type) -> Optional[int]:
 def _derive(ctx: Context, term: Term) -> tuple[_Inferencer, Derivation]:
     """The unresolved derivation of ctx |- term and its inferencer."""
     inf = _Inferencer()
-    missing = [x for x in inf.free_counts(term) if ctx.get(x) is None]
+    missing = [x for x in term.fv if ctx.get(x) is None]
     if missing:
         raise UnboundVariableError(f"unbound variable {missing[0]}")
-    d = inf.derive(ctx, term)
-    inf.counts = {}  # the terms stay alive in the derivation; their counts need not
-    return inf, d
+    return inf, inf.derive(ctx, term)
 
 
 def infer(ctx: Context, term: Term) -> tuple[Type, Derivation]:

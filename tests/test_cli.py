@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import zetacalc
 from zetacalc import cli
 from zetacalc.cli import main
 from zetacalc.diagram import Id, Seq
@@ -68,6 +73,22 @@ class TestCheck:
 
     def test_missing_file(self, capsys):
         assert main(["check", "/nonexistent.zeta"]) == 2
+
+
+class TestFreshProcess:
+    def test_compose_binder_does_not_capture(self, write):
+        # a new interpreter, so no earlier parse in this process can have
+        # chosen the sugar's binder names
+        f = write("capture.zeta", "Z _c2:1->1. (_c2 o rot Z^0)")
+        src = str(Path(zetacalc.__file__).resolve().parents[1])
+        path = [src, os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+        r = subprocess.run(
+            [sys.executable, "-m", "zetacalc.cli", "check", f],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.splitlines()[0] == "(1 -> 1) -> 1 -> 1"
 
 
 class TestDiagram:

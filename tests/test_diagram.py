@@ -174,6 +174,11 @@ class TestSerialization:
             '{"kind":"scalar","re":null,"im":0}',
             '{"kind":"perm","perm":5}',
             '{"kind":"perm","perm":[0,0]}',
+            '{"kind":"id","wires":1.9}',
+            '{"kind":"id","wires":true}',
+            '{"kind":"id","wires":"1"}',
+            '{"kind":"perm","perm":[1.7,0.2]}',
+            spider % ('{"pi_num":0}', "1.0"),
         ]:
             with pytest.raises(DiagramError):
                 from_json(doc)

@@ -22,6 +22,7 @@ from zetacalc.syntax import (
     occurrences,
     parse,
     print_term,
+    rename_free_occurrences,
     rotation,
     substitute,
 )
@@ -165,6 +166,33 @@ class TestFreeVarsOccurrences:
         for name, k in uses.items():
             assert occurrences(name, t) == k
         assert occurrences("z", t) == 0
+
+    def test_rename_keeps_subtrees_without_the_name(self):
+        t = parse("<Z y:1. y, <x, Z x:1. x>>")
+        r = rename_free_occurrences(t, "x", ["x#1"])
+        assert r.left is t.left
+        assert r.right.right is t.right.right
+        assert r.right.left == Var("x#1")
+        with pytest.raises(ValueError):
+            rename_free_occurrences(t, "x", ["x#1", "x#2"])
+
+
+class TestFreshNames:
+    def test_parse_is_deterministic(self):
+        for s in term_pool():
+            assert parse(s) == parse(s), s
+
+    def test_compose_binder_avoids_free_names(self):
+        t = parse("_c o _c'")
+        assert t.var == "_c''"
+        assert free_vars(t) == ["_c", "_c'"]
+
+    def test_sugar_binders_do_not_capture(self):
+        # compose's first choice of binder is the user's name here
+        t = parse("Z _c:1->1. (_c o rot Z^0)")
+        assert free_vars(t.body) == ["_c"]
+        assert t.body.var == "_c'"
+        assert t.body.body.fn == Var("_c")
 
 
 class TestSubstitute:

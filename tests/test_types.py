@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from zetacalc import syntax, types
-from zetacalc.syntax import Abs, App, Basis, Gen, Let, Phase, Tup, free_vars, occurrences, parse
+from zetacalc.syntax import Abs, App, Basis, Gen, Let, Phase, Tup, Var, parse
 from zetacalc.types import (
     TOP,
     AmbiguousTypeError,
@@ -243,9 +243,54 @@ class TestValidator:
             validate_derivation(bad)
 
 
-def _naive_counts(_inferencer, term):
-    """The counts derive reads, walking the term once per variable."""
-    return {x: occurrences(x, term) for x in free_vars(term)}
+def _naive_free_vars(term):
+    """Free variables in first-use order, by walking the term."""
+    out = []
+    todo = [(term, frozenset())]
+    while todo:
+        t, bound = todo.pop()
+        if isinstance(t, Var):
+            if t.name not in bound and t.name not in out:
+                out.append(t.name)
+        elif isinstance(t, Abs):
+            todo.append((t.body, bound | {t.var}))
+        elif isinstance(t, App):
+            todo.append((t.arg, bound))
+            todo.append((t.fn, bound))
+        elif isinstance(t, Tup):
+            todo.append((t.right, bound))
+            todo.append((t.left, bound))
+        elif isinstance(t, Let):
+            todo.append((t.body, bound | {t.var1, t.var2}))
+            todo.append((t.bound, bound))
+    return out
+
+
+def _naive_occurrences(name, term):
+    """Free occurrences of `name`, by walking the term."""
+    k = 0
+    todo = [term]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, Var):
+            k += t.name == name
+        elif isinstance(t, Abs):
+            if t.var != name:
+                todo.append(t.body)
+        elif isinstance(t, App):
+            todo.extend((t.fn, t.arg))
+        elif isinstance(t, Tup):
+            todo.extend((t.left, t.right))
+        elif isinstance(t, Let):
+            todo.append(t.bound)
+            if name not in (t.var1, t.var2):
+                todo.append(t.body)
+    return k
+
+
+def _naive_counts(term):
+    """The counts `fv` holds, walking the term once per variable."""
+    return [(x, _naive_occurrences(x, term)) for x in _naive_free_vars(term)]
 
 
 def _naive_resolve(d: Derivation, subst) -> Derivation:
@@ -304,43 +349,25 @@ def _outcome(run):
 
 
 class TestCountsOncePerInference:
-    def test_derivations_match_naive_counting_and_resolving(self, monkeypatch):
+    def test_derivations_match_naive_resolving(self):
         for ctx, term in _typing_cases():
             got = _outcome(lambda: infer(ctx, term)[1])
-            with monkeypatch.context() as m:
-                m.setattr(types._Inferencer, "free_counts", _naive_counts)
-                inf = types._Inferencer()
-                want = _outcome(lambda: _naive_resolve(inf.derive(ctx, term), inf.subst))
+            inf = types._Inferencer()
+            want = _outcome(lambda: _naive_resolve(inf.derive(ctx, term), inf.subst))
             assert got == want, syntax.print_term(term)
 
-    def test_counts_match_naive_in_first_use_order(self, monkeypatch):
-        asked = []
-        real = types._Inferencer.free_counts
-
-        def recording(inf, term):
-            counts = real(inf, term)
-            asked.append((term, counts))
-            return counts
-
-        monkeypatch.setattr(types._Inferencer, "free_counts", recording)
+    def test_counts_match_naive_in_first_use_order(self):
         c_children = 0
         for ctx, term in _typing_cases():
-            # every term derive asks about, C-renamed ones included
-            asked.clear()
-            d = _outcome(lambda: infer(ctx, term)[1])
-            for t, counts in asked:
-                assert list(counts.items()) == list(_naive_counts(None, t).items())
-            if isinstance(d, Derivation):
-                seen = {id(t) for t, _ in asked}
-                for node in d.walk():
-                    if node.rule == "C":
-                        assert id(node.children[0].term) in seen
-                        c_children += 1
-            # every subterm, read back from one inference's memo
-            inf = types._Inferencer()
-            inf.free_counts(term)
             for t in _subterms(term):
-                assert list(inf.free_counts(t).items()) == list(_naive_counts(None, t).items())
+                assert list(t.fv.items()) == _naive_counts(t), syntax.print_term(t)
+            d = _outcome(lambda: infer(ctx, term)[1])
+            if not isinstance(d, Derivation):
+                continue
+            # C-renamed and freshened terms too
+            for node in d.walk():
+                assert list(node.term.fv.items()) == _naive_counts(node.term)
+                c_children += node.rule == "C"
         assert c_children > 100
 
     def test_no_per_node_term_walks(self, monkeypatch):
@@ -365,7 +392,16 @@ class TestCountsOncePerInference:
 
         assert walks(16) == walks(4)
 
-    def test_counts_dropped_after_derive(self):
-        inf, d = types._derive(EMPTY, parse("Z x:1. <x,x>"))
-        assert inf.counts == {}
-        assert d.rule == "B"
+
+def _recursive_walk(d):
+    yield d
+    for c in d.children:
+        yield from _recursive_walk(c)
+
+
+class TestWalk:
+    def test_same_order_as_recursive_walk(self):
+        terms = [parse(s) for s in term_pool()] + [parse(" o ".join(["H"] * 200))]
+        for term in terms:
+            _, d = infer(EMPTY, term)
+            assert [id(n) for n in d.walk()] == [id(n) for n in _recursive_walk(d)]
