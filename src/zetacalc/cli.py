@@ -2,9 +2,10 @@
 
 Exit codes: 0 success; 1 type error, any other zetacalc error (translation,
 diagram, evaluation), DISTINCT or an unsound rule; 2 parse error, unreadable
-file, malformed ZETA_WIRE_BUDGET or mismatched equivalence query; 3 wire
-budget exceeded (evaluation would hold a tensor of more than ZETA_WIRE_BUDGET
-legs, default 14, whatever the diagram's width) or term too deep to process.
+file, malformed or negative ZETA_WIRE_BUDGET or mismatched equivalence query;
+3 wire budget exceeded (evaluation would hold a tensor of more than
+ZETA_WIRE_BUDGET legs, default 14, whatever the diagram's width) or term too
+deep to process.
 """
 
 from __future__ import annotations
@@ -47,9 +48,12 @@ class SettingError(ZetaError):
 def wire_budget() -> int:
     raw = os.environ.get("ZETA_WIRE_BUDGET", str(WIRE_BUDGET))
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
         raise SettingError(f"ZETA_WIRE_BUDGET must be an integer, got {raw!r}") from None
+    if budget < 0:
+        raise SettingError(f"ZETA_WIRE_BUDGET must not be negative, got {raw!r}")
+    return budget
 
 
 def _read_term(path: str):

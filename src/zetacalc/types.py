@@ -3,6 +3,12 @@
 Typing is algorithmic: weakening (W) fires where a context entry is unused,
 and contraction (C) fires once per variable used two or more times. Context
 order is preserved throughout, so no exchange rule is needed.
+
+Inference derives with fresh type variables, unifies, then resolves the
+variables in one pass. Resolving touches only what unification can change:
+the resolved derivation shares every ground subtree (no type variable in its
+contexts or types) with the derivation first built, and reuses every type,
+entry, context and node in which nothing was bound.
 """
 
 from __future__ import annotations
@@ -330,40 +336,43 @@ def unify(t1: Type, t2: Type, subst: Optional[Subst] = None) -> Subst:
     """Most general unifier extending subst. Numeral/Tensor/Dual are free
     constructors: Numeral(2) does not unify with Numeral(1) (x) Numeral(1)."""
     subst = dict(subst) if subst is not None else {}
-
-    def go(a: Type, b: Type):
-        a = _resolve(a, subst)
-        b = _resolve(b, subst)
-        if isinstance(a, TypeVar) and isinstance(b, TypeVar) and a.id == b.id:
-            return
-        if isinstance(a, TypeVar):
-            if _occurs(a.id, b, subst):
-                raise OccursCheckError(
-                    f"occurs check: ?{a.id} in {print_type(apply_subst(b, subst))}"
-                )
-            subst[a.id] = b
-            return
-        if isinstance(b, TypeVar):
-            go(b, a)
-            return
-        if isinstance(a, Numeral) and isinstance(b, Numeral):
-            if a.n != b.n:
-                raise UnificationError(f"cannot unify {a.n} with {b.n}")
-            return
-        if isinstance(a, Tensor) and isinstance(b, Tensor):
-            go(a.left, b.left)
-            go(a.right, b.right)
-            return
-        if isinstance(a, Dual) and isinstance(b, Dual):
-            go(a.inner, b.inner)
-            return
-        raise UnificationError(
-            f"cannot unify {print_type(apply_subst(a, subst))}"
-            f" with {print_type(apply_subst(b, subst))}"
-        )
-
-    go(t1, t2)
+    _unify_into(t1, t2, subst)
     return subst
+
+
+def _unify_into(a: Type, b: Type, subst: Subst) -> None:
+    """Extend subst in place to unify a and b. A module-level function, not a
+    closure that calls itself: that closure would be a reference cycle, and
+    would keep each substitution alive until the cycle collector ran."""
+    a = _resolve(a, subst)
+    b = _resolve(b, subst)
+    if isinstance(a, TypeVar) and isinstance(b, TypeVar) and a.id == b.id:
+        return
+    if isinstance(a, TypeVar):
+        if _occurs(a.id, b, subst):
+            raise OccursCheckError(
+                f"occurs check: ?{a.id} in {print_type(apply_subst(b, subst))}"
+            )
+        subst[a.id] = b
+        return
+    if isinstance(b, TypeVar):
+        _unify_into(b, a, subst)
+        return
+    if isinstance(a, Numeral) and isinstance(b, Numeral):
+        if a.n != b.n:
+            raise UnificationError(f"cannot unify {a.n} with {b.n}")
+        return
+    if isinstance(a, Tensor) and isinstance(b, Tensor):
+        _unify_into(a.left, b.left, subst)
+        _unify_into(a.right, b.right, subst)
+        return
+    if isinstance(a, Dual) and isinstance(b, Dual):
+        _unify_into(a.inner, b.inner, subst)
+        return
+    raise UnificationError(
+        f"cannot unify {print_type(apply_subst(a, subst))}"
+        f" with {print_type(apply_subst(b, subst))}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -397,10 +406,25 @@ class Derivation:
 
 
 class _Inferencer:
+    """Derives with fresh type variables, then resolves them in one pass.
+
+    A node is ground when its context holds no type variable and no fresh
+    variable was created while deriving its subtree: unification cannot
+    change it, and neither can it change anything beneath it. `derive`
+    carries `open_`, the number of context entries whose type holds a
+    variable, down the recursion, and lists in `ground` every ground node
+    whose parent is not ground (`_derive` adds a ground root), left to
+    right: the order in which `resolve`'s pre-order walk meets them, so it
+    knows them by identity and returns them as they are. Binder annotations
+    come from the concrete type syntax, which has no variables, so they
+    count as ground.
+    """
+
     def __init__(self):
         self.subst: Subst = {}
         self.counter = 0
         self.origin: dict[int, str] = {}
+        self.ground: list[Derivation] = []
 
     def fresh(self, origin: str) -> TypeVar:
         self.counter += 1
@@ -408,15 +432,23 @@ class _Inferencer:
         return TypeVar(self.counter)
 
     def unify(self, a: Type, b: Type):
-        self.subst = unify(a, b, self.subst)
+        # in place: a failure ends the inference, so no caller sees the
+        # partial bindings
+        _unify_into(a, b, self.subst)
 
-    def derive(self, ctx: Context, term: Term) -> Derivation:
+    def derive(self, ctx: Context, term: Term, open_: int) -> Derivation:
         fvs = term.fv
 
         # Weakening: strip the leftmost unused entry.
         for i, e in enumerate(ctx.entries):
             if e.name not in fvs:
-                child = self.derive(Context(ctx.entries[:i] + ctx.entries[i + 1 :]), term)
+                rest = open_ - contains_var(e.type) if open_ else 0
+                start = self.counter
+                child = self.derive(
+                    Context(ctx.entries[:i] + ctx.entries[i + 1 :]), term, rest
+                )
+                if open_ and not rest and self.counter == start:
+                    self.ground.append(child)
                 return Derivation(
                     "W", ctx, term, child.type, (child,), {"entry": e, "index": i}
                 )
@@ -428,8 +460,12 @@ class _Inferencer:
                 names = tuple(f"{e.name}#{j + 1}" for j in range(k))
                 renamed = rename_free_occurrences(term, e.name, list(names))
                 split = tuple(Entry(nm, e.basis, e.type) for nm in names)
+                if open_ and contains_var(e.type):
+                    open_ += k - 1
                 child = self.derive(
-                    Context(ctx.entries[:i] + split + ctx.entries[i + 1 :]), renamed
+                    Context(ctx.entries[:i] + split + ctx.entries[i + 1 :]),
+                    renamed,
+                    open_,
                 )
                 return Derivation(
                     "C",
@@ -463,14 +499,22 @@ class _Inferencer:
                     f"lambda-bound variable {var} must occur exactly once"
                     f" (found {uses})"
                 )
-            a = term.annotation if term.annotation is not None else self.fresh(
-                f"binder {var}"
-            )
-            child = self.derive(ctx.extended(Entry(var, term.basis, a)), body)
+            a = term.annotation
+            if a is None:
+                a = self.fresh(f"binder {var}")
+                open_ += 1
+            child = self.derive(ctx.extended(Entry(var, term.basis, a)), body, open_)
             return Derivation("B", ctx, term, Fn(a, child.type), (child,))
         if isinstance(term, App):
-            d1 = self.derive(ctx, term.fn)
-            d2 = self.derive(ctx, term.arg)
+            # A takes a fresh variable below, so it is never ground
+            start = self.counter
+            d1 = self.derive(ctx, term.fn, open_)
+            if not open_ and self.counter == start:
+                self.ground.append(d1)
+            mid = self.counter
+            d2 = self.derive(ctx, term.arg, open_)
+            if not open_ and self.counter == mid:
+                self.ground.append(d2)
             b = self.fresh("application result")
             try:
                 self.unify(d1.type, Fn(d2.type, b))
@@ -478,19 +522,35 @@ class _Inferencer:
                 raise UnificationError(f"in application: {exc}") from exc
             return Derivation("A", ctx, term, b, (d1, d2))
         if isinstance(term, Tup):
-            d1 = self.derive(ctx, term.left)
-            d2 = self.derive(ctx, term.right)
+            start = self.counter
+            d1 = self.derive(ctx, term.left, open_)
+            g1 = not open_ and self.counter == start
+            if g1:
+                self.ground.append(d1)
+            mid = self.counter
+            d2 = self.derive(ctx, term.right, open_)
+            if not open_ and self.counter == mid:
+                if g1:
+                    # T is ground too: d1 is the last entry, and T's parent
+                    # decides
+                    self.ground.pop()
+                else:
+                    self.ground.append(d2)
             return Derivation("T", ctx, term, Tensor(d1.type, d2.type), (d1, d2))
         if isinstance(term, Let):
             if term.var1 == term.var2:
                 raise ContextError(f"let binds {term.var1} twice")
-            d1 = self.derive(ctx, term.bound)
-            a = term.annotation1 if term.annotation1 is not None else self.fresh(
-                f"let binder {term.var1}"
-            )
-            b = term.annotation2 if term.annotation2 is not None else self.fresh(
-                f"let binder {term.var2}"
-            )
+            start = self.counter
+            d1 = self.derive(ctx, term.bound, open_)
+            g1 = not open_ and self.counter == start
+            if g1:
+                self.ground.append(d1)
+            a, b = term.annotation1, term.annotation2
+            body_open = open_ + (a is None) + (b is None)
+            if a is None:
+                a = self.fresh(f"let binder {term.var1}")
+            if b is None:
+                b = self.fresh(f"let binder {term.var2}")
             try:
                 self.unify(d1.type, Tensor(a, b))
             except UnificationError as exc:
@@ -505,52 +565,76 @@ class _Inferencer:
                 v1, v2 = n1, n2
                 term = Let(term.basis, v1, v2, term.annotation1, term.annotation2,
                            term.bound, body)
+            before_body = self.counter
             d2 = self.derive(
-                ctx.extended(Entry(v1, term.basis, a), Entry(v2, term.basis, b)), body
+                ctx.extended(Entry(v1, term.basis, a), Entry(v2, term.basis, b)),
+                body,
+                body_open,
             )
+            # a fresh binder makes the body open, so a ground body means E
+            # is ground when d1 is
+            if not body_open and self.counter == before_body:
+                if g1:
+                    self.ground.pop()
+                else:
+                    self.ground.append(d2)
             return Derivation("E", ctx, term, d2.type, (d1, d2))
         raise TypeError(f"not a term: {term!r}")
 
     def resolve(self, d: Derivation) -> Derivation:
-        # id(object) -> (object, resolved), for types, entries and contexts:
-        # nodes share them, so each is resolved once and the resolved
-        # derivation shares the results in turn
-        memo: dict[int, tuple] = {}
+        """d with every type variable replaced by its binding. Ground
+        subtrees, and every type, entry, context and node in which nothing
+        was bound, come back as the same objects."""
+        subst, ground, next_ground = self.subst, self.ground, 0
+        # id(object) -> resolved, for types, entries and contexts: nodes
+        # share them, so each is resolved once and the results are shared
+        # in turn. Every key is reachable from d, so no id is reused.
+        memo: dict[int, object] = {}
 
         def res_type(t: Type) -> Type:
-            hit = memo.get(id(t))
-            if hit is not None:
-                return hit[1]
-            r = apply_subst(t, self.subst)
-            if contains_var(r):
-                hint = ""
-                vid = _first_var(r)
-                if vid is not None and vid in self.origin:
-                    hint = f" (add an annotation at {self.origin[vid]})"
-                raise AmbiguousTypeError(f"ambiguous type {print_type(r)}{hint}")
-            memo[id(t)] = (t, r)
+            r = memo.get(id(t))
+            if r is None:
+                r = _resolved(t, subst)
+                if r is None:
+                    r = apply_subst(t, subst)
+                    vid = _first_var(r)
+                    hint = ""
+                    if vid in self.origin:
+                        hint = f" (add an annotation at {self.origin[vid]})"
+                    raise AmbiguousTypeError(f"ambiguous type {print_type(r)}{hint}")
+                memo[id(t)] = r
             return r
 
         def res_entry(e: Entry) -> Entry:
-            hit = memo.get(id(e))
-            if hit is None:
-                hit = memo[id(e)] = (e, Entry(e.name, e.basis, res_type(e.type)))
-            return hit[1]
+            r = memo.get(id(e))
+            if r is None:
+                t = res_type(e.type)
+                r = memo[id(e)] = e if t is e.type else Entry(e.name, e.basis, t)
+            return r
 
         def res_ctx(ctx: Context) -> Context:
-            hit = memo.get(id(ctx))
-            if hit is None:
-                hit = memo[id(ctx)] = (ctx, Context(tuple(res_entry(e) for e in ctx)))
-            return hit[1]
+            r = memo.get(id(ctx))
+            if r is None:
+                entries = tuple(res_entry(e) for e in ctx.entries)
+                same = all(a is b for a, b in zip(entries, ctx.entries))
+                r = memo[id(ctx)] = ctx if same else Context(entries)
+            return r
 
         def go(node: Derivation, children: tuple) -> Derivation:
-            payload = dict(node.payload)
+            payload = node.payload
             if "entry" in payload:
-                payload["entry"] = res_entry(payload["entry"])
-            return Derivation(
-                node.rule, res_ctx(node.ctx), node.term, res_type(node.type),
-                children, payload,
-            )
+                entry = res_entry(payload["entry"])
+                if entry is not payload["entry"]:
+                    payload = dict(payload, entry=entry)
+            ctx, t = res_ctx(node.ctx), res_type(node.type)
+            if (
+                payload is node.payload
+                and ctx is node.ctx
+                and t is node.type
+                and all(a is b for a, b in zip(children, node.children))
+            ):
+                return node
+            return Derivation(node.rule, ctx, node.term, t, children, payload)
 
         # post-order with an explicit stack, so derivation depth is not
         # bounded by the recursion limit
@@ -563,10 +647,35 @@ class _Inferencer:
                 children = tuple(done[len(done) - k :])
                 del done[len(done) - k :]
                 done.append(go(node, children))
+            elif next_ground < len(ground) and node is ground[next_ground]:
+                next_ground += 1
+                done.append(node)
             else:
                 todo.append((node, True))
                 todo.extend((c, False) for c in reversed(node.children))
         return done[0]
+
+
+def _resolved(t: Type, subst: Subst) -> Optional[Type]:
+    """t under subst, or None while a variable in it stays unbound. t itself
+    comes back, not a copy, when nothing in it was bound."""
+    if isinstance(t, TypeVar):
+        b = subst.get(t.id)
+        return None if b is None else _resolved(b, subst)
+    if isinstance(t, Tensor):
+        left = _resolved(t.left, subst)
+        if left is None:
+            return None
+        right = _resolved(t.right, subst)
+        if right is None:
+            return None
+        return t if left is t.left and right is t.right else Tensor(left, right)
+    if isinstance(t, Dual):
+        inner = _resolved(t.inner, subst)
+        if inner is None:
+            return None
+        return t if inner is t.inner else Dual(inner)
+    return t
 
 
 def _first_var(t: Type) -> Optional[int]:
@@ -585,11 +694,19 @@ def _derive(ctx: Context, term: Term) -> tuple[_Inferencer, Derivation]:
     missing = [x for x in term.fv if ctx.get(x) is None]
     if missing:
         raise UnboundVariableError(f"unbound variable {missing[0]}")
-    return inf, inf.derive(ctx, term)
+    open_ = sum(contains_var(e.type) for e in ctx)
+    d = inf.derive(ctx, term, open_)
+    if not open_ and not inf.counter:
+        inf.ground.append(d)
+    return inf, d
 
 
 def infer(ctx: Context, term: Term) -> tuple[Type, Derivation]:
-    """Principal monomorphic type and canonical derivation of ctx |- term."""
+    """Principal monomorphic type and canonical derivation of ctx |- term.
+
+    The derivation shares its ground subtrees, those whose contexts and
+    types hold no type variable once derived, with the unresolved derivation
+    rather than rebuilding them."""
     inf, d = _derive(ctx, term)
     d = inf.resolve(d)
     return d.type, d

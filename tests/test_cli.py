@@ -151,6 +151,15 @@ class TestEval:
         assert main(["eval", f]) == 2
         assert "ZETA_WIRE_BUDGET" in capsys.readouterr().err
 
+    def test_budget_env_negative(self, write, capsys, monkeypatch):
+        f = write("share.zeta", "Z x:1. <x,x>")
+        monkeypatch.setenv("ZETA_WIRE_BUDGET", "-1")
+        assert main(["eval", "--as-map", f]) == 2
+        assert "must not be negative" in capsys.readouterr().err
+        # a scalar diagram holds no leg, so it fits a budget of 0
+        monkeypatch.setenv("ZETA_WIRE_BUDGET", "0")
+        assert main(["eval", write("unit.zeta", "*")]) == 0
+
 
 def _copy_map(ways):
     return "Z x:1. " + "<x," * (ways - 1) + "x" + ">" * (ways - 1)

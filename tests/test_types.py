@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 from collections import Counter
 
 import pytest
@@ -133,8 +134,29 @@ class TestInfer:
             infer(EMPTY, parse("\\x:1. *"))
 
     def test_ambiguous_reports_binder(self):
-        with pytest.raises(AmbiguousTypeError):
+        with pytest.raises(AmbiguousTypeError, match="add an annotation at binder x"):
             infer(EMPTY, parse("Z x. x"))
+        want = r"^ambiguous type \?2 -> \?2 \(add an annotation at binder y\)$"
+        with pytest.raises(AmbiguousTypeError, match=want):
+            infer(EMPTY, parse("(Z f. f) (Z y. y)"))
+
+    def test_recursion_frontier(self):
+        # derive takes one frame per term level; a second frame per level
+        # would halve the depth it reaches at the default recursion limit
+        ty, _ = infer(EMPTY, parse(" o ".join(["H"] * 200)))
+        assert ty == Fn(Q, Q)
+
+    def test_no_reference_cycles(self):
+        # a cycle keeps what it holds, such as a substitution, alive until
+        # the cycle collector runs
+        term = parse(" o ".join(["H"] * 4))
+        gc.collect()
+        gc.disable()
+        try:
+            infer(EMPTY, term)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_alpha_stability(self):
         t1, _ = infer(EMPTY, parse("Z x:1. <x,x>"))
@@ -332,12 +354,37 @@ def _subterms(term):
     return out
 
 
+def _sharing_sources():
+    """The inputs of the `sharing` benchmark workload: the copy maps
+    B x:1. <x,<x,...>> 6..11 ways in Z and X, and the higher-order share."""
+    maps = [
+        f"{basis} x:1. " + "<x," * (ways - 1) + "x" + ">" * (ways - 1)
+        for basis in "ZX"
+        for ways in range(6, 12)
+    ]
+    return maps + ["(X f:1->1*1. <f,f>) (Z x:1. <x,x>)"]
+
+
+# Unannotated binders that application fixes: weakening, contraction, tuples
+# and lets under contexts that hold type variables
+_OPEN_SOURCES = [
+    "(Z x. <x,x>) Z[1]",
+    "(Z x. Z y:1. <y,y>) Z[1]",
+    "(X x. <x,<Z[1],x>>) X[1]^pi",
+    "(Z f. <f Z[1], Z[0]>) (Z y:1. <y,y>)",
+    "let <a,b> =X (Z x. <x,x>) Z[1] in <b,<a,Z[1]>>",
+    "(Z x. <Z y:1. <y,y>, x>) Z[1]",
+]
+
+
 def _typing_cases():
-    """Every pool term, both sides of every rule instance, and H x 2..20."""
+    """Every pool term, both sides of every rule instance, H x 2..20, the
+    sharing sources and _OPEN_SOURCES."""
     return (
         [(EMPTY, parse(s)) for s in term_pool()]
         + rule_sides()
         + [(EMPTY, parse(" o ".join(["H"] * n))) for n in range(2, 21)]
+        + [(EMPTY, parse(s)) for s in _sharing_sources() + _OPEN_SOURCES]
     )
 
 
@@ -352,9 +399,12 @@ class TestCountsOncePerInference:
     def test_derivations_match_naive_resolving(self):
         for ctx, term in _typing_cases():
             got = _outcome(lambda: infer(ctx, term)[1])
-            inf = types._Inferencer()
-            want = _outcome(lambda: _naive_resolve(inf.derive(ctx, term), inf.subst))
-            assert got == want, syntax.print_term(term)
+
+            def naive():
+                inf, d = types._derive(ctx, term)
+                return _naive_resolve(d, inf.subst)
+
+            assert got == _outcome(naive), syntax.print_term(term)
 
     def test_counts_match_naive_in_first_use_order(self):
         c_children = 0
@@ -391,6 +441,105 @@ class TestCountsOncePerInference:
             return sum(calls.values())
 
         assert walks(16) == walks(4)
+
+
+class TestGroundSubtreesShared:
+    """Resolving returns every subtree that unification cannot change as
+    the object derive built."""
+
+    def test_annotated_term_resolves_to_itself(self):
+        inf, d = types._derive(EMPTY, parse("Z x:1. <x,<x,x>>"))
+        assert inf.resolve(d) is d
+
+    def test_annotated_argument_kept(self):
+        inf, d = types._derive(EMPTY, parse("(X f:1->1*1. <f,f>) (Z x:1. <x,x>)"))
+        r = inf.resolve(d)
+        assert r.rule == "A" and r is not d
+        assert r.children[0] is d.children[0]
+        assert r.children[1] is d.children[1]
+
+    def test_largest_ground_subtrees_listed(self):
+        def listed(src):
+            inf, d = types._derive(EMPTY, parse(src))
+            return d, [id(g) for g in inf.ground]
+
+        d, ground = listed("Z x:1. <x,<x,x>>")
+        assert ground == [id(d)]
+        d, ground = listed("(X f:1->1*1. <f,f>) (Z x:1. <x,x>)")
+        assert ground == [id(d.children[0]), id(d.children[1])]
+        # W strips x:?1, the only variable in its context: its premise is
+        # ground although W is not
+        d, ground = listed("(Z x. Z y:1. <y,y>) Z[1]")
+        w = d.children[0].children[0]
+        assert w.rule == "W"
+        assert ground == [id(w.children[0]), id(d.children[1])]
+
+    def test_ground_list_is_var_free_and_in_walk_order(self):
+        listed = 0
+        for ctx, term in _typing_cases():
+            try:
+                inf, d = types._derive(ctx, term)
+            except ZetaTypeError:
+                continue
+            position = {id(n): i for i, n in enumerate(d.walk())}
+            starts = [position[id(g)] for g in inf.ground]
+            assert starts == sorted(starts), syntax.print_term(term)
+            inside = set()
+            for g in inf.ground:
+                nodes = list(g.walk())
+                assert id(g) not in inside
+                inside.update(id(n) for n in nodes)
+                for n in nodes:
+                    assert not contains_var(n.type)
+                    assert not any(contains_var(e.type) for e in n.ctx)
+            listed += len(inf.ground)
+        assert listed > 100
+
+    def test_ground_subtrees_not_walked(self, monkeypatch):
+        calls, depth = [], [0]
+
+        def outermost(t, subst):
+            # _resolved recurses through the module name; keep only the
+            # calls resolve itself makes
+            if not depth[0]:
+                calls.append(t)
+            depth[0] += 1
+            try:
+                return resolved(t, subst)
+            finally:
+                depth[0] -= 1
+
+        resolved = types._resolved
+        monkeypatch.setattr(types, "_resolved", outermost)
+
+        def looked_at(ctx, term):
+            calls.clear()
+            inf, d = types._derive(ctx, term)
+            inf.resolve(d)
+            return inf, d, {id(t) for t in calls}
+
+        _, d, seen = looked_at(EMPTY, parse("Z x:1. <x,<x,x>>"))
+        assert seen == set()
+        # only the application's result type
+        _, d, seen = looked_at(EMPTY, parse("(X f:1->1*1. <f,f>) (Z x:1. <x,x>)"))
+        assert seen == {id(d.type)}
+
+        def types_of(nodes):
+            return {id(t) for n in nodes for t in [n.type, *(e.type for e in n.ctx)]}
+
+        # no type that only a ground subtree holds is looked at
+        hidden = 0
+        for ctx, term in _typing_cases():
+            try:
+                inf, d, seen = looked_at(ctx, term)
+            except ZetaTypeError:
+                continue
+            below = {id(n) for g in inf.ground for n in g.walk()}
+            inside = types_of(n for n in d.walk() if id(n) in below)
+            inside -= types_of(n for n in d.walk() if id(n) not in below)
+            assert not seen & inside, syntax.print_term(term)
+            hidden += len(inside)
+        assert hidden > 1000
 
 
 def _recursive_walk(d):
