@@ -2,16 +2,18 @@
 
 Exit codes: 0 success; 1 type error, any other zetacalc error (translation,
 diagram, evaluation), DISTINCT or an unsound rule; 2 parse error, unreadable
-file, malformed or negative ZETA_WIRE_BUDGET or mismatched equivalence query;
-3 wire budget exceeded (evaluation would hold a tensor of more than
-ZETA_WIRE_BUDGET legs, default 14, whatever the diagram's width) or term too
-deep to process.
+or non-UTF-8 file, malformed or negative ZETA_WIRE_BUDGET, a --tol that is
+not a finite number >= 0, a --copies that is not N or LO..HI with
+0 <= LO <= HI, or mismatched equivalence query; 3 wire budget exceeded
+(evaluation would hold a tensor of more than ZETA_WIRE_BUDGET legs, default
+14, whatever the diagram's width) or term too deep to process.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -42,7 +44,7 @@ EXIT_BUDGET = 3
 
 
 class SettingError(ZetaError):
-    pass
+    """A setting, option value or input file the command cannot use."""
 
 
 def wire_budget() -> int:
@@ -57,8 +59,25 @@ def wire_budget() -> int:
 
 
 def _read_term(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise SettingError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
+    return parse(text)
+
+
+def _tolerance(text: str) -> float:
+    """argparse type for --tol: a finite number >= 0."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return tol
 
 
 def _fail(code: int, msg: str) -> int:
@@ -158,20 +177,25 @@ def cmd_rules(args) -> int:
 
 
 def _parse_copies(text: str) -> range:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    n = int(text)
-    return range(n, n + 1)
+    lo, sep, hi = text.partition("..")
+    try:
+        first = int(lo)
+        last = int(hi) if sep else first
+    except ValueError:
+        raise SettingError(f"--copies must be N or LO..HI, got {text!r}") from None
+    if not 0 <= first <= last:
+        raise SettingError(f"--copies needs 0 <= LO <= HI, got {text!r}")
+    return range(first, last + 1)
 
 
 def cmd_share_check(args) -> int:
+    copies = _parse_copies(args.copies)
     term = _read_term(args.file)
     ctx = parse_context(args.ctx)
     basis = Basis(args.basis)
     budget = wire_budget()
     results = {}
-    for n in _parse_copies(args.copies):
+    for n in copies:
         results[n] = commutes_with_sharing(ctx, term, basis, n, args.tol, budget)
     if args.json:
         print(json.dumps({str(n): ok for n, ok in results.items()}))
@@ -188,7 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--ctx", default="", help="context, e.g. 'x:Z:1, f:X:1->1*1'")
         sp.add_argument("--json", action="store_true", help="machine-readable output")
-        sp.add_argument("--tol", type=float, default=1e-9)
+        sp.add_argument("--tol", type=_tolerance, default=1e-9,
+                        help="comparison tolerance, a finite number >= 0")
 
     sp = sub.add_parser("check", help="typecheck a term file")
     sp.add_argument("file")

@@ -151,17 +151,6 @@ class Par(Diagram):
         object.__setattr__(self, "outputs", a.outputs + b.outputs)
 
 
-@dataclass(frozen=True)
-class WireArity:
-    inputs: int
-    outputs: int
-
-
-def arity(d: Diagram) -> WireArity:
-    """Wire arity of a diagram, as stored on its root node."""
-    return WireArity(d.inputs, d.outputs)
-
-
 def max_width(d: Diagram) -> int:
     """Largest simultaneous wire count in the diagram: the max over a Seq's
     parts, the sum over a Par's. A size statistic only; no evaluator gates

@@ -7,6 +7,15 @@ cups; application caps the dual outputs of the function against the
 argument's outputs, pairing label a* with label a in label order; the
 function and argument diagrams run side by side, as one `par`.
 
+Only derivations in the W/C-normal form that `infer` builds are translated:
+in every context, weakening (W) drops each unused entry and contraction (C)
+splits each entry used more than once before any other rule fires. So the
+leaves `U`, `G` and `D` have an empty context and `V` has exactly its
+variable, and each entry of a binary node (`A`, `T`, `E`) is kept by exactly
+one child, which gets its wires through a permutation, not a copy spider. A
+derivation in another shape raises TranslationError, even one that
+`validate_derivation` accepts.
+
 Every diagram here is built with `seq` and `par`, which apply the monoidal
 unit laws, so empty contexts, zero-wire binders and identity routings need
 no case of their own: they vanish as the diagram is built.
@@ -27,9 +36,10 @@ from .diagram import (
     par,
     permutation,
     seq,
+    to_json_obj,
     upsilon,
 )
-from .syntax import Abs, Gen, Term, print_term
+from .syntax import Abs, Gen, Term, ZetaError, print_term
 from .types import (
     Context,
     Derivation,
@@ -40,8 +50,6 @@ from .types import (
     print_type,
     size,
 )
-from .diagram import to_json_obj
-from .syntax import ZetaError
 
 
 class TranslationError(ZetaError):
@@ -118,62 +126,47 @@ def _caps(first_block: int, mid: int) -> Diagram:
     return seq(permutation(perm), caps)
 
 
-def _peel_weakenings(node: Derivation, drop: set[str]) -> Derivation:
-    """Skip leading W nodes for entries in `drop` (entries the parent never
-    routed to this child, so there is no wire to discard)."""
-    while node.rule == "W" and node.payload["entry"].name in drop:
+def _peel(node: Derivation, names: set[str]) -> Derivation:
+    """Skip the node's leading W nodes for entries named in `names`, its
+    parent's context: the parent routes those entries to its other child.
+    Weakenings of the child's own binders (the let body's x, y) stay."""
+    while node.rule == "W" and node.payload["entry"].name in names:
         (node,) = node.children
     return node
 
 
-def _used_names(node: Derivation) -> set[str]:
-    """Names of the context below the node's leading W chain. Derivations
-    built by `infer` weaken every unused entry before any other rule, so
-    these are the free variables of the node's term."""
-    while node.rule == "W":
-        (node,) = node.children
-    return {e.name for e in node.ctx}
-
-
 def _split_binary(ctx: Context, c1: Derivation, c2: Derivation):
-    """Context routing for a binary node. After W/C preprocessing every entry
-    occurs exactly once in the node's term, hence in exactly one child; the
-    full-context sharing of the child judgements collapses (a same-basis
-    copy spider with one leg discarded is an identity wire), so each entry is
-    routed only to the child that keeps it past its W chain. Returns (router
-    to [c1 block, c2 block], peeled c1, peeled c2, c1 block size) or None
-    when some entry is kept by both children or by neither, in which case
-    the caller falls back to literal sharing."""
-    used1, used2 = _used_names(c1), _used_names(c2)
+    """Context routing for a binary node: each entry goes only to the child
+    that keeps it past its peeled weakenings (the full-context sharing of
+    the child judgements collapses, since a same-basis copy spider with one
+    leg discarded is an identity wire). Returns (router to [c1 block, c2
+    block], peeled c1, peeled c2, c1 block size); raises TranslationError
+    when an entry is kept by both children or by neither."""
+    names = set(ctx.names)
+    p1, p2 = _peel(c1, names), _peel(c2, names)
+    kept1, kept2 = {e.name for e in p1.ctx}, {e.name for e in p2.ctx}
     offs = _wire_offsets(ctx)
-    to_first = []
-    for e in ctx:
-        first, second = e.name in used1, e.name in used2
-        if first == second:
-            return None
-        to_first.append(first)
-    g1 = sum(size(e.type) for e, f in zip(ctx, to_first) if f)
-    perm = [0] * ctx.wire_count()
-    pos1, pos2 = 0, g1
-    for i, e in enumerate(ctx.entries):
-        s = size(e.type)
-        if to_first[i]:
-            for k in range(s):
-                perm[offs[i] + k] = pos1 + k
-            pos1 += s
-        else:
-            for k in range(s):
-                perm[offs[i] + k] = pos2 + k
-            pos2 += s
-    names1 = {e.name for e, f in zip(ctx, to_first) if f}
-    names2 = {e.name for e in ctx} - names1
-    p1 = _peel_weakenings(c1, names2)
-    p2 = _peel_weakenings(c2, names1)
-    return permutation(perm), p1, p2, g1
+    blocks = ([], [])
+    for i, e in enumerate(ctx):
+        first = e.name in kept1
+        if first == (e.name in kept2):
+            whom = "both children" if first else "neither child"
+            raise TranslationError(
+                f"context entry {e.name} is kept by {whom} of a binary rule;"
+                " translate takes only the W/C-normal form that infer builds"
+            )
+        blocks[not first].extend(range(offs[i], offs[i + 1]))
+    perm = [0] * offs[-1]
+    for dst, src in enumerate(blocks[0] + blocks[1]):
+        perm[src] = dst
+    return permutation(perm), p1, p2, len(blocks[0])
 
 
 def translate(derivation: Derivation) -> JudgementDiagram:
-    """Structural translation of a validated derivation."""
+    """Structural translation of a derivation in the W/C-normal form that
+    `infer` builds (see the module docstring). Raises TranslationError on a
+    derivation in another shape, even one `validate_derivation` accepts, and
+    on an application of a non-function type."""
     d = _translate(derivation)
     return JudgementDiagram(
         derivation.ctx,
@@ -185,31 +178,25 @@ def translate(derivation: Derivation) -> JudgementDiagram:
     )
 
 
-def _discard_ctx(ctx: Context) -> Diagram:
-    return par(*(discard(size(e.type), e.basis) for e in ctx))
-
-
 def _translate(node: Derivation) -> Diagram:
     ctx, t = node.ctx, node.type
-    if node.rule == "U":
-        return _discard_ctx(ctx)
-    if node.rule == "V":
-        name = node.term.name
-        return par(
-            *(
-                Id(size(e.type)) if e.name == name else discard(size(e.type), e.basis)
-                for e in ctx
+    if node.rule in ("U", "V", "G", "D"):
+        if ctx.names != ([node.term.name] if node.rule == "V" else []):
+            raise TranslationError(
+                f"rule {node.rule} over context {print_context(ctx)}: translate"
+                " takes only the W/C-normal form that infer builds"
             )
-        )
+    if node.rule == "U":
+        return Id(0)
+    if node.rule == "V":
+        return Id(size(t))
     if node.rule == "G":
         gen: Gen = node.term
-        core = Spider(gen.basis, gen.phase, 0, gen.n)
-        return par(_discard_ctx(ctx), core)
+        return Spider(gen.basis, gen.phase, 0, gen.n)
     if node.rule == "D":
         gen = node.term
         k = -gen.n
-        core = seq(cup_many(k), par(Id(k), Spider(gen.basis, gen.phase, k, 0)))
-        return par(_discard_ctx(ctx), core)
+        return seq(cup_many(k), par(Id(k), Spider(gen.basis, gen.phase, k, 0)))
     if node.rule == "B":
         (child,) = node.children
         term: Abs = node.term
@@ -227,35 +214,17 @@ def _translate(node: Derivation) -> Diagram:
         parts = fn_parts(c1.type)
         if parts is None:
             raise TranslationError("application of a non-function type")
-        a = size(parts[0])
-        b = size(parts[1])
-        split = _split_binary(ctx, c1, c2)
-        if split is None:
-            shared = share_context(ctx, 2)
-            both = par(_translate(c1), _translate(c2))
-        else:
-            router, p1, p2, _ = split
-            shared = router
-            both = par(_translate(p1), _translate(p2))
-        return seq(shared, both, _caps(a, b))
+        router, p1, p2, _ = _split_binary(ctx, c1, c2)
+        both = par(_translate(p1), _translate(p2))
+        return seq(router, both, _caps(size(parts[0]), size(parts[1])))
     if node.rule == "T":
-        c1, c2 = node.children
-        split = _split_binary(ctx, c1, c2)
-        if split is None:
-            return seq(share_context(ctx, 2), par(_translate(c1), _translate(c2)))
-        router, p1, p2, _ = split
+        router, p1, p2, _ = _split_binary(ctx, *node.children)
         return seq(router, par(_translate(p1), _translate(p2)))
     if node.rule == "E":
-        c1, c2 = node.children
-        g = ctx.wire_count()
+        m, n = node.children
         # layout [N's entries, M's entries]: run M, then feed its outputs as
         # the trailing x,y wires of N.
-        split = _split_binary(ctx, c2, c1)
-        if split is None:
-            return seq(
-                share_context(ctx, 2), par(Id(g), _translate(c1)), _translate(c2)
-            )
-        router, pn, pm, gn = split
+        router, pn, pm, gn = _split_binary(ctx, n, m)
         return seq(router, par(Id(gn), _translate(pm)), _translate(pn))
     if node.rule == "W":
         (child,) = node.children

@@ -294,3 +294,44 @@ class TestShareCheck:
         assert main(["share-check", f, "--basis", "Z", "--copies", "2", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc == {"2": True}
+
+
+class TestRefusedInputs:
+    """Option values and files the commands cannot use exit 2, never with a
+    traceback or a verdict."""
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "abc"])
+    @pytest.mark.parametrize("command", ["equiv", "rules"])
+    def test_tolerance_must_be_finite_and_non_negative(self, write, capsys, command, tol):
+        f = write("h.zeta", "H")
+        args = {"equiv": ["equiv", f, f], "rules": ["rules"]}[command]
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--tol", tol])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--tol" in captured.err
+
+    def test_zero_tolerance_accepted(self, write, capsys):
+        f = write("h.zeta", "H")
+        assert main(["equiv", f, f, "--tol", "0"]) == 0
+
+    @pytest.mark.parametrize("copies", ["abc", "1..x", "2..", "3..2", "-1"])
+    def test_copies_must_be_a_count_or_range(self, write, capsys, copies):
+        f = write("xpi.zeta", "X[1]^pi")
+        assert main(["share-check", f, "--copies", copies]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and "--copies" in captured.err
+
+    def test_zero_copies_accepted(self, write, capsys):
+        f = write("xpi.zeta", "X[1]^pi")
+        assert main(["share-check", f, "--copies", "0..1"]) == 0
+        assert capsys.readouterr().out.count("yes") == 2
+
+    @pytest.mark.parametrize("command", ["check", "eval", "share-check"])
+    def test_file_not_utf8(self, tmp_path, capsys, command):
+        f = tmp_path / "latin1.zeta"
+        f.write_bytes("Z x:1. <x, \xe9>".encode("latin-1"))
+        assert main([command, str(f)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "not UTF-8" in err

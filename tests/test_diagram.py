@@ -15,7 +15,6 @@ from zetacalc.diagram import (
     Perm,
     Seq,
     Spider,
-    arity,
     cup_many,
     discard,
     from_json,
@@ -36,12 +35,12 @@ from conftest import random_diagram
 
 class TestArity:
     def test_generators(self):
-        assert arity(Spider(Basis.Z, Phase.zero(), 2, 3)) == arity(
-            Seq(Spider(Basis.Z, Phase.zero(), 2, 3), Id(3))
-        )
-        assert arity(Cup()).outputs == 2
-        assert arity(Cap()).inputs == 2
-        assert arity(Had()).inputs == 1
+        s = Spider(Basis.Z, Phase.zero(), 2, 3)
+        d = Seq(s, Id(3))
+        assert (s.inputs, s.outputs) == (d.inputs, d.outputs) == (2, 3)
+        assert Cup().outputs == 2
+        assert Cap().inputs == 2
+        assert Had().inputs == 1
 
     def test_seq_mismatch(self):
         # rejected when the node is built, not when its arity is asked for
@@ -56,8 +55,8 @@ class TestArity:
         assert not hasattr(d, "__dict__") and not hasattr(Had(), "__dict__")
 
     def test_par_sums(self):
-        a = arity(Par(Spider(Basis.X, Phase.zero(), 1, 2), Cup()))
-        assert (a.inputs, a.outputs) == (1, 4)
+        d = Par(Spider(Basis.X, Phase.zero(), 1, 2), Cup())
+        assert (d.inputs, d.outputs) == (1, 4)
 
     def test_negative_rejected(self):
         with pytest.raises(DiagramError):
@@ -88,8 +87,7 @@ class TestPermutation:
             assert d == Id(5)
         else:
             assert d == Perm(tuple(perm))
-        a = arity(d)
-        assert a.inputs == a.outputs == 5
+        assert d.inputs == d.outputs == 5
         m = denote(d)
         # out_bits[perm[i]] = in_bits[i]
         for src in range(8):  # sample a few basis states
@@ -114,8 +112,8 @@ class TestBuilders:
         assert upsilon(3, Basis.Z, 1) == Id(3)
 
     def test_upsilon_arity(self):
-        a = arity(upsilon(2, Basis.X, 3))
-        assert (a.inputs, a.outputs) == (2, 6)
+        d = upsilon(2, Basis.X, 3)
+        assert (d.inputs, d.outputs) == (2, 6)
 
     def test_upsilon_copy_major(self):
         # |01> shared over Z must land on |01|01> (copy-major), not |00|11>

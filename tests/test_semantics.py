@@ -3,19 +3,30 @@ import json
 import numpy as np
 import pytest
 
-from zetacalc.diagram import ArityError, Id, Par, Perm, Seq, Spider, arity, par, seq, upsilon
+from zetacalc.diagram import ArityError, Id, Par, Perm, Seq, Spider, par, seq, upsilon
 from zetacalc.evaluator import denote, equal_up_to_scalar, oracle_contract
 from zetacalc.semantics import (
     TranslationError,
+    _peel,
     _split_binary,
-    _used_names,
     context_labels,
     eval_as_map,
     share_context,
     translate,
 )
 from zetacalc.syntax import Basis, Phase, free_vars, parse, substitute
-from zetacalc.types import Context, Entry, Numeral, ZetaTypeError, context_of, infer, size
+from zetacalc.types import (
+    Context,
+    Derivation,
+    Entry,
+    Numeral,
+    Tensor,
+    ZetaTypeError,
+    context_of,
+    infer,
+    size,
+    validate_derivation,
+)
 
 from conftest import rule_sides, term_pool, translated_diagrams
 
@@ -32,18 +43,17 @@ class TestArities:
     def test_pool_arity_soundness(self):
         for src in term_pool():
             jd = jd_of(src)
-            a = arity(jd.diagram)
-            assert a.inputs == jd.ctx.wire_count()
-            assert a.outputs == size(jd.type)
-            assert len(jd.input_labels) == a.inputs
-            assert len(jd.output_labels) == a.outputs
+            d = jd.diagram
+            assert d.inputs == jd.ctx.wire_count()
+            assert d.outputs == size(jd.type)
+            assert len(jd.input_labels) == d.inputs
+            assert len(jd.output_labels) == d.outputs
 
     def test_open_terms(self):
         ctx = context_of(("x", Basis.Z, Q), ("y", Basis.X, Numeral(2)))
         for src in ["<x, y>", "x", "<y, <x, x>>"]:
             jd = jd_of(src, ctx)
-            a = arity(jd.diagram)
-            assert a.inputs == 3
+            assert jd.diagram.inputs == 3
 
     def test_variable_is_identity(self):
         jd = jd_of("x", context_of(("x", Basis.Z, Q)))
@@ -64,8 +74,7 @@ class TestShareContext:
     def test_two_entries_copy_major(self):
         ctx = context_of(("x", Basis.Z, Q), ("y", Basis.X, Q))
         d = share_context(ctx, 2)
-        a = arity(d)
-        assert (a.inputs, a.outputs) == (2, 4)
+        assert (d.inputs, d.outputs) == (2, 4)
         m = denote(d)
         o = oracle_contract(d)
         assert np.max(np.abs(m - o)) < 1e-9
@@ -82,8 +91,7 @@ class TestShareContext:
     def test_share_zero_discards(self):
         ctx = context_of(("x", Basis.Z, Q))
         d = share_context(ctx, 0)
-        a = arity(d)
-        assert (a.inputs, a.outputs) == (1, 0)
+        assert (d.inputs, d.outputs) == (1, 0)
 
 
 class TestSharingTerm:
@@ -116,8 +124,7 @@ class TestEvalAsMap:
         jd = jd_of("\\f:1->1. \\x:1. f x")
         once = eval_as_map(jd)
         twice = eval_as_map(once)
-        a = arity(twice.diagram)
-        assert (a.inputs, a.outputs) == (3, 1)
+        assert (twice.diagram.inputs, twice.diagram.outputs) == (3, 1)
 
     def test_effect_as_map(self):
         m = denote(eval_as_map(jd_of("Z[-1]^pi")).diagram)
@@ -209,9 +216,10 @@ class TestDeepComposition:
 
 class TestRouting:
     def test_w_chains_keep_exactly_the_free_variables(self):
-        # binary nodes route each entry by the names its children keep past
-        # their W chains; for inferred derivations those are the free
-        # variables, so the literal-sharing fallback is never taken
+        # past the peeled weakenings of the node's context, each child of a
+        # binary node keeps exactly the entries its term uses, and a let body
+        # keeps its own binders, used or not: every inferred derivation is in
+        # the normal form translate takes
         binary = 0
         for ctx, term in [(EMPTY, parse(s)) for s in term_pool()] + rule_sides():
             try:
@@ -221,14 +229,54 @@ class TestRouting:
             for node in d.walk():
                 if node.rule not in ("A", "T", "E"):
                     continue
-                for child in node.children:
-                    assert _used_names(child) == set(free_vars(child.term))
+                names = set(node.ctx.names)
                 c1, c2 = node.children
+                for child in node.children:
+                    kept = {e.name for e in _peel(child, names).ctx}
+                    assert kept & names == set(free_vars(child.term)) & names
+                    own = set()
+                    if node.rule == "E" and child is c2:
+                        own = {node.term.var1, node.term.var2}
+                    assert kept - names == own
                 if node.rule == "E":
                     c1, c2 = c2, c1
-                assert _split_binary(node.ctx, c1, c2) is not None
+                _split_binary(node.ctx, c1, c2)
                 binary += 1
         assert binary > 500
+
+
+class TestNormalFormContract:
+    """Derivations that validate_derivation accepts but that are not in the
+    W/C-normal form infer builds are refused, not translated."""
+
+    X1 = context_of(("x", Basis.Z, Q))
+
+    def refused(self, d, match):
+        validate_derivation(d)
+        with pytest.raises(TranslationError, match=match):
+            translate(d)
+
+    def test_entry_kept_by_both_children(self):
+        # the G child keeps x with no W
+        term = parse("<x, Z[1]>")
+        v = Derivation("V", self.X1, term.left, Q)
+        g = Derivation("G", self.X1, term.right, Q)
+        self.refused(Derivation("T", self.X1, term, Tensor(Q, Q), (v, g)), "both children")
+
+    def test_entry_kept_by_neither_child(self):
+        term = parse("<Z[1], Z[1]>")
+        g = Derivation("G", EMPTY, term.left, Q)
+        w = Derivation("W", self.X1, term.left, Q, (g,), {"entry": self.X1.entries[0], "index": 0})
+        self.refused(Derivation("T", self.X1, term, Tensor(Q, Q), (w, w)), "neither child")
+
+    def test_variable_over_an_unused_entry(self):
+        ctx = context_of(("x", Basis.Z, Q), ("y", Basis.X, Q))
+        self.refused(Derivation("V", ctx, parse("x"), Q), "rule V")
+
+    @pytest.mark.parametrize("src,rule", [("Z[1]", "G"), ("Z[-1]", "D"), ("*", "U")])
+    def test_constant_over_an_unused_entry(self, src, rule):
+        _, d = infer(EMPTY, parse(src))
+        self.refused(Derivation(rule, self.X1, d.term, d.type), f"rule {rule}")
 
 
 def _removable_units(d):
