@@ -212,6 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--ctx", default="", help="context, e.g. 'x:Z:1, f:X:1->1*1'")
         sp.add_argument("--json", action="store_true", help="machine-readable output")
+
+    def tolerance(sp):
         sp.add_argument("--tol", type=_tolerance, default=1e-9,
                         help="comparison tolerance, a finite number >= 0")
 
@@ -237,10 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file1")
     sp.add_argument("file2")
     common(sp)
+    tolerance(sp)
     sp.set_defaults(fn=cmd_equiv)
 
     sp = sub.add_parser("rules", help="run the equational-theory soundness suite")
     common(sp)
+    tolerance(sp)
     sp.set_defaults(fn=cmd_rules)
 
     sp = sub.add_parser("share-check", help="check commutation with sharing")
@@ -248,6 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--basis", choices=["Z", "X"], default="Z")
     sp.add_argument("--copies", default="2..3", help="copy counts, e.g. 2..3 or 2")
     common(sp)
+    tolerance(sp)
     sp.set_defaults(fn=cmd_share_check)
     return p
 

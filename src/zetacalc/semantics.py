@@ -2,8 +2,17 @@
 
 Every judgement Gamma |- M : A becomes a diagram whose input wires carry the
 labels of the context (in context order) and whose output wires carry the
-labels of A. Abstraction bends the binder's wires into dual outputs via
-cups; application caps the dual outputs of the function against the
+labels of A. An abstraction's body is a (Gamma, A) -> B map: the binder
+rotation (none when its phase is zero, as a phase-0 (1,1) spider is an
+identity), then the body's diagram. As a state, the abstraction bends the
+binder's wires into dual outputs via cups.
+
+A beta-redex, an application whose function is an abstraction, is composed,
+not snaked: the argument's outputs feed the body's binder wires directly,
+which is the yanking equation of compact closure applied as the diagram is
+built. Likewise `eval_as_map` of an abstraction returns its body. Only an
+application of another function head (a variable, a let, an abstraction
+under a contraction) caps the dual outputs of the function against the
 argument's outputs, pairing label a* with label a in label order; the
 function and argument diagrams run side by side, as one `par`.
 
@@ -24,7 +33,8 @@ no case of their own: they vanish as the diagram is built.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 from .diagram import (
     Cap,
@@ -64,6 +74,9 @@ class JudgementDiagram:
     diagram: Diagram
     input_labels: tuple
     output_labels: tuple
+    # the (Gamma, A) -> B map of an abstraction at the root, which
+    # eval_as_map returns in place of capping the state's dual outputs
+    body: Optional[Diagram] = field(default=None, compare=False, repr=False)
 
     def to_json_obj(self) -> dict:
         return {
@@ -164,10 +177,13 @@ def _split_binary(ctx: Context, c1: Derivation, c2: Derivation):
 
 def translate(derivation: Derivation) -> JudgementDiagram:
     """Structural translation of a derivation in the W/C-normal form that
-    `infer` builds (see the module docstring). Raises TranslationError on a
-    derivation in another shape, even one `validate_derivation` accepts, and
-    on an application of a non-function type."""
-    d = _translate(derivation)
+    `infer` builds (see the module docstring). Every beta-redex is composed,
+    with no cup/cap snake; an abstraction at the root keeps its body for
+    `eval_as_map`. Raises TranslationError on a derivation in another shape,
+    even one `validate_derivation` accepts, and on an application of a
+    non-function type."""
+    body = _body(derivation) if derivation.rule == "B" else None
+    d = _translate(derivation) if body is None else _bend(derivation, body)
     return JudgementDiagram(
         derivation.ctx,
         derivation.term,
@@ -175,7 +191,32 @@ def translate(derivation: Derivation) -> JudgementDiagram:
         d,
         context_labels(derivation.ctx),
         tuple(labels(derivation.type)),
+        body,
     )
+
+
+def _body(node: Derivation) -> Diagram:
+    """The (Gamma, A) -> B map of a `B` node: the binder rotation, dropped
+    when its phase is zero, then the body's diagram."""
+    (child,) = node.children
+    term: Abs = node.term
+    if term.phase.is_zero:
+        return _translate(child)
+    g = node.ctx.wire_count()
+    a = size(child.ctx.entries[-1].type)
+    rot = par(*(Spider(term.basis, term.phase, 1, 1) for _ in range(a)))
+    return seq(par(Id(g), rot), _translate(child))
+
+
+def _bend(node: Derivation, body: Diagram) -> Diagram:
+    """The state of a `B` node with body `body`: Gamma -> [Gamma, dual
+    block, copy block], move the duals to the front, then run the body on
+    [Gamma, copy block]."""
+    g = node.ctx.wire_count()
+    a = size(node.children[0].ctx.entries[-1].type)
+    stage1 = par(Id(g), cup_many(a))
+    perm = list(range(a, a + g)) + list(range(a)) + list(range(a + g, 2 * a + g))
+    return seq(stage1, permutation(perm), par(Id(a), body))
 
 
 def _translate(node: Derivation) -> Diagram:
@@ -198,23 +239,16 @@ def _translate(node: Derivation) -> Diagram:
         k = -gen.n
         return seq(cup_many(k), par(Id(k), Spider(gen.basis, gen.phase, k, 0)))
     if node.rule == "B":
-        (child,) = node.children
-        term: Abs = node.term
-        g = ctx.wire_count()
-        a = size(child.ctx.entries[-1].type)
-        rot = par(*(Spider(term.basis, term.phase, 1, 1) for _ in range(a)))
-        body_rot = seq(par(Id(g), rot), _translate(child))
-        # Gamma -> [Gamma, dual block, copy block], move duals to the front,
-        # then run the rotated body on [Gamma, copy block].
-        stage1 = par(Id(g), cup_many(a))
-        perm = list(range(a, a + g)) + list(range(a)) + list(range(a + g, 2 * a + g))
-        return seq(stage1, permutation(perm), par(Id(a), body_rot))
+        return _bend(node, _body(node))
     if node.rule == "A":
         c1, c2 = node.children
         parts = fn_parts(c1.type)
         if parts is None:
             raise TranslationError("application of a non-function type")
-        router, p1, p2, _ = _split_binary(ctx, c1, c2)
+        router, p1, p2, g1 = _split_binary(ctx, c1, c2)
+        if p1.rule == "B":
+            # a redex: the argument feeds the body's binder wires
+            return seq(router, par(Id(g1), _translate(p2)), _body(p1))
         both = par(_translate(p1), _translate(p2))
         return seq(router, both, _caps(size(parts[0]), size(parts[1])))
     if node.rule == "T":
@@ -246,19 +280,22 @@ def _translate(node: Derivation) -> Diagram:
 
 
 def eval_as_map(jd: JudgementDiagram) -> JudgementDiagram:
-    """Uncurry once: bend the A* outputs of a function-typed judgement back
-    into inputs, yielding a (Gamma, A) -> B judgement diagram."""
+    """Uncurry once, yielding a (Gamma, A) -> B judgement diagram: the body
+    of an abstraction at the root as it is, else the state with its A*
+    outputs bent back into inputs."""
     parts = fn_parts(jd.type)
     if parts is None:
         raise TranslationError(
             f"type {print_type(jd.type)} is not of function shape A* (x) B"
         )
     a_t, b_t = parts
+    in_labels = jd.input_labels + tuple(("<map-arg>", l) for l in labels(a_t))
+    out_labels = tuple(labels(b_t))
+    if jd.body is not None:
+        return JudgementDiagram(jd.ctx, jd.term, b_t, jd.body, in_labels, out_labels)
     a, b = size(a_t), size(b_t)
-    g = jd.ctx.wire_count()
     # inputs [Gamma, A]; run the state diagram on Gamma, carry A through,
     # then cap each dual output against the matching carried input.
     staged = par(jd.diagram, Id(a))  # (g+a) -> (a + b + a)
     capped = seq(staged, _caps(a, b))
-    in_labels = jd.input_labels + tuple(("<map-arg>", l) for l in labels(a_t))
-    return JudgementDiagram(jd.ctx, jd.term, b_t, capped, in_labels, tuple(labels(b_t)))
+    return JudgementDiagram(jd.ctx, jd.term, b_t, capped, in_labels, out_labels)

@@ -5,11 +5,27 @@ from functools import reduce
 
 import pytest
 
-from zetacalc.diagram import Cap, Cup, Had, Id, Par, Perm, Scalar, Seq, Spider
-from zetacalc.semantics import eval_as_map, translate
+from zetacalc.diagram import (
+    Cap,
+    Cup,
+    Had,
+    Id,
+    Par,
+    Perm,
+    Scalar,
+    Seq,
+    Spider,
+    cup_many,
+    discard,
+    par,
+    permutation,
+    seq,
+    upsilon,
+)
+from zetacalc.semantics import _split_binary, eval_as_map, translate
 from zetacalc.syntax import Basis, Phase, parse
 from zetacalc.theory import standard_instances
-from zetacalc.types import Context, ZetaTypeError, fn_parts, infer
+from zetacalc.types import Context, ZetaTypeError, fn_parts, infer, size
 
 
 def term_pool() -> list[str]:
@@ -84,6 +100,76 @@ def translated_diagrams():
                 src = f"{basis}{phase} x:1. " + "<x," * (ways - 1) + "x" + ">" * (ways - 1)
                 yield src, eval_as_map(jd_of(src)).diagram
     yield "higher-order", jd_of("(X f:1->1*1. <f,f>) (Z x:1. <x,x>)").diagram
+
+
+def _literal_caps(a: int, mid: int):
+    """Cap wire i against wire a + mid + i (i < a), passing the mid wires
+    through: a (2a + mid) -> mid diagram."""
+    perm = [0] * (2 * a + mid)
+    for i in range(a):
+        perm[i], perm[a + mid + i] = 2 * i, 2 * i + 1
+    for j in range(mid):
+        perm[a + j] = 2 * a + j
+    return seq(permutation(perm), par(*([Cap()] * a), Id(mid)))
+
+
+def literal_translate(node):
+    """The snaked reference translation of a derivation in the W/C-normal
+    form: every abstraction is a state whose binder wires a cup bends into
+    dual outputs, with its binder rotation kept at phase 0, and every
+    application, a beta-redex too, caps those outputs against the
+    argument's. `translate` composes redexes instead; the yanking equation
+    says the two denote the same matrix."""
+    ctx = node.ctx
+    offs = [0]
+    for e in ctx:
+        offs.append(offs[-1] + size(e.type))
+    if node.rule == "U":
+        return Id(0)
+    if node.rule == "V":
+        return Id(size(node.type))
+    if node.rule == "G":
+        return Spider(node.term.basis, node.term.phase, 0, node.term.n)
+    if node.rule == "D":
+        k = -node.term.n
+        return seq(cup_many(k), par(Id(k), Spider(node.term.basis, node.term.phase, k, 0)))
+    if node.rule == "B":
+        (child,) = node.children
+        g, a = offs[-1], size(child.ctx.entries[-1].type)
+        rot = par(*(Spider(node.term.basis, node.term.phase, 1, 1) for _ in range(a)))
+        body = seq(par(Id(g), rot), literal_translate(child))
+        perm = list(range(a, a + g)) + list(range(a)) + list(range(a + g, 2 * a + g))
+        return seq(par(Id(g), cup_many(a)), permutation(perm), par(Id(a), body))
+    if node.rule == "A":
+        c1, c2 = node.children
+        a_t, b_t = fn_parts(c1.type)
+        router, p1, p2, _ = _split_binary(ctx, c1, c2)
+        both = par(literal_translate(p1), literal_translate(p2))
+        return seq(router, both, _literal_caps(size(a_t), size(b_t)))
+    if node.rule == "T":
+        router, p1, p2, _ = _split_binary(ctx, *node.children)
+        return seq(router, par(literal_translate(p1), literal_translate(p2)))
+    if node.rule == "E":
+        m, n = node.children
+        router, pn, pm, gn = _split_binary(ctx, n, m)
+        return seq(router, par(Id(gn), literal_translate(pm)), literal_translate(pn))
+    i = node.payload["index"]
+    e = ctx.entries[i]
+    before, after = offs[i], offs[-1] - offs[i + 1]
+    if node.rule == "W":
+        stage = discard(size(e.type), e.basis)
+    else:
+        stage = upsilon(size(e.type), e.basis, node.payload["arity"])
+    (child,) = node.children
+    return seq(par(Id(before), stage, Id(after)), literal_translate(child))
+
+
+def literal_map(node):
+    """The snaked reference of `eval_as_map`: the state of a function-typed
+    derivation with its A* outputs capped against carried A inputs."""
+    a_t, b_t = fn_parts(node.type)
+    a = size(a_t)
+    return seq(par(literal_translate(node), Id(a)), _literal_caps(a, size(b_t)))
 
 
 @pytest.fixture

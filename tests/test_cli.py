@@ -90,6 +90,25 @@ class TestFreshProcess:
         assert r.returncode == 0, r.stderr
         assert r.stdout.splitlines()[0] == "(1 -> 1) -> 1 -> 1"
 
+    def test_deep_chain_at_the_default_recursion_limit(self, write):
+        # composed redexes keep the H x 200 diagram shallow enough for the
+        # recursive JSON writer and the evaluation walk
+        f = write("hchain.zeta", " o ".join(["H"] * 200))
+        src = str(Path(zetacalc.__file__).resolve().parents[1])
+        path = [src, os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+        for args, expect in [
+            (["diagram", f], '"diagram"'),
+            (["diagram", f, "--format", "dot"], "digraph"),
+            (["eval", "--as-map", f], "[2x2]"),
+        ]:
+            r = subprocess.run(
+                [sys.executable, "-m", "zetacalc.cli", *args],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert r.returncode == 0, (args, r.stderr)
+            assert expect in r.stdout, args
+
 
 class TestDiagram:
     def test_json_has_sharing_spider(self, write, capsys):
@@ -181,14 +200,14 @@ class TestBudgetCountsTensors:
         assert main(["equiv", f1, f2]) == 0
         assert capsys.readouterr().out.startswith("EQUIVALENT")
 
-    def test_twelve_way_copy_map(self, write, capsys, monkeypatch):
-        # 14 wires wide, but its walk holds a 2^15-entry tensor
-        f = write("copy12.zeta", _copy_map(12))
+    def test_fourteen_way_copy_map(self, write, capsys, monkeypatch):
+        # a 1 -> 14 spider, a 15-leg tensor, one over the default budget
+        f = write("copy14.zeta", _copy_map(14))
         assert main(["eval", "--as-map", f]) == 3
         assert "15 legs" in capsys.readouterr().err
         monkeypatch.setenv("ZETA_WIRE_BUDGET", "15")
         assert main(["eval", "--as-map", f]) == 0
-        assert "[4096x2]" in capsys.readouterr().out
+        assert "[16384x2]" in capsys.readouterr().out
 
     def test_share_check_honours_env(self, write, capsys, monkeypatch):
         # sharing one wire 3 ways is a 1 -> 3 spider, a 4-leg tensor
@@ -314,6 +333,15 @@ class TestRefusedInputs:
     def test_zero_tolerance_accepted(self, write, capsys):
         f = write("h.zeta", "H")
         assert main(["equiv", f, f, "--tol", "0"]) == 0
+
+    @pytest.mark.parametrize("command", ["check", "diagram", "eval"])
+    def test_tolerance_only_where_a_comparison_reads_it(self, write, capsys, command):
+        f = write("h.zeta", "H")
+        with pytest.raises(SystemExit) as exc:
+            main([command, f, "--tol", "1e-9"])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+        assert main(["equiv", f, f, "--tol", "1e-9"]) == 0
 
     @pytest.mark.parametrize("copies", ["abc", "1..x", "2..", "3..2", "-1"])
     def test_copies_must_be_a_count_or_range(self, write, capsys, copies):

@@ -19,6 +19,7 @@ from zetacalc.diagram import (
     Seq,
     Spider,
     from_json,
+    max_width,
     par,
     seq,
     to_json,
@@ -42,7 +43,7 @@ from zetacalc.semantics import eval_as_map, translate
 from zetacalc.syntax import Basis, Phase, parse
 from zetacalc.types import Context, fn_parts, infer
 
-from conftest import random_diagram, term_pool, translated_diagrams
+from conftest import literal_map, random_diagram, term_pool, translated_diagrams
 
 Z0 = Phase.zero()
 
@@ -443,11 +444,15 @@ class TestWireBudget:
             assert _largest_legs(d, k - 1) <= k - 1, src
 
     def test_counts_tensors_not_width(self):
-        # the H chain is 87 wires wide at its widest, but its walk holds
-        # 4-leg tensors at most
-        d = _map_of(" o ".join(["H"] * 20))
+        # the snaked cup/cap translation of the H chain is 239 wires wide at
+        # its widest, but its walk holds 4-leg tensors at most
+        _, deriv = infer(Context(), parse(" o ".join(["H"] * 20)))
+        d = literal_map(deriv)
+        assert max_width(d) == 239
         assert _largest_legs(d) == 4
         assert equal_up_to_scalar(denote(d, 4), np.eye(2)) is not None
+        with pytest.raises(WireBudgetError):
+            denote(d, 3)
 
     def test_identity_map_counts_its_matrix(self):
         # an 8-wire identity map holds one array, its 2^16-entry matrix

@@ -3,7 +3,20 @@ import json
 import numpy as np
 import pytest
 
-from zetacalc.diagram import ArityError, Id, Par, Perm, Seq, Spider, par, seq, upsilon
+from zetacalc.diagram import (
+    ArityError,
+    Cap,
+    Cup,
+    Id,
+    Par,
+    Perm,
+    Seq,
+    Spider,
+    generators,
+    par,
+    seq,
+    upsilon,
+)
 from zetacalc.evaluator import denote, equal_up_to_scalar, oracle_contract
 from zetacalc.semantics import (
     TranslationError,
@@ -23,12 +36,13 @@ from zetacalc.types import (
     Tensor,
     ZetaTypeError,
     context_of,
+    fn_parts,
     infer,
     size,
     validate_derivation,
 )
 
-from conftest import rule_sides, term_pool, translated_diagrams
+from conftest import literal_map, literal_translate, rule_sides, term_pool, translated_diagrams
 
 EMPTY = Context()
 Q = Numeral(1)
@@ -323,3 +337,71 @@ class TestNoRemovableUnits:
         h = Spider(Basis.X, Phase.exact(1, 2), 1, 1)
         assert seq(Id(1), h, Id(1)) == h
         assert par(Id(0), h, Id(0)) == h
+
+
+def _derivations():
+    """(label, derivation) for the pool, every typed rule side and the
+    H x 1..20 chains."""
+    cases = [(src, EMPTY, parse(src)) for src in term_pool()]
+    cases += [(str(term), ctx, term) for ctx, term in rule_sides()]
+    cases += [(f"H x {k}", EMPTY, parse(" o ".join(["H"] * k))) for k in range(1, 21)]
+    for label, ctx, term in cases:
+        try:
+            _, d = infer(ctx, term)
+        except ZetaTypeError:
+            continue
+        yield label, d
+
+
+def _leaf_kinds(d) -> list:
+    return [type(leaf) for leaf, _ in generators(d)]
+
+
+class TestComposedRedexes:
+    """`translate` composes every beta-redex and `eval_as_map` returns an
+    abstraction's body; the snaked cup/cap translation is the reference."""
+
+    def test_matches_the_literal_cup_cap_translation(self):
+        count = 0
+        for label, d in _derivations():
+            jd = translate(d)
+            pairs = [(jd.diagram, literal_translate(d))]
+            if fn_parts(jd.type) is not None:
+                pairs.append((eval_as_map(jd).diagram, literal_map(d)))
+            for composed, snaked in pairs:
+                assert (composed.inputs, composed.outputs) == (snaked.inputs, snaked.outputs)
+                for evaluate in (denote, oracle_contract):
+                    diff = evaluate(composed) - evaluate(snaked)
+                    assert diff.size == 0 or np.max(np.abs(diff)) < 1e-12, label
+                count += 1
+        assert count > 800
+
+    @pytest.mark.parametrize("k", range(1, 21))
+    def test_h_chain_map_is_its_spiders(self, k):
+        kinds = _leaf_kinds(eval_as_map(jd_of(" o ".join(["H"] * k))).diagram)
+        assert kinds.count(Spider) == 3 * k
+        assert not {Cup, Cap, Perm} & set(kinds)
+
+    def test_no_redex_leaves_a_cap(self):
+        # an application caps one wire per wire of its argument, unless its
+        # function is an abstraction, which is composed with no Cap; so the
+        # Caps of a diagram are exactly those of its other applications
+        redexes = 0
+        for label, d in _derivations():
+            expected = 0
+            for node in d.walk():
+                if node.rule != "A":
+                    continue
+                head, _ = node.children
+                if _peel(head, set(node.ctx.names)).rule == "B":
+                    redexes += 1
+                else:
+                    expected += size(fn_parts(head.type)[0])
+            caps = _leaf_kinds(translate(d).diagram).count(Cap)
+            assert caps == expected, label
+        assert redexes > 500
+
+    def test_phase_zero_binder_has_no_rotation(self):
+        assert eval_as_map(jd_of("Z x:1. x")).diagram == Id(1)
+        rotated = eval_as_map(jd_of("Z^pi/2 x:1. x")).diagram
+        assert rotated == Spider(Basis.Z, Phase.exact(1, 2), 1, 1)
