@@ -209,9 +209,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="zeta", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
+    def json_output(sp):
+        sp.add_argument("--json", action="store_true", help="machine-readable output")
+
     def common(sp):
         sp.add_argument("--ctx", default="", help="context, e.g. 'x:Z:1, f:X:1->1*1'")
-        sp.add_argument("--json", action="store_true", help="machine-readable output")
+        json_output(sp)
 
     def tolerance(sp):
         sp.add_argument("--tol", type=_tolerance, default=1e-9,
@@ -243,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_equiv)
 
     sp = sub.add_parser("rules", help="run the equational-theory soundness suite")
-    common(sp)
+    json_output(sp)
     tolerance(sp)
     sp.set_defaults(fn=cmd_rules)
 

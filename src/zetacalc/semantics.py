@@ -10,7 +10,9 @@ binder's wires into dual outputs via cups.
 A beta-redex, an application whose function is an abstraction, is composed,
 not snaked: the argument's outputs feed the body's binder wires directly,
 which is the yanking equation of compact closure applied as the diagram is
-built. Likewise `eval_as_map` of an abstraction returns its body. Only an
+built. Likewise `eval_as_map` of an abstraction returns its body, and of
+that body, when it is the state of an inner abstraction, the inner body
+after the outer binder's rotation, and so on down the chain. Only an
 application of another function head (a variable, a let, an abstraction
 under a contraction) caps the dual outputs of the function against the
 argument's outputs, pairing label a* with label a in label order; the
@@ -28,13 +30,18 @@ derivation in another shape raises TranslationError, even one that
 Every diagram here is built with `seq` and `par`, which apply the monoidal
 unit laws, so empty contexts, zero-wire binders and identity routings need
 no case of their own: they vanish as the diagram is built.
+
+A derivation node with an empty context may be shared (see `types`): one
+`translate` call builds its diagram, or an abstraction's body, once, and the
+diagram shares it at every occurrence. Diagram walks, such as `generators`,
+`to_json_obj` and `to_dot`, still visit a shared sub-diagram once per
+occurrence.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .diagram import (
     Cap,
@@ -74,9 +81,9 @@ class JudgementDiagram:
     diagram: Diagram
     input_labels: tuple
     output_labels: tuple
-    # the (Gamma, A) -> B map of an abstraction at the root, which
-    # eval_as_map returns in place of capping the state's dual outputs
-    body: Optional[Diagram] = field(default=None, compare=False, repr=False)
+    # the maps that successive eval_as_map calls return in place of capping
+    # the state's dual outputs, while the root is a chain of abstractions
+    maps: tuple = field(default=(), compare=False, repr=False)
 
     def to_json_obj(self) -> dict:
         return {
@@ -178,12 +185,19 @@ def _split_binary(ctx: Context, c1: Derivation, c2: Derivation):
 def translate(derivation: Derivation) -> JudgementDiagram:
     """Structural translation of a derivation in the W/C-normal form that
     `infer` builds (see the module docstring). Every beta-redex is composed,
-    with no cup/cap snake; an abstraction at the root keeps its body for
-    `eval_as_map`. Raises TranslationError on a derivation in another shape,
-    even one `validate_derivation` accepts, and on an application of a
-    non-function type."""
-    body = _body(derivation) if derivation.rule == "B" else None
-    d = _translate(derivation) if body is None else _bend(derivation, body)
+    with no cup/cap snake; an abstraction at the root keeps its bodies for
+    `eval_as_map`. A node with an empty context that the derivation shares
+    is translated once, and the diagram shares the result. Raises
+    TranslationError on a derivation in another shape, even one
+    `validate_derivation` accepts, and on an application of a non-function
+    type."""
+    # id of an empty-context node -> its diagram (an abstraction: its body)
+    shared: dict[int, Diagram] = {}
+    maps = _uncurried(derivation, shared)
+    if maps:
+        d = _bend(derivation, maps[0])
+    else:
+        d = _translate(derivation, shared)
     return JudgementDiagram(
         derivation.ctx,
         derivation.term,
@@ -191,21 +205,63 @@ def translate(derivation: Derivation) -> JudgementDiagram:
         d,
         context_labels(derivation.ctx),
         tuple(labels(derivation.type)),
-        body,
+        maps,
     )
 
 
-def _body(node: Derivation) -> Diagram:
-    """The (Gamma, A) -> B map of a `B` node: the binder rotation, dropped
-    when its phase is zero, then the body's diagram."""
-    (child,) = node.children
+def _uncurried(root: Derivation, shared: dict) -> tuple:
+    """The maps that successive `eval_as_map` calls return, one per
+    abstraction in the chain N0 = root, N1 = N0's premise, ... while the
+    premise is an abstraction. Map i is N(i)'s body after the binder
+    rotations of N0..N(i-1), each on its own wires: the state that N(i-1)'s
+    body bends out, uncurried by yanking. Empty when the root is not `B`."""
+    chain = []
+    node = root
+    while node.rule == "B":
+        chain.append(node)
+        (node,) = node.children
+    if not chain:
+        return ()
+    # innermost first: each body bends the next one in
+    bodies = [_body(chain[-1], shared)]
+    for outer, inner in zip(reversed(chain[:-1]), reversed(chain[1:])):
+        bodies.insert(0, _rotated(outer, _bend(inner, bodies[0])))
+    maps, rotations = bodies[:1], Id(root.ctx.wire_count())
+    for outer, inner, body in zip(chain, chain[1:], bodies[1:]):
+        rotations = par(rotations, _rotation(outer))
+        a = size(inner.children[0].ctx.entries[-1].type)
+        maps.append(seq(par(rotations, Id(a)), body))
+    return tuple(maps)
+
+
+def _rotation(node: Derivation) -> Diagram:
+    """The binder rotation of a `B` node on its binder's wires: an Id when
+    its phase is zero, as a phase-0 (1,1) spider is an identity."""
     term: Abs = node.term
+    a = size(node.children[0].ctx.entries[-1].type)
     if term.phase.is_zero:
-        return _translate(child)
-    g = node.ctx.wire_count()
-    a = size(child.ctx.entries[-1].type)
-    rot = par(*(Spider(term.basis, term.phase, 1, 1) for _ in range(a)))
-    return seq(par(Id(g), rot), _translate(child))
+        return Id(a)
+    return par(*(Spider(term.basis, term.phase, 1, 1) for _ in range(a)))
+
+
+def _rotated(node: Derivation, premise: Diagram) -> Diagram:
+    """The (Gamma, A) -> B map of a `B` node whose premise's diagram is
+    `premise`: the binder rotation, then the premise."""
+    if node.term.phase.is_zero:
+        return premise
+    return seq(par(Id(node.ctx.wire_count()), _rotation(node)), premise)
+
+
+def _body(node: Derivation, shared: dict) -> Diagram:
+    """The (Gamma, A) -> B map of a `B` node, built once for a node with an
+    empty context."""
+    closed = not node.ctx.entries
+    if closed and id(node) in shared:
+        return shared[id(node)]
+    d = _rotated(node, _translate(node.children[0], shared))
+    if closed:
+        shared[id(node)] = d
+    return d
 
 
 def _bend(node: Derivation, body: Diagram) -> Diagram:
@@ -219,8 +275,15 @@ def _bend(node: Derivation, body: Diagram) -> Diagram:
     return seq(stage1, permutation(perm), par(Id(a), body))
 
 
-def _translate(node: Derivation) -> Diagram:
+def _translate(node: Derivation, shared: dict) -> Diagram:
+    """node's diagram, built once for a node with an empty context (an
+    abstraction: its body is)."""
     ctx, t = node.ctx, node.type
+    if node.rule == "B":
+        return _bend(node, _body(node, shared))
+    closed = not ctx.entries
+    if closed and id(node) in shared:
+        return shared[id(node)]
     if node.rule in ("U", "V", "G", "D"):
         if ctx.names != ([node.term.name] if node.rule == "V" else []):
             raise TranslationError(
@@ -228,19 +291,17 @@ def _translate(node: Derivation) -> Diagram:
                 " takes only the W/C-normal form that infer builds"
             )
     if node.rule == "U":
-        return Id(0)
-    if node.rule == "V":
-        return Id(size(t))
-    if node.rule == "G":
+        d = Id(0)
+    elif node.rule == "V":
+        d = Id(size(t))
+    elif node.rule == "G":
         gen: Gen = node.term
-        return Spider(gen.basis, gen.phase, 0, gen.n)
-    if node.rule == "D":
+        d = Spider(gen.basis, gen.phase, 0, gen.n)
+    elif node.rule == "D":
         gen = node.term
         k = -gen.n
-        return seq(cup_many(k), par(Id(k), Spider(gen.basis, gen.phase, k, 0)))
-    if node.rule == "B":
-        return _bend(node, _body(node))
-    if node.rule == "A":
+        d = seq(cup_many(k), par(Id(k), Spider(gen.basis, gen.phase, k, 0)))
+    elif node.rule == "A":
         c1, c2 = node.children
         parts = fn_parts(c1.type)
         if parts is None:
@@ -248,26 +309,27 @@ def _translate(node: Derivation) -> Diagram:
         router, p1, p2, g1 = _split_binary(ctx, c1, c2)
         if p1.rule == "B":
             # a redex: the argument feeds the body's binder wires
-            return seq(router, par(Id(g1), _translate(p2)), _body(p1))
-        both = par(_translate(p1), _translate(p2))
-        return seq(router, both, _caps(size(parts[0]), size(parts[1])))
-    if node.rule == "T":
+            d = seq(router, par(Id(g1), _translate(p2, shared)), _body(p1, shared))
+        else:
+            both = par(_translate(p1, shared), _translate(p2, shared))
+            d = seq(router, both, _caps(size(parts[0]), size(parts[1])))
+    elif node.rule == "T":
         router, p1, p2, _ = _split_binary(ctx, *node.children)
-        return seq(router, par(_translate(p1), _translate(p2)))
-    if node.rule == "E":
+        d = seq(router, par(_translate(p1, shared), _translate(p2, shared)))
+    elif node.rule == "E":
         m, n = node.children
         # layout [N's entries, M's entries]: run M, then feed its outputs as
         # the trailing x,y wires of N.
         router, pn, pm, gn = _split_binary(ctx, n, m)
-        return seq(router, par(Id(gn), _translate(pm)), _translate(pn))
-    if node.rule == "W":
+        d = seq(router, par(Id(gn), _translate(pm, shared)), _translate(pn, shared))
+    elif node.rule == "W":
         (child,) = node.children
         e, i = node.payload["entry"], node.payload["index"]
         offs = _wire_offsets(ctx)
         before, after = offs[i], offs[-1] - offs[i + 1]
         drop = par(Id(before), discard(size(e.type), e.basis), Id(after))
-        return seq(drop, _translate(child))
-    if node.rule == "C":
+        d = seq(drop, _translate(child, shared))
+    elif node.rule == "C":
         (child,) = node.children
         i = node.payload["index"]
         k = node.payload["arity"]
@@ -275,8 +337,12 @@ def _translate(node: Derivation) -> Diagram:
         offs = _wire_offsets(ctx)
         before, after = offs[i], offs[-1] - offs[i + 1]
         share = par(Id(before), upsilon(size(e.type), e.basis, k), Id(after))
-        return seq(share, _translate(child))
-    raise TranslationError(f"unknown rule {node.rule!r}")
+        d = seq(share, _translate(child, shared))
+    else:
+        raise TranslationError(f"unknown rule {node.rule!r}")
+    if closed:
+        shared[id(node)] = d
+    return d
 
 
 def eval_as_map(jd: JudgementDiagram) -> JudgementDiagram:
@@ -291,8 +357,10 @@ def eval_as_map(jd: JudgementDiagram) -> JudgementDiagram:
     a_t, b_t = parts
     in_labels = jd.input_labels + tuple(("<map-arg>", l) for l in labels(a_t))
     out_labels = tuple(labels(b_t))
-    if jd.body is not None:
-        return JudgementDiagram(jd.ctx, jd.term, b_t, jd.body, in_labels, out_labels)
+    if jd.maps:
+        return JudgementDiagram(
+            jd.ctx, jd.term, b_t, jd.maps[0], in_labels, out_labels, jd.maps[1:]
+        )
     a, b = size(a_t), size(b_t)
     # inputs [Gamma, A]; run the state diagram on Gamma, carry A through,
     # then cap each dual output against the matching carried input.

@@ -12,6 +12,7 @@ escape hatch.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -240,8 +241,11 @@ def compose(m: Term, n: Term, basis: Basis = Basis.Z) -> Term:
     return Abs(basis, Phase.zero(), x, None, App(m, App(n, Var(x))))
 
 
+@functools.cache
 def hadamard_term() -> Term:
-    """H  :=  rotZ^{pi/2} o rotX^{pi/2} o rotZ^{pi/2}"""
+    """H  :=  rotZ^{pi/2} o rotX^{pi/2} o rotZ^{pi/2}. Built once: every
+    call returns the same immutable term, so each H a parse reads is one
+    object, which inference and translation handle once."""
     half = Phase.exact(1, 2)
     return compose(
         rotation(Basis.Z, half),
@@ -446,6 +450,8 @@ class _Parser:
         self.pos = 0
         # Callback into the types module grammar for binder annotations.
         self.type_parser = type_parser
+        # one `rot` term per (basis, phase), so repeated rotations share
+        self.rotations: dict[tuple[Basis, Phase], Term] = {}
 
     def peek(self, ahead: int = 0) -> _Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -499,7 +505,10 @@ class _Parser:
             self.next()
             basis = self.basis()
             self.expect("^")
-            return rotation(basis, self.phase())
+            key = (basis, self.phase())
+            if key not in self.rotations:
+                self.rotations[key] = rotation(*key)
+            return self.rotations[key]
         if tok.kind in ("Z", "X"):
             if self.peek(1).kind == "[":
                 return self.gen()

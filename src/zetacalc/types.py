@@ -9,6 +9,13 @@ variables in one pass. Resolving touches only what unification can change:
 the resolved derivation shares every ground subtree (no type variable in its
 contexts or types) with the derivation first built, and reuses every type,
 entry, context and node in which nothing was bound.
+
+A closed subterm, derived under the empty context, is resolved as soon as it
+is derived. When that succeeds, the subterm is derived, resolved and
+translated once per term object: every other occurrence of the same object
+(each `H` of one parse, say) gets the same derivation node. So a derivation,
+and the diagram translated from it, may share subtrees, and
+`Derivation.walk` yields a shared node once per occurrence.
 """
 
 from __future__ import annotations
@@ -397,7 +404,8 @@ class Derivation:
     payload: dict = field(default_factory=dict)
 
     def walk(self):
-        """Every node in pre-order, children left to right."""
+        """Every node in pre-order, children left to right; a subtree the
+        derivation shares is walked once per occurrence."""
         todo = [self]
         while todo:
             node = todo.pop()
@@ -418,6 +426,18 @@ class _Inferencer:
     knows them by identity and returns them as they are. Binder annotations
     come from the concrete type syntax, which has no variables, so they
     count as ground.
+
+    A closed boundary is a term derived under the empty context (so it is
+    closed and `open_` is 0). Unification outside reaches the variables of
+    its subtree only through its type, so once the subtree is derived, and
+    if it created variables, `derive` resolves it there. If every variable
+    in it is bound, the resolved root replaces the subtree's `ground`
+    entries and is kept in `shared` under the term's id: each later
+    occurrence of that term object gets the same node, listed in `ground`
+    once per occurrence, and advances `counter` by the variables the first
+    derivation created, so every later `?N`, and every message naming one,
+    is as if the subtree were derived again. Otherwise the final `resolve`
+    handles the subtree as it would any other.
     """
 
     def __init__(self):
@@ -425,6 +445,10 @@ class _Inferencer:
         self.counter = 0
         self.origin: dict[int, str] = {}
         self.ground: list[Derivation] = []
+        # id(term) -> (term, resolved derivation, variables created) for each
+        # closed boundary resolved on the spot; holding the term keeps its id
+        # from being reused
+        self.shared: dict[int, tuple[Term, Derivation, int]] = {}
 
     def fresh(self, origin: str) -> TypeVar:
         self.counter += 1
@@ -476,18 +500,30 @@ class _Inferencer:
                     {"var": e.name, "basis": e.basis, "arity": k, "names": names, "index": i},
                 )
 
+        # a closed boundary (see the class docstring)
+        closed = term if not ctx.entries else None
+        if closed is not None:
+            hit = self.shared.get(id(term))
+            if hit is not None:
+                _, d, created = hit
+                self.counter += created
+                self.ground.append(d)
+                return d
+            before, first = self.counter, len(self.ground)
+
         if isinstance(term, Unit):
-            return Derivation("U", ctx, term, TOP)
-        if isinstance(term, Var):
+            d = Derivation("U", ctx, term, TOP)
+        elif isinstance(term, Var):
             e = ctx.get(term.name)
             if e is None:
                 raise UnboundVariableError(f"unbound variable {term.name}")
-            return Derivation("V", ctx, term, e.type)
-        if isinstance(term, Gen):
+            d = Derivation("V", ctx, term, e.type)
+        elif isinstance(term, Gen):
             if term.n >= 0:
-                return Derivation("G", ctx, term, Numeral(term.n))
-            return Derivation("D", ctx, term, Fn(Numeral(-term.n), TOP))
-        if isinstance(term, Abs):
+                d = Derivation("G", ctx, term, Numeral(term.n))
+            else:
+                d = Derivation("D", ctx, term, Fn(Numeral(-term.n), TOP))
+        elif isinstance(term, Abs):
             var, body = term.var, term.body
             if ctx.get(var) is not None:
                 var = _freshen(var, set(ctx.names) | body.fv.keys())
@@ -504,8 +540,8 @@ class _Inferencer:
                 a = self.fresh(f"binder {var}")
                 open_ += 1
             child = self.derive(ctx.extended(Entry(var, term.basis, a)), body, open_)
-            return Derivation("B", ctx, term, Fn(a, child.type), (child,))
-        if isinstance(term, App):
+            d = Derivation("B", ctx, term, Fn(a, child.type), (child,))
+        elif isinstance(term, App):
             # A takes a fresh variable below, so it is never ground
             start = self.counter
             d1 = self.derive(ctx, term.fn, open_)
@@ -520,8 +556,8 @@ class _Inferencer:
                 self.unify(d1.type, Fn(d2.type, b))
             except UnificationError as exc:
                 raise UnificationError(f"in application: {exc}") from exc
-            return Derivation("A", ctx, term, b, (d1, d2))
-        if isinstance(term, Tup):
+            d = Derivation("A", ctx, term, b, (d1, d2))
+        elif isinstance(term, Tup):
             start = self.counter
             d1 = self.derive(ctx, term.left, open_)
             g1 = not open_ and self.counter == start
@@ -536,8 +572,8 @@ class _Inferencer:
                     self.ground.pop()
                 else:
                     self.ground.append(d2)
-            return Derivation("T", ctx, term, Tensor(d1.type, d2.type), (d1, d2))
-        if isinstance(term, Let):
+            d = Derivation("T", ctx, term, Tensor(d1.type, d2.type), (d1, d2))
+        elif isinstance(term, Let):
             if term.var1 == term.var2:
                 raise ContextError(f"let binds {term.var1} twice")
             start = self.counter
@@ -578,14 +614,33 @@ class _Inferencer:
                     self.ground.pop()
                 else:
                     self.ground.append(d2)
-            return Derivation("E", ctx, term, d2.type, (d1, d2))
-        raise TypeError(f"not a term: {term!r}")
+            d = Derivation("E", ctx, term, d2.type, (d1, d2))
+        else:
+            raise TypeError(f"not a term: {term!r}")
 
-    def resolve(self, d: Derivation) -> Derivation:
+        # a closed boundary resolves here, in derive's own frame: a wrapper
+        # would take a second frame per term level. A type that does not
+        # resolve yet would fail the walk at its end, so it is not begun.
+        if (
+            closed is not None
+            and self.counter != before
+            and _resolved(d.type, self.subst) is not None
+        ):
+            try:
+                d = self.resolve(d, first)
+            except AmbiguousTypeError:
+                return d
+            del self.ground[first:]
+            self.ground.append(d)
+            self.shared[id(closed)] = (closed, d, self.counter - before)
+        return d
+
+    def resolve(self, d: Derivation, first: int = 0) -> Derivation:
         """d with every type variable replaced by its binding. Ground
         subtrees, and every type, entry, context and node in which nothing
-        was bound, come back as the same objects."""
-        subst, ground, next_ground = self.subst, self.ground, 0
+        was bound, come back as the same objects. `ground[first]` is the
+        first ground entry in d's subtree."""
+        subst, ground, next_ground = self.subst, self.ground, first
         # id(object) -> resolved, for types, entries and contexts: nodes
         # share them, so each is resolved once and the results are shared
         # in turn. Every key is reachable from d, so no id is reused.

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -111,6 +112,18 @@ class TestFreshProcess:
 
 
 class TestDiagram:
+    @pytest.mark.parametrize("fmt, digest", [
+        ("json", "cc68d3bb91fadac5c5002dbee6b4179b230b855001c27e08230c19ce25b4c0f0"),
+        ("dot", "dcb7b9b8f6073fe71b430a82546e2586183e1ec20907269a942be4e7ef42b54d"),
+    ])
+    def test_h_chain_output_unchanged_by_sharing(self, write, capsys, fmt, digest):
+        # the output from before the H's of a chain shared one derivation
+        # and one sub-diagram: walks still visit each H once per occurrence
+        f = write("hchain.zeta", " o ".join(["H"] * 20))
+        assert main(["diagram", f, "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_json_has_sharing_spider(self, write, capsys):
         f = write("share.zeta", "Z x:1. <x,x>")
         assert main(["diagram", f]) == 0
@@ -329,6 +342,13 @@ class TestRefusedInputs:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "--tol" in captured.err
+
+    def test_rules_takes_no_context(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["rules", "--ctx", "x:Z:1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--ctx" in captured.err
 
     def test_zero_tolerance_accepted(self, write, capsys):
         f = write("h.zeta", "H")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -400,6 +401,29 @@ class TestComposedRedexes:
             caps = _leaf_kinds(translate(d).diagram).count(Cap)
             assert caps == expected, label
         assert redexes > 500
+
+    @pytest.mark.parametrize("src", [
+        "\\f:1->1. \\x:1. f x",
+        "Z^pi/2 f:1->1. X^pi/4 x:1. Z^pi y:1*1. <f x, y>",
+    ])
+    def test_uncurried_again_with_no_snake(self, src):
+        # each uncurry of a curried abstraction composes: the one Cap is
+        # the application of the variable f, and once every binder is an
+        # input no Cup is left. Capping each state, the route taken without
+        # the carried maps, is the reference
+        m = jd_of(src)
+        capped = dataclasses.replace(m, maps=())
+        levels = 0
+        while fn_parts(m.type) is not None:
+            m, capped = eval_as_map(m), eval_as_map(capped)
+            assert _leaf_kinds(m.diagram).count(Cap) == 1
+            assert m.input_labels == capped.input_labels
+            got = denote(m.diagram)
+            for ref in (oracle_contract(m.diagram), denote(capped.diagram)):
+                assert np.max(np.abs(got - ref)) < 1e-12
+            levels += 1
+        assert levels == src.count(".")
+        assert Cup not in _leaf_kinds(m.diagram)
 
     def test_phase_zero_binder_has_no_rotation(self):
         assert eval_as_map(jd_of("Z x:1. x")).diagram == Id(1)

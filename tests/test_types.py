@@ -4,7 +4,9 @@ from collections import Counter
 
 import pytest
 
-from zetacalc import syntax, types
+from zetacalc import semantics, syntax, types
+from zetacalc.diagram import Par, Seq
+from zetacalc.semantics import translate
 from zetacalc.syntax import Abs, App, Basis, Gen, Let, Phase, Tup, Var, parse
 from zetacalc.types import (
     TOP,
@@ -451,28 +453,56 @@ class TestGroundSubtreesShared:
         inf, d = types._derive(EMPTY, parse("Z x:1. <x,<x,x>>"))
         assert inf.resolve(d) is d
 
-    def test_annotated_argument_kept(self):
+    @pytest.fixture
+    def resolves(self, monkeypatch):
+        """Every resolve call, as (node, its ground entries, result or
+        None when it raised), in call order."""
+        calls = []
+        resolve = types._Inferencer.resolve
+
+        def spy(inf, d, first=0):
+            at = len(calls)
+            calls.append((d, inf.ground[first:], None))
+            r = resolve(inf, d, first)
+            calls[at] = (*calls[at][:2], r)
+            return r
+
+        monkeypatch.setattr(types._Inferencer, "resolve", spy)
+        return calls
+
+    def test_annotated_argument_kept(self, resolves):
+        # the closed root is resolved as soon as it is derived
         inf, d = types._derive(EMPTY, parse("(X f:1->1*1. <f,f>) (Z x:1. <x,x>)"))
-        r = inf.resolve(d)
-        assert r.rule == "A" and r is not d
-        assert r.children[0] is d.children[0]
-        assert r.children[1] is d.children[1]
+        [(u, _, r)] = resolves
+        assert r is d and [id(g) for g in inf.ground] == [id(d)]
+        assert inf.resolve(d) is d
+        assert r.rule == "A" and r is not u and not contains_var(r.type)
+        assert r.children[0] is u.children[0]
+        assert r.children[1] is u.children[1]
 
-    def test_largest_ground_subtrees_listed(self):
+    def test_largest_ground_subtrees_listed(self, resolves):
         def listed(src):
+            resolves.clear()
             inf, d = types._derive(EMPTY, parse(src))
-            return d, [id(g) for g in inf.ground]
+            return inf, d
 
-        d, ground = listed("Z x:1. <x,<x,x>>")
-        assert ground == [id(d)]
-        d, ground = listed("(X f:1->1*1. <f,f>) (Z x:1. <x,x>)")
-        assert ground == [id(d.children[0]), id(d.children[1])]
+        inf, d = listed("Z x:1. <x,<x,x>>")
+        assert [id(g) for g in inf.ground] == [id(d)] and resolves == []
+        # a resolved closed root replaces the entries below it
+        inf, d = listed("(X f:1->1*1. <f,f>) (Z x:1. <x,x>)")
+        [(u, entries, r)] = resolves
+        assert [id(g) for g in entries] == [id(u.children[0]), id(u.children[1])]
+        assert r is d and [id(g) for g in inf.ground] == [id(d)]
         # W strips x:?1, the only variable in its context: its premise is
-        # ground although W is not
-        d, ground = listed("(Z x. Z y:1. <y,y>) Z[1]")
-        w = d.children[0].children[0]
+        # ground although W is not. The closed function's type does not
+        # resolve on its own (x is bound only by the application), so the
+        # root resolves it
+        inf, d = listed("(Z x. Z y:1. <y,y>) Z[1]")
+        [(u, entries, r)] = resolves
+        w = u.children[0].children[0]
         assert w.rule == "W"
-        assert ground == [id(w.children[0]), id(d.children[1])]
+        assert [id(g) for g in entries] == [id(w.children[0]), id(u.children[1])]
+        assert r is d and [id(g) for g in inf.ground] == [id(d)]
 
     def test_ground_list_is_var_free_and_in_walk_order(self):
         listed = 0
@@ -495,7 +525,7 @@ class TestGroundSubtreesShared:
             listed += len(inf.ground)
         assert listed > 100
 
-    def test_ground_subtrees_not_walked(self, monkeypatch):
+    def test_ground_subtrees_not_walked(self, monkeypatch, resolves):
         calls, depth = [], [0]
 
         def outermost(t, subst):
@@ -514,32 +544,131 @@ class TestGroundSubtreesShared:
 
         def looked_at(ctx, term):
             calls.clear()
+            resolves.clear()
             inf, d = types._derive(ctx, term)
             inf.resolve(d)
             return inf, d, {id(t) for t in calls}
 
         _, d, seen = looked_at(EMPTY, parse("Z x:1. <x,<x,x>>"))
         assert seen == set()
-        # only the application's result type
+        # only the application's result type, when the closed root is
+        # resolved; the final resolve meets the resolved root first
         _, d, seen = looked_at(EMPTY, parse("(X f:1->1*1. <f,f>) (Z x:1. <x,x>)"))
-        assert seen == {id(d.type)}
+        [(u, _, r), (final, _, _)] = resolves
+        assert r is d and final is d
+        assert seen == {id(u.type)}
 
         def types_of(nodes):
             return {id(t) for n in nodes for t in [n.type, *(e.type for e in n.ctx)]}
 
-        # no type that only a ground subtree holds is looked at
+        # no resolve, at a closed root or at the end, looks at a type that
+        # only the ground entries listed for its subtree hold
+        seen_by = []
+        resolve = types._Inferencer.resolve
+
+        def recorded(inf, d, first=0):
+            entries, start = inf.ground[first:], len(calls)
+            try:
+                return resolve(inf, d, first)
+            finally:
+                seen_by.append((d, entries, calls[start:]))
+
+        monkeypatch.setattr(types._Inferencer, "resolve", recorded)
         hidden = 0
         for ctx, term in _typing_cases():
+            seen_by.clear()
             try:
-                inf, d, seen = looked_at(ctx, term)
+                looked_at(ctx, term)
             except ZetaTypeError:
-                continue
-            below = {id(n) for g in inf.ground for n in g.walk()}
-            inside = types_of(n for n in d.walk() if id(n) in below)
-            inside -= types_of(n for n in d.walk() if id(n) not in below)
-            assert not seen & inside, syntax.print_term(term)
-            hidden += len(inside)
+                pass
+            for d, entries, seen in seen_by:
+                below = {id(n) for g in entries for n in g.walk()}
+                inside = types_of(n for n in d.walk() if id(n) in below)
+                inside -= types_of(n for n in d.walk() if id(n) not in below)
+                assert not {id(t) for t in seen} & inside, syntax.print_term(term)
+                hidden += len(inside)
         assert hidden > 1000
+
+
+def _unshared(t):
+    """A rebuild of term t in which no two nodes are one object."""
+    if not isinstance(t, syntax.Term):
+        return t
+    fields = (f.name for f in dataclasses.fields(t) if f.init)
+    return type(t)(**{name: _unshared(getattr(t, name)) for name in fields})
+
+
+def _subdiagrams(d):
+    todo = [d]
+    while todo:
+        node = todo.pop()
+        yield node
+        if isinstance(node, Seq):
+            todo += [node.first, node.second]
+        elif isinstance(node, Par):
+            todo += [node.top, node.bottom]
+
+
+# closed subterms repeated beside terms that do not resolve on their own
+_SHARED_SOURCES = [
+    "<H o H, Z y. *>",
+    "<H, <Z x. x, H>>",
+    "Z y:1. <H, <y, <H, Z z. z>>>",
+    "(Z f. <H, <f Z[1], H>>) (Z x. x)",
+    "<H o (Z x. x), H o H>",
+]
+
+
+class TestClosedSubtermsShared:
+    """Each closed subterm object is derived, resolved and translated once;
+    every other occurrence shares the result."""
+
+    def test_h_derived_and_translated_once(self):
+        _, d = infer(EMPTY, parse("H o H o H"))
+        hs = [n for n in d.walk() if n.term is syntax.hadamard_term() and n.rule == "B"]
+        assert len(hs) == 3 and all(n is hs[0] for n in hs)
+        assert hs[0] == infer(EMPTY, _unshared(syntax.hadamard_term()))[1]
+        body = semantics._body(hs[0], {})
+        copies = [s for s in _subdiagrams(translate(d).diagram) if s == body]
+        assert len(copies) == 3 and all(s is copies[0] for s in copies)
+
+    def test_same_as_with_nothing_shared(self):
+        def result(ctx, term):
+            try:
+                return infer(ctx, term)
+            except ZetaTypeError as exc:
+                return type(exc), str(exc)
+
+        cases = _typing_cases() + [(EMPTY, parse(s)) for s in _SHARED_SOURCES]
+        for ctx, term in cases:
+            assert result(ctx, term) == result(ctx, _unshared(term)), (
+                syntax.print_term(term)
+            )
+
+    # each ?N counts the variables of every H copy before it, as if each
+    # copy were derived again
+    @pytest.mark.parametrize("src, message", [
+        ("<H o H, Z y. *>", "ambiguous type ?16 (add an annotation at binder y)"),
+        # Z x. x does not resolve on its own, nor does the root
+        ("<H, <Z x. x, H>>", "ambiguous type ?7 (add an annotation at binder x)"),
+        ("Z y:1. <H, <y, <H, Z z. z>>>",
+         "ambiguous type ?13 (add an annotation at binder z)"),
+    ])
+    def test_ambiguity_names_the_same_variable(self, src, message):
+        with pytest.raises(AmbiguousTypeError) as exc:
+            infer(EMPTY, parse(src))
+        assert str(exc.value) == message
+
+    def test_shared_node_listed_once_per_occurrence(self):
+        inf, d = types._derive(EMPTY, parse("<H, <Z x. x, H>>"))
+        h = d.children[0]
+        assert d.children[1].children[1] is h
+        assert [id(g) for g in inf.ground] == [id(h), id(h)]
+        # Z x. x resolves only once the application binds x
+        _, d = infer(EMPTY, parse("(Z f. <H, <f Z[1], H>>) (Z x. x)"))
+        hs = [n for n in d.walk() if n.term is syntax.hadamard_term() and n.rule == "B"]
+        assert len(hs) == 2 and hs[0] is hs[1]
+        assert not any(contains_var(n.type) for n in d.walk())
 
 
 def _recursive_walk(d):
