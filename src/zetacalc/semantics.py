@@ -31,17 +31,18 @@ Every diagram here is built with `seq` and `par`, which apply the monoidal
 unit laws, so empty contexts, zero-wire binders and identity routings need
 no case of their own: they vanish as the diagram is built.
 
-A derivation node with an empty context may be shared (see `types`): one
-`translate` call builds its diagram, or an abstraction's body, once, and the
-diagram shares it at every occurrence. Diagram walks, such as `generators`,
-`to_json_obj` and `to_dot`, still visit a shared sub-diagram once per
-occurrence.
+A derivation node with an empty context may be shared (see `types`), as
+every `H` is. One `translate` call builds the body of each such abstraction
+once, and the diagram shares it at every occurrence. Diagram walks, such as
+`generators`, `to_json_obj` and `to_dot`, still visit a shared sub-diagram
+once per occurrence.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Optional
 
 from .diagram import (
     Cap,
@@ -81,9 +82,13 @@ class JudgementDiagram:
     diagram: Diagram
     input_labels: tuple
     output_labels: tuple
-    # the maps that successive eval_as_map calls return in place of capping
-    # the state's dual outputs, while the root is a chain of abstractions
-    maps: tuple = field(default=(), compare=False, repr=False)
+    # the (Gamma, A) -> B map of an abstraction at the root, which
+    # eval_as_map returns in place of capping the state's dual outputs
+    body: Optional[Diagram] = field(default=None, compare=False, repr=False)
+    # the root abstraction, then each nested one whose body eval_as_map has
+    # built; with no body, when the last one's premise is an abstraction,
+    # the next eval_as_map builds that one's body in place of capping
+    binders: tuple = field(default=(), compare=False, repr=False)
 
     def to_json_obj(self) -> dict:
         return {
@@ -185,18 +190,19 @@ def _split_binary(ctx: Context, c1: Derivation, c2: Derivation):
 def translate(derivation: Derivation) -> JudgementDiagram:
     """Structural translation of a derivation in the W/C-normal form that
     `infer` builds (see the module docstring). Every beta-redex is composed,
-    with no cup/cap snake; an abstraction at the root keeps its bodies for
-    `eval_as_map`. A node with an empty context that the derivation shares
-    is translated once, and the diagram shares the result. Raises
+    with no cup/cap snake; an abstraction at the root keeps its body for
+    `eval_as_map`. An abstraction with an empty context that the derivation
+    shares has its body translated once, and the diagram shares it. Raises
     TranslationError on a derivation in another shape, even one
     `validate_derivation` accepts, and on an application of a non-function
     type."""
-    # id of an empty-context node -> its diagram (an abstraction: its body)
+    # id of an abstraction with an empty context -> its body
     shared: dict[int, Diagram] = {}
-    maps = _uncurried(derivation, shared)
-    if maps:
-        d = _bend(derivation, maps[0])
+    if derivation.rule == "B":
+        body = _body(derivation, shared)
+        d, binders = _bend(derivation, body), (derivation,)
     else:
+        body, binders = None, ()
         d = _translate(derivation, shared)
     return JudgementDiagram(
         derivation.ctx,
@@ -205,33 +211,9 @@ def translate(derivation: Derivation) -> JudgementDiagram:
         d,
         context_labels(derivation.ctx),
         tuple(labels(derivation.type)),
-        maps,
+        body,
+        binders,
     )
-
-
-def _uncurried(root: Derivation, shared: dict) -> tuple:
-    """The maps that successive `eval_as_map` calls return, one per
-    abstraction in the chain N0 = root, N1 = N0's premise, ... while the
-    premise is an abstraction. Map i is N(i)'s body after the binder
-    rotations of N0..N(i-1), each on its own wires: the state that N(i-1)'s
-    body bends out, uncurried by yanking. Empty when the root is not `B`."""
-    chain = []
-    node = root
-    while node.rule == "B":
-        chain.append(node)
-        (node,) = node.children
-    if not chain:
-        return ()
-    # innermost first: each body bends the next one in
-    bodies = [_body(chain[-1], shared)]
-    for outer, inner in zip(reversed(chain[:-1]), reversed(chain[1:])):
-        bodies.insert(0, _rotated(outer, _bend(inner, bodies[0])))
-    maps, rotations = bodies[:1], Id(root.ctx.wire_count())
-    for outer, inner, body in zip(chain, chain[1:], bodies[1:]):
-        rotations = par(rotations, _rotation(outer))
-        a = size(inner.children[0].ctx.entries[-1].type)
-        maps.append(seq(par(rotations, Id(a)), body))
-    return tuple(maps)
 
 
 def _rotation(node: Derivation) -> Diagram:
@@ -244,21 +226,14 @@ def _rotation(node: Derivation) -> Diagram:
     return par(*(Spider(term.basis, term.phase, 1, 1) for _ in range(a)))
 
 
-def _rotated(node: Derivation, premise: Diagram) -> Diagram:
-    """The (Gamma, A) -> B map of a `B` node whose premise's diagram is
-    `premise`: the binder rotation, then the premise."""
-    if node.term.phase.is_zero:
-        return premise
-    return seq(par(Id(node.ctx.wire_count()), _rotation(node)), premise)
-
-
 def _body(node: Derivation, shared: dict) -> Diagram:
-    """The (Gamma, A) -> B map of a `B` node, built once for a node with an
-    empty context."""
+    """The (Gamma, A) -> B map of a `B` node: the binder rotation, then the
+    body's diagram. Built once for a node with an empty context."""
     closed = not node.ctx.entries
     if closed and id(node) in shared:
         return shared[id(node)]
-    d = _rotated(node, _translate(node.children[0], shared))
+    rot = par(Id(node.ctx.wire_count()), _rotation(node))
+    d = seq(rot, _translate(node.children[0], shared))
     if closed:
         shared[id(node)] = d
     return d
@@ -276,14 +251,7 @@ def _bend(node: Derivation, body: Diagram) -> Diagram:
 
 
 def _translate(node: Derivation, shared: dict) -> Diagram:
-    """node's diagram, built once for a node with an empty context (an
-    abstraction: its body is)."""
     ctx, t = node.ctx, node.type
-    if node.rule == "B":
-        return _bend(node, _body(node, shared))
-    closed = not ctx.entries
-    if closed and id(node) in shared:
-        return shared[id(node)]
     if node.rule in ("U", "V", "G", "D"):
         if ctx.names != ([node.term.name] if node.rule == "V" else []):
             raise TranslationError(
@@ -291,17 +259,19 @@ def _translate(node: Derivation, shared: dict) -> Diagram:
                 " takes only the W/C-normal form that infer builds"
             )
     if node.rule == "U":
-        d = Id(0)
-    elif node.rule == "V":
-        d = Id(size(t))
-    elif node.rule == "G":
+        return Id(0)
+    if node.rule == "V":
+        return Id(size(t))
+    if node.rule == "G":
         gen: Gen = node.term
-        d = Spider(gen.basis, gen.phase, 0, gen.n)
-    elif node.rule == "D":
+        return Spider(gen.basis, gen.phase, 0, gen.n)
+    if node.rule == "D":
         gen = node.term
         k = -gen.n
-        d = seq(cup_many(k), par(Id(k), Spider(gen.basis, gen.phase, k, 0)))
-    elif node.rule == "A":
+        return seq(cup_many(k), par(Id(k), Spider(gen.basis, gen.phase, k, 0)))
+    if node.rule == "B":
+        return _bend(node, _body(node, shared))
+    if node.rule == "A":
         c1, c2 = node.children
         parts = fn_parts(c1.type)
         if parts is None:
@@ -309,27 +279,27 @@ def _translate(node: Derivation, shared: dict) -> Diagram:
         router, p1, p2, g1 = _split_binary(ctx, c1, c2)
         if p1.rule == "B":
             # a redex: the argument feeds the body's binder wires
-            d = seq(router, par(Id(g1), _translate(p2, shared)), _body(p1, shared))
-        else:
-            both = par(_translate(p1, shared), _translate(p2, shared))
-            d = seq(router, both, _caps(size(parts[0]), size(parts[1])))
-    elif node.rule == "T":
+            return seq(router, par(Id(g1), _translate(p2, shared)), _body(p1, shared))
+        both = par(_translate(p1, shared), _translate(p2, shared))
+        return seq(router, both, _caps(size(parts[0]), size(parts[1])))
+    if node.rule == "T":
         router, p1, p2, _ = _split_binary(ctx, *node.children)
-        d = seq(router, par(_translate(p1, shared), _translate(p2, shared)))
-    elif node.rule == "E":
+        return seq(router, par(_translate(p1, shared), _translate(p2, shared)))
+    if node.rule == "E":
         m, n = node.children
         # layout [N's entries, M's entries]: run M, then feed its outputs as
         # the trailing x,y wires of N.
         router, pn, pm, gn = _split_binary(ctx, n, m)
-        d = seq(router, par(Id(gn), _translate(pm, shared)), _translate(pn, shared))
-    elif node.rule == "W":
+        arg = par(Id(gn), _translate(pm, shared))
+        return seq(router, arg, _translate(pn, shared))
+    if node.rule == "W":
         (child,) = node.children
         e, i = node.payload["entry"], node.payload["index"]
         offs = _wire_offsets(ctx)
         before, after = offs[i], offs[-1] - offs[i + 1]
         drop = par(Id(before), discard(size(e.type), e.basis), Id(after))
-        d = seq(drop, _translate(child, shared))
-    elif node.rule == "C":
+        return seq(drop, _translate(child, shared))
+    if node.rule == "C":
         (child,) = node.children
         i = node.payload["index"]
         k = node.payload["arity"]
@@ -337,18 +307,15 @@ def _translate(node: Derivation, shared: dict) -> Diagram:
         offs = _wire_offsets(ctx)
         before, after = offs[i], offs[-1] - offs[i + 1]
         share = par(Id(before), upsilon(size(e.type), e.basis, k), Id(after))
-        d = seq(share, _translate(child, shared))
-    else:
-        raise TranslationError(f"unknown rule {node.rule!r}")
-    if closed:
-        shared[id(node)] = d
-    return d
+        return seq(share, _translate(child, shared))
+    raise TranslationError(f"unknown rule {node.rule!r}")
 
 
 def eval_as_map(jd: JudgementDiagram) -> JudgementDiagram:
     """Uncurry once, yielding a (Gamma, A) -> B judgement diagram: the body
-    of an abstraction at the root as it is, else the state with its A*
-    outputs bent back into inputs."""
+    of an abstraction at the root as it is, and so on down a chain of
+    abstractions, else the state with its A* outputs bent back into
+    inputs."""
     parts = fn_parts(jd.type)
     if parts is None:
         raise TranslationError(
@@ -357,9 +324,18 @@ def eval_as_map(jd: JudgementDiagram) -> JudgementDiagram:
     a_t, b_t = parts
     in_labels = jd.input_labels + tuple(("<map-arg>", l) for l in labels(a_t))
     out_labels = tuple(labels(b_t))
-    if jd.maps:
+    body, binders = jd.body, jd.binders
+    if body is None and binders and binders[-1].children[0].rule == "B":
+        # the state of the abstraction that is the last taken body's
+        # premise: its body, after the taken binders' rotations
+        (inner,) = binders[-1].children
+        rotations = par(
+            Id(jd.ctx.wire_count()), *map(_rotation, binders), Id(size(a_t))
+        )
+        body, binders = seq(rotations, _body(inner, {})), binders + (inner,)
+    if body is not None:
         return JudgementDiagram(
-            jd.ctx, jd.term, b_t, jd.maps[0], in_labels, out_labels, jd.maps[1:]
+            jd.ctx, jd.term, b_t, body, in_labels, out_labels, binders=binders
         )
     a, b = size(a_t), size(b_t)
     # inputs [Gamma, A]; run the state diagram on Gamma, carry A through,

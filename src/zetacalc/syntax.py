@@ -450,8 +450,6 @@ class _Parser:
         self.pos = 0
         # Callback into the types module grammar for binder annotations.
         self.type_parser = type_parser
-        # one `rot` term per (basis, phase), so repeated rotations share
-        self.rotations: dict[tuple[Basis, Phase], Term] = {}
 
     def peek(self, ahead: int = 0) -> _Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -505,10 +503,7 @@ class _Parser:
             self.next()
             basis = self.basis()
             self.expect("^")
-            key = (basis, self.phase())
-            if key not in self.rotations:
-                self.rotations[key] = rotation(*key)
-            return self.rotations[key]
+            return rotation(basis, self.phase())
         if tok.kind in ("Z", "X"):
             if self.peek(1).kind == "[":
                 return self.gen()

@@ -11,11 +11,12 @@ contexts or types) with the derivation first built, and reuses every type,
 entry, context and node in which nothing was bound.
 
 A closed subterm, derived under the empty context, is resolved as soon as it
-is derived. When that succeeds, the subterm is derived, resolved and
-translated once per term object: every other occurrence of the same object
-(each `H` of one parse, say) gets the same derivation node. So a derivation,
-and the diagram translated from it, may share subtrees, and
-`Derivation.walk` yields a shared node once per occurrence.
+is derived. When that succeeds, the subterm is derived and resolved once
+per term object: every other occurrence of the same object (each `H` of one
+parse, say) gets the same derivation node, and `translate` builds a shared
+abstraction's body once. So a derivation, and the diagram translated from
+it, may share subtrees, and `Derivation.walk` yields a shared node once per
+occurrence.
 """
 
 from __future__ import annotations

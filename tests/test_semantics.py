@@ -410,9 +410,9 @@ class TestComposedRedexes:
         # each uncurry of a curried abstraction composes: the one Cap is
         # the application of the variable f, and once every binder is an
         # input no Cup is left. Capping each state, the route taken without
-        # the carried maps, is the reference
+        # the carried body and binders, is the reference
         m = jd_of(src)
-        capped = dataclasses.replace(m, maps=())
+        capped = dataclasses.replace(m, body=None, binders=())
         levels = 0
         while fn_parts(m.type) is not None:
             m, capped = eval_as_map(m), eval_as_map(capped)
