@@ -73,7 +73,9 @@ class Phase:
 
     @staticmethod
     def radians(value: float) -> "Phase":
-        return Phase(radians_value=value % TWO_PI)
+        r = value % TWO_PI
+        # a tiny negative value rounds up to 2pi itself, which is angle 0
+        return Phase(radians_value=0.0 if r == TWO_PI else r)
 
     @staticmethod
     def zero() -> "Phase":
@@ -605,6 +607,8 @@ class _Parser:
             num = self.expect("num")
             self.expect(")")
             value = float(num.text)
+            if not math.isfinite(value):
+                raise ParseError(f"phase rad({num.text}) is not finite", num.line, num.col)
             return Phase.radians(-value if neg else value)
         if tok.kind == "pi":
             self.next()

@@ -4,15 +4,13 @@ Typing is algorithmic: weakening (W) fires where a context entry is unused,
 and contraction (C) fires once per variable used two or more times. Context
 order is preserved throughout, so no exchange rule is needed.
 
-Inference derives with fresh type variables, unifies, then resolves the
-variables in one pass. Resolving touches only what unification can change:
-the resolved derivation shares every ground subtree (no type variable in its
-contexts or types) with the derivation first built, and reuses every type,
-entry, context and node in which nothing was bound.
+Types are monomorphic wire counts, so one substitution fixes every type of
+a term. Inference takes two passes: it first finds the types over the term,
+with fresh type variables and unification, and then builds the derivation
+once, every type in it already resolved.
 
-A closed subterm, derived under the empty context, is resolved as soon as it
-is derived. When that succeeds, the subterm is derived and resolved once
-per term object: every other occurrence of the same object (each `H` of one
+A closed subterm whose type comes out ground is typed and built once per
+term object: every other occurrence of the same object (each `H` of one
 parse, say) gets the same derivation node, and `translate` builds a shared
 abstraction's body once. So a derivation, and the diagram translated from
 it, may share subtrees, and `Derivation.walk` yields a shared node once per
@@ -415,41 +413,46 @@ class Derivation:
 
 
 class _Inferencer:
-    """Derives with fresh type variables, then resolves them in one pass.
+    """Infers in two passes. Types are monomorphic, so once unification has
+    run over the whole term, one substitution fixes every type.
 
-    A node is ground when its context holds no type variable and no fresh
-    variable was created while deriving its subtree: unification cannot
-    change it, and neither can it change anything beneath it. `derive`
-    carries `open_`, the number of context entries whose type holds a
-    variable, down the recursion, and lists in `ground` every ground node
-    whose parent is not ground (`_derive` adds a ground root), left to
-    right: the order in which `resolve`'s pre-order walk meets them, so it
-    knows them by identity and returns them as they are. Binder annotations
-    come from the concrete type syntax, which has no variables, so they
-    count as ground.
+    `typeof` walks the term with a dict from names to types. It creates the
+    fresh type variables, unifies, raises every type error, and records the
+    variable of each unannotated abstraction binder, once per occurrence, in
+    the order it meets them. It makes no W or C step and builds no context
+    or derivation.
 
-    A closed boundary is a term derived under the empty context (so it is
-    closed and `open_` is 0). Unification outside reaches the variables of
-    its subtree only through its type, so once the subtree is derived, and
-    if it created variables, `derive` resolves it there. If every variable
-    in it is bound, the resolved root replaces the subtree's `ground`
-    entries and is kept in `shared` under the term's id: each later
-    occurrence of that term object gets the same node, listed in `ground`
-    once per occurrence, and advances `counter` by the variables the first
-    derivation created, so every later `?N`, and every message naming one,
-    is as if the subtree were derived again. Otherwise the final `resolve`
-    handles the subtree as it would any other.
+    `build` then builds the derivation once, in the W/C-normal form, with
+    every type already resolved: an abstraction takes its binder's recorded
+    type, an application the right part of its function's type, and a let
+    the two parts of its bound term's type. It meets the abstractions in
+    `typeof`'s order, so it takes the recorded types in turn.
+
+    A closed subterm whose type and binders come out ground once `typeof`
+    has walked it is typed once per term object: each later occurrence of
+    that object (each `H` of one parse, say) gets the type and advances
+    `counter` by the variables the first walk created, so every later `?N`,
+    and every message naming one, is as if the subterm were walked again.
+    `build` builds it once too and gives every occurrence that one node.
     """
 
     def __init__(self):
         self.subst: Subst = {}
         self.counter = 0
         self.origin: dict[int, str] = {}
-        self.ground: list[Derivation] = []
-        # id(term) -> (term, resolved derivation, variables created) for each
-        # closed boundary resolved on the spot; holding the term keeps its id
-        # from being reused
-        self.shared: dict[int, tuple[Term, Derivation, int]] = {}
+        # the type variable of each unannotated abstraction binder, in
+        # typeof's order, and those of them not yet seen bound to a ground
+        # type
+        self.binders: list[TypeVar] = []
+        self.unbound: list[TypeVar] = []
+        # id(term) -> (term, its type, variables created) for each closed
+        # subterm typed ground; holding the term keeps its id from being
+        # reused
+        self.closed: dict[int, tuple[Term, Type, int]] = {}
+        # id(term) -> its derivation, for the closed subterms built so far
+        self.built: dict[int, Derivation] = {}
+        # the binders' types, resolved, for build to take in turn
+        self.binder_types = iter(())
 
     def fresh(self, origin: str) -> TypeVar:
         self.counter += 1
@@ -461,19 +464,116 @@ class _Inferencer:
         # partial bindings
         _unify_into(a, b, self.subst)
 
-    def derive(self, ctx: Context, term: Term, open_: int) -> Derivation:
+    def derivation(self, ctx: Context, term: Term, expected: Optional[Type] = None):
+        """The derivation of ctx |- term, its type unified with `expected`
+        when one is given. A binder type that does not resolve leaves a
+        variable in the derivation: it is built with the variables in, and
+        the first one `_reject_variables` meets is reported."""
+        missing = [x for x in term.fv if ctx.get(x) is None]
+        if missing:
+            raise UnboundVariableError(f"unbound variable {missing[0]}")
+        t = self.typeof({e.name: e.type for e in ctx}, term)
+        if expected is not None:
+            self.unify(t, expected)
+        subst = self.subst
+        binders = [_resolved(v, subst) for v in self.binders]
+        unsure = None in binders or any(contains_var(e.type) for e in ctx)
+        if unsure:
+            binders = [apply_subst(v, subst) for v in self.binders]
+            ctx = Context(
+                tuple(Entry(e.name, e.basis, apply_subst(e.type, subst)) for e in ctx)
+            )
+        self.binder_types = iter(binders)
+        d = self.build(ctx, term)
+        if unsure:
+            self._reject_variables(d)
+        return d
+
+    def typeof(self, env: dict[str, Type], term: Term) -> Type:
+        closed = not term.fv
+        if closed:
+            hit = self.closed.get(id(term))
+            if hit is not None:
+                self.counter += hit[2]
+                return hit[1]
+            before, first = self.counter, len(self.unbound)
+
+        if isinstance(term, Unit):
+            t = TOP
+        elif isinstance(term, Var):
+            t = env[term.name]
+        elif isinstance(term, Gen):
+            t = Numeral(term.n) if term.n >= 0 else Fn(Numeral(-term.n), TOP)
+        elif isinstance(term, Abs):
+            uses = term.body.fv.get(term.var, 0)
+            if term.is_lambda and uses != 1:
+                raise LinearityError(
+                    f"lambda-bound variable {term.var} must occur exactly once"
+                    f" (found {uses})"
+                )
+            a = term.annotation
+            if a is None:
+                a = self.fresh(f"binder {term.var}")
+                self.binders.append(a)
+                self.unbound.append(a)
+            t = Fn(a, self.typeof({**env, term.var: a}, term.body))
+        elif isinstance(term, App):
+            fn = self.typeof(env, term.fn)
+            arg = self.typeof(env, term.arg)
+            fn = _resolve(fn, self.subst)
+            dual = _resolve(fn.left, self.subst) if isinstance(fn, Tensor) else None
+            result = _resolve(fn.right, self.subst) if isinstance(dual, Dual) else None
+            try:
+                if result is None or isinstance(result, TypeVar):
+                    t = self.fresh("application result")
+                    self.unify(fn, Fn(arg, t))
+                else:
+                    # fn is A* (x) B already, B no unbound variable: unifying
+                    # fn with arg* (x) ?N would bind only ?N, to B, so ?N is
+                    # skipped, but not its number
+                    self.counter += 1
+                    self.unify(dual.inner, arg)
+                    t = result
+            except UnificationError as exc:
+                raise UnificationError(f"in application: {exc}") from exc
+        elif isinstance(term, Tup):
+            t = Tensor(self.typeof(env, term.left), self.typeof(env, term.right))
+        elif isinstance(term, Let):
+            if term.var1 == term.var2:
+                raise ContextError(f"let binds {term.var1} twice")
+            bound = self.typeof(env, term.bound)
+            a, b = term.annotation1, term.annotation2
+            if a is None:
+                a = self.fresh(f"let binder {term.var1}")
+            if b is None:
+                b = self.fresh(f"let binder {term.var2}")
+            try:
+                self.unify(bound, Tensor(a, b))
+            except UnificationError as exc:
+                raise UnificationError(f"in let binding: {exc}") from exc
+            t = self.typeof({**env, term.var1: a, term.var2: b}, term.body)
+        else:
+            raise TypeError(f"not a term: {term!r}")
+
+        if closed and self.counter != before:
+            # a binder once bound to a ground type stays so: each is looked
+            # at again only while it is not
+            subst = self.subst
+            unbound = self.unbound
+            unbound[first:] = [v for v in unbound[first:] if _resolved(v, subst) is None]
+            ground = _resolved(t, subst)
+            if ground is not None and len(unbound) == first:
+                self.closed[id(term)] = (term, ground, self.counter - before)
+                return ground
+        return t
+
+    def build(self, ctx: Context, term: Term) -> Derivation:
         fvs = term.fv
 
         # Weakening: strip the leftmost unused entry.
         for i, e in enumerate(ctx.entries):
             if e.name not in fvs:
-                rest = open_ - contains_var(e.type) if open_ else 0
-                start = self.counter
-                child = self.derive(
-                    Context(ctx.entries[:i] + ctx.entries[i + 1 :]), term, rest
-                )
-                if open_ and not rest and self.counter == start:
-                    self.ground.append(child)
+                child = self.build(Context(ctx.entries[:i] + ctx.entries[i + 1 :]), term)
                 return Derivation(
                     "W", ctx, term, child.type, (child,), {"entry": e, "index": i}
                 )
@@ -485,12 +585,8 @@ class _Inferencer:
                 names = tuple(f"{e.name}#{j + 1}" for j in range(k))
                 renamed = rename_free_occurrences(term, e.name, list(names))
                 split = tuple(Entry(nm, e.basis, e.type) for nm in names)
-                if open_ and contains_var(e.type):
-                    open_ += k - 1
-                child = self.derive(
-                    Context(ctx.entries[:i] + split + ctx.entries[i + 1 :]),
-                    renamed,
-                    open_,
+                child = self.build(
+                    Context(ctx.entries[:i] + split + ctx.entries[i + 1 :]), renamed
                 )
                 return Derivation(
                     "C",
@@ -501,24 +597,17 @@ class _Inferencer:
                     {"var": e.name, "basis": e.basis, "arity": k, "names": names, "index": i},
                 )
 
-        # a closed boundary (see the class docstring)
-        closed = term if not ctx.entries else None
-        if closed is not None:
-            hit = self.shared.get(id(term))
-            if hit is not None:
-                _, d, created = hit
-                self.counter += created
-                self.ground.append(d)
+        # the context is now empty exactly when the term is closed
+        shared = not fvs and id(term) in self.closed
+        if shared:
+            d = self.built.get(id(term))
+            if d is not None:
                 return d
-            before, first = self.counter, len(self.ground)
 
         if isinstance(term, Unit):
             d = Derivation("U", ctx, term, TOP)
         elif isinstance(term, Var):
-            e = ctx.get(term.name)
-            if e is None:
-                raise UnboundVariableError(f"unbound variable {term.name}")
-            d = Derivation("V", ctx, term, e.type)
+            d = Derivation("V", ctx, term, ctx.get(term.name).type)
         elif isinstance(term, Gen):
             if term.n >= 0:
                 d = Derivation("G", ctx, term, Numeral(term.n))
@@ -530,68 +619,21 @@ class _Inferencer:
                 var = _freshen(var, set(ctx.names) | body.fv.keys())
                 body = substitute(term.body, term.var, Var(var))
                 term = Abs(term.basis, term.phase, var, term.annotation, body, term.is_lambda)
-            uses = body.fv.get(var, 0)
-            if term.is_lambda and uses != 1:
-                raise LinearityError(
-                    f"lambda-bound variable {var} must occur exactly once"
-                    f" (found {uses})"
-                )
             a = term.annotation
             if a is None:
-                a = self.fresh(f"binder {var}")
-                open_ += 1
-            child = self.derive(ctx.extended(Entry(var, term.basis, a)), body, open_)
+                a = next(self.binder_types)
+            child = self.build(ctx.extended(Entry(var, term.basis, a)), body)
             d = Derivation("B", ctx, term, Fn(a, child.type), (child,))
         elif isinstance(term, App):
-            # A takes a fresh variable below, so it is never ground
-            start = self.counter
-            d1 = self.derive(ctx, term.fn, open_)
-            if not open_ and self.counter == start:
-                self.ground.append(d1)
-            mid = self.counter
-            d2 = self.derive(ctx, term.arg, open_)
-            if not open_ and self.counter == mid:
-                self.ground.append(d2)
-            b = self.fresh("application result")
-            try:
-                self.unify(d1.type, Fn(d2.type, b))
-            except UnificationError as exc:
-                raise UnificationError(f"in application: {exc}") from exc
-            d = Derivation("A", ctx, term, b, (d1, d2))
+            d1 = self.build(ctx, term.fn)
+            d2 = self.build(ctx, term.arg)
+            d = Derivation("A", ctx, term, d1.type.right, (d1, d2))
         elif isinstance(term, Tup):
-            start = self.counter
-            d1 = self.derive(ctx, term.left, open_)
-            g1 = not open_ and self.counter == start
-            if g1:
-                self.ground.append(d1)
-            mid = self.counter
-            d2 = self.derive(ctx, term.right, open_)
-            if not open_ and self.counter == mid:
-                if g1:
-                    # T is ground too: d1 is the last entry, and T's parent
-                    # decides
-                    self.ground.pop()
-                else:
-                    self.ground.append(d2)
+            d1 = self.build(ctx, term.left)
+            d2 = self.build(ctx, term.right)
             d = Derivation("T", ctx, term, Tensor(d1.type, d2.type), (d1, d2))
-        elif isinstance(term, Let):
-            if term.var1 == term.var2:
-                raise ContextError(f"let binds {term.var1} twice")
-            start = self.counter
-            d1 = self.derive(ctx, term.bound, open_)
-            g1 = not open_ and self.counter == start
-            if g1:
-                self.ground.append(d1)
-            a, b = term.annotation1, term.annotation2
-            body_open = open_ + (a is None) + (b is None)
-            if a is None:
-                a = self.fresh(f"let binder {term.var1}")
-            if b is None:
-                b = self.fresh(f"let binder {term.var2}")
-            try:
-                self.unify(d1.type, Tensor(a, b))
-            except UnificationError as exc:
-                raise UnificationError(f"in let binding: {exc}") from exc
+        else:
+            d1 = self.build(ctx, term.bound)
             v1, v2, body = term.var1, term.var2, term.body
             taken = set(ctx.names)
             if v1 in taken or v2 in taken:
@@ -602,114 +644,36 @@ class _Inferencer:
                 v1, v2 = n1, n2
                 term = Let(term.basis, v1, v2, term.annotation1, term.annotation2,
                            term.bound, body)
-            before_body = self.counter
-            d2 = self.derive(
-                ctx.extended(Entry(v1, term.basis, a), Entry(v2, term.basis, b)),
-                body,
-                body_open,
+            a, b = d1.type.left, d1.type.right
+            d2 = self.build(
+                ctx.extended(Entry(v1, term.basis, a), Entry(v2, term.basis, b)), body
             )
-            # a fresh binder makes the body open, so a ground body means E
-            # is ground when d1 is
-            if not body_open and self.counter == before_body:
-                if g1:
-                    self.ground.pop()
-                else:
-                    self.ground.append(d2)
             d = Derivation("E", ctx, term, d2.type, (d1, d2))
-        else:
-            raise TypeError(f"not a term: {term!r}")
 
-        # a closed boundary resolves here, in derive's own frame: a wrapper
-        # would take a second frame per term level. A type that does not
-        # resolve yet would fail the walk at its end, so it is not begun.
-        if (
-            closed is not None
-            and self.counter != before
-            and _resolved(d.type, self.subst) is not None
-        ):
-            try:
-                d = self.resolve(d, first)
-            except AmbiguousTypeError:
-                return d
-            del self.ground[first:]
-            self.ground.append(d)
-            self.shared[id(closed)] = (closed, d, self.counter - before)
+        if shared:
+            self.built[id(term)] = d
         return d
 
-    def resolve(self, d: Derivation, first: int = 0) -> Derivation:
-        """d with every type variable replaced by its binding. Ground
-        subtrees, and every type, entry, context and node in which nothing
-        was bound, come back as the same objects. `ground[first]` is the
-        first ground entry in d's subtree."""
-        subst, ground, next_ground = self.subst, self.ground, first
-        # id(object) -> resolved, for types, entries and contexts: nodes
-        # share them, so each is resolved once and the results are shared
-        # in turn. Every key is reachable from d, so no id is reused.
-        memo: dict[int, object] = {}
-
-        def res_type(t: Type) -> Type:
-            r = memo.get(id(t))
-            if r is None:
-                r = _resolved(t, subst)
-                if r is None:
-                    r = apply_subst(t, subst)
-                    vid = _first_var(r)
-                    hint = ""
-                    if vid in self.origin:
-                        hint = f" (add an annotation at {self.origin[vid]})"
-                    raise AmbiguousTypeError(f"ambiguous type {print_type(r)}{hint}")
-                memo[id(t)] = r
-            return r
-
-        def res_entry(e: Entry) -> Entry:
-            r = memo.get(id(e))
-            if r is None:
-                t = res_type(e.type)
-                r = memo[id(e)] = e if t is e.type else Entry(e.name, e.basis, t)
-            return r
-
-        def res_ctx(ctx: Context) -> Context:
-            r = memo.get(id(ctx))
-            if r is None:
-                entries = tuple(res_entry(e) for e in ctx.entries)
-                same = all(a is b for a, b in zip(entries, ctx.entries))
-                r = memo[id(ctx)] = ctx if same else Context(entries)
-            return r
-
-        def go(node: Derivation, children: tuple) -> Derivation:
-            payload = node.payload
-            if "entry" in payload:
-                entry = res_entry(payload["entry"])
-                if entry is not payload["entry"]:
-                    payload = dict(payload, entry=entry)
-            ctx, t = res_ctx(node.ctx), res_type(node.type)
-            if (
-                payload is node.payload
-                and ctx is node.ctx
-                and t is node.type
-                and all(a is b for a, b in zip(children, node.children))
-            ):
-                return node
-            return Derivation(node.rule, ctx, node.term, t, children, payload)
-
-        # post-order with an explicit stack, so derivation depth is not
-        # bounded by the recursion limit
-        done: list[Derivation] = []
+    def _reject_variables(self, d: Derivation) -> None:
+        """Raise on the first type of d that holds a variable, in post-order
+        over the nodes and, within a node, the weakened entry, the context
+        entries, then the node's type."""
         todo: list = [(d, False)]
         while todo:
             node, children_done = todo.pop()
-            if children_done:
-                k = len(node.children)
-                children = tuple(done[len(done) - k :])
-                del done[len(done) - k :]
-                done.append(go(node, children))
-            elif next_ground < len(ground) and node is ground[next_ground]:
-                next_ground += 1
-                done.append(node)
-            else:
+            if not children_done:
                 todo.append((node, True))
                 todo.extend((c, False) for c in reversed(node.children))
-        return done[0]
+                continue
+            entry = node.payload.get("entry")
+            held = [entry.type] if entry is not None else []
+            for t in [*held, *(e.type for e in node.ctx), node.type]:
+                vid = _first_var(t)
+                if vid is not None:
+                    hint = ""
+                    if vid in self.origin:
+                        hint = f" (add an annotation at {self.origin[vid]})"
+                    raise AmbiguousTypeError(f"ambiguous type {print_type(t)}{hint}")
 
 
 def _resolved(t: Type, subst: Subst) -> Optional[Type]:
@@ -744,27 +708,9 @@ def _first_var(t: Type) -> Optional[int]:
     return None
 
 
-def _derive(ctx: Context, term: Term) -> tuple[_Inferencer, Derivation]:
-    """The unresolved derivation of ctx |- term and its inferencer."""
-    inf = _Inferencer()
-    missing = [x for x in term.fv if ctx.get(x) is None]
-    if missing:
-        raise UnboundVariableError(f"unbound variable {missing[0]}")
-    open_ = sum(contains_var(e.type) for e in ctx)
-    d = inf.derive(ctx, term, open_)
-    if not open_ and not inf.counter:
-        inf.ground.append(d)
-    return inf, d
-
-
 def infer(ctx: Context, term: Term) -> tuple[Type, Derivation]:
-    """Principal monomorphic type and canonical derivation of ctx |- term.
-
-    The derivation shares its ground subtrees, those whose contexts and
-    types hold no type variable once derived, with the unresolved derivation
-    rather than rebuilding them."""
-    inf, d = _derive(ctx, term)
-    d = inf.resolve(d)
+    """Principal monomorphic type and canonical derivation of ctx |- term."""
+    d = _Inferencer().derivation(ctx, term)
     return d.type, d
 
 
@@ -772,9 +718,7 @@ def check(ctx: Context, term: Term, expected: Type) -> Derivation:
     """Infer, then unify against the expected (fully inferred) type."""
     if contains_var(expected):
         raise AmbiguousTypeError("expected type must be fully inferred")
-    inf, d = _derive(ctx, term)
-    inf.unify(d.type, expected)
-    return inf.resolve(d)
+    return _Inferencer().derivation(ctx, term, expected)
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,46 @@ from zetacalc.diagram import (
     upsilon,
 )
 from zetacalc.semantics import _split_binary, eval_as_map, translate
-from zetacalc.syntax import Basis, Phase, parse
+from zetacalc.syntax import (
+    Abs,
+    App,
+    Basis,
+    Gen,
+    Let,
+    Phase,
+    Tup,
+    Unit,
+    Var,
+    _freshen,
+    parse,
+    rename_free_occurrences,
+    substitute,
+)
 from zetacalc.theory import standard_instances
-from zetacalc.types import Context, ZetaTypeError, fn_parts, infer, size
+from zetacalc.types import (
+    TOP,
+    AmbiguousTypeError,
+    Context,
+    ContextError,
+    Derivation,
+    Dual,
+    Entry,
+    Fn,
+    LinearityError,
+    Numeral,
+    Tensor,
+    TypeVar,
+    UnboundVariableError,
+    UnificationError,
+    ZetaTypeError,
+    apply_subst,
+    contains_var,
+    fn_parts,
+    infer,
+    print_type,
+    size,
+    unify,
+)
 
 
 def term_pool() -> list[str]:
@@ -170,6 +207,134 @@ def literal_map(node):
     a_t, b_t = fn_parts(node.type)
     a = size(a_t)
     return seq(par(literal_translate(node), Id(a)), _literal_caps(a, size(b_t)))
+
+
+def literal_infer(ctx, term, expected=None):
+    """The one-pass reference of `infer`, and of `check` when `expected` is
+    given. It derives ctx |- term in the W/C-normal form with a fresh type
+    variable at every unannotated binder and every application, unifying as
+    it goes, and then resolves the derivation node by node in post-order,
+    raising on the first type a variable stays in: within a node, the
+    weakened entry, then the context entries, then the node's type. Nothing
+    is shared: each occurrence of a subterm is derived and resolved on its
+    own, and every type error carries the message `infer` gives it."""
+    subst, origin = {}, {}
+
+    def fresh(what):
+        origin[len(origin) + 1] = what
+        return TypeVar(len(origin))
+
+    def unify_at(where, a, b):
+        nonlocal subst
+        try:
+            subst = unify(a, b, subst)
+        except UnificationError as exc:
+            raise UnificationError(f"{where}: {exc}") from exc
+
+    def derive(ctx, term):
+        fvs = term.fv
+        for i, e in enumerate(ctx.entries):
+            if e.name not in fvs:
+                child = derive(Context(ctx.entries[:i] + ctx.entries[i + 1 :]), term)
+                payload = {"entry": e, "index": i}
+                return Derivation("W", ctx, term, child.type, (child,), payload)
+        for i, e in enumerate(ctx.entries):
+            k = fvs.get(e.name, 0)
+            if k >= 2:
+                names = tuple(f"{e.name}#{j + 1}" for j in range(k))
+                split = tuple(Entry(nm, e.basis, e.type) for nm in names)
+                child = derive(
+                    Context(ctx.entries[:i] + split + ctx.entries[i + 1 :]),
+                    rename_free_occurrences(term, e.name, list(names)),
+                )
+                payload = {"var": e.name, "basis": e.basis, "arity": k,
+                           "names": names, "index": i}
+                return Derivation("C", ctx, term, child.type, (child,), payload)
+        if isinstance(term, Unit):
+            return Derivation("U", ctx, term, TOP)
+        if isinstance(term, Var):
+            return Derivation("V", ctx, term, ctx.get(term.name).type)
+        if isinstance(term, Gen):
+            if term.n >= 0:
+                return Derivation("G", ctx, term, Numeral(term.n))
+            return Derivation("D", ctx, term, Fn(Numeral(-term.n), TOP))
+        if isinstance(term, Abs):
+            var, body = term.var, term.body
+            if ctx.get(var) is not None:
+                var = _freshen(var, set(ctx.names) | body.fv.keys())
+                body = substitute(term.body, term.var, Var(var))
+                term = Abs(term.basis, term.phase, var, term.annotation, body, term.is_lambda)
+            uses = body.fv.get(var, 0)
+            if term.is_lambda and uses != 1:
+                raise LinearityError(
+                    f"lambda-bound variable {var} must occur exactly once (found {uses})"
+                )
+            a = term.annotation or fresh(f"binder {var}")
+            child = derive(ctx.extended(Entry(var, term.basis, a)), body)
+            return Derivation("B", ctx, term, Fn(a, child.type), (child,))
+        if isinstance(term, App):
+            d1, d2 = derive(ctx, term.fn), derive(ctx, term.arg)
+            b = fresh("application result")
+            unify_at("in application", d1.type, Fn(d2.type, b))
+            return Derivation("A", ctx, term, b, (d1, d2))
+        if isinstance(term, Tup):
+            d1, d2 = derive(ctx, term.left), derive(ctx, term.right)
+            return Derivation("T", ctx, term, Tensor(d1.type, d2.type), (d1, d2))
+        if term.var1 == term.var2:
+            raise ContextError(f"let binds {term.var1} twice")
+        d1 = derive(ctx, term.bound)
+        a = term.annotation1 or fresh(f"let binder {term.var1}")
+        b = term.annotation2 or fresh(f"let binder {term.var2}")
+        unify_at("in let binding", d1.type, Tensor(a, b))
+        v1, v2, body = term.var1, term.var2, term.body
+        if v1 in ctx.names or v2 in ctx.names:
+            avoid = set(ctx.names) | body.fv.keys()
+            n1 = _freshen(v1, avoid)
+            n2 = _freshen(v2, avoid | {n1})
+            body = substitute(substitute(body, v1, Var(n1)), v2, Var(n2))
+            v1, v2 = n1, n2
+            term = Let(term.basis, v1, v2, term.annotation1, term.annotation2,
+                       term.bound, body)
+        d2 = derive(ctx.extended(Entry(v1, term.basis, a), Entry(v2, term.basis, b)), body)
+        return Derivation("E", ctx, term, d2.type, (d1, d2))
+
+    def first_var(t):
+        if isinstance(t, TypeVar):
+            return t.id
+        if isinstance(t, Tensor):
+            return first_var(t.left) or first_var(t.right)
+        if isinstance(t, Dual):
+            return first_var(t.inner)
+        return None
+
+    def resolved(t):
+        r = apply_subst(t, subst)
+        v = first_var(r)
+        if v is not None:
+            hint = f" (add an annotation at {origin[v]})" if v in origin else ""
+            raise AmbiguousTypeError(f"ambiguous type {print_type(r)}{hint}")
+        return r
+
+    def entry(e):
+        return Entry(e.name, e.basis, resolved(e.type))
+
+    def resolve(node):
+        children = tuple(resolve(c) for c in node.children)
+        payload = dict(node.payload)
+        if "entry" in payload:
+            payload["entry"] = entry(payload["entry"])
+        ctx = Context(tuple(entry(e) for e in node.ctx))
+        return Derivation(node.rule, ctx, node.term, resolved(node.type), children, payload)
+
+    if expected is not None and contains_var(expected):
+        raise AmbiguousTypeError("expected type must be fully inferred")
+    missing = [x for x in term.fv if ctx.get(x) is None]
+    if missing:
+        raise UnboundVariableError(f"unbound variable {missing[0]}")
+    d = derive(ctx, term)
+    if expected is not None:
+        subst = unify(d.type, expected, subst)
+    return resolve(d)
 
 
 @pytest.fixture

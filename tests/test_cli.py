@@ -258,6 +258,24 @@ class TestErrorExits:
         assert main(["eval", f]) == 1
         assert "dimension mismatch" in capsys.readouterr().err
 
+    def test_out_of_memory(self, write, capsys, monkeypatch):
+        def exhausted(diagram, budget=None):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "denote", exhausted)
+        monkeypatch.setenv("ZETA_WIRE_BUDGET", "100000")
+        assert main(["eval", write("wide.zeta", "Z[40]")]) == 3
+        err = capsys.readouterr().err
+        assert "ZETA_WIRE_BUDGET" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("src, code", [
+        ("Z^-rad(1e-20) x:1. x", 0),
+        ("rot Z^rad(1e400)", 2),
+    ])
+    def test_decimal_phase_edges(self, write, capsys, src, code):
+        assert main(["check", write("phase.zeta", src)]) == code
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_too_deep(self, write, capsys):
         f = write("deep.zeta", "<" * 999 + "*" + ",*>" * 999)
         assert main(["check", f]) == 3

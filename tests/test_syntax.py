@@ -60,6 +60,19 @@ class TestPhase:
         # compare on the circle: 0 and 2pi - 1e-15 are the same phase
         assert abs((total - expected + math.pi) % (2 * math.pi) - math.pi) <= 1e-12
 
+    @pytest.mark.parametrize("make", [
+        lambda: Phase.radians(-1e-20),
+        lambda: -Phase.radians(1e-20),
+    ])
+    def test_tiny_negative_radians_fold_to_zero(self, make):
+        # x % 2pi rounds up to 2pi itself for a tiny negative x
+        assert make().radians_value == 0.0
+
+    @pytest.mark.parametrize("src", ["Z[1]^rad(1e400)", "rot Z^-rad(1e400)"])
+    def test_non_finite_radians_rejected(self, src):
+        with pytest.raises(ParseError, match="not finite"):
+            parse(src)
+
     def test_str_forms(self):
         assert str(Phase.exact(1)) == "pi"
         assert str(Phase.exact(2, 3)) == "2pi/3"

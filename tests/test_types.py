@@ -41,7 +41,7 @@ from zetacalc.types import (
     unify,
     validate_derivation,
 )
-from conftest import rule_sides, term_pool
+from conftest import literal_infer, rule_sides, term_pool
 
 EMPTY = Context()
 Q = Numeral(1)
@@ -317,29 +317,6 @@ def _naive_counts(term):
     return [(x, _naive_occurrences(x, term)) for x in _naive_free_vars(term)]
 
 
-def _naive_resolve(d: Derivation, subst) -> Derivation:
-    """Resolve every node on its own, sharing nothing between nodes."""
-
-    def ty(t):
-        r = apply_subst(t, subst)
-        if contains_var(r):
-            raise AmbiguousTypeError(print_type(r))
-        return r
-
-    def entry(e):
-        return Entry(e.name, e.basis, ty(e.type))
-
-    def go(node):
-        payload = dict(node.payload)
-        if "entry" in payload:
-            payload["entry"] = entry(payload["entry"])
-        ctx = Context(tuple(entry(e) for e in node.ctx))
-        children = tuple(go(c) for c in node.children)
-        return Derivation(node.rule, ctx, node.term, ty(node.type), children, payload)
-
-    return go(d)
-
-
 def _subterms(term):
     out, todo = [], [term]
     while todo:
@@ -397,16 +374,62 @@ def _outcome(run):
         return type(exc)
 
 
+# one input per way inference can fail, and inputs that only check's
+# expected type resolves
+_ERROR_SOURCES = [
+    "Z x. x",
+    "(Z f. f) (Z y. y)",
+    "Z f. f Z[1]",
+    "Z f. <f Z[1], f Z[1]>",
+    "Z f. Z y. f y",
+    "Z x. let <a,b> =Z x in <b,a>",
+    "let <a,a> =Z <Z[1],Z[1]> in a",
+    "let <a,b> =Z Z[1] in <a,b>",
+    "Z f. <f, f f>",
+    "Z[1] Z[1]",
+    "\\x:1. <x,x>",
+    "Z f. f (f Z[1])",
+]
+
+
+def _result(run):
+    """What run returns, or the type and message of the type error it
+    raises."""
+    try:
+        return run()
+    except ZetaTypeError as exc:
+        return type(exc), str(exc)
+
+
+def _reference_cases():
+    """_typing_cases, _SHARED_SOURCES and _ERROR_SOURCES, each also rebuilt
+    with nothing shared."""
+    sources = _SHARED_SOURCES + _ERROR_SOURCES
+    cases = _typing_cases() + [(EMPTY, parse(s)) for s in sources]
+    return cases + [(ctx, _unshared(term)) for ctx, term in cases]
+
+
 class TestCountsOncePerInference:
     def test_derivations_match_naive_resolving(self):
-        for ctx, term in _typing_cases():
-            got = _outcome(lambda: infer(ctx, term)[1])
+        # the reference derives with type variables, then resolves every
+        # node on its own
+        for ctx, term in _reference_cases():
+            got = _result(lambda: infer(ctx, term)[1])
+            assert got == _result(lambda: literal_infer(ctx, term)), (
+                syntax.print_term(term)
+            )
 
-            def naive():
-                inf, d = types._derive(ctx, term)
-                return _naive_resolve(d, inf.subst)
-
-            assert got == _outcome(naive), syntax.print_term(term)
+    def test_check_matches_reference(self):
+        for ctx, term in _reference_cases():
+            inferred = _result(lambda: literal_infer(ctx, term))
+            expected = [Fn(Q, Q), TOP]
+            if isinstance(inferred, Derivation):
+                expected.append(inferred.type)
+            for t in expected:
+                got = _result(lambda: check(ctx, term, t))
+                assert got == _result(lambda: literal_infer(ctx, term, t)), (
+                    syntax.print_term(term), t
+                )
 
     def test_counts_match_naive_in_first_use_order(self):
         c_children = 0
@@ -443,151 +466,6 @@ class TestCountsOncePerInference:
             return sum(calls.values())
 
         assert walks(16) == walks(4)
-
-
-class TestGroundSubtreesShared:
-    """Resolving returns every subtree that unification cannot change as
-    the object derive built."""
-
-    def test_annotated_term_resolves_to_itself(self):
-        inf, d = types._derive(EMPTY, parse("Z x:1. <x,<x,x>>"))
-        assert inf.resolve(d) is d
-
-    @pytest.fixture
-    def resolves(self, monkeypatch):
-        """Every resolve call, as (node, its ground entries, result or
-        None when it raised), in call order."""
-        calls = []
-        resolve = types._Inferencer.resolve
-
-        def spy(inf, d, first=0):
-            at = len(calls)
-            calls.append((d, inf.ground[first:], None))
-            r = resolve(inf, d, first)
-            calls[at] = (*calls[at][:2], r)
-            return r
-
-        monkeypatch.setattr(types._Inferencer, "resolve", spy)
-        return calls
-
-    def test_annotated_argument_kept(self, resolves):
-        # the closed root is resolved as soon as it is derived
-        inf, d = types._derive(EMPTY, parse("(X f:1->1*1. <f,f>) (Z x:1. <x,x>)"))
-        [(u, _, r)] = resolves
-        assert r is d and [id(g) for g in inf.ground] == [id(d)]
-        assert inf.resolve(d) is d
-        assert r.rule == "A" and r is not u and not contains_var(r.type)
-        assert r.children[0] is u.children[0]
-        assert r.children[1] is u.children[1]
-
-    def test_largest_ground_subtrees_listed(self, resolves):
-        def listed(src):
-            resolves.clear()
-            inf, d = types._derive(EMPTY, parse(src))
-            return inf, d
-
-        inf, d = listed("Z x:1. <x,<x,x>>")
-        assert [id(g) for g in inf.ground] == [id(d)] and resolves == []
-        # a resolved closed root replaces the entries below it
-        inf, d = listed("(X f:1->1*1. <f,f>) (Z x:1. <x,x>)")
-        [(u, entries, r)] = resolves
-        assert [id(g) for g in entries] == [id(u.children[0]), id(u.children[1])]
-        assert r is d and [id(g) for g in inf.ground] == [id(d)]
-        # W strips x:?1, the only variable in its context: its premise is
-        # ground although W is not. The closed function's type does not
-        # resolve on its own (x is bound only by the application), so the
-        # root resolves it
-        inf, d = listed("(Z x. Z y:1. <y,y>) Z[1]")
-        [(u, entries, r)] = resolves
-        w = u.children[0].children[0]
-        assert w.rule == "W"
-        assert [id(g) for g in entries] == [id(w.children[0]), id(u.children[1])]
-        assert r is d and [id(g) for g in inf.ground] == [id(d)]
-
-    def test_ground_list_is_var_free_and_in_walk_order(self):
-        listed = 0
-        for ctx, term in _typing_cases():
-            try:
-                inf, d = types._derive(ctx, term)
-            except ZetaTypeError:
-                continue
-            position = {id(n): i for i, n in enumerate(d.walk())}
-            starts = [position[id(g)] for g in inf.ground]
-            assert starts == sorted(starts), syntax.print_term(term)
-            inside = set()
-            for g in inf.ground:
-                nodes = list(g.walk())
-                assert id(g) not in inside
-                inside.update(id(n) for n in nodes)
-                for n in nodes:
-                    assert not contains_var(n.type)
-                    assert not any(contains_var(e.type) for e in n.ctx)
-            listed += len(inf.ground)
-        assert listed > 100
-
-    def test_ground_subtrees_not_walked(self, monkeypatch, resolves):
-        calls, depth = [], [0]
-
-        def outermost(t, subst):
-            # _resolved recurses through the module name; keep only the
-            # calls resolve itself makes
-            if not depth[0]:
-                calls.append(t)
-            depth[0] += 1
-            try:
-                return resolved(t, subst)
-            finally:
-                depth[0] -= 1
-
-        resolved = types._resolved
-        monkeypatch.setattr(types, "_resolved", outermost)
-
-        def looked_at(ctx, term):
-            calls.clear()
-            resolves.clear()
-            inf, d = types._derive(ctx, term)
-            inf.resolve(d)
-            return inf, d, {id(t) for t in calls}
-
-        _, d, seen = looked_at(EMPTY, parse("Z x:1. <x,<x,x>>"))
-        assert seen == set()
-        # only the application's result type, when the closed root is
-        # resolved; the final resolve meets the resolved root first
-        _, d, seen = looked_at(EMPTY, parse("(X f:1->1*1. <f,f>) (Z x:1. <x,x>)"))
-        [(u, _, r), (final, _, _)] = resolves
-        assert r is d and final is d
-        assert seen == {id(u.type)}
-
-        def types_of(nodes):
-            return {id(t) for n in nodes for t in [n.type, *(e.type for e in n.ctx)]}
-
-        # no resolve, at a closed root or at the end, looks at a type that
-        # only the ground entries listed for its subtree hold
-        seen_by = []
-        resolve = types._Inferencer.resolve
-
-        def recorded(inf, d, first=0):
-            entries, start = inf.ground[first:], len(calls)
-            try:
-                return resolve(inf, d, first)
-            finally:
-                seen_by.append((d, entries, calls[start:]))
-
-        monkeypatch.setattr(types._Inferencer, "resolve", recorded)
-        hidden = 0
-        for ctx, term in _typing_cases():
-            seen_by.clear()
-            try:
-                looked_at(ctx, term)
-            except ZetaTypeError:
-                pass
-            for d, entries, seen in seen_by:
-                below = {id(n) for g in entries for n in g.walk()}
-                inside = types_of(n for n in d.walk() if id(n) in below)
-                inside -= types_of(n for n in d.walk() if id(n) not in below)
-                assert not {id(t) for t in seen} & inside, syntax.print_term(term)
-                hidden += len(inside)
-        assert hidden > 1000
 
 
 def _unshared(t):
@@ -660,11 +538,11 @@ class TestClosedSubtermsShared:
         assert str(exc.value) == message
 
     def test_shared_node_listed_once_per_occurrence(self):
-        inf, d = types._derive(EMPTY, parse("<H, <Z x. x, H>>"))
-        h = d.children[0]
-        assert d.children[1].children[1] is h
-        assert [id(g) for g in inf.ground] == [id(h), id(h)]
-        # Z x. x resolves only once the application binds x
+        # Z x. x resolves only once the expected type binds x
+        f = Fn(Q, Q)
+        d = check(EMPTY, parse("<H, <Z x. x, H>>"), Tensor(f, Tensor(f, f)))
+        assert d.children[1].children[1] is d.children[0]
+        # or once the application binds it
         _, d = infer(EMPTY, parse("(Z f. <H, <f Z[1], H>>) (Z x. x)"))
         hs = [n for n in d.walk() if n.term is syntax.hadamard_term() and n.rule == "B"]
         assert len(hs) == 2 and hs[0] is hs[1]
