@@ -10,6 +10,8 @@ give it by property, and `Seq` and `Par` compute it once from their
 children when they are built. A `Seq` whose first part's outputs do not
 match its second part's inputs raises `ArityError` at construction, so a
 diagram that exists is well formed and no walk has to re-derive its arity.
+Nodes are immutable by contract: no field is assigned after construction;
+slotted, not frozen, for construction cost. A diagram may share subtrees.
 
 The `Seq` and `Par` constructors build exactly the node asked for, and so
 do `from_json` and hand-built diagrams. The builders `seq` and `par` apply
@@ -35,13 +37,13 @@ class ArityError(DiagramError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Diagram:
     """A diagram node. Every node has `inputs` and `outputs`, its wire
     arity: leaves give them by property, `Seq` and `Par` store them."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Id(Diagram):
     n: int
 
@@ -53,7 +55,7 @@ class Id(Diagram):
             raise DiagramError("negative wire count")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Spider(Diagram):
     basis: Basis
     phase: Phase
@@ -68,13 +70,13 @@ class Spider(Diagram):
             raise DiagramError("negative spider arity")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Had(Diagram):
     inputs = property(lambda self: 1)
     outputs = property(lambda self: 1)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Perm(Diagram):
     """A k -> k wire permutation: input wire i leaves at output position
     perm[i]."""
@@ -96,19 +98,19 @@ class Perm(Diagram):
         return out
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Cup(Diagram):
     inputs = property(lambda self: 0)
     outputs = property(lambda self: 2)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Cap(Diagram):
     inputs = property(lambda self: 2)
     outputs = property(lambda self: 0)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Scalar(Diagram):
     value: complex
 
@@ -124,7 +126,7 @@ def _check_fit(a: Diagram, b: Diagram) -> None:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Seq(Diagram):
     first: Diagram
     second: Diagram
@@ -134,11 +136,11 @@ class Seq(Diagram):
     def __post_init__(self):
         a, b = self.first, self.second
         _check_fit(a, b)
-        object.__setattr__(self, "inputs", a.inputs)
-        object.__setattr__(self, "outputs", b.outputs)
+        self.inputs = a.inputs
+        self.outputs = b.outputs
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Par(Diagram):
     top: Diagram
     bottom: Diagram
@@ -147,8 +149,8 @@ class Par(Diagram):
 
     def __post_init__(self):
         a, b = self.top, self.bottom
-        object.__setattr__(self, "inputs", a.inputs + b.inputs)
-        object.__setattr__(self, "outputs", a.outputs + b.outputs)
+        self.inputs = a.inputs + b.inputs
+        self.outputs = a.outputs + b.outputs
 
 
 def max_width(d: Diagram) -> int:
@@ -236,7 +238,7 @@ def upsilon(wires: int, basis: Basis, n: int) -> Diagram:
         raise DiagramError("negative upsilon parameters")
     if n == 1:
         return Id(wires)
-    spiders = par(*(Spider(basis, Phase.zero(), 1, n) for _ in range(wires)))
+    spiders = par(*[Spider(basis, Phase.zero(), 1, n)] * wires)
     # wire-major output (i, j) at i*n + j moves to copy-major j*wires + i
     perm = [0] * (wires * n)
     for i in range(wires):
@@ -248,7 +250,7 @@ def upsilon(wires: int, basis: Basis, n: int) -> Diagram:
 def cup_many(n: int) -> Diagram:
     """0 -> 2n diagram denoting sum_x |x>|x> over n-bit x: the first n output
     wires are entangled pairwise with the last n."""
-    cups = par(*(Cup() for _ in range(n)))
+    cups = par(*[Cup()] * n)
     # pair i occupies (2i, 2i+1); route to (i, n+i)
     perm = [0] * (2 * n)
     for i in range(n):
@@ -259,7 +261,7 @@ def cup_many(n: int) -> Diagram:
 
 def discard(wires: int, basis: Basis) -> Diagram:
     """wires -> 0 basis-spider discard."""
-    return par(*(Spider(basis, Phase.zero(), 1, 0) for _ in range(wires)))
+    return par(*[Spider(basis, Phase.zero(), 1, 0)] * wires)
 
 
 # ---------------------------------------------------------------------------

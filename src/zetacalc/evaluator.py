@@ -167,7 +167,9 @@ def _leaf_matrix(d: Diagram) -> np.ndarray:
 def _apply(d: Diagram, t: np.ndarray, leaves: dict, limit) -> np.ndarray:
     """Apply d to t, of shape (L, 2^d.inputs, R); the result has shape
     (L, 2^d.outputs, R). `leaves` holds the leaf matrices built so far in
-    this walk. A Seq or Par runs on whichever is fewer, the L * R columns
+    this walk, keyed by node identity: the diagram keeps every node alive
+    for the walk, so no id is reused, and a repeated leaf object is built
+    once. A Seq or Par runs on whichever is fewer, the L * R columns
     of t or its own 2^inputs identity (then one matmul onto t), which is
     smaller than t. No array of more than `limit` entries is created."""
     L, _, R = t.shape
@@ -178,10 +180,10 @@ def _apply(d: Diagram, t: np.ndarray, leaves: dict, limit) -> np.ndarray:
         s = t.reshape((L,) + (2,) * k + (R,))
         return s.transpose([0, *d.route(range(1, k + 1)), k + 1]).reshape(L, 2**k, R)
     if not isinstance(d, (Seq, Par)):
-        m = leaves.get(d)
+        m = leaves.get(id(d))
         if m is None:
             _fits(2 ** (d.inputs + d.outputs), limit)
-            m = leaves[d] = _leaf_matrix(d)
+            m = leaves[id(d)] = _leaf_matrix(d)
         _fits(L * m.shape[0] * R, limit)
         return np.matmul(m, t)
     own = 2**d.inputs < L * R

@@ -74,7 +74,7 @@ class TranslationError(ZetaError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class JudgementDiagram:
     ctx: Context
     term: Term
@@ -223,7 +223,7 @@ def _rotation(node: Derivation) -> Diagram:
     a = size(node.children[0].ctx.entries[-1].type)
     if term.phase.is_zero:
         return Id(a)
-    return par(*(Spider(term.basis, term.phase, 1, 1) for _ in range(a)))
+    return par(*[Spider(term.basis, term.phase, 1, 1)] * a)
 
 
 def _body(node: Derivation, shared: dict) -> Diagram:

@@ -1,9 +1,14 @@
 """Abstract syntax, concrete grammar, and term-level operations.
 
-Terms are immutable; every operation here is a pure function. Each term
-node carries `fv`: its free variables, each mapped to its number of free
-occurrences, in first-use order. A node computes `fv` from its children's
-when it is built, so reading it never walks the term. The binder
+Terms and phases are immutable by contract: no field is assigned after
+construction; not frozen, for construction cost. `Phase` is slotted; term
+nodes keep an instance `__dict__`, because the benchmark's tracer
+(`perfbench/tracing.py`) finds a term's children through `vars(term)`.
+Every operation here is a pure function, and nodes may be shared (each `H`
+of one parse is one object). Each term node carries `fv`: its free
+variables, each mapped to its number of free occurrences, in first-use
+order. A node computes `fv` from its children's when it is built, so
+reading it never walks the term. The binder
 forms carry a basis (Z or X) and a phase; phases are exact rational
 multiples of pi whenever written symbolically, with decimal radians as an
 escape hatch.
@@ -47,7 +52,7 @@ class Basis(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Phase:
     """An angle in [0, 2pi).
 
@@ -79,7 +84,7 @@ class Phase:
 
     @staticmethod
     def zero() -> "Phase":
-        return Phase.exact(0)
+        return _ZERO
 
     @property
     def is_exact(self) -> bool:
@@ -123,6 +128,10 @@ class Phase:
         return f"rad({self.radians_value!r})"
 
 
+# the one zero phase `Phase.zero` returns; phases are immutable by contract
+_ZERO = Phase(pi_multiple=Fraction(0))
+
+
 # ---------------------------------------------------------------------------
 # Terms
 
@@ -145,30 +154,30 @@ def _merged(first: dict[str, int], second: dict[str, int]) -> dict[str, int]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Term:
     # see the module docstring; nodes may share one dict, so it must not be
     # changed
     fv: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "fv", {})
+        self.fv = {}
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Unit(Term):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Var(Term):
     name: str
 
     def __post_init__(self):
-        object.__setattr__(self, "fv", {self.name: 1})
+        self.fv = {self.name: 1}
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Gen(Term):
     """Basis generator: the n-qubit state |b0>^n + e^{i a}|b1>^n (n >= 0),
     an effect for n < 0, a scalar at n = 0."""
@@ -178,7 +187,7 @@ class Gen(Term):
     n: int
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Abs(Term):
     basis: Basis
     phase: Phase
@@ -189,28 +198,28 @@ class Abs(Term):
     is_lambda: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "fv", _without(self.body.fv, (self.var,)))
+        self.fv = _without(self.body.fv, (self.var,))
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class App(Term):
     fn: Term
     arg: Term
 
     def __post_init__(self):
-        object.__setattr__(self, "fv", _merged(self.fn.fv, self.arg.fv))
+        self.fv = _merged(self.fn.fv, self.arg.fv)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Tup(Term):
     left: Term
     right: Term
 
     def __post_init__(self):
-        object.__setattr__(self, "fv", _merged(self.left.fv, self.right.fv))
+        self.fv = _merged(self.left.fv, self.right.fv)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Let(Term):
     basis: Basis
     var1: str
@@ -222,7 +231,7 @@ class Let(Term):
 
     def __post_init__(self):
         body = _without(self.body.fv, (self.var1, self.var2))
-        object.__setattr__(self, "fv", _merged(self.bound.fv, body))
+        self.fv = _merged(self.bound.fv, body)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +416,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class _Token:
     kind: str  # 'num' | 'ident' | keyword text | punct text | 'eof'
     text: str

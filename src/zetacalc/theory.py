@@ -57,7 +57,7 @@ from .types import (
 DEFAULT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class EquationRule:
     """A schema M == N under a side condition.
 
@@ -73,7 +73,7 @@ class EquationRule:
     description: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class RuleVerdict:
     rule_id: str
     bindings: str
@@ -271,7 +271,7 @@ def rules() -> list[EquationRule]:
     ]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Comparison:
     """How two judgements' denotations compare. `status` is equal, distinct
     or size-mismatch (the types have different wire counts, so nothing was
@@ -379,7 +379,7 @@ def commutes_with_sharing(
 # Linear beta reduction
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class NormalizeResult:
     term: Term
     steps: int

@@ -4,6 +4,10 @@ Typing is algorithmic: weakening (W) fires where a context entry is unused,
 and contraction (C) fires once per variable used two or more times. Context
 order is preserved throughout, so no exchange rule is needed.
 
+Types, context entries, contexts and derivation nodes are immutable by
+contract: no field is assigned after construction; slotted, not frozen, for
+construction cost.
+
 Types are monomorphic wire counts, so one substitution fixes every type of
 a term. Inference takes two passes: it first finds the types over the term,
 with fresh type variables and unification, and then builds the derivation
@@ -83,12 +87,12 @@ class InvalidDerivationError(ZetaTypeError):
 # The type language
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Type:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Numeral(Type):
     n: int
 
@@ -97,18 +101,18 @@ class Numeral(Type):
             raise ValueError("numeral types are naturals")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Tensor(Type):
     left: Type
     right: Type
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Dual(Type):
     inner: Type
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TypeVar(Type):
     id: int
 
@@ -236,14 +240,14 @@ def print_type(t: Type) -> str:
 # Contexts
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Entry:
     name: str
     basis: Basis
     type: Type
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Context:
     entries: tuple[Entry, ...] = ()
 
@@ -385,7 +389,7 @@ def _unify_into(a: Type, b: Type, subst: Subst) -> None:
 # Derivations
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Derivation:
     """A typing-derivation node. `rule` is one of U V G D B A T E W C.
 
@@ -657,7 +661,9 @@ class _Inferencer:
     def _reject_variables(self, d: Derivation) -> None:
         """Raise on the first type of d that holds a variable, in post-order
         over the nodes and, within a node, the weakened entry, the context
-        entries, then the node's type."""
+        entries, then the node's type. The hint names where the variable was
+        made, except that an application result found in an entry's type
+        names the entry's binder: an application cannot be annotated."""
         todo: list = [(d, False)]
         while todo:
             node, children_done = todo.pop()
@@ -666,14 +672,23 @@ class _Inferencer:
                 todo.extend((c, False) for c in reversed(node.children))
                 continue
             entry = node.payload.get("entry")
-            held = [entry.type] if entry is not None else []
-            for t in [*held, *(e.type for e in node.ctx), node.type]:
+            held = [entry] if entry is not None else []
+            found = [(e.type, e.name) for e in (*held, *node.ctx)]
+            for t, name in [*found, (node.type, None)]:
                 vid = _first_var(t)
                 if vid is not None:
-                    hint = ""
-                    if vid in self.origin:
-                        hint = f" (add an annotation at {self.origin[vid]})"
-                    raise AmbiguousTypeError(f"ambiguous type {print_type(t)}{hint}")
+                    raise AmbiguousTypeError(
+                        f"ambiguous type {print_type(t)}{_hint(self.origin.get(vid), name)}"
+                    )
+
+
+def _hint(origin: Optional[str], name: Optional[str]) -> str:
+    """The annotation hint for a variable made at `origin` and found in the
+    type of the context entry `name` (None for a node's own type)."""
+    if origin == "application result" and name is not None:
+        # a contracted copy x#k names its binder x
+        origin = f"binder {name.partition('#')[0]}"
+    return "" if origin is None else f" (add an annotation at {origin})"
 
 
 def _resolved(t: Type, subst: Subst) -> Optional[Type]:

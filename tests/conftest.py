@@ -307,16 +307,21 @@ def literal_infer(ctx, term, expected=None):
             return first_var(t.inner)
         return None
 
-    def resolved(t):
+    def resolved(t, name=None):
+        # name: the context entry whose type t is, if any
         r = apply_subst(t, subst)
         v = first_var(r)
         if v is not None:
-            hint = f" (add an annotation at {origin[v]})" if v in origin else ""
+            where = origin.get(v)
+            if where == "application result" and name is not None:
+                # an application cannot be annotated; its binder can
+                where = "binder " + name.split("#")[0]
+            hint = f" (add an annotation at {where})" if where else ""
             raise AmbiguousTypeError(f"ambiguous type {print_type(r)}{hint}")
         return r
 
     def entry(e):
-        return Entry(e.name, e.basis, resolved(e.type))
+        return Entry(e.name, e.basis, resolved(e.type, e.name))
 
     def resolve(node):
         children = tuple(resolve(c) for c in node.children)

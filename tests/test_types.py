@@ -142,6 +142,18 @@ class TestInfer:
         with pytest.raises(AmbiguousTypeError, match=want):
             infer(EMPTY, parse("(Z f. f) (Z y. y)"))
 
+    # an application result cannot be annotated: the hint names the binder
+    # whose context entry holds it, contracted copies f#k included
+    @pytest.mark.parametrize("src, message", [
+        ("Z f. f Z[1]", "ambiguous type 1 -> ?2 (add an annotation at binder f)"),
+        ("Z f. <f Z[1], f Z[1]>",
+         "ambiguous type 1 -> ?3 (add an annotation at binder f)"),
+    ])
+    def test_ambiguous_application_result_names_its_binder(self, src, message):
+        with pytest.raises(AmbiguousTypeError) as exc:
+            infer(EMPTY, parse(src))
+        assert str(exc.value) == message
+
     def test_recursion_frontier(self):
         # derive takes one frame per term level; a second frame per level
         # would halve the depth it reaches at the default recursion limit
