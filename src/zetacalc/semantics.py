@@ -19,8 +19,8 @@ argument's outputs, pairing label a* with label a in label order; the
 function and argument diagrams run side by side, as one `par`.
 
 Only derivations in the W/C-normal form that `infer` builds are translated:
-in every context, weakening (W) drops each unused entry and contraction (C)
-splits each entry used more than once before any other rule fires. So the
+in every context, one weakening (W) drops all unused entries and contraction
+(C) splits each entry used more than once before any other rule fires. So the
 leaves `U`, `G` and `D` have an empty context and `V` has exactly its
 variable, and each entry of a binary node (`A`, `T`, `E`) is kept by exactly
 one child, which gets its wires through a permutation, not a copy spider. A
@@ -50,7 +50,6 @@ from .diagram import (
     Id,
     Spider,
     cup_many,
-    discard,
     par,
     permutation,
     seq,
@@ -152,17 +151,23 @@ def _caps(first_block: int, mid: int) -> Diagram:
 
 
 def _peel(node: Derivation, names: set[str]) -> Derivation:
-    """Skip the node's leading W nodes for entries named in `names`, its
-    parent's context: the parent routes those entries to its other child.
-    Weakenings of the child's own binders (the let body's x, y) stay."""
-    while node.rule == "W" and node.payload["entry"].name in names:
-        (node,) = node.children
-    return node
+    """The node past its weakening of the entries in `names`, its parent's
+    context, which the parent routes to its other child. A W node that also
+    drops the child's own binders (a let body's) keeps dropping just those."""
+    if node.rule != "W":
+        return node
+    (child,) = node.children
+    if not names.issuperset(node.ctx.names):
+        kept = {e.name for e in child.ctx}
+        ctx = tuple(e for e in node.ctx if e.name in kept or e.name not in names)
+        if len(ctx) != len(child.ctx):
+            return Derivation("W", Context(ctx), node.term, node.type, (child,))
+    return child
 
 
 def _split_binary(ctx: Context, c1: Derivation, c2: Derivation):
     """Context routing for a binary node: each entry goes only to the child
-    that keeps it past its peeled weakenings (the full-context sharing of
+    that keeps it past its peeled weakening (the full-context sharing of
     the child judgements collapses, since a same-basis copy spider with one
     leg discarded is an identity wire). Returns (router to [c1 block, c2
     block], peeled c1, peeled c2, c1 block size); raises TranslationError
@@ -292,22 +297,15 @@ def _translate(node: Derivation, shared: dict) -> Diagram:
         router, pn, pm, gn = _split_binary(ctx, n, m)
         arg = par(Id(gn), _translate(pm, shared))
         return seq(router, arg, _translate(pn, shared))
-    if node.rule == "W":
+    if node.rule in ("W", "C"):
+        # an entry the child's context lacks is copied k ways: a C node's
+        # arity, or 0 ways, a discard, at a W node
         (child,) = node.children
-        e, i = node.payload["entry"], node.payload["index"]
-        offs = _wire_offsets(ctx)
-        before, after = offs[i], offs[-1] - offs[i + 1]
-        drop = par(Id(before), discard(size(e.type), e.basis), Id(after))
-        return seq(drop, _translate(child, shared))
-    if node.rule == "C":
-        (child,) = node.children
-        i = node.payload["index"]
-        k = node.payload["arity"]
-        e = ctx.entries[i]
-        offs = _wire_offsets(ctx)
-        before, after = offs[i], offs[-1] - offs[i + 1]
-        share = par(Id(before), upsilon(size(e.type), e.basis, k), Id(after))
-        return seq(share, _translate(child, shared))
+        kept = {e.name for e in child.ctx}
+        k = node.payload["arity"] if node.rule == "C" else 0
+        stage = par(*(Id(size(e.type)) if e.name in kept else upsilon(size(e.type), e.basis, k)
+                      for e in ctx))
+        return seq(stage, _translate(child, shared))
     raise TranslationError(f"unknown rule {node.rule!r}")
 
 

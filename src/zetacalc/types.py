@@ -1,8 +1,8 @@
 """Types, basis-annotated contexts, unification, and typing derivations.
 
-Typing is algorithmic: weakening (W) fires where a context entry is unused,
-and contraction (C) fires once per variable used two or more times. Context
-order is preserved throughout, so no exchange rule is needed.
+Typing is algorithmic: one weakening (W) drops every context entry a term
+does not use, and contraction (C) fires once per variable used two or more
+times. Context order is preserved throughout, so no exchange rule is needed.
 
 Types, context entries, contexts and derivation nodes are immutable by
 contract: no field is assigned after construction; slotted, not frozen, for
@@ -24,7 +24,8 @@ occurrence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from .syntax import (
     Abs,
@@ -154,13 +155,7 @@ def labels(t: Type) -> list:
 
 
 def contains_var(t: Type) -> bool:
-    if isinstance(t, TypeVar):
-        return True
-    if isinstance(t, Tensor):
-        return contains_var(t.left) or contains_var(t.right)
-    if isinstance(t, Dual):
-        return contains_var(t.inner)
-    return False
+    return _first_var(t) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +383,8 @@ def _unify_into(a: Type, b: Type, subst: Subst) -> None:
 # ---------------------------------------------------------------------------
 # Derivations
 
+_NO_PAYLOAD: Mapping = MappingProxyType({})
+
 
 @dataclass(slots=True, unsafe_hash=True)
 class Derivation:
@@ -396,7 +393,8 @@ class Derivation:
     Bound variables may have been alpha-renamed relative to the source term
     (shadowed binders are freshened so context names stay distinct), and C
     nodes rename the contracted occurrences in their child (recorded in
-    `payload["names"]`).
+    `payload["names"]`); every other node shares one empty read-only
+    payload.
     """
 
     rule: str
@@ -404,7 +402,13 @@ class Derivation:
     term: Term
     type: Type
     children: tuple["Derivation", ...] = ()
-    payload: dict = field(default_factory=dict)
+    payload: Mapping = field(default_factory=lambda: _NO_PAYLOAD)
+
+    def dropped(self) -> tuple[Entry, ...]:
+        """The entries a W node drops: those of its context that its
+        child's context lacks, in context order."""
+        kept = {e.name for e in self.children[0].ctx}
+        return tuple(e for e in self.ctx if e.name not in kept)
 
     def walk(self):
         """Every node in pre-order, children left to right; a subtree the
@@ -574,13 +578,11 @@ class _Inferencer:
     def build(self, ctx: Context, term: Term) -> Derivation:
         fvs = term.fv
 
-        # Weakening: strip the leftmost unused entry.
-        for i, e in enumerate(ctx.entries):
-            if e.name not in fvs:
-                child = self.build(Context(ctx.entries[:i] + ctx.entries[i + 1 :]), term)
-                return Derivation(
-                    "W", ctx, term, child.type, (child,), {"entry": e, "index": i}
-                )
+        # Weakening: drop every unused entry. The context holds every free
+        # variable, so it has an unused entry exactly when it is the longer.
+        if len(ctx.entries) != len(fvs):
+            child = self.build(Context(tuple(e for e in ctx if e.name in fvs)), term)
+            return Derivation("W", ctx, term, child.type, (child,))
 
         # Contraction: split the leftmost entry used >= 2 times.
         for i, e in enumerate(ctx.entries):
@@ -660,10 +662,10 @@ class _Inferencer:
 
     def _reject_variables(self, d: Derivation) -> None:
         """Raise on the first type of d that holds a variable, in post-order
-        over the nodes and, within a node, the weakened entry, the context
-        entries, then the node's type. The hint names where the variable was
-        made, except that an application result found in an entry's type
-        names the entry's binder: an application cannot be annotated."""
+        over the nodes and, within a node, the dropped entries last first,
+        the context entries, then the node's type. The hint names where the
+        variable was made, except that an application result found in an
+        entry's type names its binder: an application cannot be annotated."""
         todo: list = [(d, False)]
         while todo:
             node, children_done = todo.pop()
@@ -671,8 +673,7 @@ class _Inferencer:
                 todo.append((node, True))
                 todo.extend((c, False) for c in reversed(node.children))
                 continue
-            entry = node.payload.get("entry")
-            held = [entry] if entry is not None else []
+            held = reversed(node.dropped()) if node.rule == "W" else ()
             found = [(e.type, e.name) for e in (*held, *node.ctx)]
             for t, name in [*found, (node.type, None)]:
                 vid = _first_var(t)
@@ -829,13 +830,13 @@ def validate_derivation(d: Derivation) -> None:
                 fail(node, "body premise does not match")
         elif node.rule == "W":
             (child,) = node.children
-            e, i = node.payload["entry"], node.payload["index"]
-            if ctx.entries[i] != e:
-                fail(node, "weakened entry not at recorded index")
-            if Context(ctx.entries[:i] + ctx.entries[i + 1 :]) != child.ctx:
-                fail(node, "premise context is not the conclusion minus the entry")
-            if e.name in free_vars(term):
-                fail(node, f"weakened variable {e.name} occurs in the subject")
+            dropped = node.dropped()
+            gone = {e.name for e in dropped}
+            if not gone or tuple(e for e in ctx if e.name not in gone) != child.ctx.entries:
+                fail(node, "premise context is not the conclusion minus the dropped entries")
+            for e in dropped:
+                if e.name in free_vars(term):
+                    fail(node, f"weakened variable {e.name} occurs in the subject")
             if child.term != term or child.type != t:
                 fail(node, "subject or type changed across weakening")
         elif node.rule == "C":
@@ -891,5 +892,5 @@ def derivation_summary(d: Derivation) -> dict:
                 "basis": str(node.payload["basis"]),
             }
         elif node.rule == "W":
-            w_count += 1
+            w_count += len(node.dropped())
     return {"c_nodes": c_nodes, "w_count": w_count}

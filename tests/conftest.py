@@ -97,6 +97,9 @@ def term_pool() -> list[str]:
         # only the weakenings of the let's context
         "let <a,b> =Z (Z x:1. <x,x>) Z[1] in a",
         "Z x:1. Z[1]",
+        # the let body drops its own b and the context's y, which the bound
+        # term uses, in one W node
+        "Z y:1. let <a, b> =Z <y, Z[1]> in a",
     ]
 
 
@@ -190,14 +193,23 @@ def literal_translate(node):
         m, n = node.children
         router, pn, pm, gn = _split_binary(ctx, n, m)
         return seq(router, par(Id(gn), literal_translate(pm)), literal_translate(pn))
+    (child,) = node.children
+    if node.rule == "W":
+        # one discard per entry the premise's context lacks, right to left,
+        # so the wire offsets of the entries left of it still hold
+        kept = {e.name for e in child.ctx}
+        stage = Id(offs[-1])
+        for i in reversed(range(len(ctx))):
+            e = ctx.entries[i]
+            if e.name not in kept:
+                after = stage.outputs - offs[i + 1]
+                drop = par(Id(offs[i]), discard(size(e.type), e.basis), Id(after))
+                stage = seq(stage, drop)
+        return seq(stage, literal_translate(child))
     i = node.payload["index"]
     e = ctx.entries[i]
     before, after = offs[i], offs[-1] - offs[i + 1]
-    if node.rule == "W":
-        stage = discard(size(e.type), e.basis)
-    else:
-        stage = upsilon(size(e.type), e.basis, node.payload["arity"])
-    (child,) = node.children
+    stage = upsilon(size(e.type), e.basis, node.payload["arity"])
     return seq(par(Id(before), stage, Id(after)), literal_translate(child))
 
 
@@ -340,6 +352,20 @@ def literal_infer(ctx, term, expected=None):
     if expected is not None:
         subst = unify(d.type, expected, subst)
     return resolve(d)
+
+
+def merged_w_chains(node):
+    """The derivation with each chain of W nodes, one per dropped entry as
+    `literal_infer` builds them, merged into one W node: the chain's first
+    conclusion over the premise of its last node, with no payload, as
+    `infer` builds it."""
+    children = node.children
+    if node.rule == "W":
+        while children[0].rule == "W":
+            children = children[0].children
+        return Derivation("W", node.ctx, node.term, node.type, (merged_w_chains(children[0]),))
+    children = tuple(merged_w_chains(c) for c in children)
+    return Derivation(node.rule, node.ctx, node.term, node.type, children, node.payload)
 
 
 @pytest.fixture

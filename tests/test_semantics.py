@@ -281,7 +281,7 @@ class TestNormalFormContract:
     def test_entry_kept_by_neither_child(self):
         term = parse("<Z[1], Z[1]>")
         g = Derivation("G", EMPTY, term.left, Q)
-        w = Derivation("W", self.X1, term.left, Q, (g,), {"entry": self.X1.entries[0], "index": 0})
+        w = Derivation("W", self.X1, term.left, Q, (g,))
         self.refused(Derivation("T", self.X1, term, Tensor(Q, Q), (w, w)), "neither child")
 
     def test_variable_over_an_unused_entry(self):

@@ -17,6 +17,7 @@ from zetacalc.types import (
     Derivation,
     Dual,
     Entry,
+    InvalidDerivationError,
     ZetaTypeError,
     Fn,
     LinearityError,
@@ -41,7 +42,7 @@ from zetacalc.types import (
     unify,
     validate_derivation,
 )
-from conftest import literal_infer, rule_sides, term_pool
+from conftest import literal_infer, merged_w_chains, rule_sides, term_pool
 
 EMPTY = Context()
 Q = Numeral(1)
@@ -224,6 +225,16 @@ class TestDerivations:
         _, d = infer(ctx, parse("x"))
         assert derivation_summary(d)["w_count"] == 1
 
+    def test_copy_map_derivation_is_linear_in_its_ways(self):
+        # one W node per weakening step, however many entries it drops;
+        # the summary still counts the dropped entries
+        k = 200
+        _, d = infer(EMPTY, parse("Z x:1. " + "<x," * (k - 1) + "x" + ">" * (k - 1)))
+        rules = Counter(node.rule for node in d.walk())
+        assert sum(rules.values()) == 4 * k - 1 and rules["W"] == 2 * (k - 1)
+        assert derivation_summary(d)["w_count"] == 20099
+        validate_derivation(d)
+
 
 class TestValidator:
     def _tamper(self, d: Derivation, **changes) -> Derivation:
@@ -262,15 +273,20 @@ class TestValidator:
         def flip_entries(node: Derivation) -> Derivation:
             children = tuple(flip_entries(c) for c in node.children)
             ctx = Context(tuple(flip_entry(e) for e in node.ctx))
-            payload = dict(node.payload)
-            if "entry" in payload:
-                payload["entry"] = flip_entry(payload["entry"])
-            return dataclasses.replace(
-                node, children=children, ctx=ctx, payload=payload
-            )
+            return dataclasses.replace(node, children=children, ctx=ctx)
 
         with pytest.raises(ContractionBasisError):
             validate_derivation(flip_entries(d))
+
+    def test_weakening_drops_only_unused_entries(self):
+        ctx = context_of(("x", Basis.Z, Q), ("y", Basis.X, Q), ("z", Basis.Z, Q))
+        _, d = infer(ctx, parse("y"))
+        assert d.rule == "W" and d.dropped() == (ctx.entries[0], ctx.entries[2])
+        validate_derivation(d)
+        (v,) = d.children
+        for bad in (self._tamper(d, ctx=v.ctx), self._tamper(d, term=parse("<x, y>"))):
+            with pytest.raises(InvalidDerivationError):
+                validate_derivation(bad)
 
     def test_tampered_generator(self):
         _, d = infer(EMPTY, parse("Z[1]"))
@@ -401,6 +417,8 @@ _ERROR_SOURCES = [
     "Z[1] Z[1]",
     "\\x:1. <x,x>",
     "Z f. f (f Z[1])",
+    # one W node drops both ambiguous binders: the reference meets g first
+    "Z f. Z g. Z h:1. <h, <g, f>>",
 ]
 
 
@@ -411,6 +429,11 @@ def _result(run):
         return run()
     except ZetaTypeError as exc:
         return type(exc), str(exc)
+
+
+def _literal_result(ctx, term, expected=None):
+    """_result of the reference, its chains of one-entry W nodes merged."""
+    return _result(lambda: merged_w_chains(literal_infer(ctx, term, expected)))
 
 
 def _reference_cases():
@@ -427,9 +450,7 @@ class TestCountsOncePerInference:
         # node on its own
         for ctx, term in _reference_cases():
             got = _result(lambda: infer(ctx, term)[1])
-            assert got == _result(lambda: literal_infer(ctx, term)), (
-                syntax.print_term(term)
-            )
+            assert got == _literal_result(ctx, term), syntax.print_term(term)
 
     def test_check_matches_reference(self):
         for ctx, term in _reference_cases():
@@ -439,9 +460,7 @@ class TestCountsOncePerInference:
                 expected.append(inferred.type)
             for t in expected:
                 got = _result(lambda: check(ctx, term, t))
-                assert got == _result(lambda: literal_infer(ctx, term, t)), (
-                    syntax.print_term(term), t
-                )
+                assert got == _literal_result(ctx, term, t), (syntax.print_term(term), t)
 
     def test_counts_match_naive_in_first_use_order(self):
         c_children = 0
