@@ -105,8 +105,8 @@ def cmd_check(args) -> int:
         }))
         return EXIT_OK
     print(print_type(ty))
-    for var, info in summary["c_nodes"].items():
-        print(f"C-node: {var} shared {info['arity']} ways in basis {info['basis']}")
+    for c in summary["c_nodes"]:
+        print(f"C-node: {c['var']} shared {c['arity']} ways in basis {c['basis']}")
     if summary["w_count"]:
         print(f"W-nodes: {summary['w_count']}")
     return EXIT_OK

@@ -298,11 +298,12 @@ def _translate(node: Derivation, shared: dict) -> Diagram:
         arg = par(Id(gn), _translate(pm, shared))
         return seq(router, arg, _translate(pn, shared))
     if node.rule in ("W", "C"):
-        # an entry the child's context lacks is copied k ways: a C node's
-        # arity, or 0 ways, a discard, at a W node
+        # an entry the child's context lacks is copied k ways: into the
+        # copies that hold its place at a C node, or 0 ways, a discard, at
+        # a W node
         (child,) = node.children
         kept = {e.name for e in child.ctx}
-        k = node.payload["arity"] if node.rule == "C" else 0
+        k = len(child.ctx) - len(ctx) + 1 if node.rule == "C" else 0
         stage = par(*(Id(size(e.type)) if e.name in kept else upsilon(size(e.type), e.basis, k)
                       for e in ctx))
         return seq(stage, _translate(child, shared))

@@ -3,6 +3,8 @@
 Typing is algorithmic: one weakening (W) drops every context entry a term
 does not use, and contraction (C) fires once per variable used two or more
 times. Context order is preserved throughout, so no exchange rule is needed.
+A derivation node is a bare judgement with its premises: what a W or C node
+does is the difference between its context and its child's.
 
 Types, context entries, contexts and derivation nodes are immutable by
 contract: no field is assigned after construction; slotted, not frozen, for
@@ -23,9 +25,8 @@ occurrence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Mapping, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from .syntax import (
     Abs,
@@ -383,18 +384,16 @@ def _unify_into(a: Type, b: Type, subst: Subst) -> None:
 # ---------------------------------------------------------------------------
 # Derivations
 
-_NO_PAYLOAD: Mapping = MappingProxyType({})
-
-
 @dataclass(slots=True, unsafe_hash=True)
 class Derivation:
-    """A typing-derivation node. `rule` is one of U V G D B A T E W C.
+    """A typing-derivation node, a bare judgement. `rule` is one of
+    U V G D B A T E W C.
 
     Bound variables may have been alpha-renamed relative to the source term
-    (shadowed binders are freshened so context names stay distinct), and C
-    nodes rename the contracted occurrences in their child (recorded in
-    `payload["names"]`); every other node shares one empty read-only
-    payload.
+    (shadowed binders are freshened so context names stay distinct), and a
+    C node renames the k occurrences of its contracted entry x in its child
+    to the copies x#1 .. x#k. What a W or C node does is read from its two
+    contexts (see `dropped`).
     """
 
     rule: str
@@ -402,11 +401,12 @@ class Derivation:
     term: Term
     type: Type
     children: tuple["Derivation", ...] = ()
-    payload: Mapping = field(default_factory=lambda: _NO_PAYLOAD)
 
     def dropped(self) -> tuple[Entry, ...]:
-        """The entries a W node drops: those of its context that its
-        child's context lacks, in context order."""
+        """The entries of this node's context that its child's context
+        lacks, in context order: every entry a W node drops, or the one
+        entry a C node contracts, which its child's context holds in its
+        place as len(child.ctx) - len(ctx) + 1 copies."""
         kept = {e.name for e in self.children[0].ctx}
         return tuple(e for e in self.ctx if e.name not in kept)
 
@@ -594,14 +594,7 @@ class _Inferencer:
                 child = self.build(
                     Context(ctx.entries[:i] + split + ctx.entries[i + 1 :]), renamed
                 )
-                return Derivation(
-                    "C",
-                    ctx,
-                    term,
-                    child.type,
-                    (child,),
-                    {"var": e.name, "basis": e.basis, "arity": k, "names": names, "index": i},
-                )
+                return Derivation("C", ctx, term, child.type, (child,))
 
         # the context is now empty exactly when the term is closed
         shared = not fvs and id(term) in self.closed
@@ -841,37 +834,31 @@ def validate_derivation(d: Derivation) -> None:
                 fail(node, "subject or type changed across weakening")
         elif node.rule == "C":
             (child,) = node.children
-            var = node.payload["var"]
-            basis = node.payload["basis"]
-            names = tuple(node.payload["names"])
-            i = node.payload["index"]
-            arity = node.payload["arity"]
-            if arity != len(names) or arity < 2:
+            dropped = node.dropped()
+            if len(dropped) != 1:
+                fail(node, "premise context does not split exactly one entry")
+            (entry,) = dropped
+            i = ctx.entries.index(entry)
+            k = len(child.ctx) - len(ctx) + 1
+            if k < 2:
                 fail(node, "contraction arity must be >= 2")
-            entry = ctx.entries[i]
-            if entry.name != var:
-                fail(node, "contracted entry not at recorded index")
-            if entry.basis != basis:
-                raise ContractionBasisError(
-                    f"contraction of {var} in basis {basis} but {var} is"
-                    f" introduced in basis {entry.basis}"
-                )
-            split = child.ctx.entries[i : i + arity]
+            split = child.ctx.entries[i : i + k]
             if child.ctx.entries[:i] != ctx.entries[:i] or child.ctx.entries[
-                i + arity :
+                i + k :
             ] != ctx.entries[i + 1 :]:
                 fail(node, "premise context does not split the contracted entry")
             for se in split:
-                if se.basis != basis:
+                if se.basis != entry.basis:
                     raise ContractionBasisError(
                         f"occurrence {se.name} carries basis {se.basis},"
-                        f" expected {basis}"
+                        f" expected {entry.basis}"
                     )
                 if se.type != entry.type:
                     fail(node, "occurrence types differ")
-            if tuple(se.name for se in split) != names:
-                fail(node, "occurrence names do not match the payload")
-            if rename_free_occurrences(term, var, list(names)) != child.term:
+            uses = term.fv.get(entry.name, 0)
+            if uses != k:
+                fail(node, f"{k} copies of {entry.name} for its {uses} occurrences")
+            if rename_free_occurrences(term, entry.name, [se.name for se in split]) != child.term:
                 fail(node, "premise subject is not the renamed conclusion subject")
             if child.type != t:
                 fail(node, "type changed across contraction")
@@ -882,15 +869,15 @@ def validate_derivation(d: Derivation) -> None:
 
 
 def derivation_summary(d: Derivation) -> dict:
-    """Counts of structural rules, per variable where applicable."""
-    c_nodes = {}
+    """The C nodes, one {"var", "arity", "basis"} per node in walk order,
+    and the number of entries the W nodes drop."""
+    c_nodes = []
     w_count = 0
     for node in d.walk():
         if node.rule == "C":
-            c_nodes[node.payload["var"]] = {
-                "arity": node.payload["arity"],
-                "basis": str(node.payload["basis"]),
-            }
+            (e,) = node.dropped()
+            arity = len(node.children[0].ctx) - len(node.ctx) + 1
+            c_nodes.append({"var": e.name, "arity": arity, "basis": str(e.basis)})
         elif node.rule == "W":
             w_count += len(node.dropped())
     return {"c_nodes": c_nodes, "w_count": w_count}

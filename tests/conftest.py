@@ -22,7 +22,7 @@ from zetacalc.diagram import (
     seq,
     upsilon,
 )
-from zetacalc.semantics import _split_binary, eval_as_map, translate
+from zetacalc.semantics import eval_as_map, translate
 from zetacalc.syntax import (
     Abs,
     App,
@@ -100,6 +100,8 @@ def term_pool() -> list[str]:
         # the let body drops its own b and the context's y, which the bound
         # term uses, in one W node
         "Z y:1. let <a, b> =Z <y, Z[1]> in a",
+        # a binary node that routes its entries by a 3-cycle, not a swap
+        "Z x:1. Z y:1. Z z:1. <z, <x, y>>",
     ]
 
 
@@ -153,13 +155,58 @@ def _literal_caps(a: int, mid: int):
     return seq(permutation(perm), par(*([Cap()] * a), Id(mid)))
 
 
+def _literal_discards(entries, kept):
+    """Discard, out of the wires of `entries`, those of every entry not
+    named in `kept`, right to left, so the wire offsets of the entries left
+    of it still hold."""
+    offs = [0]
+    for e in entries:
+        offs.append(offs[-1] + size(e.type))
+    stage = Id(offs[-1])
+    for i in reversed(range(len(entries))):
+        e = entries[i]
+        if e.name not in kept:
+            after = stage.outputs - offs[i + 1]
+            stage = seq(stage, par(Id(offs[i]), discard(size(e.type), e.basis), Id(after)))
+    return stage
+
+
+def _literal_route(ctx, *children):
+    """The routing of a binary node: each entry of ctx goes to the child
+    whose subject uses it. Returns (permutation to the children's blocks in
+    turn, each child's translation on its block plus its own binders, the
+    first block's width)."""
+    blocks = [[] for _ in children]
+    wires = [[] for _ in children]
+    at = 0
+    for e in ctx:
+        (j,) = [j for j, c in enumerate(children) if e.name in c.term.fv]
+        blocks[j].append(e)
+        wires[j].extend(range(at, at + size(e.type)))
+        at += size(e.type)
+    perm = [0] * at
+    for dst, src in enumerate(w for ws in wires for w in ws):
+        perm[src] = dst
+    parts = []
+    for c, block in zip(children, blocks):
+        # the child's own binders follow its block, as in its context
+        entries = block + list(c.ctx.entries[len(ctx):])
+        premise = c
+        while premise.rule == "W":
+            premise = premise.children[0]
+        kept = set(premise.ctx.names)
+        parts.append(seq(_literal_discards(entries, kept), literal_translate(premise)))
+    return permutation(perm), parts, len(wires[0])
+
+
 def literal_translate(node):
     """The snaked reference translation of a derivation in the W/C-normal
     form: every abstraction is a state whose binder wires a cup bends into
     dual outputs, with its binder rotation kept at phase 0, and every
     application, a beta-redex too, caps those outputs against the
     argument's. `translate` composes redexes instead; the yanking equation
-    says the two denote the same matrix."""
+    says the two denote the same matrix. It routes a binary node's entries
+    by its children's subjects, on its own, not through `semantics`."""
     ctx = node.ctx
     offs = [0]
     for e in ctx:
@@ -183,33 +230,22 @@ def literal_translate(node):
     if node.rule == "A":
         c1, c2 = node.children
         a_t, b_t = fn_parts(c1.type)
-        router, p1, p2, _ = _split_binary(ctx, c1, c2)
-        both = par(literal_translate(p1), literal_translate(p2))
-        return seq(router, both, _literal_caps(size(a_t), size(b_t)))
+        router, (t1, t2), _ = _literal_route(ctx, c1, c2)
+        return seq(router, par(t1, t2), _literal_caps(size(a_t), size(b_t)))
     if node.rule == "T":
-        router, p1, p2, _ = _split_binary(ctx, *node.children)
-        return seq(router, par(literal_translate(p1), literal_translate(p2)))
+        router, (t1, t2), _ = _literal_route(ctx, *node.children)
+        return seq(router, par(t1, t2))
     if node.rule == "E":
         m, n = node.children
-        router, pn, pm, gn = _split_binary(ctx, n, m)
-        return seq(router, par(Id(gn), literal_translate(pm)), literal_translate(pn))
+        router, (tn, tm), gn = _literal_route(ctx, n, m)
+        return seq(router, par(Id(gn), tm), tn)
     (child,) = node.children
     if node.rule == "W":
-        # one discard per entry the premise's context lacks, right to left,
-        # so the wire offsets of the entries left of it still hold
-        kept = {e.name for e in child.ctx}
-        stage = Id(offs[-1])
-        for i in reversed(range(len(ctx))):
-            e = ctx.entries[i]
-            if e.name not in kept:
-                after = stage.outputs - offs[i + 1]
-                drop = par(Id(offs[i]), discard(size(e.type), e.basis), Id(after))
-                stage = seq(stage, drop)
-        return seq(stage, literal_translate(child))
-    i = node.payload["index"]
-    e = ctx.entries[i]
+        return seq(_literal_discards(ctx.entries, set(child.ctx.names)), literal_translate(child))
+    # the entry the subject uses more than once, split into one copy per use
+    [(i, e)] = [(i, e) for i, e in enumerate(ctx) if node.term.fv.get(e.name, 0) >= 2]
     before, after = offs[i], offs[-1] - offs[i + 1]
-    stage = upsilon(size(e.type), e.basis, node.payload["arity"])
+    stage = upsilon(size(e.type), e.basis, node.term.fv[e.name])
     return seq(par(Id(before), stage, Id(after)), literal_translate(child))
 
 
@@ -248,8 +284,7 @@ def literal_infer(ctx, term, expected=None):
         for i, e in enumerate(ctx.entries):
             if e.name not in fvs:
                 child = derive(Context(ctx.entries[:i] + ctx.entries[i + 1 :]), term)
-                payload = {"entry": e, "index": i}
-                return Derivation("W", ctx, term, child.type, (child,), payload)
+                return Derivation("W", ctx, term, child.type, (child,))
         for i, e in enumerate(ctx.entries):
             k = fvs.get(e.name, 0)
             if k >= 2:
@@ -259,9 +294,7 @@ def literal_infer(ctx, term, expected=None):
                     Context(ctx.entries[:i] + split + ctx.entries[i + 1 :]),
                     rename_free_occurrences(term, e.name, list(names)),
                 )
-                payload = {"var": e.name, "basis": e.basis, "arity": k,
-                           "names": names, "index": i}
-                return Derivation("C", ctx, term, child.type, (child,), payload)
+                return Derivation("C", ctx, term, child.type, (child,))
         if isinstance(term, Unit):
             return Derivation("U", ctx, term, TOP)
         if isinstance(term, Var):
@@ -337,11 +370,13 @@ def literal_infer(ctx, term, expected=None):
 
     def resolve(node):
         children = tuple(resolve(c) for c in node.children)
-        payload = dict(node.payload)
-        if "entry" in payload:
-            payload["entry"] = entry(payload["entry"])
+        if node.rule == "W":
+            # the weakened entry, the one the premise's context lacks, first
+            kept = set(node.children[0].ctx.names)
+            (weakened,) = [e for e in node.ctx if e.name not in kept]
+            entry(weakened)
         ctx = Context(tuple(entry(e) for e in node.ctx))
-        return Derivation(node.rule, ctx, node.term, resolved(node.type), children, payload)
+        return Derivation(node.rule, ctx, node.term, resolved(node.type), children)
 
     if expected is not None and contains_var(expected):
         raise AmbiguousTypeError("expected type must be fully inferred")
@@ -357,15 +392,14 @@ def literal_infer(ctx, term, expected=None):
 def merged_w_chains(node):
     """The derivation with each chain of W nodes, one per dropped entry as
     `literal_infer` builds them, merged into one W node: the chain's first
-    conclusion over the premise of its last node, with no payload, as
-    `infer` builds it."""
+    conclusion over the premise of its last node, as `infer` builds it."""
     children = node.children
     if node.rule == "W":
         while children[0].rule == "W":
             children = children[0].children
         return Derivation("W", node.ctx, node.term, node.type, (merged_w_chains(children[0]),))
     children = tuple(merged_w_chains(c) for c in children)
-    return Derivation(node.rule, node.ctx, node.term, node.type, children, node.payload)
+    return Derivation(node.rule, node.ctx, node.term, node.type, children)
 
 
 @pytest.fixture

@@ -329,12 +329,12 @@ def test_criterion_9_round_trips_and_rejections(report, tmp_path):
     _, d = infer(EMPTY, parse("Z x:1. <x,x>"))
 
     def flip(node):
+        # the contracted copies x#k take basis X; the entry x keeps Z
         children = tuple(flip(c) for c in node.children)
-        if node.rule == "C":
-            payload = dict(node.payload)
-            payload["basis"] = Basis.X
-            return dataclasses.replace(node, children=children, payload=payload)
-        return dataclasses.replace(node, children=children)
+        ctx = Context(tuple(
+            Entry(e.name, Basis.X, e.type) if "#" in e.name else e for e in node.ctx
+        ))
+        return dataclasses.replace(node, ctx=ctx, children=children)
 
     try:
         validate_derivation(flip(d))

@@ -63,7 +63,17 @@ class TestCheck:
         assert main(["check", f, "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["type"] == "1 -> 1 * 1"
-        assert doc["summary"]["c_nodes"]["x"]["arity"] == 2
+        assert doc["summary"]["c_nodes"] == [{"var": "x", "arity": 2, "basis": "Z"}]
+
+    def test_one_line_per_contraction(self, write, capsys):
+        # two contractions of the same name are two C nodes
+        f = write("twice.zeta", "<Z x:1. <x,x>, Z x:1. <x,<x,x>>>")
+        assert main(["check", f]) == 0
+        lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("C-node:")]
+        assert lines == [
+            "C-node: x shared 2 ways in basis Z",
+            "C-node: x shared 3 ways in basis Z",
+        ]
 
     def test_long_h_chain(self, write, capsys):
         # the derivation is deeper than the recursion limit allows a

@@ -259,6 +259,17 @@ class TestRouting:
                 binary += 1
         assert binary > 500
 
+    def test_binary_node_routes_a_three_cycle(self):
+        # wires (x, y, z) leave as (z, x, y); a router that inverted its
+        # permutation would send them to (y, z, x)
+        ctx = context_of(("x", Basis.Z, Q), ("y", Basis.X, Q), ("z", Basis.Z, Q))
+        want = np.zeros((8, 8))
+        for col in range(8):
+            x, y, z = col >> 2, col >> 1 & 1, col & 1
+            want[4 * z + 2 * x + y, col] = 1
+        got = denote(jd_of("<z, <x, y>>", ctx).diagram)
+        assert np.max(np.abs(got - want)) < 1e-12
+
 
 class TestNormalFormContract:
     """Derivations that validate_derivation accepts but that are not in the

@@ -203,22 +203,28 @@ class TestDerivations:
     def test_c_node_for_sharing(self):
         _, d = infer(EMPTY, parse("Z x:1. <x,x>"))
         summary = derivation_summary(d)
-        assert summary["c_nodes"] == {"x": {"arity": 2, "basis": "Z"}}
+        assert summary["c_nodes"] == [{"var": "x", "arity": 2, "basis": "Z"}]
 
     def test_c_arity_three(self):
         _, d = infer(EMPTY, parse("X x:1. <x,<x,x>>"))
-        assert derivation_summary(d)["c_nodes"]["x"]["arity"] == 3
+        assert derivation_summary(d)["c_nodes"] == [{"var": "x", "arity": 3, "basis": "X"}]
+
+    def test_same_name_contracted_twice(self):
+        # one entry per C node, in walk order, though both contract an x
+        _, d = infer(EMPTY, parse("<Z x:1. <x,x>, Z x:1. <x,<x,x>>>"))
+        assert derivation_summary(d)["c_nodes"] == [
+            {"var": "x", "arity": 2, "basis": "Z"},
+            {"var": "x", "arity": 3, "basis": "Z"},
+        ]
 
     def test_c_multiset_matches_occurrences(self):
         for src in term_pool():
             _, d = infer(EMPTY, parse(src))
             for node in d.walk():
                 if node.rule == "C":
-                    from zetacalc.syntax import occurrences
-
-                    assert occurrences(node.payload["var"], node.term) == node.payload[
-                        "arity"
-                    ]
+                    (e,) = node.dropped()
+                    copies = len(node.children[0].ctx) - len(node.ctx) + 1
+                    assert syntax.occurrences(e.name, node.term) == copies
 
     def test_w_node_for_unused(self):
         ctx = context_of(("x", Basis.Z, Q), ("y", Basis.X, Q))
@@ -246,37 +252,62 @@ class TestValidator:
         with pytest.raises(Exception):
             validate_derivation(bad)
 
+    @staticmethod
+    def _flip_to_x(node: Derivation, flipped) -> Derivation:
+        """node with every context entry whose name passes flipped moved to basis X."""
+        children = tuple(TestValidator._flip_to_x(c, flipped) for c in node.children)
+        ctx = Context(tuple(
+            Entry(e.name, Basis.X, e.type) if flipped(e.name) else e for e in node.ctx
+        ))
+        return dataclasses.replace(node, children=children, ctx=ctx)
+
     def test_contraction_basis_conflict(self):
-        # flip the contraction basis recorded on the C node: the re-checker
-        # must flag the mismatch with the context entry's basis
+        # flip the basis of the entry the C node contracts: its copies x#k
+        # keep Z, and the re-checker must flag the mismatch
         _, d = infer(EMPTY, parse("Z x:1. <x,x>"))
-        c_node = None
-
-        def flip(node: Derivation) -> Derivation:
-            children = tuple(flip(c) for c in node.children)
-            if node.rule == "C":
-                payload = dict(node.payload)
-                payload["basis"] = Basis.X
-                return dataclasses.replace(node, children=children, payload=payload)
-            return dataclasses.replace(node, children=children)
-
-        bad = flip(d)
+        (c_node,) = d.children
+        assert c_node.rule == "C"
         with pytest.raises(ContractionBasisError):
-            validate_derivation(bad)
+            validate_derivation(self._flip_to_x(c_node, lambda name: name == "x"))
 
     def test_occurrence_basis_conflict(self):
+        # flip the basis of the copies x#k: they no longer share the
+        # contracted entry's basis
         _, d = infer(EMPTY, parse("Z x:1. <x,x>"))
-
-        def flip_entry(e: Entry) -> Entry:
-            return Entry(e.name, Basis.X if "#" in e.name else e.basis, e.type)
-
-        def flip_entries(node: Derivation) -> Derivation:
-            children = tuple(flip_entries(c) for c in node.children)
-            ctx = Context(tuple(flip_entry(e) for e in node.ctx))
-            return dataclasses.replace(node, children=children, ctx=ctx)
-
         with pytest.raises(ContractionBasisError):
-            validate_derivation(flip_entries(d))
+            validate_derivation(self._flip_to_x(d, lambda name: "#" in name))
+
+    @staticmethod
+    def _contraction(ctx: Context, src: str, premise_ctx, premise_term) -> Derivation:
+        """A C node over ctx |- src whose premise is the derivation infer
+        gives premise_ctx |- premise_term, however it splits the context."""
+        premise_ctx = context_of(*((name, Basis.Z, Q) for name in premise_ctx))
+        _, child = infer(premise_ctx, premise_term)
+        return Derivation("C", ctx, parse(src), child.type, (child,))
+
+    def test_contraction_must_split_one_entry_in_place(self):
+        xy = context_of(("x", Basis.Z, Q), ("y", Basis.Z, Q))
+        x = context_of(("x", Basis.Z, Q))
+        copies = ["x#1", "x#2"]
+        pair = syntax.rename_free_occurrences(parse("<<x,x>,y>"), "x", copies)
+        good = self._contraction(xy, "<<x,x>,y>", copies + ["y"], pair)
+        validate_derivation(good)
+        bad = [
+            # two entries split
+            self._contraction(
+                xy, "<<x,x>,<y,y>>", copies + ["y#1", "y#2"],
+                Tup(Tup(Var("x#1"), Var("x#2")), Tup(Var("y#1"), Var("y#2"))),
+            ),
+            # one entry renamed into a single copy
+            self._contraction(x, "x", ["x#1"], Var("x#1")),
+            # the copies after y, not in x's place
+            self._contraction(xy, "<<x,x>,y>", ["y"] + copies, pair),
+            # three copies of an entry used twice
+            self._contraction(x, "<x,x>", copies + ["x#3"], Tup(Var("x#1"), Var("x#2"))),
+        ]
+        for d in bad:
+            with pytest.raises(InvalidDerivationError):
+                validate_derivation(d)
 
     def test_weakening_drops_only_unused_entries(self):
         ctx = context_of(("x", Basis.Z, Q), ("y", Basis.X, Q), ("z", Basis.Z, Q))
