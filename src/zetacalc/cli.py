@@ -6,8 +6,8 @@ or non-UTF-8 file, malformed or negative ZETA_WIRE_BUDGET, a --tol that is
 not a finite number >= 0, a --copies that is not N or LO..HI with
 0 <= LO <= HI, or mismatched equivalence query; 3 wire budget exceeded
 (evaluation would hold a tensor of more than ZETA_WIRE_BUDGET legs, default
-14, whatever the diagram's width), out of memory within a budget set too
-high, or term too deep to process.
+14, whatever the diagram's width), out of memory or a tensor too large to
+address within a budget set too high, or term too deep to process.
 """
 
 from __future__ import annotations

@@ -40,6 +40,7 @@ import cmath
 import itertools
 import json
 import math
+import sys
 from collections import deque
 from typing import Optional, Union
 
@@ -64,6 +65,9 @@ from .syntax import Basis, Phase, ZetaError
 SQRT2 = math.sqrt(2.0)
 
 WIRE_BUDGET = 14
+
+# the most complex128 entries one array can hold: at most sys.maxsize bytes
+_ADDRESSABLE = sys.maxsize // 16
 
 
 class EvalError(ZetaError):
@@ -107,19 +111,23 @@ _CUP = np.array([[1.0], [0.0], [0.0], [1.0]], dtype=complex)
 
 
 def denote(d: Diagram, budget: Optional[int] = None) -> np.ndarray:
-    """Dense denotation: a 2^outputs x 2^inputs complex matrix. With a
-    budget, raises WireBudgetError instead of creating an array of more
-    than 2^budget entries; without one, the walk is unbounded."""
-    limit = math.inf if budget is None else 2**budget
+    """Dense denotation: a 2^outputs x 2^inputs complex matrix. Raises
+    WireBudgetError instead of creating an array of more than 2^budget
+    entries (no bound when budget is None), and MemoryError instead of one
+    too large for the machine to address."""
+    limit = _ADDRESSABLE if budget is None else min(2**budget, _ADDRESSABLE)
     n = 2**d.inputs
     _fits(n * n, limit)
     return _apply(d, np.eye(n, dtype=complex)[None], {}, limit).reshape(-1, n)
 
 
-def _fits(entries: int, limit) -> None:
+def _fits(entries: int, limit: int) -> None:
     if entries > limit:
+        legs = entries.bit_length() - 1
+        if limit == _ADDRESSABLE:
+            raise MemoryError(f"a {legs}-leg tensor is too large to address")
         raise WireBudgetError(
-            f"evaluation needs a tensor of {entries.bit_length() - 1} legs,"
+            f"evaluation needs a tensor of {legs} legs,"
             f" over the {math.log2(limit):g}-leg wire budget"
         )
 

@@ -112,23 +112,6 @@ def context_labels(ctx: Context) -> tuple:
     return tuple(out)
 
 
-def share_context(ctx: Context, n: int) -> Diagram:
-    """Share every entry in its own basis into n copies, regrouped so the
-    output is n consecutive full copies of the context block (copy-major)."""
-    sizes = [size(e.type) for e in ctx]
-    shared = par(*(upsilon(s, e.basis, n) for s, e in zip(sizes, ctx)))
-    # after per-entry sharing, wires are entry-major: entry i, copy j, offset k
-    # at sum(sizes[:i])*n + j*sizes[i] + k; regroup to copy-major.
-    total = sum(sizes)
-    perm = []
-    for i, s in enumerate(sizes):
-        before = sum(sizes[:i])
-        for j in range(n):
-            for k in range(s):
-                perm.append(j * total + before + k)
-    return seq(shared, permutation(perm))
-
-
 def _wire_offsets(ctx: Context) -> list[int]:
     offs = [0]
     for e in ctx:

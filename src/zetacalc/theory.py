@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .diagram import par, seq, upsilon
 from .evaluator import (
     BOTH_ZERO,
     WIRE_BUDGET,
@@ -19,7 +18,7 @@ from .evaluator import (
     equal_up_to_scalar,
     max_deviation,
 )
-from .semantics import share_context, translate
+from .semantics import translate
 from .syntax import (
     Abs,
     App,
@@ -364,15 +363,20 @@ def commutes_with_sharing(
     ctx: Context, term: Term, basis: Basis, n: int, tol: float = DEFAULT_TOL,
     budget: Optional[int] = WIRE_BUDGET,
 ) -> bool:
-    """Does sharing the output of `term` across `basis` equal sharing its
-    context and running n copies? Compared up to scalar within tol; both
-    sides are evaluated within `budget` (see `denote`)."""
-    ty, d = infer(ctx, term)
-    a = size(ty)
-    jd = translate(d)
-    lhs = seq(jd.diagram, upsilon(a, basis, n))
-    rhs = seq(share_context(ctx, n), par(*([jd.diagram] * n)))
-    return equal_up_to_scalar(denote(lhs, budget), denote(rhs, budget), tol) is not None
+    """Does `term` (M : A) commute with sharing n ways in `basis`? That is
+    (B y:A. <y, ..., y>) M == <M, ..., M>, n copies a side, decided by
+    `compare` within tol and `budget`: contracting each context entry n
+    ways, in its own basis, shares the context."""
+    ty, _ = infer(ctx, term)
+    lhs = App(Abs(basis, Phase.zero(), "y", ty, _copies(Var("y"), n)), term)
+    return compare(ctx, lhs, _copies(term, n), tol, budget).status == "equal"
+
+
+def _copies(t: Term, n: int) -> Term:
+    """The right-nested n-tuple <t, <t, ...>>: t itself for n = 1, * for 0."""
+    if n == 0:
+        return Unit()
+    return t if n == 1 else Tup(t, _copies(t, n - 1))
 
 
 # ---------------------------------------------------------------------------

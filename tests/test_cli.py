@@ -243,6 +243,19 @@ class TestBudgetCountsTensors:
         monkeypatch.setenv("ZETA_WIRE_BUDGET", "abc")
         assert main(["share-check", f, "--copies", "3"]) == 2
 
+    @pytest.mark.parametrize("src, args, budget", [
+        (_copy_map(60), ["eval", "--as-map"], "64"),
+        (_copy_map(70), ["eval", "--as-map"], "100"),
+        ("X[1]^pi", ["share-check", "--copies", "62"], "100"),
+    ], ids=["eval-60-ways", "eval-70-ways", "share-check-62-copies"])
+    def test_budget_past_addressable_memory(self, write, capsys, monkeypatch, src, args, budget):
+        # each needs a spider of over 2^59 entries, more bytes than one
+        # array can address
+        monkeypatch.setenv("ZETA_WIRE_BUDGET", budget)
+        assert main(args + [write("wide.zeta", src)]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "ZETA_WIRE_BUDGET" in err
+
 
 class TestErrorExits:
     def test_translation_error(self, write, capsys):
@@ -354,6 +367,22 @@ class TestShareCheck:
         assert main(["share-check", f, "--basis", "Z", "--copies", "2", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc == {"2": True}
+
+    def test_open_variable(self, write, capsys):
+        # a variable is its context entry: it commutes with sharing in the
+        # entry's own basis only
+        f = write("x.zeta", "x")
+        ctx = ["--ctx", "x:Z:1"]
+        assert main(["share-check", f, "--basis", "Z", "--copies", "0..3"] + ctx) == 0
+        assert capsys.readouterr().out.count("yes") == 4
+        assert main(["share-check", f, "--basis", "X", "--copies", "2"] + ctx) == 1
+        assert "no" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("basis, code", [("Z", 0), ("X", 1)])
+    def test_open_application(self, write, capsys, basis, code):
+        f = write("fx.zeta", "f x")
+        args = ["share-check", f, "--basis", basis, "--copies", "2"]
+        assert main(args + ["--ctx", "x:Z:1, f:Z:1->1"]) == code
 
 
 class TestRefusedInputs:

@@ -23,6 +23,7 @@ from zetacalc.diagram import (
     par,
     seq,
     to_json,
+    upsilon,
 )
 from zetacalc.evaluator import (
     BOTH_ZERO,
@@ -465,6 +466,13 @@ class TestWireBudget:
         assert denote(d).shape == (2**15, 1)
         with pytest.raises(WireBudgetError, match="15 legs"):
             denote(d, evaluator.WIRE_BUDGET)
+
+    @pytest.mark.parametrize("budget", [None, 100])
+    def test_unaddressable_tensor_is_out_of_memory(self, budget):
+        # a 1 -> 70 spider is a 71-leg tensor, 2^75 bytes: numpy would raise
+        # ValueError (array is too big), not MemoryError
+        with pytest.raises(MemoryError, match="71-leg"):
+            denote(upsilon(1, Basis.Z, 70), budget)
 
 
 class TestMatrixJson:

@@ -25,7 +25,6 @@ from zetacalc.semantics import (
     _split_binary,
     context_labels,
     eval_as_map,
-    share_context,
     translate,
 )
 from zetacalc.syntax import Basis, Phase, free_vars, parse, substitute
@@ -73,40 +72,6 @@ class TestArities:
     def test_variable_is_identity(self):
         jd = jd_of("x", context_of(("x", Basis.Z, Q)))
         assert np.allclose(denote(jd.diagram), np.eye(2))
-
-
-class TestShareContext:
-    def test_single_entry(self):
-        ctx = context_of(("x", Basis.Z, Q))
-        d = share_context(ctx, 2)
-        m = denote(d)
-        sp = denote(upsilon(1, Basis.Z, 2))
-        assert np.allclose(m, sp)
-
-    def test_empty(self):
-        assert share_context(EMPTY, 2) == Id(0)
-
-    def test_two_entries_copy_major(self):
-        ctx = context_of(("x", Basis.Z, Q), ("y", Basis.X, Q))
-        d = share_context(ctx, 2)
-        assert (d.inputs, d.outputs) == (2, 4)
-        m = denote(d)
-        o = oracle_contract(d)
-        assert np.max(np.abs(m - o)) < 1e-9
-        # |10> must land on copies (x y)(x y): Z-share keeps |1..1>,
-        # X-share of |0> spreads; check the Z wire positions carry x in
-        # both copy blocks by contracting against <1.1.|
-        v = np.zeros(4, complex)
-        v[0b10] = 1
-        out = (m @ v).reshape(2, 2, 2, 2)
-        # x copies live at wire 0 (copy 1) and wire 2 (copy 2)
-        assert np.allclose(out[0, :, :, :], 0)
-        assert not np.allclose(out[1, :, 0, :] + out[1, :, 1, :], 0)
-
-    def test_share_zero_discards(self):
-        ctx = context_of(("x", Basis.Z, Q))
-        d = share_context(ctx, 0)
-        assert (d.inputs, d.outputs) == (1, 0)
 
 
 class TestSharingTerm:

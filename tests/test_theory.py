@@ -1,3 +1,6 @@
+from functools import reduce
+
+import numpy as np
 import pytest
 
 from zetacalc.evaluator import (
@@ -226,6 +229,38 @@ class TestCommutesWithSharing:
         with pytest.raises(WireBudgetError):
             commutes_with_sharing(EMPTY, pair, Basis.Z, 3, budget=5)
         assert commutes_with_sharing(EMPTY, parse("Z[5]"), Basis.Z, 3, budget=None) is False
+
+
+_SHARE_REFERENCE_TERMS = [
+    f"{b}[1]^{p}" for b in "ZX" for p in ("0", "pi/4", "pi/2", "pi", "3pi/2")
+] + ["H Z[1]", "H X[1]^pi", "rot X^pi/2 Z[1]", "rot Z^pi/4 X[1]"]
+
+
+def _shared(v, basis: Basis, n: int):
+    """The one-qubit state v shared n ways, from the copy spider's own
+    definition and no diagram: v0|0..0> + v1|1..1> in Z, and
+    a|+..+> + b|-..-> with (a, b) = H v in X."""
+    kets = np.eye(2) if basis is Basis.Z else np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    amps = kets.T @ v
+    return sum(amps[i] * _power(kets[:, i], n) for i in range(2))
+
+
+def _power(u, n: int):
+    return reduce(np.kron, [u] * n, np.ones(1))
+
+
+class TestShareCheckReference:
+    """commutes_with_sharing against numpy: a closed state v commutes with
+    sharing n ways exactly when its share is proportional to v^(x)n."""
+
+    @pytest.mark.parametrize("src", _SHARE_REFERENCE_TERMS)
+    @pytest.mark.parametrize("basis", [Basis.Z, Basis.X])
+    def test_matches_the_product_state(self, src, basis):
+        term = parse(src)
+        v = denote(translate(infer(EMPTY, term)[1]).diagram).ravel()
+        for n in range(5):
+            expected = equal_up_to_scalar(_shared(v, basis, n), _power(v, n)) is not None
+            assert commutes_with_sharing(EMPTY, term, basis, n) == expected, (src, n)
 
 
 class TestBetaStep:
