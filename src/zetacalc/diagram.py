@@ -200,14 +200,15 @@ def generators(d: Diagram) -> Iterator[tuple[Diagram, int]]:
 
 def seq(*parts: Diagram) -> Diagram:
     """Left-to-right pipeline under the unit law Seq(Id, d) = d = Seq(d, Id).
-    Every adjacent pair must fit (ArityError otherwise, Ids included); then
-    the Id parts are dropped. seq() and an all-Id pipeline are an Id."""
-    for a, b in zip(parts, parts[1:]):
-        _check_fit(a, b)
-    kept = [p for p in parts if not isinstance(p, Id)]
-    if not kept:
-        return parts[0] if parts else Id(0)
-    return reduce(Seq, kept)
+    Every adjacent pair must fit (ArityError otherwise, Ids included); Id
+    parts are dropped as it folds. seq() and an all-Id pipeline are an Id."""
+    d = prev = parts[0] if parts else Id(0)
+    for p in parts[1:]:
+        _check_fit(prev, p)
+        if not isinstance(p, Id):
+            d = p if isinstance(d, Id) else Seq(d, p)
+        prev = p
+    return d
 
 
 def par(*parts: Diagram) -> Diagram:

@@ -23,9 +23,10 @@ in every context, one weakening (W) drops all unused entries and contraction
 (C) splits each entry used more than once before any other rule fires. So the
 leaves `U`, `G` and `D` have an empty context and `V` has exactly its
 variable, and each entry of a binary node (`A`, `T`, `E`) is kept by exactly
-one child, which gets its wires through a permutation, not a copy spider. A
-derivation in another shape raises TranslationError, even one that
-`validate_derivation` accepts.
+one child, which gets its wires through a router, not a copy spider: an Id
+when the entries are already in block order (the first child's, then the
+second's), else one Perm. A derivation in another shape raises
+TranslationError, even one that `validate_derivation` accepts.
 
 Every diagram here is built with `seq` and `par`, which apply the monoidal
 unit laws, so empty contexts, zero-wire binders and identity routings need
@@ -48,6 +49,7 @@ from .diagram import (
     Cap,
     Diagram,
     Id,
+    Perm,
     Spider,
     cup_many,
     par,
@@ -112,13 +114,6 @@ def context_labels(ctx: Context) -> tuple:
     return tuple(out)
 
 
-def _wire_offsets(ctx: Context) -> list[int]:
-    offs = [0]
-    for e in ctx:
-        offs.append(offs[-1] + size(e.type))
-    return offs
-
-
 def _caps(first_block: int, mid: int) -> Diagram:
     """Cap wires i and first_block+mid+i pairwise (i < first_block), passing
     the mid wires through: a (2*first_block + mid) -> mid diagram."""
@@ -140,9 +135,9 @@ def _peel(node: Derivation, names: set[str]) -> Derivation:
     if node.rule != "W":
         return node
     (child,) = node.children
-    if not names.issuperset(node.ctx.names):
-        kept = {e.name for e in child.ctx}
-        ctx = tuple(e for e in node.ctx if e.name in kept or e.name not in names)
+    if not names.issuperset(e.name for e in node.ctx.entries):
+        kept = {e.name for e in child.ctx.entries}
+        ctx = tuple(e for e in node.ctx.entries if e.name in kept or e.name not in names)
         if len(ctx) != len(child.ctx):
             return Derivation("W", Context(ctx), node.term, node.type, (child,))
     return child
@@ -153,14 +148,17 @@ def _split_binary(ctx: Context, c1: Derivation, c2: Derivation):
     that keeps it past its peeled weakening (the full-context sharing of
     the child judgements collapses, since a same-basis copy spider with one
     leg discarded is an identity wire). Returns (router to [c1 block, c2
-    block], peeled c1, peeled c2, c1 block size); raises TranslationError
-    when an entry is kept by both children or by neither."""
-    names = set(ctx.names)
+    block], peeled c1, peeled c2, c1 block size): the router is an Id when
+    the entries are already in block order, else one Perm. Raises
+    TranslationError when an entry is kept by both children or by neither."""
+    names = {e.name for e in ctx.entries}
     p1, p2 = _peel(c1, names), _peel(c2, names)
-    kept1, kept2 = {e.name for e in p1.ctx}, {e.name for e in p2.ctx}
-    offs = _wire_offsets(ctx)
-    blocks = ([], [])
-    for i, e in enumerate(ctx):
+    kept1, kept2 = {e.name for e in p1.ctx.entries}, {e.name for e in p2.ctx.entries}
+    # wires of each block so far; in block order while no c2 wire precedes
+    # a c1 wire
+    g1 = g2 = 0
+    ordered = True
+    for e in ctx.entries:
         first = e.name in kept1
         if first == (e.name in kept2):
             whom = "both children" if first else "neither child"
@@ -168,11 +166,22 @@ def _split_binary(ctx: Context, c1: Derivation, c2: Derivation):
                 f"context entry {e.name} is kept by {whom} of a binary rule;"
                 " translate takes only the W/C-normal form that infer builds"
             )
-        blocks[not first].extend(range(offs[i], offs[i + 1]))
-    perm = [0] * offs[-1]
-    for dst, src in enumerate(blocks[0] + blocks[1]):
-        perm[src] = dst
-    return permutation(perm), p1, p2, len(blocks[0])
+        n = size(e.type)
+        if first:
+            if n and g2:
+                ordered = False
+            g1 += n
+        else:
+            g2 += n
+    if ordered:
+        return Id(g1 + g2), p1, p2, g1
+    # input wire i leaves at the next free position of its entry's block
+    perm, dst = [], [0, g1]
+    for e in ctx.entries:
+        block, n = e.name not in kept1, size(e.type)
+        perm.extend(range(dst[block], dst[block] + n))
+        dst[block] += n
+    return Perm(tuple(perm)), p1, p2, g1
 
 
 def translate(derivation: Derivation) -> JudgementDiagram:
@@ -215,13 +224,15 @@ def _rotation(node: Derivation) -> Diagram:
 
 
 def _body(node: Derivation, shared: dict) -> Diagram:
-    """The (Gamma, A) -> B map of a `B` node: the binder rotation, then the
-    body's diagram. Built once for a node with an empty context."""
+    """The (Gamma, A) -> B map of a `B` node: the binder rotation, if its
+    phase is not zero, then the body's diagram. Built once for a node with
+    an empty context."""
     closed = not node.ctx.entries
     if closed and id(node) in shared:
         return shared[id(node)]
-    rot = par(Id(node.ctx.wire_count()), _rotation(node))
-    d = seq(rot, _translate(node.children[0], shared))
+    d = _translate(node.children[0], shared)
+    if not node.term.phase.is_zero:
+        d = seq(par(Id(node.ctx.wire_count()), _rotation(node)), d)
     if closed:
         shared[id(node)] = d
     return d
@@ -239,27 +250,8 @@ def _bend(node: Derivation, body: Diagram) -> Diagram:
 
 
 def _translate(node: Derivation, shared: dict) -> Diagram:
-    ctx, t = node.ctx, node.type
-    if node.rule in ("U", "V", "G", "D"):
-        if ctx.names != ([node.term.name] if node.rule == "V" else []):
-            raise TranslationError(
-                f"rule {node.rule} over context {print_context(ctx)}: translate"
-                " takes only the W/C-normal form that infer builds"
-            )
-    if node.rule == "U":
-        return Id(0)
-    if node.rule == "V":
-        return Id(size(t))
-    if node.rule == "G":
-        gen: Gen = node.term
-        return Spider(gen.basis, gen.phase, 0, gen.n)
-    if node.rule == "D":
-        gen = node.term
-        k = -gen.n
-        return seq(cup_many(k), par(Id(k), Spider(gen.basis, gen.phase, k, 0)))
-    if node.rule == "B":
-        return _bend(node, _body(node, shared))
-    if node.rule == "A":
+    rule, ctx = node.rule, node.ctx
+    if rule == "A":
         c1, c2 = node.children
         parts = fn_parts(c1.type)
         if parts is None:
@@ -270,27 +262,44 @@ def _translate(node: Derivation, shared: dict) -> Diagram:
             return seq(router, par(Id(g1), _translate(p2, shared)), _body(p1, shared))
         both = par(_translate(p1, shared), _translate(p2, shared))
         return seq(router, both, _caps(size(parts[0]), size(parts[1])))
-    if node.rule == "T":
+    if rule == "W" or rule == "C":
+        # an entry the child's context lacks is copied k ways: into the
+        # copies that hold its place at a C node, or 0 ways, a discard, at
+        # a W node
+        (child,) = node.children
+        kept = {e.name for e in child.ctx.entries}
+        k = len(child.ctx) - len(ctx) + 1 if rule == "C" else 0
+        stage = par(*(Id(size(e.type)) if e.name in kept else upsilon(size(e.type), e.basis, k)
+                      for e in ctx.entries))
+        return seq(stage, _translate(child, shared))
+    if rule == "V" and len(ctx) == 1 and ctx.entries[0].name == node.term.name:
+        return Id(size(node.type))
+    if rule == "B":
+        return _bend(node, _body(node, shared))
+    if rule == "T":
         router, p1, p2, _ = _split_binary(ctx, *node.children)
         return seq(router, par(_translate(p1, shared), _translate(p2, shared)))
-    if node.rule == "E":
+    if rule == "E":
         m, n = node.children
         # layout [N's entries, M's entries]: run M, then feed its outputs as
         # the trailing x,y wires of N.
         router, pn, pm, gn = _split_binary(ctx, n, m)
         arg = par(Id(gn), _translate(pm, shared))
         return seq(router, arg, _translate(pn, shared))
-    if node.rule in ("W", "C"):
-        # an entry the child's context lacks is copied k ways: into the
-        # copies that hold its place at a C node, or 0 ways, a discard, at
-        # a W node
-        (child,) = node.children
-        kept = {e.name for e in child.ctx}
-        k = len(child.ctx) - len(ctx) + 1 if node.rule == "C" else 0
-        stage = par(*(Id(size(e.type)) if e.name in kept else upsilon(size(e.type), e.basis, k)
-                      for e in ctx))
-        return seq(stage, _translate(child, shared))
-    raise TranslationError(f"unknown rule {node.rule!r}")
+    if rule not in ("U", "V", "G", "D"):
+        raise TranslationError(f"unknown rule {rule!r}")
+    if rule == "V" or ctx.entries:
+        raise TranslationError(
+            f"rule {rule} over context {print_context(ctx)}: translate"
+            " takes only the W/C-normal form that infer builds"
+        )
+    if rule == "U":
+        return Id(0)
+    gen: Gen = node.term
+    if rule == "G":
+        return Spider(gen.basis, gen.phase, 0, gen.n)
+    k = -gen.n
+    return seq(cup_many(k), par(Id(k), Spider(gen.basis, gen.phase, k, 0)))
 
 
 def eval_as_map(jd: JudgementDiagram) -> JudgementDiagram:

@@ -248,9 +248,8 @@ class Context:
     entries: tuple[Entry, ...] = ()
 
     def __post_init__(self):
-        names = [e.name for e in self.entries]
-        if len(names) != len(set(names)):
-            raise ContextError(f"duplicate context names in {names}")
+        if len({e.name for e in self.entries}) != len(self.entries):
+            raise ContextError(f"duplicate context names in {self.names}")
 
     def __iter__(self):
         return iter(self.entries)

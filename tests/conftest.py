@@ -114,34 +114,44 @@ def rule_sides() -> list:
     ]
 
 
-def translated_diagrams():
-    """(label, diagram) for every diagram translate/eval_as_map produce for
-    the pool and its maps, both sides of every rule instance, and the
-    benchmark inputs: the H x 2..20 maps, the 6..11-way Z/X copy maps at
-    all four quarter-turn phases and the higher-order share."""
+def translated_derivations():
+    """(label, derivation, views) behind translated_diagrams(): the pool,
+    both sides of every rule instance, and the benchmark inputs: the
+    H x 2..20 chains, the 6..11-way Z/X copy maps at all four quarter-turn
+    phases and the higher-order share. `views` names what is translated:
+    the "state", the "map" or both."""
 
-    def jd_of(src):
-        return translate(infer(Context(), parse(src))[1])
+    def of(src):
+        return infer(Context(), parse(src))[1]
 
     for src in term_pool():
-        jd = jd_of(src)
-        yield src, jd.diagram
-        if fn_parts(jd.type) is not None:
-            yield src + " (map)", eval_as_map(jd).diagram
+        yield src, of(src), ("state", "map")
     for ctx, term in rule_sides():
         try:
             _, d = infer(ctx, term)
         except ZetaTypeError:
             continue
-        yield str(term), translate(d).diagram
+        yield str(term), d, ("state",)
     for n in range(2, 21):
-        yield f"H x {n}", eval_as_map(jd_of(" o ".join(["H"] * n))).diagram
+        yield f"H x {n}", of(" o ".join(["H"] * n)), ("map",)
     for basis in "ZX":
         for phase in ("", "^pi/2", "^pi", "^3pi/2"):
             for ways in range(6, 12):
                 src = f"{basis}{phase} x:1. " + "<x," * (ways - 1) + "x" + ">" * (ways - 1)
-                yield src, eval_as_map(jd_of(src)).diagram
-    yield "higher-order", jd_of("(X f:1->1*1. <f,f>) (Z x:1. <x,x>)").diagram
+                yield src, of(src), ("map",)
+    yield "higher-order", of("(X f:1->1*1. <f,f>) (Z x:1. <x,x>)"), ("state",)
+
+
+def translated_diagrams():
+    """(label, diagram) for every diagram translate/eval_as_map produce for
+    the inputs of translated_derivations(); a map is labelled "(map)" when
+    its state is yielded too."""
+    for label, d, views in translated_derivations():
+        jd = translate(d)
+        if "state" in views:
+            yield label, jd.diagram
+        if "map" in views and fn_parts(jd.type) is not None:
+            yield (f"{label} (map)" if "state" in views else label), eval_as_map(jd).diagram
 
 
 def _literal_caps(a: int, mid: int):

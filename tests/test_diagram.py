@@ -47,6 +47,14 @@ class TestArity:
         with pytest.raises(ArityError):
             Seq(Id(1), Id(2))
 
+    def test_seq_checks_each_adjacent_pair(self):
+        # the Ids are dropped from the pipeline, but each pair is checked:
+        # here two Ids in the middle do not fit
+        with pytest.raises(ArityError, match="2 outputs of Id feed 3 inputs of Id"):
+            seq(Spider(Basis.Z, Phase.zero(), 1, 2), Id(2), Id(3))
+        with pytest.raises(ArityError, match="2 outputs of Id feed 3 inputs of Spider"):
+            seq(Spider(Basis.Z, Phase.zero(), 1, 2), Id(2), Spider(Basis.Z, Phase.zero(), 3, 1))
+
     def test_nodes_carry_arity(self):
         d = Seq(Par(Cup(), Spider(Basis.Z, Phase.zero(), 1, 2)), par(Cap(), Id(2)))
         assert (d.inputs, d.outputs) == (1, 2)

@@ -19,6 +19,7 @@ from zetacalc.diagram import (
     upsilon,
 )
 from zetacalc.evaluator import denote, equal_up_to_scalar, oracle_contract
+from zetacalc import semantics
 from zetacalc.semantics import (
     TranslationError,
     _peel,
@@ -42,7 +43,14 @@ from zetacalc.types import (
     validate_derivation,
 )
 
-from conftest import literal_map, literal_translate, rule_sides, term_pool, translated_diagrams
+from conftest import (
+    literal_map,
+    literal_translate,
+    rule_sides,
+    term_pool,
+    translated_derivations,
+    translated_diagrams,
+)
 
 EMPTY = Context()
 Q = Numeral(1)
@@ -224,6 +232,36 @@ class TestRouting:
                 binary += 1
         assert binary > 500
 
+    def test_router_is_id_exactly_in_block_order(self):
+        # a binary node's router sends the context's wires to [first child's
+        # block, second child's block]: an Id when no wire of the second
+        # block precedes one of the first, else one Perm, never the identity
+        # (no translated diagram holds one: see _removable_units)
+        ids = perms = 0
+        for label, d, _ in translated_derivations():
+            for node in d.walk():
+                if node.rule not in ("A", "T", "E"):
+                    continue
+                first, second = node.children
+                if node.rule == "E":
+                    first, second = second, first
+                router, p1, _, g1 = _split_binary(node.ctx, first, second)
+                kept = {e.name for e in p1.ctx}
+                blocks, at = ([], []), 0
+                for e in node.ctx:
+                    blocks[e.name not in kept].extend(range(at, at + size(e.type)))
+                    at += size(e.type)
+                order = blocks[0] + blocks[1]
+                assert g1 == len(blocks[0]), label
+                if order == list(range(at)):
+                    assert router == Id(at), label
+                    ids += 1
+                else:
+                    assert isinstance(router, Perm), label
+                    assert router.route(range(at)) == order, label
+                    perms += 1
+        assert ids > 1000 and perms > 20
+
     def test_binary_node_routes_a_three_cycle(self):
         # wires (x, y, z) leave as (z, x, y); a router that inverted its
         # permutation would send them to (y, z, x)
@@ -400,6 +438,21 @@ class TestComposedRedexes:
             levels += 1
         assert levels == src.count(".")
         assert Cup not in _leaf_kinds(m.diagram)
+
+    @pytest.mark.parametrize("phase", ["", "^pi/2"])
+    def test_body_has_one_rotation_stage_unless_phase_zero(self, phase, monkeypatch):
+        _, b = infer(context_of(("y", Basis.Z, Q)), parse(f"Z{phase} x:1*1. <x, y>"))
+        assert b.rule == "B"
+        # stands for the premise's diagram, a (y, x) -> (x, y) map
+        premise = Spider(Basis.X, Phase.zero(), 3, 3)
+        monkeypatch.setattr(semantics, "_translate", lambda node, shared: premise)
+        body = semantics._body(b, {})
+        if not phase:
+            assert body is premise
+        else:
+            rot = Spider(Basis.Z, Phase.exact(1, 2), 1, 1)
+            assert isinstance(body, Seq) and body.second is premise
+            assert body.first == par(Id(1), par(rot, rot))
 
     def test_phase_zero_binder_has_no_rotation(self):
         assert eval_as_map(jd_of("Z x:1. x")).diagram == Id(1)
