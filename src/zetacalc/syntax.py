@@ -12,6 +12,12 @@ reading it never walks the term. The binder
 forms carry a basis (Z or X) and a phase; phases are exact rational
 multiples of pi whenever written symbolically, with decimal radians as an
 escape hatch.
+
+`parse` reads a text with one regex match per token into parallel lists of
+token kinds, texts and start offsets, then builds the term in one loop over
+an explicit stack of open constructs, so it has no nesting limit of its own.
+A `ParseError`'s line and column are worked out from the offset when it is
+raised.
 """
 
 from __future__ import annotations
@@ -405,244 +411,256 @@ def alpha_eq(t1: Term, t2: Term) -> bool:
 
 _KEYWORDS = {"Z", "X", "H", "rot", "let", "in", "o", "rad", "pi"}
 
+# one match per token, with the whitespace before it; `bad` is any other character
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<num>\d+(\.\d+)?([eE][+-]?\d+)?)
+    r"""\s*(?:
+    (?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
-  | (?P<punct><|>|,|\.|:|\^|\[|\]|\*|\\|/|-|=|\(|\)|')
-    """,
+  | (?P<punct>[<>,.:^\[\]*\\/=()'-])
+  | (?P<bad>\S)
+    )""",
     re.VERBOSE,
 )
 
 
-@dataclass(slots=True)
-class _Token:
-    kind: str  # 'num' | 'ident' | keyword text | punct text | 'eof'
-    text: str
-    line: int
-    col: int
+def _line_col(text: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of a character offset."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        lexeme = m.group(0)
-        if m.lastgroup != "ws":
-            if m.lastgroup == "num":
-                kind = "num"
-            elif m.lastgroup == "ident":
-                kind = lexeme if lexeme in _KEYWORDS else "ident"
-            else:
-                kind = lexeme
-            tokens.append(_Token(kind, lexeme, line, col))
-        for ch in lexeme:
-            if ch == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
+def _tokenize(text: str) -> tuple[list[str], list[str], list[int]]:
+    """Kinds ('num', 'ident', keyword or punctuation text, 'eof'), texts
+    and start offsets of the tokens of text."""
+    kinds, texts, starts = [], [], []
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        lexeme = m[kind]
+        if kind == "punct" or kind == "ident" and lexeme in _KEYWORDS:
+            kind = lexeme
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {lexeme!r}", *_line_col(text, m.start(kind)))
+        kinds.append(kind)
+        texts.append(lexeme)
+        starts.append(m.end() - len(lexeme))
+    kinds.append("eof")
+    texts.append("")
+    starts.append(len(text))
+    return kinds, texts, starts
 
 
 _ATOM_START = {"*", "ident", "Z", "X", "H", "rot", "let", "<", "(", "\\"}
+# what opens a construct that holds a term; so does a Z or X not followed by "["
+_OPENERS = {"<", "(", "\\", "let"}
 
 
 class _Parser:
     def __init__(self, text: str, type_parser=None):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.kinds, self.texts, self.starts = _tokenize(text)
         self.pos = 0
         # Callback into the types module grammar for binder annotations.
         self.type_parser = type_parser
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self, ahead: int = 0) -> str:
+        if ahead:
+            return self.kinds[min(self.pos + ahead, len(self.kinds) - 1)]
+        return self.kinds[self.pos]
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    def next(self) -> str:
+        # callers step only past a token they have peeked, never the end
+        self.pos += 1
+        return self.texts[self.pos - 1]
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}",
-                             tok.line, tok.col)
+    def expect(self, kind: str) -> str:
+        if self.kinds[self.pos] != kind:
+            self.error(f"expected {kind!r}, found {self.texts[self.pos] or 'end of input'!r}")
         return self.next()
 
-    def error(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col)
+    def error(self, message: str, pos: Optional[int] = None):
+        """Raise at the token at pos, the current one by default."""
+        offset = self.starts[self.pos if pos is None else pos]
+        raise ParseError(message, *_line_col(self.text, offset))
 
-    # term := comp ; comp := app ("o" app)* right-assoc
+    def end(self):
+        if self.kinds[self.pos] != "eof":
+            self.error(f"unexpected trailing input {self.texts[self.pos]!r}")
+
     def term(self) -> Term:
-        parts = [self.app()]
-        while self.peek().kind == "o":
-            self.next()
-            parts.append(self.app())
-        out = parts[-1]
-        for part in reversed(parts[:-1]):
-            out = compose(part, out)
-        return out
+        """term := app ("o" app)*, right-associative; app := atom atom*.
+        One loop: each open construct (see `open_`) is pushed with the parts
+        and application head of the term it sits in, so no Python frame is
+        used per nesting level."""
+        kinds = self.kinds
+        stack = []
+        parts, head = [], None
+        while True:
+            kind = kinds[self.pos]
+            if kind in _OPENERS or kind in ("Z", "X") and kinds[self.pos + 1] != "[":
+                stack.append((*self.open_(kind), parts, head))
+                parts, head = [], None
+                continue
+            atom = self.atom()
+            while True:
+                head = atom if head is None else App(head, atom)
+                kind = kinds[self.pos]
+                if kind in _ATOM_START:
+                    break
+                if kind == "o":
+                    self.pos += 1
+                    parts.append(head)
+                    head = None
+                    break
+                t = head
+                for part in reversed(parts):
+                    t = compose(part, t)
+                if not stack:
+                    return t
+                what, data, parts, head = stack.pop()
+                # a tuple or let reads its second term; any other construct
+                # is now complete, and is the next atom
+                if what == "<":
+                    self.expect(",")
+                    stack.append((">", t, parts, head))
+                    parts, head = [], None
+                    break
+                if what == "let":
+                    self.expect("in")
+                    stack.append(("in", (*data, t), parts, head))
+                    parts, head = [], None
+                    break
+                if what == ">":
+                    self.expect(">")
+                    atom = Tup(data, t)
+                elif what == "(":
+                    self.expect(")")
+                    atom = t
+                elif what == "\\":
+                    atom = lam(data[0], t, data[1])
+                elif what == "in":
+                    atom = Let(*data, t)
+                else:
+                    atom = Abs(*data, t)
 
-    def app(self) -> Term:
-        t = self.atom()
-        while self.peek().kind in _ATOM_START:
-            t = App(t, self.atom())
-        return t
+    def open_(self, kind: str) -> tuple:
+        """Read a tuple, parenthesis, binder or `let` up to the start of its
+        first term; return what `term` pushes for it."""
+        self.pos += 1
+        if kind == "<" or kind == "(":
+            return kind, None
+        if kind == "\\":
+            var = self.expect("ident")
+            ann = self.annotation()
+            self.expect(".")
+            return kind, (var, ann)
+        if kind == "let":
+            self.expect("<")
+            v1 = self.expect("ident")
+            a1 = self.annotation()
+            self.expect(",")
+            v2 = self.expect("ident")
+            a2 = self.annotation()
+            self.expect(">")
+            self.expect("=")
+            return kind, (self.basis(), v1, v2, a1, a2)
+        phase = Phase.zero()
+        if self.kinds[self.pos] == "^":
+            self.pos += 1
+            phase = self.phase()
+        var = self.expect("ident")
+        ann = self.annotation()
+        self.expect(".")
+        return "binder", (Basis(kind), phase, var, ann)
 
     def atom(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "*":
-            self.next()
+        """An atom that holds no term; a Z or X here is followed by "["."""
+        kind = self.kinds[self.pos]
+        if kind == "ident":
+            return Var(self.next())
+        if kind == "*":
+            self.pos += 1
             return Unit()
-        if tok.kind == "ident":
-            self.next()
-            return Var(tok.text)
-        if tok.kind == "H":
-            self.next()
+        if kind == "H":
+            self.pos += 1
             return hadamard_term()
-        if tok.kind == "rot":
-            self.next()
+        if kind == "rot":
+            self.pos += 1
             basis = self.basis()
             self.expect("^")
             return rotation(basis, self.phase())
-        if tok.kind in ("Z", "X"):
-            if self.peek(1).kind == "[":
-                return self.gen()
-            return self.abs_()
-        if tok.kind == "\\":
-            self.next()
-            var = self.expect("ident").text
-            ann = self.annotation()
-            self.expect(".")
-            return lam(var, self.term(), ann)
-        if tok.kind == "<":
-            self.next()
-            left = self.term()
-            self.expect(",")
-            right = self.term()
-            self.expect(">")
-            return Tup(left, right)
-        if tok.kind == "let":
-            return self.letexp()
-        if tok.kind == "(":
-            self.next()
-            t = self.term()
-            self.expect(")")
-            return t
-        self.error(f"expected a term, found {tok.text or 'end of input'!r}")
+        if kind in ("Z", "X"):
+            self.pos += 1
+            self.expect("[")
+            n = self.int_()
+            self.expect("]")
+            phase = Phase.zero()
+            if self.kinds[self.pos] == "^":
+                self.pos += 1
+                phase = self.phase()
+            return Gen(Basis(kind), phase, n)
+        self.error(f"expected a term, found {self.texts[self.pos] or 'end of input'!r}")
 
     def basis(self) -> Basis:
-        tok = self.peek()
-        if tok.kind not in ("Z", "X"):
+        kind = self.kinds[self.pos]
+        if kind not in ("Z", "X"):
             self.error("expected basis Z or X")
-        self.next()
-        return Basis(tok.kind)
-
-    def gen(self) -> Term:
-        basis = self.basis()
-        self.expect("[")
-        n = self.int_()
-        self.expect("]")
-        phase = Phase.zero()
-        if self.peek().kind == "^":
-            self.next()
-            phase = self.phase()
-        return Gen(basis, phase, n)
-
-    def abs_(self) -> Term:
-        basis = self.basis()
-        phase = Phase.zero()
-        if self.peek().kind == "^":
-            self.next()
-            phase = self.phase()
-        var = self.expect("ident").text
-        ann = self.annotation()
-        self.expect(".")
-        return Abs(basis, phase, var, ann, self.term())
-
-    def letexp(self) -> Term:
-        self.expect("let")
-        self.expect("<")
-        v1 = self.expect("ident").text
-        a1 = self.annotation()
-        self.expect(",")
-        v2 = self.expect("ident").text
-        a2 = self.annotation()
-        self.expect(">")
-        self.expect("=")
-        basis = self.basis()
-        bound = self.term()
-        self.expect("in")
-        body = self.term()
-        return Let(basis, v1, v2, a1, a2, bound, body)
+        self.pos += 1
+        return Basis(kind)
 
     def annotation(self):
-        if self.peek().kind != ":":
+        if self.kinds[self.pos] != ":":
             return None
-        self.next()
+        self.pos += 1
         if self.type_parser is None:
             self.error("type annotations are not supported here")
         return self.type_parser(self)
 
     def int_(self) -> int:
-        neg = False
-        if self.peek().kind == "-":
-            self.next()
-            neg = True
-        tok = self.expect("num")
-        if "." in tok.text or "e" in tok.text or "E" in tok.text:
-            raise ParseError("expected an integer", tok.line, tok.col)
-        return -int(tok.text) if neg else int(tok.text)
+        neg = self.kinds[self.pos] == "-"
+        if neg:
+            self.pos += 1
+        at = self.pos
+        text = self.expect("num")
+        if "." in text or "e" in text or "E" in text:
+            self.error("expected an integer", at)
+        return -int(text) if neg else int(text)
 
     def phase(self) -> Phase:
-        neg = False
-        if self.peek().kind == "-":
-            self.next()
-            neg = True
-        tok = self.peek()
-        if tok.kind == "rad":
-            self.next()
+        neg = self.kinds[self.pos] == "-"
+        if neg:
+            self.pos += 1
+        kind = self.kinds[self.pos]
+        if kind == "rad":
+            self.pos += 1
             self.expect("(")
+            at = self.pos
             num = self.expect("num")
             self.expect(")")
-            value = float(num.text)
+            value = float(num)
             if not math.isfinite(value):
-                raise ParseError(f"phase rad({num.text}) is not finite", num.line, num.col)
+                self.error(f"phase rad({num}) is not finite", at)
             return Phase.radians(-value if neg else value)
-        if tok.kind == "pi":
-            self.next()
-            den = self.opt_den()
-            return Phase.exact(-1 if neg else 1, den)
-        if tok.kind == "num":
+        if kind == "pi":
+            self.pos += 1
+            return Phase.exact(-1 if neg else 1, self.opt_den())
+        if kind == "num":
             n = self.int_()
-            if self.peek().kind == "pi":
-                self.next()
-                den = self.opt_den()
-                return Phase.exact(-n if neg else n, den)
+            if self.kinds[self.pos] == "pi":
+                self.pos += 1
+                return Phase.exact(-n if neg else n, self.opt_den())
             if n != 0:
                 self.error("a bare integer phase must be 0 (use `pi` forms or rad(...))")
             return Phase.zero()
         self.error("expected a phase")
 
     def opt_den(self) -> int:
-        if self.peek().kind == "/":
-            self.next()
-            tok = self.peek()
-            den = self.int_()
-            if den <= 0:
-                raise ParseError("phase denominator must be positive", tok.line, tok.col)
-            return den
-        return 1
+        if self.kinds[self.pos] != "/":
+            return 1
+        self.pos += 1
+        at = self.pos
+        den = self.int_()
+        if den <= 0:
+            self.error("phase denominator must be positive", at)
+        return den
 
 
 def parse(text: str) -> Term:
@@ -651,9 +669,7 @@ def parse(text: str) -> Term:
 
     parser = _Parser(text, type_parser=_types._parse_type_from)
     t = parser.term()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+    parser.end()
     return t
 
 

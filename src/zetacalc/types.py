@@ -34,7 +34,6 @@ from .syntax import (
     Basis,
     Gen,
     Let,
-    ParseError,
     Term,
     Tup,
     Unit,
@@ -165,37 +164,36 @@ def contains_var(t: Type) -> bool:
 
 
 def _parse_type_from(parser: _Parser) -> Type:
+    # recursive: types nest shallowly
     def tfact() -> Type:
-        tok = parser.peek()
-        if tok.kind == "num":
-            n = parser.int_()
-            t: Type = Numeral(n)
-        elif tok.kind == "(":
+        kind = parser.peek()
+        if kind == "num":
+            t: Type = Numeral(parser.int_())
+        elif kind == "(":
             parser.next()
             t = typ()
             parser.expect(")")
         else:
             parser.error("expected a type")
-        while parser.peek().kind == "'":
+        while parser.peek() == "'":
             parser.next()
             t = Dual(t)
         return t
 
     def tensor() -> Type:
         t = tfact()
-        while parser.peek().kind == "*":
+        while parser.peek() == "*":
             parser.next()
             t = Tensor(t, tfact())
         return t
 
     def typ() -> Type:
         t = tensor()
-        if parser.peek().kind == "-":
-            # arrow is lexed as '-' '>'
-            if parser.peek(1).kind == ">":
-                parser.next()
-                parser.next()
-                return Fn(t, typ())
+        # arrow is lexed as '-' '>'
+        if parser.peek() == "-" and parser.peek(1) == ">":
+            parser.next()
+            parser.next()
+            return Fn(t, typ())
         return t
 
     return typ()
@@ -204,9 +202,7 @@ def _parse_type_from(parser: _Parser) -> Type:
 def parse_type(text: str) -> Type:
     parser = _Parser(text)
     t = _parse_type_from(parser)
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+    parser.end()
     return t
 
 
@@ -286,18 +282,16 @@ def parse_context(text: str) -> Context:
     parser = _Parser(text)
     entries = []
     while True:
-        name = parser.expect("ident").text
+        name = parser.expect("ident")
         parser.expect(":")
         basis = parser.basis()
         parser.expect(":")
         t = _parse_type_from(parser)
         entries.append(Entry(name, basis, t))
-        if parser.peek().kind != ",":
+        if parser.peek() != ",":
             break
         parser.next()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+    parser.end()
     return Context(tuple(entries))
 
 

@@ -1,6 +1,9 @@
 """Shared fixtures: term pools and a random-diagram generator."""
 
+import math
 import random
+import re
+from dataclasses import dataclass
 from functools import reduce
 
 import pytest
@@ -29,13 +32,18 @@ from zetacalc.syntax import (
     Basis,
     Gen,
     Let,
+    ParseError,
     Phase,
     Tup,
     Unit,
     Var,
     _freshen,
+    compose,
+    hadamard_term,
+    lam,
     parse,
     rename_free_occurrences,
+    rotation,
     substitute,
 )
 from zetacalc.theory import standard_instances
@@ -397,6 +405,332 @@ def literal_infer(ctx, term, expected=None):
     if expected is not None:
         subst = unify(d.type, expected, subst)
     return resolve(d)
+
+
+# The reference reader: the token-object tokenizer and recursive-descent
+# parser `syntax.parse`, `types.parse_type` and `types.parse_context` used
+# before the parser became one loop over an explicit stack. Tests compare
+# the three against it: the same term, or the same error at the same place.
+
+_LITERAL_KEYWORDS = {"Z", "X", "H", "rot", "let", "in", "o", "rad", "pi"}
+
+_LITERAL_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<num>\d+(\.\d+)?([eE][+-]?\d+)?)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
+  | (?P<punct><|>|,|\.|:|\^|\[|\]|\*|\\|/|-|=|\(|\)|')
+    """,
+    re.VERBOSE,
+)
+
+
+@dataclass(slots=True)
+class _LiteralToken:
+    kind: str  # 'num' | 'ident' | keyword text | punct text | 'eof'
+    text: str
+    line: int
+    col: int
+
+
+def _literal_tokenize(text: str) -> list:
+    tokens = []
+    line, col = 1, 1
+    pos = 0
+    while pos < len(text):
+        m = _LITERAL_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        lexeme = m.group(0)
+        if m.lastgroup != "ws":
+            if m.lastgroup == "num":
+                kind = "num"
+            elif m.lastgroup == "ident":
+                kind = lexeme if lexeme in _LITERAL_KEYWORDS else "ident"
+            else:
+                kind = lexeme
+            tokens.append(_LiteralToken(kind, lexeme, line, col))
+        for ch in lexeme:
+            if ch == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+        pos = m.end()
+    tokens.append(_LiteralToken("eof", "", line, col))
+    return tokens
+
+
+_LITERAL_ATOM_START = {"*", "ident", "Z", "X", "H", "rot", "let", "<", "(", "\\"}
+
+
+class _LiteralParser:
+    def __init__(self, text: str, type_parser=None):
+        self.tokens = _literal_tokenize(text)
+        self.pos = 0
+        # Callback into the types module grammar for binder annotations.
+        self.type_parser = type_parser
+
+    def peek(self, ahead: int = 0):
+        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+
+    def next(self):
+        tok = self.tokens[self.pos]
+        if tok.kind != "eof":
+            self.pos += 1
+        return tok
+
+    def expect(self, kind: str):
+        tok = self.peek()
+        if tok.kind != kind:
+            raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}",
+                             tok.line, tok.col)
+        return self.next()
+
+    def error(self, message: str):
+        tok = self.peek()
+        raise ParseError(message, tok.line, tok.col)
+
+    # term := comp ; comp := app ("o" app)* right-assoc
+    def term(self):
+        parts = [self.app()]
+        while self.peek().kind == "o":
+            self.next()
+            parts.append(self.app())
+        out = parts[-1]
+        for part in reversed(parts[:-1]):
+            out = compose(part, out)
+        return out
+
+    def app(self):
+        t = self.atom()
+        while self.peek().kind in _LITERAL_ATOM_START:
+            t = App(t, self.atom())
+        return t
+
+    def atom(self):
+        tok = self.peek()
+        if tok.kind == "*":
+            self.next()
+            return Unit()
+        if tok.kind == "ident":
+            self.next()
+            return Var(tok.text)
+        if tok.kind == "H":
+            self.next()
+            return hadamard_term()
+        if tok.kind == "rot":
+            self.next()
+            basis = self.basis()
+            self.expect("^")
+            return rotation(basis, self.phase())
+        if tok.kind in ("Z", "X"):
+            if self.peek(1).kind == "[":
+                return self.gen()
+            return self.abs_()
+        if tok.kind == "\\":
+            self.next()
+            var = self.expect("ident").text
+            ann = self.annotation()
+            self.expect(".")
+            return lam(var, self.term(), ann)
+        if tok.kind == "<":
+            self.next()
+            left = self.term()
+            self.expect(",")
+            right = self.term()
+            self.expect(">")
+            return Tup(left, right)
+        if tok.kind == "let":
+            return self.letexp()
+        if tok.kind == "(":
+            self.next()
+            t = self.term()
+            self.expect(")")
+            return t
+        self.error(f"expected a term, found {tok.text or 'end of input'!r}")
+
+    def basis(self):
+        tok = self.peek()
+        if tok.kind not in ("Z", "X"):
+            self.error("expected basis Z or X")
+        self.next()
+        return Basis(tok.kind)
+
+    def gen(self):
+        basis = self.basis()
+        self.expect("[")
+        n = self.int_()
+        self.expect("]")
+        phase = Phase.zero()
+        if self.peek().kind == "^":
+            self.next()
+            phase = self.phase()
+        return Gen(basis, phase, n)
+
+    def abs_(self):
+        basis = self.basis()
+        phase = Phase.zero()
+        if self.peek().kind == "^":
+            self.next()
+            phase = self.phase()
+        var = self.expect("ident").text
+        ann = self.annotation()
+        self.expect(".")
+        return Abs(basis, phase, var, ann, self.term())
+
+    def letexp(self):
+        self.expect("let")
+        self.expect("<")
+        v1 = self.expect("ident").text
+        a1 = self.annotation()
+        self.expect(",")
+        v2 = self.expect("ident").text
+        a2 = self.annotation()
+        self.expect(">")
+        self.expect("=")
+        basis = self.basis()
+        bound = self.term()
+        self.expect("in")
+        body = self.term()
+        return Let(basis, v1, v2, a1, a2, bound, body)
+
+    def annotation(self):
+        if self.peek().kind != ":":
+            return None
+        self.next()
+        if self.type_parser is None:
+            self.error("type annotations are not supported here")
+        return self.type_parser(self)
+
+    def int_(self) -> int:
+        neg = False
+        if self.peek().kind == "-":
+            self.next()
+            neg = True
+        tok = self.expect("num")
+        if "." in tok.text or "e" in tok.text or "E" in tok.text:
+            raise ParseError("expected an integer", tok.line, tok.col)
+        return -int(tok.text) if neg else int(tok.text)
+
+    def phase(self):
+        neg = False
+        if self.peek().kind == "-":
+            self.next()
+            neg = True
+        tok = self.peek()
+        if tok.kind == "rad":
+            self.next()
+            self.expect("(")
+            num = self.expect("num")
+            self.expect(")")
+            value = float(num.text)
+            if not math.isfinite(value):
+                raise ParseError(f"phase rad({num.text}) is not finite", num.line, num.col)
+            return Phase.radians(-value if neg else value)
+        if tok.kind == "pi":
+            self.next()
+            den = self.opt_den()
+            return Phase.exact(-1 if neg else 1, den)
+        if tok.kind == "num":
+            n = self.int_()
+            if self.peek().kind == "pi":
+                self.next()
+                den = self.opt_den()
+                return Phase.exact(-n if neg else n, den)
+            if n != 0:
+                self.error("a bare integer phase must be 0 (use `pi` forms or rad(...))")
+            return Phase.zero()
+        self.error("expected a phase")
+
+    def opt_den(self) -> int:
+        if self.peek().kind == "/":
+            self.next()
+            tok = self.peek()
+            den = self.int_()
+            if den <= 0:
+                raise ParseError("phase denominator must be positive", tok.line, tok.col)
+            return den
+        return 1
+
+
+def _literal_type_from(parser):
+    def tfact():
+        tok = parser.peek()
+        if tok.kind == "num":
+            n = parser.int_()
+            t = Numeral(n)
+        elif tok.kind == "(":
+            parser.next()
+            t = typ()
+            parser.expect(")")
+        else:
+            parser.error("expected a type")
+        while parser.peek().kind == "'":
+            parser.next()
+            t = Dual(t)
+        return t
+
+    def tensor():
+        t = tfact()
+        while parser.peek().kind == "*":
+            parser.next()
+            t = Tensor(t, tfact())
+        return t
+
+    def typ():
+        t = tensor()
+        if parser.peek().kind == "-":
+            # arrow is lexed as '-' '>'
+            if parser.peek(1).kind == ">":
+                parser.next()
+                parser.next()
+                return Fn(t, typ())
+        return t
+
+    return typ()
+
+
+def literal_parse(text: str):
+    """The reference of `syntax.parse`."""
+    parser = _LiteralParser(text, type_parser=_literal_type_from)
+    t = parser.term()
+    tok = parser.peek()
+    if tok.kind != "eof":
+        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+    return t
+
+
+def literal_parse_type(text: str):
+    """The reference of `types.parse_type`."""
+    parser = _LiteralParser(text)
+    t = _literal_type_from(parser)
+    tok = parser.peek()
+    if tok.kind != "eof":
+        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+    return t
+
+
+def literal_parse_context(text: str):
+    """The reference of `types.parse_context`."""
+    if not text.strip():
+        return Context()
+    parser = _LiteralParser(text)
+    entries = []
+    while True:
+        name = parser.expect("ident").text
+        parser.expect(":")
+        basis = parser.basis()
+        parser.expect(":")
+        t = _literal_type_from(parser)
+        entries.append(Entry(name, basis, t))
+        if parser.peek().kind != ",":
+            break
+        parser.next()
+    tok = parser.peek()
+    if tok.kind != "eof":
+        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+    return Context(tuple(entries))
 
 
 def merged_w_chains(node):

@@ -3,7 +3,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from zetacalc.syntax import (
     Abs,
@@ -16,6 +16,7 @@ from zetacalc.syntax import (
     Tup,
     Unit,
     Var,
+    ZetaError,
     alpha_eq,
     free_vars,
     hadamard_term,
@@ -26,7 +27,14 @@ from zetacalc.syntax import (
     rotation,
     substitute,
 )
-from conftest import term_pool
+from zetacalc.types import parse_context, parse_type
+from conftest import (
+    literal_parse,
+    literal_parse_context,
+    literal_parse_type,
+    rule_sides,
+    term_pool,
+)
 
 
 class TestPhase:
@@ -136,6 +144,38 @@ class TestParse:
         assert exc.value.line == 2
 
 
+class TestDepth:
+    """The parser keeps no Python frame per nesting level: each of these
+    parses at the default recursion limit. Shapes are walked in a loop,
+    since dataclass `==` recurses."""
+
+    DEPTH = 1000
+
+    def test_nested_tuple(self):
+        t = parse("<" * self.DEPTH + "Z[1]" + ", *>" * self.DEPTH)
+        for _ in range(self.DEPTH):
+            assert isinstance(t, Tup) and isinstance(t.right, Unit)
+            t = t.left
+        assert isinstance(t, Gen)
+
+    def test_nested_parentheses(self):
+        assert parse("(" * self.DEPTH + "x" + ")" * self.DEPTH) == Var("x")
+
+    def test_nested_binders(self):
+        t = parse("".join(f"Z x{i}. " for i in range(self.DEPTH)) + "x0")
+        for i in range(self.DEPTH):
+            assert isinstance(t, Abs) and t.var == f"x{i}"
+            t = t.body
+        assert t == Var("x0")
+
+    def test_let_chain(self):
+        t = parse("let <a, b> =Z " * self.DEPTH + "y" + " in <b, a>" * self.DEPTH)
+        for _ in range(self.DEPTH):
+            assert isinstance(t, Let) and t.body == Tup(Var("b"), Var("a"))
+            t = t.bound
+        assert t == Var("y")
+
+
 class TestPrint:
     @pytest.mark.parametrize("src", term_pool())
     def test_round_trip_alpha_identity(self, src):
@@ -165,7 +205,8 @@ class TestFreeVarsOccurrences:
         assert occurrences("x", parse("<x, <x, x>>")) == 3
 
     def test_deep_nest(self):
-        # built directly, since parsing a term this deep still recurses
+        # built directly, so that only free_vars and occurrences are under
+        # test; TestDepth parses terms this deep
         t, uses = Var("x0"), Counter({"x0": 1})
         for i in range(1, 5001):
             if i % 2:
@@ -258,3 +299,127 @@ class TestAlphaEq:
 
     def test_basis_mismatch(self):
         assert not alpha_eq(parse("Z x. x"), parse("X x. x"))
+
+
+def _outcome(read, src):
+    """What a reader makes of src: the value, or the error with its place."""
+    try:
+        return read(src)
+    except ZetaError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "col", None)
+
+
+def _workload_sources():
+    """The sources the benchmark parses: the n-way copy maps, the
+    higher-order share and the H chains."""
+    for basis in "ZX":
+        for phase in ("", "^pi/2", "^pi", "^3pi/2"):
+            for ways in range(6, 12):
+                yield f"{basis}{phase} x:1. " + "<x," * (ways - 1) + "x" + ">" * (ways - 1)
+    yield "(X f:1->1*1. <f,f>) (Z x:1. <x,x>)"
+    for n in range(2, 21):
+        yield " o ".join(["H"] * n)
+
+
+# Malformed terms, each named by the error branch it reaches.
+_MALFORMED = [
+    ("unexpected-character", "?"),
+    ("unexpected-character-after-term", "Z x:1. x & y"),
+    ("expect-rot-caret", "rot Z pi"),
+    ("expect-gen-close", "Z[1"),
+    ("expect-gen-close-found", "Z[1 x]"),
+    ("expect-binder-ident", "Z . x"),
+    ("expect-binder-dot", "Z x x"),
+    ("expect-lambda-ident", "\\. x"),
+    ("expect-lambda-dot", "\\x x"),
+    ("expect-tuple-comma", "<x>"),
+    ("expect-tuple-close", "<x, y"),
+    ("expect-let-open", "let a"),
+    ("expect-let-first-ident", "let <1, b> =Z y in a"),
+    ("expect-let-comma", "let <a b> =Z y in a"),
+    ("expect-let-second-ident", "let <a, 1> =Z y in a"),
+    ("expect-let-close", "let <a, b =Z y in a"),
+    ("expect-let-equals", "let <a, b> Z y in a"),
+    ("expect-let-in", "let <a, b> =Z y, a"),
+    ("expect-paren-close", "(x"),
+    ("expect-int-num", "Z[x]"),
+    ("expect-int-num-after-minus", "Z[-]"),
+    ("expect-rad-open", "Z[1]^rad 1"),
+    ("expect-rad-num", "Z[1]^rad(x)"),
+    ("expect-rad-close", "Z[1]^rad(1"),
+    ("expect-annotation-paren-close", "Z x:(1. x"),
+    ("trailing-input", "x)"),
+    ("trailing-input-after-gen", "Z[1] ]"),
+    ("non-finite-rad", "Z[1]^rad(1e400)"),
+    ("non-finite-negative-rad", "rot Z^-rad(1e400)"),
+    ("zero-denominator", "Z^pi/0 x:1. x"),
+    ("negative-denominator", "Z^3pi/-2 x:1. x"),
+    ("bare-nonzero-integer-phase", "Z[1]^3"),
+    ("non-integer-gen-decimal", "Z[1.5]"),
+    ("non-integer-gen-exponent", "Z[1e3]"),
+    ("non-integer-phase-multiple", "Z^1.5pi x:1. x"),
+    ("expected-a-type", "Z x:. x"),
+    ("expected-a-type-after-arrow", "Z x:1->. x"),
+    ("expected-basis-rot", "rot Y^pi"),
+    ("expected-basis-let", "let <a,b> = y in a"),
+    ("expected-a-phase", "Z^x y. y"),
+    ("expected-a-term-empty", ""),
+    ("expected-a-term-binder-body", "Z x. "),
+    ("expected-a-term-tuple-right", "<x,>"),
+    ("expected-a-term-after-o", "a o"),
+    ("multi-line-expect", "Z x.\n  <x,>"),
+    ("multi-line-character", "\n\n  ?"),
+    ("multi-line-trailing", "Z x:1.\n\tx\n )"),
+    ("multi-line-let", "let <a,b> =Z\n y\n in\n a b )"),
+    ("multi-line-end-of-input", "<x,\n y\n"),
+]
+
+
+class TestAgainstLiteralParse:
+    """`parse`, `parse_type` and `parse_context` against the reference
+    reader in conftest: the same value, or the same error message, line
+    and column."""
+
+    @pytest.mark.parametrize("src", [
+        *term_pool(),
+        *(print_term(term) for _, term in rule_sides()),
+        *_workload_sources(),
+    ])
+    def test_terms(self, src):
+        assert _outcome(parse, src) == _outcome(literal_parse, src)
+
+    @pytest.mark.parametrize("src", [s for _, s in _MALFORMED],
+                             ids=[name for name, _ in _MALFORMED])
+    def test_malformed_terms(self, src):
+        got = _outcome(parse, src)
+        assert isinstance(got, tuple) and got[0] is ParseError
+        assert got == _outcome(literal_parse, src)
+
+    @pytest.mark.parametrize("src", [
+        "1", "0", "1*1", "1->1*1", "(1->1)->1", "1'", "(1*2)''", "1 -> 1 -> 1",
+        "", "x", "1 ->", "(1", "1 *", "1 2", "1.5", "1 -", "1 - 1", "-1", "(1->)",
+    ])
+    def test_types(self, src):
+        assert _outcome(parse_type, src) == _outcome(literal_parse_type, src)
+
+    @pytest.mark.parametrize("src", [
+        "", "  ", "x:Z:1", "x:Z:1, f:X:1->1*1", "x", "x:Y:1", "x:Z", "x:Z:1,",
+        "x:Z:1 y", "1:Z:1", "x Z:1", "x:Z 1", "x:Z:1,\n y:X:", "x:Z:1, x:Z:1",
+    ])
+    def test_contexts(self, src):
+        assert _outcome(parse_context, src) == _outcome(literal_parse_context, src)
+
+    _LEXEMES = [
+        "Z", "X", "H", "rot", "let", "in", "o", "rad", "pi", "x", "y", "_c",
+        "0", "1", "2", "1.5", "1e400", "<", ">", ",", ".", ":", "^", "[", "]",
+        "*", "\\", "/", "-", "->", "=", "(", ")", "'", "?", "\n",
+    ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(_LEXEMES), st.sampled_from(["", " ", "\n"])),
+                    max_size=14))
+    def test_lexeme_strings(self, pieces):
+        src = "".join(lexeme + sep for lexeme, sep in pieces)
+        assert _outcome(parse, src) == _outcome(literal_parse, src)
+        assert _outcome(parse_type, src) == _outcome(literal_parse_type, src)
+        assert _outcome(parse_context, src) == _outcome(literal_parse_context, src)
