@@ -22,26 +22,31 @@ of more than 2^budget entries (the starting identity, a leaf matrix, or a
 product with the running tensor), so the budget counts the legs of the
 largest tensor the walk holds, not the width of the diagram.
 
-`oracle_contract` evaluates the same diagram by a disjoint route. The
-`generators` walk flattens the diagram into a tensor network: a leaf tensor
-per generator but Perm, which only relabels the open wires, built entry by
-entry from the basis-vector definitions (not from kron), over edge ids
-threaded along the wires. A plan, made from the leg lists alone, contracts
-pairs that share an edge in the order they are offered, and ends with the
-outer product of any disconnected parts; np.tensordot then runs it pair by
-pair. It raises WireBudgetError before any tensor exists if a leaf or a
-planned intermediate has more than 2^WIRE_BUDGET entries, the units of
-`denote`'s budget and the default the CLI and `theory` use.
+`oracle_contract` evaluates the same diagram by a disjoint route: a factor
+graph over bits, read in one `generators` walk that keeps a variable per
+open wire. A Z spider is one variable shared by all its legs, with the
+weight (1, e^{ia}); an X spider is such a variable with the factor
+H~ = [[1, 1], [1, -1]] / sqrt(2) on each leg, and a Had is one H~. A Cup
+puts one new variable on its two wires and a Cap unites its two wires'
+variables (a small union-find); Id and Perm only rename and a Scalar
+multiplies a constant. The boundary is the outputs, then the inputs; a
+variable that reaches a second boundary position is tied there to a fresh
+one by a 2x2 identity. Every other variable is summed out in the order the
+walk made it, with one np.einsum (at most 30 operands at a time) over the
+factors that hold it; one that no factor holds, a closed loop, gives 2.
+The factors left are multiplied over the boundary. The elimination is
+planned on the variable sets first, and WireBudgetError is raised before
+any einsum when the result or a tensor the plan holds has more than
+WIRE_BUDGET legs, the units of `denote`'s budget and the default the CLI
+and `theory` use.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import json
 import math
 import sys
-from collections import deque
 from typing import Optional, Union
 
 import numpy as np
@@ -271,149 +276,110 @@ def max_deviation(a: np.ndarray, b: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # Independent contraction oracle
 
+# H~, the Hadamard as a factor between two bit variables
+_HT = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / SQRT2
 
-def _spider_tensor(basis: Basis, phase: Phase, m: int, n: int) -> np.ndarray:
-    """Entry-by-entry spider tensor with axes out_0..out_{n-1}, in_0..in_{m-1}."""
-    w = phase_exp(phase)
-    if basis is Basis.Z:
-        comp0 = (1.0, 0.0)
-        comp1 = (0.0, 1.0)
-    else:
-        comp0 = (1.0 / SQRT2, 1.0 / SQRT2)
-        comp1 = (1.0 / SQRT2, -1.0 / SQRT2)
-    t = np.zeros((2,) * (m + n), dtype=complex)
-    for bits in itertools.product((0, 1), repeat=m + n):
-        p0 = 1.0
-        p1 = 1.0
-        for b in bits:
-            p0 *= comp0[b]
-            p1 *= comp1[b]
-        t[bits] = p0 + w * p1
-    return t
-
-
-def _had_tensor() -> np.ndarray:
-    t = np.zeros((2, 2), dtype=complex)
-    for o in (0, 1):
-        for i in (0, 1):
-            t[o, i] = (-1.0 if (o and i) else 1.0) / SQRT2
-    return t
-
-
-def _delta_tensor() -> np.ndarray:
-    t = np.zeros((2, 2), dtype=complex)
-    t[0, 0] = 1.0
-    t[1, 1] = 1.0
-    return t
-
-
-def _oracle_leaf(node: Diagram) -> np.ndarray:
-    """The tensor of a generator, axes outputs then inputs; an Id(1) is the
-    delta that splits a wire running straight through the diagram."""
-    if isinstance(node, Spider):
-        return _spider_tensor(node.basis, node.phase, node.m, node.n)
-    if isinstance(node, Had):
-        return _had_tensor()
-    if isinstance(node, (Cup, Cap, Id)):
-        return _delta_tensor()
-    if isinstance(node, Scalar):
-        return np.array(node.value, dtype=complex)
-    raise DiagramError(f"not a diagram: {node!r}")
-
-
-def _flatten(d: Diagram):
-    """The diagram as a tensor network: (leaves, legs, outs, ins). leaves[t]
-    is a generator, legs[t] the edge ids of its tensor's axes; outs and ins
-    are the boundary edges. Over the `generators` walk it keeps the list of
-    edges on the wires open so far: a Perm reorders the slice of it that it
-    spans, and every other generator replaces the slice it consumes with
-    the fresh edges it emits, so every edge ends on exactly two of the
-    leaves and the boundary, and no leaf holds an edge twice."""
-    edges = itertools.count()
-    ins = [next(edges) for _ in range(d.inputs)]
-    wires = list(ins)
-    leaves: list[Diagram] = []
-    legs: list[list[int]] = []
-    for node, at in generators(d):
-        if isinstance(node, Perm):
-            wires[at : at + node.inputs] = node.route(wires[at : at + node.inputs])
-        elif not isinstance(node, Id):
-            consumed = wires[at : at + node.inputs]
-            emitted = [next(edges) for _ in range(node.outputs)]
-            wires[at : at + node.inputs] = emitted
-            leaves.append(node)
-            legs.append(emitted + consumed)
-    # a wire running straight from input to output would be one edge on two
-    # boundary axes; split it with a delta
-    straight = set(ins)
-    for pos, e in enumerate(wires):
-        if e in straight:
-            wires[pos] = next(edges)
-            leaves.append(Id(1))
-            legs.append([wires[pos], e])
-    return leaves, legs, wires, ins
-
-
-def _joined(a: list[int], b: list[int]) -> list[int]:
-    """The legs of the contraction of tensors with legs a and b: every
-    shared edge is summed, the rest keep their order, a's first."""
-    shared = set(a) & set(b)
-    return [e for e in a + b if e not in shared]
-
-
-def _plan(legs: list[list[int]]) -> list[tuple[int, int]]:
-    """A pairwise contraction order over tensors given by their legs: pairs
-    that share an edge, first offered first (edges in the order the walk
-    made them, then each result with its neighbours), then the outer
-    product of what is left. Appends each result's legs to `legs` as tensor
-    len(legs); returns the (a, b) pairs in order, and leaves the whole
-    network in the last one."""
-    ends: dict[int, list[int]] = {}
-    for t, ls in enumerate(legs):
-        for e in ls:
-            ends.setdefault(e, []).append(t)
-    offered = deque(ts for ts in ends.values() if len(ts) == 2)
-    live = set(range(len(legs)))
-    steps: list[tuple[int, int]] = []
-    while offered:
-        a, b = offered.popleft()
-        if a not in live or b not in live:
-            continue
-        c = len(legs)
-        legs.append(_joined(legs[a], legs[b]))
-        steps.append((a, b))
-        live -= {a, b}
-        live.add(c)
-        for e in legs[c]:
-            ends[e] = [c if t in (a, b) else t for t in ends[e]]
-            offered.extend((c, t) for t in ends[e] if t != c)
-    acc, *rest = sorted(live)
-    for b in rest:
-        steps.append((acc, b))
-        legs.append(legs[acc] + legs[b])
-        acc = len(legs) - 1
-    return steps
+# operands per np.einsum call, under numpy's limit (32 before numpy 2)
+_OPERANDS = 30
 
 
 def oracle_contract(d: Diagram) -> np.ndarray:
-    """Evaluate by contracting the diagram as a tensor network, pair by pair
-    in an order planned from the leg lists alone. Independent of `denote`.
-    Raises WireBudgetError, before any tensor is made, when a leaf or a
-    planned intermediate would have more than 2^WIRE_BUDGET entries."""
-    leaves, legs, outs, ins = _flatten(d)
-    if not leaves:
-        return np.ones((1, 1), dtype=complex)
-    steps = _plan(legs)
-    _fits(2 ** max(map(len, legs)), 2**WIRE_BUDGET)
-    tensors = [_oracle_leaf(n) for n in leaves]
-    for a, b in steps:
-        shared = set(legs[a]) & set(legs[b])
-        axes = ([legs[a].index(e) for e in shared], [legs[b].index(e) for e in shared])
-        tensors.append(np.tensordot(tensors[a], tensors[b], axes))
-        tensors[a] = tensors[b] = None
-    final = legs[-1]
-    result = tensors[-1].transpose([final.index(e) for e in outs + ins])
-    return result.reshape(2 ** len(outs), 2 ** len(ins))
+    """Evaluate the diagram as a factor graph over bits (see the module
+    docstring), summing out its inner variables one at a time. Independent
+    of `denote`. Raises WireBudgetError, before any contraction, when the
+    result or a tensor the elimination holds has more than WIRE_BUDGET legs."""
+    parent: list[int] = []
+
+    def new() -> int:
+        parent.append(len(parent))
+        return len(parent) - 1
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    factors = [([], np.ones((), dtype=complex))]  # so the last product has an operand
+    scale = 1.0 + 0j
+    ins = [new() for _ in range(d.inputs)]
+    wires = list(ins)
+    for node, at in generators(d):
+        legs = wires[at : at + node.inputs]
+        if isinstance(node, (Id, Perm)):
+            out = node.route(legs) if isinstance(node, Perm) else legs
+        elif isinstance(node, Spider):
+            v = new()
+            factors.append(([v], np.array([1.0, phase_exp(node.phase)])))
+            if node.basis is Basis.Z:
+                for w in legs:
+                    parent[find(w)] = v
+                out = [v] * node.n
+            else:
+                out = [new() for _ in range(node.n)]
+                factors += [([w, v], _HT) for w in legs + out]
+        elif isinstance(node, Had):
+            out = [new()]
+            factors.append((out + legs, _HT))
+        elif isinstance(node, Cup):
+            out = [new()] * 2
+        elif isinstance(node, Cap):
+            parent[find(legs[0])] = find(legs[1])
+            out = []
+        elif isinstance(node, Scalar):
+            scale *= node.value
+            out = []
+        else:
+            raise DiagramError(f"not a diagram: {node!r}")
+        wires[at : at + node.inputs] = out
+    boundary: dict[int, None] = {}  # outputs, then inputs
+    for v in map(find, wires + ins):
+        if v in boundary:
+            factors.append(([v, new()], np.eye(2, dtype=complex)))
+            v = len(parent) - 1
+        boundary[v] = None
+    axes = [[find(u) for u in a] for a, _ in factors]
+    steps: list[tuple[list[int], list[int]]] = []
+
+    def join(ids: list[int], drop: Optional[int]) -> int:
+        """Plan einsums over factors `ids`, summing out `drop`, at most
+        _OPERANDS at a time; the index of the result."""
+        while True:
+            part, ids = ids[:_OPERANDS], ids[_OPERANDS:]
+            held = dict.fromkeys(u for i in part for u in axes[i])
+            steps.append((part, [u for u in held if ids or u != drop]))
+            axes.append(steps[-1][1])
+            if not ids:
+                return len(axes) - 1
+            ids = [len(axes) - 1] + ids
+
+    holders: dict[int, list[int]] = {}
+    for i, a in enumerate(axes):
+        for u in set(a):
+            holders.setdefault(u, []).append(i)
+    live = set(range(len(axes)))
+    for v in range(len(parent)):
+        if parent[v] != v or v in boundary:
+            continue
+        group = [i for i in holders.get(v, ()) if i in live]
+        if not group:
+            scale *= 2
+            continue
+        live.difference_update(group)
+        live.add(join(group, v))
+        for u in axes[-1]:
+            holders.setdefault(u, []).append(len(axes) - 1)
+    join(sorted(live), None)
+    _fits(2 ** max(len(set(a)) for a in axes), 2**WIRE_BUDGET)
+    tensors = [t for _, t in factors]
+    for part, out in steps:
+        label = {u: k for k, u in enumerate(dict.fromkeys(u for i in part for u in axes[i]))}
+        operands = []
+        for i in part:
+            operands += [tensors[i], [label[u] for u in axes[i]]]
+            tensors[i] = None
+        tensors.append(np.einsum(*operands, [label[u] for u in out]))
+    result = tensors[-1].transpose([axes[-1].index(v) for v in boundary])
+    return scale * result.reshape(2 ** len(wires), 2 ** len(ins))
 
 
 # ---------------------------------------------------------------------------

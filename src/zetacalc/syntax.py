@@ -622,7 +622,11 @@ class _Parser:
         text = self.expect("num")
         if "." in text or "e" in text or "E" in text:
             self.error("expected an integer", at)
-        return -int(text) if neg else int(text)
+        try:
+            n = int(text)
+        except ValueError:  # past sys.get_int_max_str_digits()
+            self.error(f"integer of {len(text)} digits is too long", at)
+        return -n if neg else n
 
     def phase(self) -> Phase:
         neg = self.kinds[self.pos] == "-"

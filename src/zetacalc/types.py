@@ -412,6 +412,22 @@ class Derivation:
             yield node
             todo.extend(reversed(node.children))
 
+    def post_order(self):
+        """Every distinct node once, after its children, children left to
+        right; a subtree the derivation shares is walked where it is first
+        met. Walked with an explicit stack, so deep derivations do not hit
+        the recursion limit."""
+        seen: set[int] = set()
+        todo: list = [(self, False)]
+        while todo:
+            node, children_done = todo.pop()
+            if children_done:
+                yield node
+            elif id(node) not in seen:
+                seen.add(id(node))
+                todo.append((node, True))
+                todo.extend((c, False) for c in reversed(node.children))
+
 
 class _Inferencer:
     """Infers in two passes. Types are monomorphic, so once unification has
@@ -652,13 +668,7 @@ class _Inferencer:
         the context entries, then the node's type. The hint names where the
         variable was made, except that an application result found in an
         entry's type names its binder: an application cannot be annotated."""
-        todo: list = [(d, False)]
-        while todo:
-            node, children_done = todo.pop()
-            if not children_done:
-                todo.append((node, True))
-                todo.extend((c, False) for c in reversed(node.children))
-                continue
+        for node in d.post_order():
             held = reversed(node.dropped()) if node.rule == "W" else ()
             found = [(e.type, e.name) for e in (*held, *node.ctx)]
             for t, name in [*found, (node.type, None)]:
@@ -734,9 +744,7 @@ def validate_derivation(d: Derivation) -> None:
     def fail(node, msg):
         raise InvalidDerivationError(f"rule {node.rule}: {msg}")
 
-    def go(node: Derivation):
-        for c in node.children:
-            go(c)
+    for node in d.post_order():
         t, term, ctx = node.type, node.term, node.ctx
         if node.rule == "U":
             if not isinstance(term, Unit) or t != TOP:
@@ -857,8 +865,6 @@ def validate_derivation(d: Derivation) -> None:
                 fail(node, "type changed across contraction")
         else:
             fail(node, f"unknown rule {node.rule!r}")
-
-    go(d)
 
 
 def derivation_summary(d: Derivation) -> dict:

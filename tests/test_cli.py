@@ -299,6 +299,11 @@ class TestErrorExits:
         assert main(["check", write("phase.zeta", src)]) == code
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_integer_past_the_digit_limit(self, write, capsys):
+        assert main(["check", write("long.zeta", "Z[" + "9" * 5000 + "]")]) == 2
+        err = capsys.readouterr().err
+        assert "5000 digits is too long" in err and "Traceback" not in err
+
     def test_too_deep(self, write, capsys):
         f = write("deep.zeta", "<" * 999 + "*" + ",*>" * 999)
         assert main(["check", f]) == 3

@@ -3,6 +3,7 @@ import random
 import time
 import tracemalloc
 from functools import reduce
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -222,7 +223,7 @@ class TestOracle:
         assert time.perf_counter() - start < 0.5
 
     def test_long_chain_evaluates(self):
-        # 51 edges, but no tensor the contraction holds has more than 2 legs
+        # 50 weights on one variable; no tensor held has more than 2 legs
         chain = seq(*[Spider(Basis.Z, Phase.exact(1, 4), 1, 1)] * 50)
         assert _plan_peak(chain) == 2
         start = time.perf_counter()
@@ -230,15 +231,22 @@ class TestOracle:
         assert time.perf_counter() - start < 0.5
         assert np.max(np.abs(denote(chain) - o)) <= 1e-12
 
+    def test_many_factors_on_one_variable(self):
+        # 200 phase weights on one variable, more than one np.einsum takes
+        chain = seq(*[Spider(Basis.Z, Phase.exact(1, 4), 1, 1)] * 200)
+        assert np.max(np.abs(denote(chain) - oracle_contract(chain))) <= 1e-12
+
     def test_gates_on_the_largest_intermediate(self, monkeypatch):
-        # seven or eight 2-leg deltas, but their outer product is the
-        # 2^14- or 2^16-entry identity matrix
+        # seven or eight 2-leg identity ties, but the result is the 2^14- or
+        # 2^16-entry identity matrix
         assert np.array_equal(oracle_contract(Id(7)), np.eye(128))
 
-        def no_tensors(node):
-            raise AssertionError("a tensor was made before the budget check")
+        def no_contraction(*args):
+            raise AssertionError("a contraction ran before the budget check")
 
-        monkeypatch.setattr(evaluator, "_oracle_leaf", no_tensors)
+        monkeypatch.setattr(evaluator.np, "einsum", no_contraction)
+        with pytest.raises(AssertionError, match="contraction ran"):
+            oracle_contract(Id(7))
         with pytest.raises(WireBudgetError, match="16 legs"):
             oracle_contract(Id(8))
 
@@ -277,6 +285,15 @@ class TestOracle:
             count += 1
         assert count > 500
 
+    @pytest.mark.parametrize("basis", "ZX")
+    @pytest.mark.parametrize("phase", ["pi/2", "pi/4"])
+    def test_wide_copy_maps(self, basis, phase):
+        # one spider each; its 2^(ways + 1)-entry matrix is the result
+        for ways in (6, 11, 13):
+            src = f"{basis}^{phase} x:1. " + "<x," * (ways - 1) + "x" + ">" * (ways - 1)
+            d = eval_as_map(translate(infer(Context(), parse(src))[1])).diagram
+            assert np.max(np.abs(denote(d) - oracle_contract(d))) <= 1e-12, src
+
     def test_higher_order_share_within_twelve_legs(self):
         _, deriv = infer(Context(), parse("(X f:1->1*1. <f,f>) (Z x:1. <x,x>)"))
         d = translate(deriv).diagram
@@ -284,7 +301,7 @@ class TestOracle:
         assert np.max(np.abs(denote(d) - oracle_contract(d))) <= 1e-12
 
     def test_long_h_chain_map(self):
-        # 2 297 tensors in the plan, none with more than 2 legs
+        # 192 spiders, and no tensor held with more than 2 legs
         d = eval_as_map(translate(infer(Context(), parse(" o ".join(["H"] * 64)))[1])).diagram
         assert _plan_peak(d) == 2
         start = time.perf_counter()
@@ -294,10 +311,12 @@ class TestOracle:
 
 
 def _plan_peak(d):
-    """The most legs any leaf or planned intermediate of the oracle holds."""
-    legs = evaluator._flatten(d)[1]
-    evaluator._plan(legs)
-    return max(map(len, legs))
+    """The most legs of any tensor the oracle's elimination holds, the
+    result included: what it checks against the budget."""
+    with mock.patch.object(evaluator, "_fits", wraps=evaluator._fits) as fits:
+        oracle_contract(d)
+    fits.assert_called_once()
+    return fits.call_args.args[0].bit_length() - 1
 
 
 def _denote_peak(d):

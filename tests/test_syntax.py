@@ -81,6 +81,16 @@ class TestPhase:
         with pytest.raises(ParseError, match="not finite"):
             parse(src)
 
+    @pytest.mark.parametrize("src, col", [
+        ("Z[" + "9" * 5000 + "]", 3),
+        ("Z^" + "9" * 5000 + "pi x:1. x", 3),
+        ("Z x:" + "9" * 5000 + ". x", 5),
+    ], ids=["arity", "phase", "type-numeral"])
+    def test_integer_past_the_string_digit_limit(self, src, col):
+        with pytest.raises(ParseError, match="5000 digits is too long") as e:
+            parse(src)
+        assert (e.value.line, e.value.col) == (1, col)
+
     def test_str_forms(self):
         assert str(Phase.exact(1)) == "pi"
         assert str(Phase.exact(2, 3)) == "2pi/3"

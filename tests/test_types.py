@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import sys
 from collections import Counter
 
 import pytest
@@ -623,3 +624,28 @@ class TestWalk:
         for term in terms:
             _, d = infer(EMPTY, term)
             assert [id(n) for n in d.walk()] == [id(n) for n in _recursive_walk(d)]
+
+    def test_post_order_yields_each_node_once_after_its_children(self):
+        terms = [parse(s) for s in term_pool()] + [parse(" o ".join(["H"] * 200))]
+        for term in terms:
+            _, d = infer(EMPTY, term)
+            order = [id(n) for n in d.post_order()]
+            assert order == list(dict.fromkeys(id(n) for n in _recursive_post_order(d)))
+        # the H x 200 derivation shares one H subtree
+        assert len(order) < sum(1 for _ in d.walk())
+
+    def test_validates_a_deep_derivation_at_the_default_recursion_limit(self):
+        term = parse(" o ".join(["H"] * 600))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(10_000)  # infer still recurses per nesting level
+        try:
+            _, d = infer(EMPTY, term)
+        finally:
+            sys.setrecursionlimit(limit)
+        validate_derivation(d)
+
+
+def _recursive_post_order(d):
+    for c in d.children:
+        yield from _recursive_post_order(c)
+    yield d
