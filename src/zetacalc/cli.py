@@ -7,7 +7,8 @@ not a finite number >= 0, a --copies that is not N or LO..HI with
 0 <= LO <= HI, or mismatched equivalence query; 3 wire budget exceeded
 (evaluation would hold a tensor of more than ZETA_WIRE_BUDGET legs, default
 14, whatever the diagram's width), out of memory or a tensor too large to
-address within a budget set too high, or term too deep to process.
+address within a budget set too high, term too deep to process, or term
+too large (a generator arity past what the machine can index).
 """
 
 from __future__ import annotations
@@ -28,14 +29,13 @@ from .evaluator import (
     render_matrix,
 )
 from .semantics import eval_as_map, translate
-from .syntax import Basis, ParseError, ZetaError, parse, print_term
+from .syntax import Basis, ParseError, ZetaError, parse, print_term, print_type
 from .theory import commutes_with_sharing, compare, run_suite
 from .types import (
     ZetaTypeError,
     derivation_summary,
     infer,
     parse_context,
-    print_type,
 )
 
 EXIT_OK = 0
@@ -279,6 +279,8 @@ def main(argv=None) -> int:
         return _fail(EXIT_BUDGET, "term too deep: nesting exceeds the recursion limit")
     except MemoryError:
         return _fail(EXIT_BUDGET, "out of memory: lower ZETA_WIRE_BUDGET")
+    except OverflowError:
+        return _fail(EXIT_BUDGET, "term too large: an arity past what the machine can index")
     except OSError as exc:
         return _fail(EXIT_PARSE, str(exc))
 

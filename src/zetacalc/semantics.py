@@ -58,15 +58,12 @@ from .diagram import (
     to_json_obj,
     upsilon,
 )
-from .syntax import Abs, Gen, Term, ZetaError, print_term
+from .syntax import Abs, Gen, Term, Type, ZetaError, fn_parts, print_term, print_type
 from .types import (
     Context,
     Derivation,
-    Type,
-    fn_parts,
     labels,
     print_context,
-    print_type,
     size,
 )
 

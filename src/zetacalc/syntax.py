@@ -1,14 +1,15 @@
-"""Abstract syntax, concrete grammar, and term-level operations.
+"""Abstract syntax, concrete grammar, and term-level operations, types
+included: a binder may carry a type, so one parser reads both.
 
-Terms and phases are immutable by contract: no field is assigned after
-construction; not frozen, for construction cost. `Phase` is slotted; term
-nodes keep an instance `__dict__`, because the benchmark's tracer
-(`perfbench/tracing.py`) finds a term's children through `vars(term)`.
-Every operation here is a pure function, and nodes may be shared (each `H`
-of one parse is one object). Each term node carries `fv`: its free
-variables, each mapped to its number of free occurrences, in first-use
-order. A node computes `fv` from its children's when it is built, so
-reading it never walks the term. The binder
+Terms, types and phases are immutable by contract: no field is assigned
+after construction; not frozen, for construction cost. Types and `Phase`
+are slotted; term nodes keep an instance `__dict__`, because the
+benchmark's tracer (`perfbench/tracing.py`) finds a term's children through
+`vars(term)`. Every operation here is a pure function, and nodes may be
+shared (each `H` of one parse is one object). Each term node carries `fv`:
+its free variables, each mapped to its number of free occurrences, in
+first-use order. A node computes `fv` from its children's when it is built,
+so reading it never walks the term. The binder
 forms carry a basis (Z or X) and a phase; phases are exact rational
 multiples of pi whenever written symbolically, with decimal radians as an
 escape hatch.
@@ -139,6 +140,76 @@ _ZERO = Phase(pi_multiple=Fraction(0))
 
 
 # ---------------------------------------------------------------------------
+# Types: monomorphic wire counts
+
+
+@dataclass(slots=True, unsafe_hash=True)
+class Type:
+    pass
+
+
+@dataclass(slots=True, unsafe_hash=True)
+class Numeral(Type):
+    n: int
+
+    def __post_init__(self):
+        if self.n < 0:
+            raise ValueError("numeral types are naturals")
+
+
+@dataclass(slots=True, unsafe_hash=True)
+class Tensor(Type):
+    left: Type
+    right: Type
+
+
+@dataclass(slots=True, unsafe_hash=True)
+class Dual(Type):
+    inner: Type
+
+
+@dataclass(slots=True, unsafe_hash=True)
+class TypeVar(Type):
+    id: int
+
+
+TOP = Numeral(0)
+
+
+def Fn(a: Type, b: Type) -> Type:
+    """The function type A -> B, a derived form: A* (x) B."""
+    return Tensor(Dual(a), b)
+
+
+def fn_parts(t: Type) -> Optional[tuple[Type, Type]]:
+    if isinstance(t, Tensor) and isinstance(t.left, Dual):
+        return t.left.inner, t.right
+    return None
+
+
+def print_type(t: Type) -> str:
+    # precedence: 0 = arrow (right-assoc), 1 = tensor (left-assoc), 2 = atom
+    def go(t: Type, prec: int) -> str:
+        parts = fn_parts(t)
+        if parts is not None:
+            a, b = parts
+            s = f"{go(a, 1)} -> {go(b, 0)}"
+            return s if prec <= 0 else f"({s})"
+        if isinstance(t, Tensor):
+            s = f"{go(t.left, 1)} * {go(t.right, 2)}"
+            return s if prec <= 1 else f"({s})"
+        if isinstance(t, Dual):
+            return f"{go(t.inner, 2)}'"
+        if isinstance(t, Numeral):
+            return str(t.n)
+        if isinstance(t, TypeVar):
+            return f"?{t.id}"
+        raise TypeError(f"not a type: {t!r}")
+
+    return go(t, 0)
+
+
+# ---------------------------------------------------------------------------
 # Terms
 
 
@@ -198,7 +269,7 @@ class Abs(Term):
     basis: Basis
     phase: Phase
     var: str
-    annotation: Optional[object]  # types.Type, kept untyped to avoid a cycle
+    annotation: Optional[Type]
     body: Term
     # Set for `\x. M` sugar: the typechecker must enforce single use of x.
     is_lambda: bool = False
@@ -230,8 +301,8 @@ class Let(Term):
     basis: Basis
     var1: str
     var2: str
-    annotation1: Optional[object]
-    annotation2: Optional[object]
+    annotation1: Optional[Type]
+    annotation2: Optional[Type]
     bound: Term
     body: Term
 
@@ -245,8 +316,6 @@ class Let(Term):
 
 def rotation(basis: Basis, phase: Phase) -> Term:
     """rotB^a  :=  B^a x:1. x (rotations act on single qubits)"""
-    from .types import Numeral  # deferred: types imports this module
-
     return Abs(basis, phase, "_r", Numeral(1), Var("_r"))
 
 
@@ -454,20 +523,13 @@ _OPENERS = {"<", "(", "\\", "let"}
 
 
 class _Parser:
-    def __init__(self, text: str, type_parser=None):
+    def __init__(self, text: str):
         self.text = text
         self.kinds, self.texts, self.starts = _tokenize(text)
         self.pos = 0
-        # Callback into the types module grammar for binder annotations.
-        self.type_parser = type_parser
-
-    def peek(self, ahead: int = 0) -> str:
-        if ahead:
-            return self.kinds[min(self.pos + ahead, len(self.kinds) - 1)]
-        return self.kinds[self.pos]
 
     def next(self) -> str:
-        # callers step only past a token they have peeked, never the end
+        # callers step only past a token whose kind they have read, never the end
         self.pos += 1
         return self.texts[self.pos - 1]
 
@@ -606,13 +668,44 @@ class _Parser:
         self.pos += 1
         return Basis(kind)
 
-    def annotation(self):
+    def annotation(self) -> Optional[Type]:
         if self.kinds[self.pos] != ":":
             return None
         self.pos += 1
-        if self.type_parser is None:
-            self.error("type annotations are not supported here")
-        return self.type_parser(self)
+        return self.type_()
+
+    # type := tensor ("->" type)? ; tensor := factor ("*" factor)* ;
+    # factor := nat "'"* | "(" type ")" "'"*. Recursive: types nest shallowly.
+
+    def type_(self) -> Type:
+        t = self.type_tensor()
+        # the arrow is lexed as '-' '>'; a '-' is never the last token, eof is
+        if self.kinds[self.pos] == "-" and self.kinds[self.pos + 1] == ">":
+            self.pos += 2
+            return Fn(t, self.type_())
+        return t
+
+    def type_tensor(self) -> Type:
+        t = self.type_factor()
+        while self.kinds[self.pos] == "*":
+            self.pos += 1
+            t = Tensor(t, self.type_factor())
+        return t
+
+    def type_factor(self) -> Type:
+        kind = self.kinds[self.pos]
+        if kind == "num":
+            t = Numeral(self.int_())
+        elif kind == "(":
+            self.pos += 1
+            t = self.type_()
+            self.expect(")")
+        else:
+            self.error("expected a type")
+        while self.kinds[self.pos] == "'":
+            self.pos += 1
+            t = Dual(t)
+        return t
 
     def int_(self) -> int:
         neg = self.kinds[self.pos] == "-"
@@ -669,10 +762,15 @@ class _Parser:
 
 def parse(text: str) -> Term:
     """Parse a term; all sugar is expanded."""
-    from . import types as _types  # deferred to avoid an import cycle
-
-    parser = _Parser(text, type_parser=_types._parse_type_from)
+    parser = _Parser(text)
     t = parser.term()
+    parser.end()
+    return t
+
+
+def parse_type(text: str) -> Type:
+    parser = _Parser(text)
+    t = parser.type_()
     parser.end()
     return t
 
@@ -680,7 +778,6 @@ def parse(text: str) -> Term:
 def print_term(term: Term) -> str:
     """Concrete syntax; parse(print_term(t)) is alpha-equivalent to t.
     Sugar is not reintroduced (lambda obligations print as Z-binders)."""
-    from . import types as _types
 
     def atom(t: Term) -> str:
         s = go(t)
@@ -698,7 +795,7 @@ def print_term(term: Term) -> str:
             return head if t.phase.is_zero else f"{head}^{t.phase}"
         if isinstance(t, Abs):
             head = str(t.basis) if t.phase.is_zero else f"{t.basis}^{t.phase}"
-            ann = f":{_types.print_type(t.annotation)}" if t.annotation is not None else ""
+            ann = f":{print_type(t.annotation)}" if t.annotation is not None else ""
             return f"{head} {t.var}{ann}. {go(t.body)}"
         if isinstance(t, App):
             fn = go(t.fn) if isinstance(t.fn, (App, Unit, Var, Gen, Tup)) else f"({go(t.fn)})"
@@ -706,8 +803,8 @@ def print_term(term: Term) -> str:
         if isinstance(t, Tup):
             return f"<{go(t.left)}, {go(t.right)}>"
         if isinstance(t, Let):
-            a1 = f":{_types.print_type(t.annotation1)}" if t.annotation1 is not None else ""
-            a2 = f":{_types.print_type(t.annotation2)}" if t.annotation2 is not None else ""
+            a1 = f":{print_type(t.annotation1)}" if t.annotation1 is not None else ""
+            a2 = f":{print_type(t.annotation2)}" if t.annotation2 is not None else ""
             return (
                 f"let <{t.var1}{a1}, {t.var2}{a2}> = {t.basis} {atom(t.bound)}"
                 f" in {go(t.body)}"

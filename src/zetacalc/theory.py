@@ -25,9 +25,12 @@ from .syntax import (
     Basis,
     Gen,
     Let,
+    Numeral,
     Phase,
+    Tensor,
     Term,
     Tup,
+    Type,
     Unit,
     Var,
     ZetaError,
@@ -38,18 +41,15 @@ from .syntax import (
     lam,
     occurrences,
     print_term,
+    print_type,
     rotation,
     substitute,
 )
 from .types import (
     Context,
     Entry,
-    Numeral,
-    Tensor,
-    Type,
     ZetaTypeError,
     infer,
-    print_type,
     size,
 )
 

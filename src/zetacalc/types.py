@@ -1,4 +1,5 @@
-"""Types, basis-annotated contexts, unification, and typing derivations.
+"""Basis-annotated contexts, unification, typing derivations, inference
+and the derivation re-checker, over the types of `syntax`.
 
 Typing is algorithmic: one weakening (W) drops every context entry a term
 does not use, and contraction (C) fires once per variable used two or more
@@ -6,9 +7,9 @@ times. Context order is preserved throughout, so no exchange rule is needed.
 A derivation node is a bare judgement with its premises: what a W or C node
 does is the difference between its context and its child's.
 
-Types, context entries, contexts and derivation nodes are immutable by
-contract: no field is assigned after construction; slotted, not frozen, for
-construction cost.
+Context entries, contexts and derivation nodes, like types, are immutable
+by contract: no field is assigned after construction; slotted, not frozen,
+for construction cost.
 
 Types are monomorphic wire counts, so one substitution fixes every type of
 a term. Inference takes two passes: it first finds the types over the term,
@@ -29,22 +30,30 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .syntax import (
+    TOP,
     Abs,
     App,
     Basis,
+    Dual,
+    Fn,
     Gen,
     Let,
+    Numeral,
+    Tensor,
     Term,
     Tup,
+    Type,
+    TypeVar,
     Unit,
     Var,
     ZetaError,
     _freshen,
     _Parser,
+    _subst,
     free_vars,
     occurrences,
+    print_type,
     rename_free_occurrences,
-    substitute,
 )
 
 
@@ -84,54 +93,6 @@ class InvalidDerivationError(ZetaTypeError):
     pass
 
 
-# ---------------------------------------------------------------------------
-# The type language
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Type:
-    pass
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Numeral(Type):
-    n: int
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("numeral types are naturals")
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Tensor(Type):
-    left: Type
-    right: Type
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Dual(Type):
-    inner: Type
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class TypeVar(Type):
-    id: int
-
-
-TOP = Numeral(0)
-
-
-def Fn(a: Type, b: Type) -> Type:
-    """The function type A -> B, a derived form: A* (x) B."""
-    return Tensor(Dual(a), b)
-
-
-def fn_parts(t: Type) -> Optional[tuple[Type, Type]]:
-    if isinstance(t, Tensor) and isinstance(t.left, Dual):
-        return t.left.inner, t.right
-    return None
-
-
 def size(t: Type) -> int:
     """Number of wires of a fully inferred type."""
     if isinstance(t, Numeral):
@@ -156,76 +117,6 @@ def labels(t: Type) -> list:
 
 def contains_var(t: Type) -> bool:
     return _first_var(t) is not None
-
-
-# ---------------------------------------------------------------------------
-# Concrete type syntax:  type := tensor ("->" type)? ; tensor := tfact ("*" tfact)*
-#                        tfact := nat "'"* | "(" type ")" "'"*
-
-
-def _parse_type_from(parser: _Parser) -> Type:
-    # recursive: types nest shallowly
-    def tfact() -> Type:
-        kind = parser.peek()
-        if kind == "num":
-            t: Type = Numeral(parser.int_())
-        elif kind == "(":
-            parser.next()
-            t = typ()
-            parser.expect(")")
-        else:
-            parser.error("expected a type")
-        while parser.peek() == "'":
-            parser.next()
-            t = Dual(t)
-        return t
-
-    def tensor() -> Type:
-        t = tfact()
-        while parser.peek() == "*":
-            parser.next()
-            t = Tensor(t, tfact())
-        return t
-
-    def typ() -> Type:
-        t = tensor()
-        # arrow is lexed as '-' '>'
-        if parser.peek() == "-" and parser.peek(1) == ">":
-            parser.next()
-            parser.next()
-            return Fn(t, typ())
-        return t
-
-    return typ()
-
-
-def parse_type(text: str) -> Type:
-    parser = _Parser(text)
-    t = _parse_type_from(parser)
-    parser.end()
-    return t
-
-
-def print_type(t: Type) -> str:
-    # precedence: 0 = arrow (right-assoc), 1 = tensor (left-assoc), 2 = atom
-    def go(t: Type, prec: int) -> str:
-        parts = fn_parts(t)
-        if parts is not None:
-            a, b = parts
-            s = f"{go(a, 1)} -> {go(b, 0)}"
-            return s if prec <= 0 else f"({s})"
-        if isinstance(t, Tensor):
-            s = f"{go(t.left, 1)} * {go(t.right, 2)}"
-            return s if prec <= 1 else f"({s})"
-        if isinstance(t, Dual):
-            return f"{go(t.inner, 2)}'"
-        if isinstance(t, Numeral):
-            return str(t.n)
-        if isinstance(t, TypeVar):
-            return f"?{t.id}"
-        raise TypeError(f"not a type: {t!r}")
-
-    return go(t, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +177,10 @@ def parse_context(text: str) -> Context:
         parser.expect(":")
         basis = parser.basis()
         parser.expect(":")
-        t = _parse_type_from(parser)
-        entries.append(Entry(name, basis, t))
-        if parser.peek() != ",":
+        entries.append(Entry(name, basis, parser.type_()))
+        if parser.kinds[parser.pos] != ",":
             break
-        parser.next()
+        parser.pos += 1
     parser.end()
     return Context(tuple(entries))
 
@@ -383,10 +273,11 @@ class Derivation:
     U V G D B A T E W C.
 
     Bound variables may have been alpha-renamed relative to the source term
-    (shadowed binders are freshened so context names stay distinct), and a
-    C node renames the k occurrences of its contracted entry x in its child
-    to the copies x#1 .. x#k. What a W or C node does is read from its two
-    contexts (see `dropped`).
+    (a let binder that shadows a context name is freshened so context names
+    stay distinct; its renamed subterm is every ancestor's subject too), and
+    a C node renames the k occurrences of its contracted entry x in its
+    child to the copies x#1 .. x#k. What a W or C node does is read from its
+    two contexts (see `dropped`).
     """
 
     rule: str
@@ -591,7 +482,7 @@ class _Inferencer:
         # variable, so it has an unused entry exactly when it is the longer.
         if len(ctx.entries) != len(fvs):
             child = self.build(Context(tuple(e for e in ctx if e.name in fvs)), term)
-            return Derivation("W", ctx, term, child.type, (child,))
+            return Derivation("W", ctx, child.term, child.type, (child,))
 
         # Contraction: split the leftmost entry used >= 2 times.
         for i, e in enumerate(ctx.entries):
@@ -603,12 +494,16 @@ class _Inferencer:
                 child = self.build(
                     Context(ctx.entries[:i] + split + ctx.entries[i + 1 :]), renamed
                 )
+                if child.term is not renamed:
+                    # a let below was freshened: un-rename its subject
+                    term = _subst(child.term, {nm: Var(e.name) for nm in names})
                 return Derivation("C", ctx, term, child.type, (child,))
 
         # the context is now empty exactly when the term is closed
-        shared = not fvs and id(term) in self.closed
+        key = id(term)
+        shared = not fvs and key in self.closed
         if shared:
-            d = self.built.get(id(term))
+            d = self.built.get(key)
             if d is not None:
                 return d
 
@@ -622,23 +517,27 @@ class _Inferencer:
             else:
                 d = Derivation("D", ctx, term, Fn(Numeral(-term.n), TOP))
         elif isinstance(term, Abs):
-            var, body = term.var, term.body
-            if ctx.get(var) is not None:
-                var = _freshen(var, set(ctx.names) | body.fv.keys())
-                body = substitute(term.body, term.var, Var(var))
-                term = Abs(term.basis, term.phase, var, term.annotation, body, term.is_lambda)
+            # the context names are the term's free variables, so the binder
+            # is not among them
             a = term.annotation
             if a is None:
                 a = next(self.binder_types)
-            child = self.build(ctx.extended(Entry(var, term.basis, a)), body)
+            child = self.build(ctx.extended(Entry(term.var, term.basis, a)), term.body)
+            if child.term is not term.body:
+                term = Abs(term.basis, term.phase, term.var, term.annotation, child.term,
+                           term.is_lambda)
             d = Derivation("B", ctx, term, Fn(a, child.type), (child,))
         elif isinstance(term, App):
             d1 = self.build(ctx, term.fn)
             d2 = self.build(ctx, term.arg)
+            if d1.term is not term.fn or d2.term is not term.arg:
+                term = App(d1.term, d2.term)
             d = Derivation("A", ctx, term, d1.type.right, (d1, d2))
         elif isinstance(term, Tup):
             d1 = self.build(ctx, term.left)
             d2 = self.build(ctx, term.right)
+            if d1.term is not term.left or d2.term is not term.right:
+                term = Tup(d1.term, d2.term)
             d = Derivation("T", ctx, term, Tensor(d1.type, d2.type), (d1, d2))
         else:
             d1 = self.build(ctx, term.bound)
@@ -646,20 +545,22 @@ class _Inferencer:
             taken = set(ctx.names)
             if v1 in taken or v2 in taken:
                 avoid = taken | body.fv.keys()
-                n1 = _freshen(v1, avoid)
-                n2 = _freshen(v2, avoid | {n1})
-                body = substitute(substitute(body, v1, Var(n1)), v2, Var(n2))
-                v1, v2 = n1, n2
-                term = Let(term.basis, v1, v2, term.annotation1, term.annotation2,
-                           term.bound, body)
+                v1 = _freshen(v1, avoid)
+                v2 = _freshen(v2, avoid | {v1})
+                # at once: v1's new name may be v2's old one
+                body = _subst(body, {term.var1: Var(v1), term.var2: Var(v2)})
             a, b = d1.type.left, d1.type.right
             d2 = self.build(
                 ctx.extended(Entry(v1, term.basis, a), Entry(v2, term.basis, b)), body
             )
+            renamed = (v1, v2) != (term.var1, term.var2)
+            if renamed or d1.term is not term.bound or d2.term is not term.body:
+                term = Let(term.basis, v1, v2, term.annotation1, term.annotation2,
+                           d1.term, d2.term)
             d = Derivation("E", ctx, term, d2.type, (d1, d2))
 
         if shared:
-            self.built[id(term)] = d
+            self.built[key] = d
         return d
 
     def _reject_variables(self, d: Derivation) -> None:

@@ -39,6 +39,7 @@ from zetacalc.syntax import (
     Var,
     _freshen,
     compose,
+    fn_parts,
     hadamard_term,
     lam,
     parse,
@@ -65,7 +66,6 @@ from zetacalc.types import (
     ZetaTypeError,
     apply_subst,
     contains_var,
-    fn_parts,
     infer,
     print_type,
     size,
@@ -110,6 +110,15 @@ def term_pool() -> list[str]:
         "Z y:1. let <a, b> =Z <y, Z[1]> in a",
         # a binary node that routes its entries by a 3-cycle, not a swap
         "Z x:1. Z y:1. Z z:1. <z, <x, y>>",
+        # a let binder shadows a variable of its bound term below the root:
+        # inference freshens it, and every ancestor's subject follows
+        "Z x:1*1. <let <x, y> =Z x in <y, x>, Z[1]>",
+        "Z x:1*1. let <x, y> =Z x in <y, <x, x>>",
+        "Z x:1*1. (Z z:1. <z, let <x, y> =Z x in <y, x>>) Z[1]",
+        "Z x:1*1. let <x, y> =Z x in let <x, y> =Z <y, x> in <y, x>",
+        "Z x:1. let <a, b> =Z <x, x> in <a, <b, x>>",
+        # the fresh name of x is x', the second binder's old name
+        "Z x:1*1. let <x, x'> =Z x in x",
     ]
 
 
@@ -302,7 +311,7 @@ def literal_infer(ctx, term, expected=None):
         for i, e in enumerate(ctx.entries):
             if e.name not in fvs:
                 child = derive(Context(ctx.entries[:i] + ctx.entries[i + 1 :]), term)
-                return Derivation("W", ctx, term, child.type, (child,))
+                return Derivation("W", ctx, child.term, child.type, (child,))
         for i, e in enumerate(ctx.entries):
             k = fvs.get(e.name, 0)
             if k >= 2:
@@ -312,7 +321,11 @@ def literal_infer(ctx, term, expected=None):
                     Context(ctx.entries[:i] + split + ctx.entries[i + 1 :]),
                     rename_free_occurrences(term, e.name, list(names)),
                 )
-                return Derivation("C", ctx, term, child.type, (child,))
+                # the premise's subject, with any let freshened below it
+                subject = child.term
+                for nm in names:
+                    subject = substitute(subject, nm, Var(e.name))
+                return Derivation("C", ctx, subject, child.type, (child,))
         if isinstance(term, Unit):
             return Derivation("U", ctx, term, TOP)
         if isinstance(term, Var):
@@ -321,27 +334,27 @@ def literal_infer(ctx, term, expected=None):
             if term.n >= 0:
                 return Derivation("G", ctx, term, Numeral(term.n))
             return Derivation("D", ctx, term, Fn(Numeral(-term.n), TOP))
+        # every parent's subject is built from its premises' subjects, which
+        # a let freshened below it may have renamed
         if isinstance(term, Abs):
-            var, body = term.var, term.body
-            if ctx.get(var) is not None:
-                var = _freshen(var, set(ctx.names) | body.fv.keys())
-                body = substitute(term.body, term.var, Var(var))
-                term = Abs(term.basis, term.phase, var, term.annotation, body, term.is_lambda)
-            uses = body.fv.get(var, 0)
+            var = term.var
+            uses = term.body.fv.get(var, 0)
             if term.is_lambda and uses != 1:
                 raise LinearityError(
                     f"lambda-bound variable {var} must occur exactly once (found {uses})"
                 )
             a = term.annotation or fresh(f"binder {var}")
-            child = derive(ctx.extended(Entry(var, term.basis, a)), body)
+            child = derive(ctx.extended(Entry(var, term.basis, a)), term.body)
+            term = Abs(term.basis, term.phase, var, term.annotation, child.term, term.is_lambda)
             return Derivation("B", ctx, term, Fn(a, child.type), (child,))
         if isinstance(term, App):
             d1, d2 = derive(ctx, term.fn), derive(ctx, term.arg)
             b = fresh("application result")
             unify_at("in application", d1.type, Fn(d2.type, b))
-            return Derivation("A", ctx, term, b, (d1, d2))
+            return Derivation("A", ctx, App(d1.term, d2.term), b, (d1, d2))
         if isinstance(term, Tup):
             d1, d2 = derive(ctx, term.left), derive(ctx, term.right)
+            term = Tup(d1.term, d2.term)
             return Derivation("T", ctx, term, Tensor(d1.type, d2.type), (d1, d2))
         if term.var1 == term.var2:
             raise ContextError(f"let binds {term.var1} twice")
@@ -354,11 +367,11 @@ def literal_infer(ctx, term, expected=None):
             avoid = set(ctx.names) | body.fv.keys()
             n1 = _freshen(v1, avoid)
             n2 = _freshen(v2, avoid | {n1})
-            body = substitute(substitute(body, v1, Var(n1)), v2, Var(n2))
+            # v2 first: n1 may be v2's old name, but n2 is never v1
+            body = substitute(substitute(body, v2, Var(n2)), v1, Var(n1))
             v1, v2 = n1, n2
-            term = Let(term.basis, v1, v2, term.annotation1, term.annotation2,
-                       term.bound, body)
         d2 = derive(ctx.extended(Entry(v1, term.basis, a), Entry(v2, term.basis, b)), body)
+        term = Let(term.basis, v1, v2, term.annotation1, term.annotation2, d1.term, d2.term)
         return Derivation("E", ctx, term, d2.type, (d1, d2))
 
     def first_var(t):
@@ -408,7 +421,7 @@ def literal_infer(ctx, term, expected=None):
 
 
 # The reference reader: the token-object tokenizer and recursive-descent
-# parser `syntax.parse`, `types.parse_type` and `types.parse_context` used
+# parser `syntax.parse`, `syntax.parse_type` and `types.parse_context` used
 # before the parser became one loop over an explicit stack. Tests compare
 # the three against it: the same term, or the same error at the same place.
 
@@ -702,7 +715,7 @@ def literal_parse(text: str):
 
 
 def literal_parse_type(text: str):
-    """The reference of `types.parse_type`."""
+    """The reference of `syntax.parse_type`."""
     parser = _LiteralParser(text)
     t = _literal_type_from(parser)
     tok = parser.peek()

@@ -304,6 +304,27 @@ class TestErrorExits:
         err = capsys.readouterr().err
         assert "5000 digits is too long" in err and "Traceback" not in err
 
+    # an arity past sys.maxsize; one just below it is not probed, since it
+    # would build a label list that large
+    _HUGE = "9" * 40
+
+    @pytest.mark.parametrize("src, command, code", [
+        ("Z[{n}]", "check {f}", 0),
+        ("Z[{n}]", "eval {f}", 3),
+        ("Z[{n}]", "eval {f} --as-map", 3),
+        ("Z[{n}]", "diagram {f}", 3),
+        ("Z[{n}]", "diagram {f} --format dot", 3),
+        ("Z[{n}]", "equiv {f} {f}", 3),
+        ("Z[{n}]", "share-check {f} --copies 2", 3),
+        ("Z[-{n}]", "eval {f}", 3),
+    ])
+    def test_arity_past_what_the_machine_can_index(self, write, capsys, src, command, code):
+        f = write("huge.zeta", src.format(n=self._HUGE))
+        assert main(command.format(f=f).split()) == code
+        err = capsys.readouterr().err
+        expected = "term too large: an arity past what the machine can index\n"
+        assert err == ("" if code == 0 else expected)
+
     def test_too_deep(self, write, capsys):
         f = write("deep.zeta", "<" * 999 + "*" + ",*>" * 999)
         assert main(["check", f]) == 3

@@ -42,8 +42,8 @@ from zetacalc.evaluator import (
     spider_matrix,
 )
 from zetacalc.semantics import eval_as_map, translate
-from zetacalc.syntax import Basis, Phase, parse
-from zetacalc.types import Context, fn_parts, infer
+from zetacalc.syntax import Basis, Phase, fn_parts, parse
+from zetacalc.types import Context, infer
 
 from conftest import literal_map, random_diagram, term_pool, translated_diagrams
 

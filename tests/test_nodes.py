@@ -14,7 +14,7 @@ from zetacalc import diagram, semantics, syntax, theory, types
 from zetacalc.diagram import Cap, Cup, Had, Id, Par, Perm, Scalar, Seq, Spider
 from zetacalc.evaluator import WireBudgetError, denote, oracle_contract
 from zetacalc.semantics import eval_as_map, translate
-from zetacalc.syntax import Basis, Phase, compose, hadamard_term, parse, rotation
+from zetacalc.syntax import Basis, Phase, compose, fn_parts, hadamard_term, parse, rotation
 from zetacalc.types import (
     Context,
     Dual,
@@ -25,7 +25,6 @@ from zetacalc.types import (
     TypeVar,
     ZetaTypeError,
     context_of,
-    fn_parts,
     infer,
 )
 

@@ -28,7 +28,7 @@ from zetacalc.semantics import (
     eval_as_map,
     translate,
 )
-from zetacalc.syntax import Basis, Phase, free_vars, parse, substitute
+from zetacalc.syntax import Basis, Phase, fn_parts, free_vars, parse, substitute
 from zetacalc.types import (
     Context,
     Derivation,
@@ -37,7 +37,6 @@ from zetacalc.types import (
     Tensor,
     ZetaTypeError,
     context_of,
-    fn_parts,
     infer,
     size,
     validate_derivation,

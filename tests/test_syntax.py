@@ -1,10 +1,13 @@
+import ast
 import math
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zetacalc import syntax
 from zetacalc.syntax import (
     Abs,
     App,
@@ -22,12 +25,13 @@ from zetacalc.syntax import (
     hadamard_term,
     occurrences,
     parse,
+    parse_type,
     print_term,
     rename_free_occurrences,
     rotation,
     substitute,
 )
-from zetacalc.types import parse_context, parse_type
+from zetacalc.types import parse_context
 from conftest import (
     literal_parse,
     literal_parse_context,
@@ -35,6 +39,14 @@ from conftest import (
     rule_sides,
     term_pool,
 )
+
+
+def test_syntax_imports_nothing_from_the_package():
+    # syntax, types included, is the bottom layer: no relative import,
+    # at module level or deferred into a function
+    tree = ast.parse(Path(syntax.__file__).read_text())
+    relative = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level]
+    assert relative == []
 
 
 class TestPhase:
@@ -240,6 +252,15 @@ class TestFreeVarsOccurrences:
         with pytest.raises(ValueError):
             rename_free_occurrences(t, "x", ["x#1", "x#2"])
 
+    def test_rename_under_a_let(self):
+        t = parse("let <a, b> =Z <x, x> in <a, <b, x>>")
+        r = rename_free_occurrences(t, "x", ["x1", "x2", "x3"])
+        assert r == parse("let <a, b> =Z <x1, x2> in <a, <b, x3>>")
+        # a let binder named x shadows it in the body only
+        t = parse("let <x, b> =Z <x, y> in <x, b>")
+        r = rename_free_occurrences(t, "x", ["x1"])
+        assert r == parse("let <x, b> =Z <x1, y> in <x, b>")
+
 
 class TestFreshNames:
     def test_parse_is_deterministic(self):
@@ -283,6 +304,10 @@ class TestSubstitute:
         n = parse("<z, w>")
         got = free_vars(substitute(m, "x", n))
         assert set(got) == {"y", "z", "w"}
+
+    def test_let_binder_renamed_away_from_the_replacement(self):
+        t = substitute(parse("let <a, b> =Z y in <a, x>"), "x", Var("a"))
+        assert t == parse("let <a', b> =Z y in <a', a>")
 
     def test_nested_collision(self):
         # renaming y must not be captured by an inner binder already named y'

@@ -274,6 +274,14 @@ class TestBetaStep:
         assert r.normal_form and r.steps == 2
         assert alpha_eq(r.term, parse("Z[1]"))
 
+    def test_reduces_in_a_tuple_right_part(self):
+        t = beta_step(parse("<Z[1], (\\x:1. x) Z[1]^pi>"))
+        assert t == parse("<Z[1], Z[1]^pi>")
+
+    def test_reduces_in_a_let_body(self):
+        t = beta_step(parse("let <a, b> =Z y in (\\x:1*1. x) <a, b>"))
+        assert t == parse("let <a, b> =Z y in <a, b>")
+
     def test_shared_redex_not_reduced(self):
         assert beta_step(parse("(Z x:1. <x,x>) Z[1]")) is None
 

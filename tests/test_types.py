@@ -8,7 +8,7 @@ import pytest
 from zetacalc import semantics, syntax, types
 from zetacalc.diagram import Par, Seq
 from zetacalc.semantics import translate
-from zetacalc.syntax import Abs, App, Basis, Gen, Let, Phase, Tup, Var, parse
+from zetacalc.syntax import Abs, App, Basis, Gen, Let, Phase, Tup, Var, parse, parse_type
 from zetacalc.types import (
     TOP,
     AmbiguousTypeError,
@@ -36,7 +36,6 @@ from zetacalc.types import (
     infer,
     labels,
     parse_context,
-    parse_type,
     print_context,
     print_type,
     size,
@@ -193,6 +192,14 @@ class TestInfer:
         ty, d = infer(ctx, parse("<x, Z x:1. x>"))
         assert ty == Tensor(Q, Fn(Q, Q))
         validate_derivation(d)
+
+    def test_shadowing_let_binders_keep_their_meaning(self):
+        # x is freshened to x', the second binder's old name: the body still
+        # reads the first part
+        d = infer(EMPTY, parse("Z x:1*1. let <x, x'> =Z x in x"))[1]
+        assert syntax.alpha_eq(d.term, parse("Z x:1*1. let <a, b> =Z x in a"))
+        let = d.children[0]
+        assert let.rule == "E" and let.children[1].term == Var(let.term.var1)
 
 
 class TestDerivations:
