@@ -22,10 +22,11 @@ Only derivations in the W/C-normal form that `infer` builds are translated:
 in every context, one weakening (W) drops all unused entries and contraction
 (C) splits each entry used more than once before any other rule fires. So the
 leaves `U`, `G` and `D` have an empty context and `V` has exactly its
-variable, and each entry of a binary node (`A`, `T`, `E`) is kept by exactly
-one child, which gets its wires through a router, not a copy spider: an Id
-when the entries are already in block order (the first child's, then the
-second's), else one Perm. A derivation in another shape raises
+variable, and each entry of a binary node (`A`, `T`, `E`) is kept, just
+below the weakening, by exactly one child, which gets its wires through a
+router, not a copy spider: an Id when the entries are already in block order
+(the first child's, then the second's), else one Perm; a let discards the
+binders its body does not use. A derivation in another shape raises
 TranslationError, even one that `validate_derivation` accepts.
 
 Every diagram here is built with `seq` and `par`, which apply the monoidal
@@ -125,31 +126,20 @@ def _caps(first_block: int, mid: int) -> Diagram:
     return seq(permutation(perm), caps)
 
 
-def _peel(node: Derivation, names: set[str]) -> Derivation:
-    """The node past its weakening of the entries in `names`, its parent's
-    context, which the parent routes to its other child. A W node that also
-    drops the child's own binders (a let body's) keeps dropping just those."""
-    if node.rule != "W":
-        return node
-    (child,) = node.children
-    if not names.issuperset(e.name for e in node.ctx.entries):
-        kept = {e.name for e in child.ctx.entries}
-        ctx = tuple(e for e in node.ctx.entries if e.name in kept or e.name not in names)
-        if len(ctx) != len(child.ctx):
-            return Derivation("W", Context(ctx), node.term, node.type, (child,))
-    return child
+def _past_w(node: Derivation) -> Derivation:
+    """The node just below its weakening, if it has one."""
+    return node.children[0] if node.rule == "W" else node
 
 
 def _split_binary(ctx: Context, c1: Derivation, c2: Derivation):
     """Context routing for a binary node: each entry goes only to the child
-    that keeps it past its peeled weakening (the full-context sharing of
-    the child judgements collapses, since a same-basis copy spider with one
-    leg discarded is an identity wire). Returns (router to [c1 block, c2
-    block], peeled c1, peeled c2, c1 block size): the router is an Id when
-    the entries are already in block order, else one Perm. Raises
+    that keeps it just below its weakening (the full-context sharing of the
+    child judgements collapses, since a same-basis copy spider with one leg
+    discarded is an identity wire). Returns (router to [c1 block, c2 block],
+    c1 and c2 past their weakenings, c1 block size): the router is an Id
+    when the entries are already in block order, else one Perm. Raises
     TranslationError when an entry is kept by both children or by neither."""
-    names = {e.name for e in ctx.entries}
-    p1, p2 = _peel(c1, names), _peel(c2, names)
+    p1, p2 = _past_w(c1), _past_w(c2)
     kept1, kept2 = {e.name for e in p1.ctx.entries}, {e.name for e in p2.ctx.entries}
     # wires of each block so far; in block order while no c2 wire precedes
     # a c1 wire
@@ -279,10 +269,14 @@ def _translate(node: Derivation, shared: dict) -> Diagram:
     if rule == "E":
         m, n = node.children
         # layout [N's entries, M's entries]: run M, then feed its outputs as
-        # the trailing x,y wires of N.
+        # the trailing x,y wires of N, discarding a binder N does not use.
         router, pn, pm, gn = _split_binary(ctx, n, m)
         arg = par(Id(gn), _translate(pm, shared))
-        return seq(router, arg, _translate(pn, shared))
+        kept = {e.name for e in pn.ctx.entries}
+        drop = par(Id(gn), *(Id(size(e.type)) if e.name in kept
+                             else upsilon(size(e.type), e.basis, 0)
+                             for e in n.ctx.entries[len(ctx):]))
+        return seq(router, arg, seq(drop, _translate(pn, shared)))
     if rule not in ("U", "V", "G", "D"):
         raise TranslationError(f"unknown rule {rule!r}")
     if rule == "V" or ctx.entries:

@@ -272,9 +272,9 @@ class Derivation:
     """A typing-derivation node, a bare judgement. `rule` is one of
     U V G D B A T E W C.
 
-    Bound variables may have been alpha-renamed relative to the source term
-    (a let binder that shadows a context name is freshened so context names
-    stay distinct; its renamed subterm is every ancestor's subject too), and
+    Every node's subject is the term it was built from. Two renamings keep
+    context names distinct, each in a premise alone: a let binder that is
+    already a context name is freshened in the let's body premise only, and
     a C node renames the k occurrences of its contracted entry x in its
     child to the copies x#1 .. x#k. What a W or C node does is read from its
     two contexts (see `dropped`).
@@ -482,7 +482,7 @@ class _Inferencer:
         # variable, so it has an unused entry exactly when it is the longer.
         if len(ctx.entries) != len(fvs):
             child = self.build(Context(tuple(e for e in ctx if e.name in fvs)), term)
-            return Derivation("W", ctx, child.term, child.type, (child,))
+            return Derivation("W", ctx, term, child.type, (child,))
 
         # Contraction: split the leftmost entry used >= 2 times.
         for i, e in enumerate(ctx.entries):
@@ -494,9 +494,6 @@ class _Inferencer:
                 child = self.build(
                     Context(ctx.entries[:i] + split + ctx.entries[i + 1 :]), renamed
                 )
-                if child.term is not renamed:
-                    # a let below was freshened: un-rename its subject
-                    term = _subst(child.term, {nm: Var(e.name) for nm in names})
                 return Derivation("C", ctx, term, child.type, (child,))
 
         # the context is now empty exactly when the term is closed
@@ -523,40 +520,32 @@ class _Inferencer:
             if a is None:
                 a = next(self.binder_types)
             child = self.build(ctx.extended(Entry(term.var, term.basis, a)), term.body)
-            if child.term is not term.body:
-                term = Abs(term.basis, term.phase, term.var, term.annotation, child.term,
-                           term.is_lambda)
             d = Derivation("B", ctx, term, Fn(a, child.type), (child,))
         elif isinstance(term, App):
             d1 = self.build(ctx, term.fn)
             d2 = self.build(ctx, term.arg)
-            if d1.term is not term.fn or d2.term is not term.arg:
-                term = App(d1.term, d2.term)
             d = Derivation("A", ctx, term, d1.type.right, (d1, d2))
         elif isinstance(term, Tup):
             d1 = self.build(ctx, term.left)
             d2 = self.build(ctx, term.right)
-            if d1.term is not term.left or d2.term is not term.right:
-                term = Tup(d1.term, d2.term)
             d = Derivation("T", ctx, term, Tensor(d1.type, d2.type), (d1, d2))
         else:
             d1 = self.build(ctx, term.bound)
             v1, v2, body = term.var1, term.var2, term.body
             taken = set(ctx.names)
             if v1 in taken or v2 in taken:
+                # only a binder that is a context name is renamed, for the
+                # body premise alone
                 avoid = taken | body.fv.keys()
-                v1 = _freshen(v1, avoid)
-                v2 = _freshen(v2, avoid | {v1})
-                # at once: v1's new name may be v2's old one
+                if v1 in taken:
+                    v1 = _freshen(v1, avoid | {v2})
+                if v2 in taken:
+                    v2 = _freshen(v2, avoid | {v1})
                 body = _subst(body, {term.var1: Var(v1), term.var2: Var(v2)})
             a, b = d1.type.left, d1.type.right
             d2 = self.build(
                 ctx.extended(Entry(v1, term.basis, a), Entry(v2, term.basis, b)), body
             )
-            renamed = (v1, v2) != (term.var1, term.var2)
-            if renamed or d1.term is not term.bound or d2.term is not term.body:
-                term = Let(term.basis, v1, v2, term.annotation1, term.annotation2,
-                           d1.term, d2.term)
             d = Derivation("E", ctx, term, d2.type, (d1, d2))
 
         if shared:
@@ -715,13 +704,19 @@ def validate_derivation(d: Derivation) -> None:
                 fail(node, "bound term does not match")
             if not isinstance(c1.type, Tensor):
                 fail(node, "bound term is not tensor-typed")
+            if len(c2.ctx) != len(ctx) + 2:
+                fail(node, "body context is not Gamma, x, y")
+            # the body premise may rename the binders; building the context
+            # raises if a new name is a context name, which would capture
+            n1, n2 = (e.name for e in c2.ctx.entries[-2:])
             want = ctx.extended(
-                Entry(term.var1, term.basis, c1.type.left),
-                Entry(term.var2, term.basis, c1.type.right),
+                Entry(n1, term.basis, c1.type.left),
+                Entry(n2, term.basis, c1.type.right),
             )
             if c2.ctx != want:
                 fail(node, "body context is not Gamma, x, y")
-            if c2.term != term.body or c2.type != t:
+            body = _subst(term.body, {term.var1: Var(n1), term.var2: Var(n2)})
+            if c2.term != body or c2.type != t:
                 fail(node, "body premise does not match")
         elif node.rule == "W":
             (child,) = node.children

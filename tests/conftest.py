@@ -101,8 +101,8 @@ def term_pool() -> list[str]:
         "<*, Z[1]>",
         "Z x:1*1. x",
         "\\f:1->1. \\x:1. f x",
-        # the let body keeps its own W for the unused b: routing must peel
-        # only the weakenings of the let's context
+        # the let body's W drops its own unused b, which the let discards
+        # past its router
         "let <a,b> =Z (Z x:1. <x,x>) Z[1] in a",
         "Z x:1. Z[1]",
         # the let body drops its own b and the context's y, which the bound
@@ -111,14 +111,16 @@ def term_pool() -> list[str]:
         # a binary node that routes its entries by a 3-cycle, not a swap
         "Z x:1. Z y:1. Z z:1. <z, <x, y>>",
         # a let binder shadows a variable of its bound term below the root:
-        # inference freshens it, and every ancestor's subject follows
+        # inference freshens it in the let's body premise alone
         "Z x:1*1. <let <x, y> =Z x in <y, x>, Z[1]>",
         "Z x:1*1. let <x, y> =Z x in <y, <x, x>>",
         "Z x:1*1. (Z z:1. <z, let <x, y> =Z x in <y, x>>) Z[1]",
         "Z x:1*1. let <x, y> =Z x in let <x, y> =Z <y, x> in <y, x>",
         "Z x:1. let <a, b> =Z <x, x> in <a, <b, x>>",
-        # the fresh name of x is x', the second binder's old name
+        # x is renamed, and not to x', the second binder's name
         "Z x:1*1. let <x, x'> =Z x in x",
+        # only x is a context name: y keeps its name, and so does its C node
+        "Z x:1*1. let <x, y> =Z x in <y, <y, x>>",
     ]
 
 
@@ -131,12 +133,25 @@ def rule_sides() -> list:
     ]
 
 
+def benchmark_sources():
+    """(label, source, views) for the benchmark inputs: the H x 2..20
+    chains, the 6..11-way Z/X copy maps at all four quarter-turn phases and
+    the higher-order share. `views` names what is translated: the "state",
+    the "map" or both."""
+    for n in range(2, 21):
+        yield f"H x {n}", " o ".join(["H"] * n), ("map",)
+    for basis in "ZX":
+        for phase in ("", "^pi/2", "^pi", "^3pi/2"):
+            for ways in range(6, 12):
+                src = f"{basis}{phase} x:1. " + "<x," * (ways - 1) + "x" + ">" * (ways - 1)
+                yield src, src, ("map",)
+    yield "higher-order", "(X f:1->1*1. <f,f>) (Z x:1. <x,x>)", ("state",)
+
+
 def translated_derivations():
     """(label, derivation, views) behind translated_diagrams(): the pool,
-    both sides of every rule instance, and the benchmark inputs: the
-    H x 2..20 chains, the 6..11-way Z/X copy maps at all four quarter-turn
-    phases and the higher-order share. `views` names what is translated:
-    the "state", the "map" or both."""
+    both sides of every rule instance, and the benchmark inputs (see
+    benchmark_sources())."""
 
     def of(src):
         return infer(Context(), parse(src))[1]
@@ -149,14 +164,8 @@ def translated_derivations():
         except ZetaTypeError:
             continue
         yield str(term), d, ("state",)
-    for n in range(2, 21):
-        yield f"H x {n}", of(" o ".join(["H"] * n)), ("map",)
-    for basis in "ZX":
-        for phase in ("", "^pi/2", "^pi", "^3pi/2"):
-            for ways in range(6, 12):
-                src = f"{basis}{phase} x:1. " + "<x," * (ways - 1) + "x" + ">" * (ways - 1)
-                yield src, of(src), ("map",)
-    yield "higher-order", of("(X f:1->1*1. <f,f>) (Z x:1. <x,x>)"), ("state",)
+    for label, src, views in benchmark_sources():
+        yield label, of(src), views
 
 
 def translated_diagrams():
@@ -311,7 +320,7 @@ def literal_infer(ctx, term, expected=None):
         for i, e in enumerate(ctx.entries):
             if e.name not in fvs:
                 child = derive(Context(ctx.entries[:i] + ctx.entries[i + 1 :]), term)
-                return Derivation("W", ctx, child.term, child.type, (child,))
+                return Derivation("W", ctx, term, child.type, (child,))
         for i, e in enumerate(ctx.entries):
             k = fvs.get(e.name, 0)
             if k >= 2:
@@ -321,11 +330,7 @@ def literal_infer(ctx, term, expected=None):
                     Context(ctx.entries[:i] + split + ctx.entries[i + 1 :]),
                     rename_free_occurrences(term, e.name, list(names)),
                 )
-                # the premise's subject, with any let freshened below it
-                subject = child.term
-                for nm in names:
-                    subject = substitute(subject, nm, Var(e.name))
-                return Derivation("C", ctx, subject, child.type, (child,))
+                return Derivation("C", ctx, term, child.type, (child,))
         if isinstance(term, Unit):
             return Derivation("U", ctx, term, TOP)
         if isinstance(term, Var):
@@ -334,8 +339,8 @@ def literal_infer(ctx, term, expected=None):
             if term.n >= 0:
                 return Derivation("G", ctx, term, Numeral(term.n))
             return Derivation("D", ctx, term, Fn(Numeral(-term.n), TOP))
-        # every parent's subject is built from its premises' subjects, which
-        # a let freshened below it may have renamed
+        # every node's subject is the term it derives: only a let's body
+        # premise sees its renamed binders
         if isinstance(term, Abs):
             var = term.var
             uses = term.body.fv.get(var, 0)
@@ -345,16 +350,14 @@ def literal_infer(ctx, term, expected=None):
                 )
             a = term.annotation or fresh(f"binder {var}")
             child = derive(ctx.extended(Entry(var, term.basis, a)), term.body)
-            term = Abs(term.basis, term.phase, var, term.annotation, child.term, term.is_lambda)
             return Derivation("B", ctx, term, Fn(a, child.type), (child,))
         if isinstance(term, App):
             d1, d2 = derive(ctx, term.fn), derive(ctx, term.arg)
             b = fresh("application result")
             unify_at("in application", d1.type, Fn(d2.type, b))
-            return Derivation("A", ctx, App(d1.term, d2.term), b, (d1, d2))
+            return Derivation("A", ctx, term, b, (d1, d2))
         if isinstance(term, Tup):
             d1, d2 = derive(ctx, term.left), derive(ctx, term.right)
-            term = Tup(d1.term, d2.term)
             return Derivation("T", ctx, term, Tensor(d1.type, d2.type), (d1, d2))
         if term.var1 == term.var2:
             raise ContextError(f"let binds {term.var1} twice")
@@ -362,16 +365,20 @@ def literal_infer(ctx, term, expected=None):
         a = term.annotation1 or fresh(f"let binder {term.var1}")
         b = term.annotation2 or fresh(f"let binder {term.var2}")
         unify_at("in let binding", d1.type, Tensor(a, b))
-        v1, v2, body = term.var1, term.var2, term.body
-        if v1 in ctx.names or v2 in ctx.names:
-            avoid = set(ctx.names) | body.fv.keys()
-            n1 = _freshen(v1, avoid)
-            n2 = _freshen(v2, avoid | {n1})
-            # v2 first: n1 may be v2's old name, but n2 is never v1
-            body = substitute(substitute(body, v2, Var(n2)), v1, Var(n1))
-            v1, v2 = n1, n2
-        d2 = derive(ctx.extended(Entry(v1, term.basis, a), Entry(v2, term.basis, b)), body)
-        term = Let(term.basis, v1, v2, term.annotation1, term.annotation2, d1.term, d2.term)
+        # a binder that is a context name gets a name that is none of them,
+        # no free variable of the body and not the other binder's
+        names, body = [term.var1, term.var2], term.body
+        for i in (0, 1):
+            if names[i] in ctx.names:
+                avoid = set(ctx.names) | body.fv.keys() | {names[1 - i]}
+                names[i] = _freshen(names[i], avoid)
+        # neither new name is the other binder's old one, so the order of
+        # the two substitutions does not matter
+        for old, new in zip((term.var1, term.var2), names):
+            if new != old:
+                body = substitute(body, old, Var(new))
+        entries = (Entry(names[0], term.basis, a), Entry(names[1], term.basis, b))
+        d2 = derive(ctx.extended(*entries), body)
         return Derivation("E", ctx, term, d2.type, (d1, d2))
 
     def first_var(t):

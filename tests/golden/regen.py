@@ -1,0 +1,64 @@
+"""The golden CLI corpus: what `zeta check --json` and `zeta diagram
+--format json` print for every text source behind
+`conftest.translated_derivations()`, namely the term pool, the H chains of
+length 2 to 20, the 48 copy maps and the higher-order share.
+
+Each line of `cli.jsonl` is one run through `cli.main`: the source, the
+command, its exit code and its stdout, or the sha256 of a stdout longer
+than `LIMIT` characters. `tests/golden/test_golden.py` runs them again and
+compares. After a change that is meant to alter the output, regenerate the
+file from the repository root and review the diff:
+
+    PYTHONPATH=src python tests/golden/regen.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+if str(HERE.parent) not in sys.path:
+    sys.path.insert(0, str(HERE.parent))
+
+from conftest import benchmark_sources, term_pool  # noqa: E402
+from zetacalc.cli import main  # noqa: E402
+
+CORPUS = HERE / "cli.jsonl"
+COMMANDS = (("check", "--json"), ("diagram", "--format", "json"))
+LIMIT = 2000
+
+
+def sources() -> list[str]:
+    """The text sources, each once, in first-use order."""
+    return list(dict.fromkeys([*term_pool(), *(src for _, src, _ in benchmark_sources())]))
+
+
+def entries():
+    """One record per source and command, in corpus order."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "term.zeta")
+        for src in sources():
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(src)
+            for command in COMMANDS:
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    code = main([command[0], path, *command[1:]])
+                record = {"source": src, "command": " ".join(command), "exit": code}
+                text = out.getvalue()
+                if len(text) > LIMIT:
+                    record["stdout_sha256"] = hashlib.sha256(text.encode()).hexdigest()
+                else:
+                    record["stdout"] = text
+                yield record
+
+
+if __name__ == "__main__":
+    with open(CORPUS, "w", encoding="utf-8") as fh:
+        for record in entries():
+            fh.write(json.dumps(record, ensure_ascii=False) + "\n")

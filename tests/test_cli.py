@@ -35,6 +35,13 @@ class TestCheck:
         assert "1 -> 1 * 1" in out
         assert "x shared 2 ways in basis Z" in out
 
+    def test_let_renames_only_a_clashing_binder(self, write, capsys):
+        # x is a context name and y is not: y keeps its name in the premise
+        # that contracts it
+        f = write("let.zeta", "Z x:1*1. let <x, y> =Z x in <y, <y, x>>")
+        assert main(["check", f]) == 0
+        assert "C-node: y shared 2 ways in basis Z" in capsys.readouterr().out
+
     def test_unit(self, write, capsys):
         f = write("unit.zeta", "*")
         assert main(["check", f]) == 0

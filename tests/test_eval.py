@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 import time
 import tracemalloc
 from functools import reduce
@@ -308,6 +309,21 @@ class TestOracle:
         o = oracle_contract(d)
         assert time.perf_counter() - start < 1.0
         assert equal_up_to_scalar(o, np.eye(2)) is not None
+
+
+    def test_h_chain_of_a_thousand_denotes_at_the_default_limit(self):
+        # only building the map needs a raised recursion limit: denote walks
+        # its nesting at the default limit of 1 000
+        term = parse(" o ".join(["H"] * 1000))
+        limit = sys.getrecursionlimit()
+        try:
+            sys.setrecursionlimit(10_000)
+            d = eval_as_map(translate(infer(Context(), term)[1])).diagram
+            sys.setrecursionlimit(1000)
+            m = denote(d)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert np.max(np.abs(m - np.eye(2))) <= 1e-12
 
 
 def _plan_peak(d):

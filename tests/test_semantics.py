@@ -22,7 +22,7 @@ from zetacalc.evaluator import denote, equal_up_to_scalar, oracle_contract
 from zetacalc import semantics
 from zetacalc.semantics import (
     TranslationError,
-    _peel,
+    _past_w,
     _split_binary,
     context_labels,
     eval_as_map,
@@ -203,10 +203,10 @@ class TestDeepComposition:
 
 class TestRouting:
     def test_w_chains_keep_exactly_the_free_variables(self):
-        # past the peeled weakenings of the node's context, each child of a
-        # binary node keeps exactly the entries its term uses, and a let body
-        # keeps its own binders, used or not: every inferred derivation is in
-        # the normal form translate takes
+        # just below its W node, each child of a binary node keeps exactly
+        # the entries of the node's context that its subject uses, and a let
+        # body exactly the binders its subject uses: every inferred
+        # derivation is in the normal form translate takes
         binary = 0
         for ctx, term in [(EMPTY, parse(s)) for s in term_pool()] + rule_sides():
             try:
@@ -216,15 +216,12 @@ class TestRouting:
             for node in d.walk():
                 if node.rule not in ("A", "T", "E"):
                     continue
-                names = set(node.ctx.names)
                 c1, c2 = node.children
                 for child in node.children:
-                    kept = {e.name for e in _peel(child, names).ctx}
-                    assert kept & names == set(free_vars(child.term)) & names
-                    own = set()
-                    if node.rule == "E" and child is c2:
-                        own = {node.term.var1, node.term.var2}
-                    assert kept - names == own
+                    own = 2 if node.rule == "E" and child is c2 else 0
+                    assert child.ctx.entries[: len(child.ctx) - own] == node.ctx.entries
+                    kept = {e.name for e in _past_w(child).ctx}
+                    assert kept == set(free_vars(child.term))
                 if node.rule == "E":
                     c1, c2 = c2, c1
                 _split_binary(node.ctx, c1, c2)
@@ -407,7 +404,7 @@ class TestComposedRedexes:
                 if node.rule != "A":
                     continue
                 head, _ = node.children
-                if _peel(head, set(node.ctx.names)).rule == "B":
+                if _past_w(head).rule == "B":
                     redexes += 1
                 else:
                     expected += size(fn_parts(head.type)[0])

@@ -194,12 +194,15 @@ class TestInfer:
         validate_derivation(d)
 
     def test_shadowing_let_binders_keep_their_meaning(self):
-        # x is freshened to x', the second binder's old name: the body still
-        # reads the first part
-        d = infer(EMPTY, parse("Z x:1*1. let <x, x'> =Z x in x"))[1]
-        assert syntax.alpha_eq(d.term, parse("Z x:1*1. let <a, b> =Z x in a"))
+        # x is freshened in the body premise alone, to a name that is not
+        # the second binder's x': the body still reads the first part
+        src = parse("Z x:1*1. let <x, x'> =Z x in x")
+        d = infer(EMPTY, src)[1]
         let = d.children[0]
-        assert let.rule == "E" and let.children[1].term == Var(let.term.var1)
+        assert d.term is src and let.rule == "E" and let.term is src.body
+        body = let.children[1]
+        assert body.term == Var(body.ctx.entries[-2].name)
+        assert body.ctx.names[-2:] == ["x''", "x'"]
 
 
 class TestDerivations:
@@ -207,6 +210,17 @@ class TestDerivations:
         for src in term_pool():
             _, d = infer(EMPTY, parse(src))
             validate_derivation(d)
+
+    def test_root_subject_is_the_term_given(self):
+        # a let that renames a binder does so in its body premise alone, so
+        # no ancestor's subject is rebuilt
+        cases = [(EMPTY, parse(s)) for s in term_pool()] + rule_sides()
+        for ctx, term in cases:
+            try:
+                d = infer(ctx, term)[1]
+            except ZetaTypeError:
+                continue
+            assert d.term is term, syntax.print_term(term)
 
     def test_c_node_for_sharing(self):
         _, d = infer(EMPTY, parse("Z x:1. <x,x>"))
@@ -326,6 +340,30 @@ class TestValidator:
         for bad in (self._tamper(d, ctx=v.ctx), self._tamper(d, term=parse("<x, y>"))):
             with pytest.raises(InvalidDerivationError):
                 validate_derivation(bad)
+
+    def test_let_body_premise_replays_the_renaming(self):
+        # the let keeps its source binders; its body premise reads x, a
+        # context name, renamed to x', and y as it is
+        src = parse("Z x:1*1. let <x, y> =Z x in <y, x>")
+        d = infer(EMPTY, src)[1]
+        validate_derivation(d)
+        let = d.children[0]
+        bound, body = let.children
+        assert let.term is src.body and body.ctx.names == ["x", "x'", "y"]
+        assert body.term == parse("<y, x'>")
+        # a body premise whose subject is the un-renamed body, and one of
+        # the right type that reads the binders the other way round
+        unrenamed = infer(body.ctx, src.body.body)[1]
+        swapped = infer(body.ctx, parse("<x', y>"))[1]
+        # a body premise whose renamed binder is the context name x; a
+        # Context refuses duplicate names, so the entries are set after
+        clash = dataclasses.replace(body.ctx)
+        clash.entries = (body.ctx.entries[0], Entry("x", Basis.Z, Q), body.ctx.entries[2])
+        for premise in (unrenamed, swapped, self._tamper(body, ctx=clash)):
+            with pytest.raises(InvalidDerivationError):
+                validate_derivation(self._tamper(d, children=(
+                    self._tamper(let, children=(bound, premise)),
+                )))
 
     def test_tampered_generator(self):
         _, d = infer(EMPTY, parse("Z[1]"))
