@@ -11,6 +11,15 @@ Context entries, contexts and derivation nodes, like types, are immutable
 by contract: no field is assigned after construction; slotted, not frozen,
 for construction cost.
 
+A context holds no two entries of one name, and `Context(...)` checks this.
+Every context made from outside (`context_of`, `parse_context`) is built
+through it, and so is every context inference makes that could clash: a
+contraction's split, whose copies x#1 .. x#k a given context may already
+hold, and a let body's context. The contexts inference derives from checked
+ones by dropping entries (a W node's premise) or by appending an
+abstraction's binder, which is never free in the abstraction and so is
+never a name of its context, are built without the check (`_derived`).
+
 Types are monomorphic wire counts, so one substitution fixes every type of
 a term. Inference takes two passes: it first finds the types over the term,
 with fresh type variables and unification, and then builds the derivation
@@ -132,6 +141,11 @@ class Entry:
 
 @dataclass(slots=True, unsafe_hash=True)
 class Context:
+    """An ordered typing context. Construction raises ContextError on a
+    duplicate name; inference builds the contexts it derives from checked
+    ones by weakening or by appending a binder without that check, as they
+    cannot hold a duplicate (see the module docstring)."""
+
     entries: tuple[Entry, ...] = ()
 
     def __post_init__(self):
@@ -159,6 +173,19 @@ class Context:
 
     def wire_count(self) -> int:
         return sum(size(e.type) for e in self.entries)
+
+
+def _derived(entries: tuple[Entry, ...]) -> Context:
+    """A context of entries that hold no two names alike, built without the
+    name check: inference passes only entries taken from a checked context,
+    or those plus a name none of them has."""
+    ctx = object.__new__(Context)
+    ctx.entries = entries
+    return ctx
+
+
+# the premise context of every W node over a closed subterm
+_EMPTY = Context()
 
 
 def context_of(*triples) -> Context:
@@ -195,28 +222,38 @@ def print_context(ctx: Context) -> str:
 Subst = dict[int, Type]
 
 
+# The type helpers here and the inferencer dispatch on the exact class
+# (`type(t) is Tensor`), not `isinstance`: no type or term class is
+# subclassed, and the exact test is the cheaper on these hot paths.
+
+
 def _resolve(t: Type, subst: Subst) -> Type:
-    while isinstance(t, TypeVar) and t.id in subst:
-        t = subst[t.id]
+    while type(t) is TypeVar:
+        bound = subst.get(t.id)
+        if bound is None:
+            break
+        t = bound
     return t
 
 
 def apply_subst(t: Type, subst: Subst) -> Type:
     t = _resolve(t, subst)
-    if isinstance(t, Tensor):
+    cls = type(t)
+    if cls is Tensor:
         return Tensor(apply_subst(t.left, subst), apply_subst(t.right, subst))
-    if isinstance(t, Dual):
+    if cls is Dual:
         return Dual(apply_subst(t.inner, subst))
     return t
 
 
 def _occurs(vid: int, t: Type, subst: Subst) -> bool:
     t = _resolve(t, subst)
-    if isinstance(t, TypeVar):
+    cls = type(t)
+    if cls is TypeVar:
         return t.id == vid
-    if isinstance(t, Tensor):
+    if cls is Tensor:
         return _occurs(vid, t.left, subst) or _occurs(vid, t.right, subst)
-    if isinstance(t, Dual):
+    if cls is Dual:
         return _occurs(vid, t.inner, subst)
     return False
 
@@ -235,29 +272,31 @@ def _unify_into(a: Type, b: Type, subst: Subst) -> None:
     would keep each substitution alive until the cycle collector ran."""
     a = _resolve(a, subst)
     b = _resolve(b, subst)
-    if isinstance(a, TypeVar) and isinstance(b, TypeVar) and a.id == b.id:
-        return
-    if isinstance(a, TypeVar):
+    cls = type(a)
+    if type(b) is TypeVar and cls is not TypeVar:
+        # bind the variable side
+        a, b, cls = b, a, TypeVar
+    if cls is TypeVar:
+        if type(b) is TypeVar and a.id == b.id:
+            return
         if _occurs(a.id, b, subst):
             raise OccursCheckError(
                 f"occurs check: ?{a.id} in {print_type(apply_subst(b, subst))}"
             )
         subst[a.id] = b
         return
-    if isinstance(b, TypeVar):
-        _unify_into(b, a, subst)
-        return
-    if isinstance(a, Numeral) and isinstance(b, Numeral):
-        if a.n != b.n:
-            raise UnificationError(f"cannot unify {a.n} with {b.n}")
-        return
-    if isinstance(a, Tensor) and isinstance(b, Tensor):
-        _unify_into(a.left, b.left, subst)
-        _unify_into(a.right, b.right, subst)
-        return
-    if isinstance(a, Dual) and isinstance(b, Dual):
-        _unify_into(a.inner, b.inner, subst)
-        return
+    if cls is type(b):
+        if cls is Tensor:
+            _unify_into(a.left, b.left, subst)
+            _unify_into(a.right, b.right, subst)
+            return
+        if cls is Dual:
+            _unify_into(a.inner, b.inner, subst)
+            return
+        if cls is Numeral:
+            if a.n != b.n:
+                raise UnificationError(f"cannot unify {a.n} with {b.n}")
+            return
     raise UnificationError(
         f"cannot unify {print_type(apply_subst(a, subst))}"
         f" with {print_type(apply_subst(b, subst))}"
@@ -377,10 +416,11 @@ class _Inferencer:
         when one is given. A binder type that does not resolve leaves a
         variable in the derivation: it is built with the variables in, and
         the first one `_reject_variables` meets is reported."""
-        missing = [x for x in term.fv if ctx.get(x) is None]
+        env = {e.name: e.type for e in ctx.entries}
+        missing = [x for x in term.fv if x not in env]
         if missing:
             raise UnboundVariableError(f"unbound variable {missing[0]}")
-        t = self.typeof({e.name: e.type for e in ctx}, term)
+        t = self.typeof(env, term)
         if expected is not None:
             self.unify(t, expected)
         subst = self.subst
@@ -406,13 +446,28 @@ class _Inferencer:
                 return hit[1]
             before, first = self.counter, len(self.unbound)
 
-        if isinstance(term, Unit):
-            t = TOP
-        elif isinstance(term, Var):
-            t = env[term.name]
-        elif isinstance(term, Gen):
-            t = Numeral(term.n) if term.n >= 0 else Fn(Numeral(-term.n), TOP)
-        elif isinstance(term, Abs):
+        cls = type(term)
+        if cls is App:
+            fn = self.typeof(env, term.fn)
+            arg = self.typeof(env, term.arg)
+            subst = self.subst
+            fn = _resolve(fn, subst)
+            dual = _resolve(fn.left, subst) if type(fn) is Tensor else None
+            result = _resolve(fn.right, subst) if type(dual) is Dual else None
+            try:
+                if result is None or type(result) is TypeVar:
+                    t = self.fresh("application result")
+                    _unify_into(fn, Fn(arg, t), subst)
+                else:
+                    # fn is A* (x) B already, B no unbound variable: unifying
+                    # fn with arg* (x) ?N would bind only ?N, to B, so ?N is
+                    # skipped, but not its number
+                    self.counter += 1
+                    _unify_into(dual.inner, arg, subst)
+                    t = result
+            except UnificationError as exc:
+                raise UnificationError(f"in application: {exc}") from exc
+        elif cls is Abs:
             uses = term.body.fv.get(term.var, 0)
             if term.is_lambda and uses != 1:
                 raise LinearityError(
@@ -425,28 +480,13 @@ class _Inferencer:
                 self.binders.append(a)
                 self.unbound.append(a)
             t = Fn(a, self.typeof({**env, term.var: a}, term.body))
-        elif isinstance(term, App):
-            fn = self.typeof(env, term.fn)
-            arg = self.typeof(env, term.arg)
-            fn = _resolve(fn, self.subst)
-            dual = _resolve(fn.left, self.subst) if isinstance(fn, Tensor) else None
-            result = _resolve(fn.right, self.subst) if isinstance(dual, Dual) else None
-            try:
-                if result is None or isinstance(result, TypeVar):
-                    t = self.fresh("application result")
-                    self.unify(fn, Fn(arg, t))
-                else:
-                    # fn is A* (x) B already, B no unbound variable: unifying
-                    # fn with arg* (x) ?N would bind only ?N, to B, so ?N is
-                    # skipped, but not its number
-                    self.counter += 1
-                    self.unify(dual.inner, arg)
-                    t = result
-            except UnificationError as exc:
-                raise UnificationError(f"in application: {exc}") from exc
-        elif isinstance(term, Tup):
+        elif cls is Var:
+            t = env[term.name]
+        elif cls is Tup:
             t = Tensor(self.typeof(env, term.left), self.typeof(env, term.right))
-        elif isinstance(term, Let):
+        elif cls is Gen:
+            t = Numeral(term.n) if term.n >= 0 else Fn(Numeral(-term.n), TOP)
+        elif cls is Let:
             if term.var1 == term.var2:
                 raise ContextError(f"let binds {term.var1} twice")
             bound = self.typeof(env, term.bound)
@@ -460,6 +500,8 @@ class _Inferencer:
             except UnificationError as exc:
                 raise UnificationError(f"in let binding: {exc}") from exc
             t = self.typeof({**env, term.var1: a, term.var2: b}, term.body)
+        elif cls is Unit:
+            t = TOP
         else:
             raise TypeError(f"not a term: {term!r}")
 
@@ -480,20 +522,21 @@ class _Inferencer:
 
         # Weakening: drop every unused entry. The context holds every free
         # variable, so it has an unused entry exactly when it is the longer.
-        if len(ctx.entries) != len(fvs):
-            child = self.build(Context(tuple(e for e in ctx if e.name in fvs)), term)
+        entries = ctx.entries
+        if len(entries) != len(fvs):
+            kept = _derived(tuple(e for e in entries if e.name in fvs)) if fvs else _EMPTY
+            child = self.build(kept, term)
             return Derivation("W", ctx, term, child.type, (child,))
 
         # Contraction: split the leftmost entry used >= 2 times.
-        for i, e in enumerate(ctx.entries):
+        for i, e in enumerate(entries):
             k = fvs.get(e.name, 0)
             if k >= 2:
                 names = tuple(f"{e.name}#{j + 1}" for j in range(k))
                 renamed = rename_free_occurrences(term, e.name, list(names))
                 split = tuple(Entry(nm, e.basis, e.type) for nm in names)
-                child = self.build(
-                    Context(ctx.entries[:i] + split + ctx.entries[i + 1 :]), renamed
-                )
+                # checked: a programmatic context may already hold a name x#j
+                child = self.build(Context(entries[:i] + split + entries[i + 1 :]), renamed)
                 return Derivation("C", ctx, term, child.type, (child,))
 
         # the context is now empty exactly when the term is closed
@@ -504,31 +547,35 @@ class _Inferencer:
             if d is not None:
                 return d
 
-        if isinstance(term, Unit):
-            d = Derivation("U", ctx, term, TOP)
-        elif isinstance(term, Var):
-            d = Derivation("V", ctx, term, ctx.get(term.name).type)
-        elif isinstance(term, Gen):
-            if term.n >= 0:
-                d = Derivation("G", ctx, term, Numeral(term.n))
-            else:
-                d = Derivation("D", ctx, term, Fn(Numeral(-term.n), TOP))
-        elif isinstance(term, Abs):
+        cls = type(term)
+        if cls is Abs:
             # the context names are the term's free variables, so the binder
             # is not among them
             a = term.annotation
             if a is None:
                 a = next(self.binder_types)
-            child = self.build(ctx.extended(Entry(term.var, term.basis, a)), term.body)
+            child = self.build(
+                _derived(entries + (Entry(term.var, term.basis, a),)), term.body
+            )
             d = Derivation("B", ctx, term, Fn(a, child.type), (child,))
-        elif isinstance(term, App):
+        elif cls is App:
             d1 = self.build(ctx, term.fn)
             d2 = self.build(ctx, term.arg)
             d = Derivation("A", ctx, term, d1.type.right, (d1, d2))
-        elif isinstance(term, Tup):
+        elif cls is Var:
+            # the context is the one free variable's entry
+            d = Derivation("V", ctx, term, entries[0].type)
+        elif cls is Tup:
             d1 = self.build(ctx, term.left)
             d2 = self.build(ctx, term.right)
             d = Derivation("T", ctx, term, Tensor(d1.type, d2.type), (d1, d2))
+        elif cls is Gen:
+            if term.n >= 0:
+                d = Derivation("G", ctx, term, Numeral(term.n))
+            else:
+                d = Derivation("D", ctx, term, Fn(Numeral(-term.n), TOP))
+        elif cls is Unit:
+            d = Derivation("U", ctx, term, TOP)
         else:
             d1 = self.build(ctx, term.bound)
             v1, v2, body = term.var1, term.var2, term.body
@@ -581,10 +628,8 @@ def _hint(origin: Optional[str], name: Optional[str]) -> str:
 def _resolved(t: Type, subst: Subst) -> Optional[Type]:
     """t under subst, or None while a variable in it stays unbound. t itself
     comes back, not a copy, when nothing in it was bound."""
-    if isinstance(t, TypeVar):
-        b = subst.get(t.id)
-        return None if b is None else _resolved(b, subst)
-    if isinstance(t, Tensor):
+    cls = type(t)
+    if cls is Tensor:
         left = _resolved(t.left, subst)
         if left is None:
             return None
@@ -592,7 +637,10 @@ def _resolved(t: Type, subst: Subst) -> Optional[Type]:
         if right is None:
             return None
         return t if left is t.left and right is t.right else Tensor(left, right)
-    if isinstance(t, Dual):
+    if cls is TypeVar:
+        b = subst.get(t.id)
+        return None if b is None else _resolved(b, subst)
+    if cls is Dual:
         inner = _resolved(t.inner, subst)
         if inner is None:
             return None
@@ -601,11 +649,12 @@ def _resolved(t: Type, subst: Subst) -> Optional[Type]:
 
 
 def _first_var(t: Type) -> Optional[int]:
-    if isinstance(t, TypeVar):
+    cls = type(t)
+    if cls is TypeVar:
         return t.id
-    if isinstance(t, Tensor):
+    if cls is Tensor:
         return _first_var(t.left) or _first_var(t.right)
-    if isinstance(t, Dual):
+    if cls is Dual:
         return _first_var(t.inner)
     return None
 

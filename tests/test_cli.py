@@ -52,6 +52,13 @@ class TestCheck:
         assert main(["check", f]) == 1
         assert "unbound variable y" in capsys.readouterr().err
 
+    def test_duplicate_context_names(self, write, capsys):
+        f = write("unit.zeta", "*")
+        assert main(["check", f, "--ctx", "x:Z:1, x:Z:1"]) == 1
+        err = capsys.readouterr().err
+        assert "type error: duplicate context names in ['x', 'x']" in err
+        assert "Traceback" not in err
+
     def test_parse_error(self, write, capsys):
         f = write("bad.zeta", "Z x. <x")
         assert main(["check", f]) == 2

@@ -106,6 +106,14 @@ class TestContext:
     def test_empty(self):
         assert parse_context("  ") == EMPTY
 
+    def test_contraction_split_keeps_the_name_check(self):
+        # the copies of x are x#1 and x#2, and the context already holds x#1
+        ctx = context_of(("x", Basis.Z, Q), ("x#1", Basis.Z, Q))
+        term = Tup(Var("x"), Tup(Var("x"), Var("x#1")))
+        with pytest.raises(ContextError) as exc:
+            infer(ctx, term)
+        assert str(exc.value) == "duplicate context names in ['x#1', 'x#2', 'x#1']"
+
 
 class TestInfer:
     def test_sharing(self):
@@ -574,6 +582,28 @@ class TestCountsOncePerInference:
             return sum(calls.values())
 
         assert walks(16) == walks(4)
+
+    def test_name_checks_do_not_grow_with_the_term(self, monkeypatch):
+        # contexts that inference derives from checked ones are not checked
+        # again for duplicate names
+        checks = 0
+        post_init = Context.__post_init__
+
+        def counting(ctx):
+            nonlocal checks
+            checks += 1
+            post_init(ctx)
+
+        monkeypatch.setattr(Context, "__post_init__", counting)
+
+        def name_checks(n):
+            nonlocal checks
+            term = parse(" o ".join(["H"] * n))
+            checks = 0
+            infer(EMPTY, term)
+            return checks
+
+        assert name_checks(16) <= name_checks(4)
 
 
 def _unshared(t):
