@@ -14,13 +14,19 @@ wires it does not touch, and none is evaluated on more columns than its own
 identity. Leaf matrices are built once per `denote` call, each spider entry
 by entry: a Z spider has two nonzero entries, the first and the last, and
 an m -> n X spider is (1 + e^{ia} s_out[i] s_in[j]) / 2^((m+n)/2), where
-s[i] is (-1)^popcount(i). No normalization is applied anywhere: the cup
-denotes |00> + |11| with unit entries.
+s[i] is (-1)^popcount(i). A repeated sub-diagram is evaluated once per call
+too: a nested Seq met again, after once being the second part of a Seq, is
+evaluated on its own identity when that has no more columns than the
+running tensor, and then it and each later occurrence is one matmul (so
+`H` x 20 as a map takes 27 matmuls, not 60). No normalization is applied
+anywhere: the cup denotes |00> + |11| with unit entries.
 
 `denote(d, budget)` raises WireBudgetError before it would create an array
 of more than 2^budget entries (the starting identity, a leaf matrix, or a
 product with the running tensor), so the budget counts the legs of the
-largest tensor the walk holds, not the width of the diagram.
+largest tensor the walk holds, not the width of the diagram. Evaluating a
+repeated sub-diagram once can only shrink that tensor: a diagram may fit a
+budget that a copy sharing no node exceeds, never the other way round.
 
 `oracle_contract` evaluates the same diagram by a disjoint route: a factor
 graph over bits, read in one `generators` walk that keeps a variable per
@@ -83,11 +89,15 @@ class WireBudgetError(EvalError):
     pass
 
 
+_QUARTER_TURNS = (1 + 0j, 1j, -1 + 0j, -1j)
+
+
 def phase_exp(p: Phase) -> complex:
     """e^{i p}; exact on multiples of pi/2 so those identities hold exactly."""
-    if p.is_exact and p.pi_multiple.denominator in (1, 2):
-        quarter = int(p.pi_multiple * 2)  # 0..3
-        return (1 + 0j, 1j, -1 + 0j, -1j)[quarter % 4]
+    q = p.pi_multiple
+    if q is not None and q.denominator <= 2:
+        # q is in [0, 2), so this counts quarter turns 0..3
+        return _QUARTER_TURNS[q.numerator * (2 // q.denominator)]
     return cmath.exp(1j * p.value)
 
 
@@ -123,7 +133,7 @@ def denote(d: Diagram, budget: Optional[int] = None) -> np.ndarray:
     limit = _ADDRESSABLE if budget is None else min(2**budget, _ADDRESSABLE)
     n = 2**d.inputs
     _fits(n * n, limit)
-    return _apply(d, np.eye(n, dtype=complex)[None], {}, limit).reshape(-1, n)
+    return _apply(d, _identity(n), {}, set(), limit).reshape(-1, n)
 
 
 def _fits(entries: int, limit: int) -> None:
@@ -137,17 +147,12 @@ def _fits(entries: int, limit: int) -> None:
         )
 
 
-def _seq_parts(d: Diagram) -> list:
-    """The parts of a Seq tree, left to right."""
-    parts, todo = [], [d]
-    while todo:
-        node = todo.pop()
-        if isinstance(node, Seq):
-            todo.append(node.second)
-            todo.append(node.first)
-        else:
-            parts.append(node)
-    return parts
+def _identity(n: int) -> np.ndarray:
+    """The n x n identity as a (1, n, n) tensor: zeros and a strided
+    diagonal, with none of np.eye's scratch."""
+    e = np.zeros((1, n, n), dtype=complex)
+    e.reshape(-1)[:: n + 1] = 1
+    return e
 
 
 def _par_factors(d: Diagram) -> list:
@@ -177,14 +182,16 @@ def _leaf_matrix(d: Diagram) -> np.ndarray:
     raise DiagramError(f"not a diagram: {d!r}")
 
 
-def _apply(d: Diagram, t: np.ndarray, leaves: dict, limit) -> np.ndarray:
+def _apply(d: Diagram, t: np.ndarray, memo: dict, seen: set, limit) -> np.ndarray:
     """Apply d to t, of shape (L, 2^d.inputs, R); the result has shape
-    (L, 2^d.outputs, R). `leaves` holds the leaf matrices built so far in
-    this walk, keyed by node identity: the diagram keeps every node alive
-    for the walk, so no id is reused, and a repeated leaf object is built
-    once. A Seq or Par runs on whichever is fewer, the L * R columns
-    of t or its own 2^inputs identity (then one matmul onto t), which is
-    smaller than t. No array of more than `limit` entries is created."""
+    (L, 2^d.outputs, R). `memo` and `seen` are keyed by node identity (the
+    diagram keeps every node alive for the walk, so no id is reused).
+    `memo` holds each leaf matrix built so far in this walk, so a repeated
+    leaf object is built once, and each repeated Seq's matrix; `seen` holds
+    the Seqs met as a `second` part (see `_apply_seq`). A Seq or Par runs
+    on whichever is fewer, the L * R columns of t or its own 2^inputs
+    identity (then one matmul onto t), which is smaller than t. No array of
+    more than `limit` entries is created."""
     L, _, R = t.shape
     if isinstance(d, Id):
         return t
@@ -193,17 +200,16 @@ def _apply(d: Diagram, t: np.ndarray, leaves: dict, limit) -> np.ndarray:
         s = t.reshape((L,) + (2,) * k + (R,))
         return s.transpose([0, *d.route(range(1, k + 1)), k + 1]).reshape(L, 2**k, R)
     if not isinstance(d, (Seq, Par)):
-        m = leaves.get(id(d))
+        m = memo.get(id(d))
         if m is None:
             _fits(2 ** (d.inputs + d.outputs), limit)
-            m = leaves[id(d)] = _leaf_matrix(d)
+            m = memo[id(d)] = _leaf_matrix(d)
         _fits(L * m.shape[0] * R, limit)
         return np.matmul(m, t)
     own = 2**d.inputs < L * R
-    s = np.eye(2**d.inputs, dtype=complex)[None] if own else t
+    s = _identity(2**d.inputs) if own else t
     if isinstance(d, Seq):
-        for p in _seq_parts(d):
-            s = _apply(p, s, leaves, limit)
+        s = _apply_seq(d, s, memo, seen, limit)
     else:
         # each non-Id factor acts on its own wires, shrinking ones first,
         # so no intermediate has more rows than s or the result
@@ -218,12 +224,58 @@ def _apply(d: Diagram, t: np.ndarray, leaves: dict, limit) -> np.ndarray:
             f = factors[i]
             left, right = sum(widths[:i]), sum(widths[i + 1 :])
             s = s.reshape(l * 2**left, 2**f.inputs, 2**right * r)
-            s = _apply(f, s, leaves, limit).reshape(l, -1, r)
+            s = _apply(f, s, memo, seen, limit).reshape(l, -1, r)
             widths[i] = f.outputs
     if not own:
         return s
     _fits(L * s.shape[1] * R, limit)
     return np.matmul(s[0], t)
+
+
+# tags the end of a repeated Seq's evaluation on `_apply_seq`'s stack
+_END = object()
+
+
+def _apply_seq(d: Seq, s: np.ndarray, memo: dict, seen: set, limit) -> np.ndarray:
+    """Apply the parts of the Seq tree d to s, of shape (l, 2^k, r), left
+    to right. A nested Seq met as a `second` part is added to `seen`. Met
+    again, when its 2^inputs is at most l * r, it is evaluated once on its
+    own identity and its matrix memoised, so that occurrence and every
+    later one is one matmul. No array that evaluation holds is larger than
+    the one the walk would hold in its place, so the memo adds no budget
+    refusal. It can remove one: a Seq first walked on few columns and met
+    again on more is evaluated there on its own identity, not walked, so a
+    walk that would refuse there does not happen. The walk keeps its own
+    stack, nested memo evaluations included, so deep Seq trees do not hit
+    the recursion limit."""
+    # (part, whether it is a second part), or (_END, id, tensor) where the
+    # evaluation of a repeated Seq on its own identity ends
+    todo: list = [(d.second, True), (d.first, False)]
+    while todo:
+        entry = todo.pop()
+        if entry[0] is _END:
+            _, key, outer = entry
+            m = memo[key] = s[0]
+            s = outer
+        else:
+            p, second = entry
+            key = id(p)
+            m = memo.get(key)
+            if m is None:
+                if not isinstance(p, Seq):
+                    s = _apply(p, s, memo, seen, limit)
+                    continue
+                if key in seen and 2**p.inputs <= s.shape[0] * s.shape[2]:
+                    todo.append((_END, key, s))
+                    s = _identity(2**p.inputs)
+                elif second:
+                    seen.add(key)
+                todo += [(p.second, True), (p.first, False)]
+                continue
+        # a built leaf or a repeated Seq: one matmul
+        _fits(s.shape[0] * m.shape[0] * s.shape[2], limit)
+        s = np.matmul(m, s)
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +297,15 @@ def _fit(a: np.ndarray, b: np.ndarray):
     that magnitude, and max|a - c*b|. When b vanishes, c is None and the
     deviation is max|a|."""
     absb = np.abs(b)
-    if not b.size or not absb.max():
+    k = absb.argmax() if b.size else 0
+    bmax = absb.flat[k] if b.size else 0.0
+    if not bmax:
         return None, 0.0, float(np.abs(a).max()) if a.size else 0.0
-    idx = np.unravel_index(np.argmax(absb), b.shape)
-    c = a[idx] / b[idx]
-    return c, absb[idx], float(np.abs(a - c * b).max())
+    c = a.flat[k] / b.flat[k]
+    # a - c*b and its magnitudes, in place
+    rest = c * b
+    np.subtract(a, rest, out=rest)
+    return c, bmax, float(np.abs(rest, out=absb).max())
 
 
 def equal_up_to_scalar(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> ScalarWitness:

@@ -35,7 +35,8 @@ no case of their own: they vanish as the diagram is built.
 
 A derivation node with an empty context may be shared (see `types`), as
 every `H` is. One `translate` call builds the body of each such abstraction
-once, and the diagram shares it at every occurrence. Diagram walks, such as
+once, and the diagram shares it at every occurrence; `denote` evaluates a
+repeated sub-diagram once per call. Other diagram walks, such as
 `generators`, `to_json_obj` and `to_dot`, still visit a shared sub-diagram
 once per occurrence.
 """

@@ -425,7 +425,7 @@ class _Inferencer:
             self.unify(t, expected)
         subst = self.subst
         binders = [_resolved(v, subst) for v in self.binders]
-        unsure = None in binders or any(contains_var(e.type) for e in ctx)
+        unsure = any(b is None for b in binders) or any(contains_var(e.type) for e in ctx)
         if unsure:
             binders = [apply_subst(v, subst) for v in self.binders]
             ctx = Context(

@@ -2,6 +2,8 @@
 
 import json
 
+import numpy as np
+
 import regen
 
 
@@ -13,4 +15,9 @@ def test_cli_output_matches_the_golden_corpus():
         (r["source"], r["command"]) for r in want
     ], "the corpus inputs changed: run regen.py"
     for g, w in zip(got, want):
-        assert g == w, (w["source"], w["command"])
+        where = (w["source"], w["command"])
+        if "matrix" in w and "matrix" in g:
+            a, b = regen.decode_matrix(g.pop("matrix")), regen.decode_matrix(w.pop("matrix"))
+            assert a.shape == b.shape, where
+            assert np.abs(a - b).max() <= 1e-12, where
+        assert g == w, where

@@ -3,6 +3,7 @@ import random
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from functools import reduce
 from unittest import mock
 
@@ -21,10 +22,12 @@ from zetacalc.diagram import (
     Seq,
     Spider,
     from_json,
+    from_json_obj,
     max_width,
     par,
     seq,
     to_json,
+    to_json_obj,
     upsilon,
 )
 from zetacalc.evaluator import (
@@ -411,11 +414,13 @@ class TestEvaluationWalk:
 
 class _RecordingNumpy:
     """Stands in for numpy inside the evaluator and records the size of the
-    largest array any numpy call returns. Reshapes and transposes are array
-    methods and are not seen, but they copy at most an array already held."""
+    largest array any numpy call returns, and how often each function is
+    called. Reshapes and transposes are array methods and are not seen, but
+    they copy at most an array already held."""
 
     def __init__(self):
         self.largest = 0
+        self.calls = Counter()
 
     def __getattr__(self, name):
         fn = getattr(np, name)
@@ -423,6 +428,7 @@ class _RecordingNumpy:
             return fn
 
         def recorded(*args, **kwargs):
+            self.calls[name] += 1
             out = fn(*args, **kwargs)
             if isinstance(out, np.ndarray):
                 self.largest = max(self.largest, out.size)
@@ -521,3 +527,173 @@ class TestMatrixJson:
     def test_format_complex(self):
         assert format_complex(1 + 0j) == "1+0i"
         assert "i" in format_complex(0.5j)
+
+
+_QUARTER = Phase.exact(1, 2)
+# the three spiders of H = rot Z^pi/2 o rot X^pi/2 o rot Z^pi/2, as one Seq
+_H_BODY = Seq(
+    Seq(Spider(Basis.Z, _QUARTER, 1, 1), Spider(Basis.X, _QUARTER, 1, 1)),
+    Spider(Basis.Z, _QUARTER, 1, 1),
+)
+
+
+def _right_nested(body, parts):
+    d = body
+    for _ in range(parts - 1):
+        d = Seq(body, d)
+    return d
+
+
+def _repeated_cases():
+    """(label, diagram, exact, freed) for diagrams that repeat a sub-diagram
+    object. `exact` when every entry of every product is a dyadic rational,
+    so the order in which the matrices are multiplied cannot round; `freed`
+    the budgets at which only a copy that shares no node is refused."""
+    cases = [(f"H x {n}", _map_of(" o ".join(["H"] * n)), True, ()) for n in range(1, 65)]
+    # a 1 -> 1 body, two wires wide inside, repeated in both factors of a Par
+    for label, gate, exact in [("X^pi", Spider(Basis.X, Phase.exact(1), 1, 1), True),
+                               ("Had", Had(), False)]:
+        body = seq(
+            Spider(Basis.Z, _QUARTER, 1, 2),
+            Par(gate, Spider(Basis.X, _QUARTER, 1, 1)),
+            Spider(Basis.Z, Z0, 2, 1),
+        )
+        twice = Seq(body, body)
+        chain = Seq(twice, twice)
+        cases.append((f"{label} body in a Par", Par(chain, Par(Id(1), chain)), exact, ()))
+    # a 3 -> 3 body repeated on the 2 columns of a 1 -> 1 map: its own
+    # identity has 8 columns, so it is never evaluated on it
+    body = Seq(Par(Spider(Basis.X, _QUARTER, 1, 1), Id(2)), Perm((1, 2, 0)))
+    fan = seq(Spider(Basis.Z, Z0, 1, 3), body, body, body, Spider(Basis.Z, Z0, 3, 1))
+    cases.append(("wide body on a narrow tensor", fan, True, ()))
+    # a 1 -> 1 body 16 rows wide inside, walked first in a Par factor on its
+    # own 2 columns, then met on the 8 columns a 3 -> 1 spider leaves: the
+    # copy walks it there, a 128-entry array over budget 6's 64, and the
+    # shared diagram evaluates it on its own identity instead
+    body = Seq(Spider(Basis.Z, _QUARTER, 1, 4), Spider(Basis.Z, Z0, 4, 1))
+    first = Par(Seq(Id(1), body), Id(2))
+    later = Seq(Seq(Spider(Basis.Z, Z0, 3, 1), body), Spider(Basis.Z, Z0, 1, 3))
+    cases.append(("body met again on more columns", Seq(first, later), True, (6,)))
+    nested = _right_nested(_H_BODY, 2000)
+    cases.append(("2000 right-nested", nested, True, ()))
+    # met again as a whole, each of its 1 999 inner Seqs is repeated
+    cases.append(("2000 right-nested, twice", Seq(nested, nested), True, ()))
+    return cases
+
+
+def _outcome(d, budget):
+    try:
+        return denote(d, budget)
+    except WireBudgetError:
+        return None
+
+
+class TestRepeatedSubDiagrams:
+    """denote evaluates a repeated Seq once; the matrix is that of a copy
+    that shares no node, and every budget refusal of the shared diagram is
+    one of the copy's."""
+
+    @pytest.mark.parametrize(
+        "d, exact, freed",
+        [pytest.param(d, exact, freed, id=label) for label, d, exact, freed in _repeated_cases()],
+    )
+    def test_same_as_a_copy_that_shares_nothing(self, d, exact, freed):
+        limit = sys.getrecursionlimit()
+        try:
+            # the JSON round trip recurses; denote does not
+            sys.setrecursionlimit(20_000)
+            copy = from_json_obj(to_json_obj(d))
+        finally:
+            sys.setrecursionlimit(limit)
+
+        def same(a, b):
+            return np.array_equal(a, b) if exact else np.max(np.abs(a - b)) <= 1e-12
+
+        m, m_copy = denote(d), denote(copy)
+        assert same(m, m_copy)
+        # the oracle walks every occurrence, so sharing cannot change it
+        o = oracle_contract(d)
+        assert np.max(np.abs(m - o)) <= 1e-12 and np.max(np.abs(m_copy - o)) <= 1e-12
+        for budget in range(7):
+            shared, unshared = _outcome(d, budget), _outcome(copy, budget)
+            if budget in freed:
+                assert shared is not None and unshared is None, budget
+            else:
+                assert (shared is None) == (unshared is None), budget
+            assert shared is None or np.array_equal(shared, m), budget
+            assert unshared is None or np.array_equal(unshared, m_copy), budget
+
+    def test_a_repeated_body_is_one_matmul(self):
+        # H x 20 as a map: the first two H's run spider by spider, the third
+        # builds H's matrix on its own identity, and it and each later H is
+        # one matmul, 3 + 3 + 3 + 18 in all, not 60
+        rec = _RecordingNumpy()
+        d = _map_of(" o ".join(["H"] * 20))
+        evaluator.np = rec
+        try:
+            denote(d)
+        finally:
+            evaluator.np = np
+        assert rec.calls["matmul"] == 27
+
+    def test_identity_is_built_without_eye(self):
+        rec = _RecordingNumpy()
+        evaluator.np = rec
+        try:
+            m = denote(Id(3))
+        finally:
+            evaluator.np = np
+        assert np.array_equal(m, np.eye(8)) and m.dtype == complex
+        assert "eye" not in rec.calls
+
+
+def _naive_fit(a, b, tol):
+    """equal_up_to_scalar and max_deviation written out: c is a/b at the
+    first of b's largest-magnitude entries in row-major order."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    mags = np.abs(b)
+    if not b.size or not mags.max():
+        return (BOTH_ZERO if not a.size or np.abs(a).max() <= tol else None), (
+            float(np.abs(a).max()) if a.size else 0.0
+        )
+    idx = np.unravel_index(np.argmax(mags), b.shape)
+    c = a[idx] / b[idx]
+    deviation = float(np.abs(a - c * b).max())
+    if mags[idx] <= tol:
+        return (BOTH_ZERO if np.abs(a).max() <= tol else None), deviation
+    return (complex(c) if c != 0 and deviation <= tol else None), deviation
+
+
+def _fit_cases():
+    rng = np.random.default_rng(7)
+
+    def rand(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    cases = []
+    for shape in [(1, 1), (2, 2), (4, 2), (3, 5)]:
+        a, b = rand(*shape), rand(*shape)
+        cases += [(a, b), (b * (0.5 - 2j), b), (b * (0.5 - 2j) + 1e-11, b)]
+    z = np.zeros((2, 2), dtype=complex)
+    cases += [(z, z), (z, np.eye(2)), (np.eye(2), z), (z + 1e-12, z + 1e-12j)]
+    cases += [(np.zeros((0, 2)), np.zeros((0, 2))), (np.zeros((2, 0)), np.zeros((2, 0)))]
+    # four entries of magnitude 1: the first one sets c
+    tied = np.array([[1, -1], [1j, -1j]])
+    cases += [(tied * 3j, tied), (np.array([[3, 1], [2, 4]]), tied)]
+    # views: transposed, strided, and a real array against a complex one
+    big = rand(4, 6)
+    cases += [(big.T, (big * 2).T), (big[::2, ::3], big[1::2, ::3]), (big.real.T, big.T)]
+    return cases
+
+
+class TestScalarFit:
+    @pytest.mark.parametrize("tol", [1e-9, 0.5])
+    def test_matches_the_naive_formula(self, tol):
+        for a, b in _fit_cases():
+            before = a.copy(), b.copy()
+            witness, deviation = _naive_fit(a, b, tol)
+            got = equal_up_to_scalar(a, b, tol)
+            assert got is witness if witness in (None, BOTH_ZERO) else got == witness
+            assert max_deviation(a, b) == deviation
+            assert np.array_equal(a, before[0]) and np.array_equal(b, before[1])
