@@ -21,6 +21,7 @@ import sys
 
 from .diagram import to_dot
 from .evaluator import (
+    DEFAULT_TOL,
     WIRE_BUDGET,
     WireBudgetError,
     denote,
@@ -213,12 +214,15 @@ def build_parser() -> argparse.ArgumentParser:
     def json_output(sp):
         sp.add_argument("--json", action="store_true", help="machine-readable output")
 
-    def common(sp):
+    def context(sp):
         sp.add_argument("--ctx", default="", help="context, e.g. 'x:Z:1, f:X:1->1*1'")
+
+    def common(sp):
+        context(sp)
         json_output(sp)
 
     def tolerance(sp):
-        sp.add_argument("--tol", type=_tolerance, default=1e-9,
+        sp.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
                         help="comparison tolerance, a finite number >= 0")
 
     sp = sub.add_parser("check", help="typecheck a term file")
@@ -229,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("diagram", help="translate to a string diagram")
     sp.add_argument("file")
     sp.add_argument("--format", choices=["json", "dot"], default="json")
-    common(sp)
+    context(sp)
     sp.set_defaults(fn=cmd_diagram)
 
     sp = sub.add_parser("eval", help="evaluate the denotation matrix")

@@ -1,9 +1,10 @@
 """Compositional ZX string-diagram IR.
 
 Diagrams are trees over generators (spiders, cups/caps, Hadamard, wire
-permutations, scalars) combined with sequential (`Seq`) and parallel (`Par`)
-composition. Wire 0 is the most significant qubit everywhere. A routing of
-any width is one `Perm` leaf; every walk reads it through `Perm.route`.
+permutations) combined with sequential (`Seq`) and parallel (`Par`)
+composition; a scalar is a 0 -> 0 spider. Wire 0 is the most significant
+qubit everywhere. A routing of any width is one `Perm` leaf; every walk
+reads it through `Perm.route`.
 
 Every node carries its wire arity as `inputs` and `outputs`: generators
 give it by property, and `Seq` and `Par` compute it once from their
@@ -107,14 +108,6 @@ class Cup(Diagram):
 @dataclass(slots=True, unsafe_hash=True)
 class Cap(Diagram):
     inputs = property(lambda self: 2)
-    outputs = property(lambda self: 0)
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Scalar(Diagram):
-    value: complex
-
-    inputs = property(lambda self: 0)
     outputs = property(lambda self: 0)
 
 
@@ -260,11 +253,6 @@ def cup_many(n: int) -> Diagram:
     return seq(cups, permutation(perm))
 
 
-def discard(wires: int, basis: Basis) -> Diagram:
-    """wires -> 0 basis-spider discard."""
-    return par(*[Spider(basis, Phase.zero(), 1, 0)] * wires)
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 
@@ -306,8 +294,6 @@ def to_json_obj(d: Diagram) -> dict:
         return {"kind": "cup"}
     if isinstance(d, Cap):
         return {"kind": "cap"}
-    if isinstance(d, Scalar):
-        return {"kind": "scalar", "re": d.value.real, "im": d.value.imag}
     if isinstance(d, Seq):
         return {"kind": "seq", "first": to_json_obj(d.first), "second": to_json_obj(d.second)}
     if isinstance(d, Par):
@@ -345,8 +331,6 @@ def from_json_obj(doc) -> Diagram:
             return Cup()
         if kind == "cap":
             return Cap()
-        if kind == "scalar":
-            return Scalar(complex(doc["re"], doc["im"]))
         if kind == "seq":
             return Seq(from_json_obj(doc["first"]), from_json_obj(doc["second"]))
         if kind == "par":
@@ -410,9 +394,6 @@ def to_dot(d: Diagram) -> str:
             name = node("cap", shape="point")
             edge(ins[0], name)
             edge(ins[1], name)
-            outs = []
-        elif isinstance(dg, Scalar):
-            node(f"{dg.value:.3g}", shape="box")
             outs = []
         else:
             raise DiagramError(f"not a diagram: {dg!r}")

@@ -34,17 +34,17 @@ open wire. A Z spider is one variable shared by all its legs, with the
 weight (1, e^{ia}); an X spider is such a variable with the factor
 H~ = [[1, 1], [1, -1]] / sqrt(2) on each leg, and a Had is one H~. A Cup
 puts one new variable on its two wires and a Cap unites its two wires'
-variables (a small union-find); Id and Perm only rename and a Scalar
-multiplies a constant. The boundary is the outputs, then the inputs; a
-variable that reaches a second boundary position is tied there to a fresh
-one by a 2x2 identity. Every other variable is summed out in the order the
-walk made it, with one np.einsum (at most 30 operands at a time) over the
-factors that hold it; one that no factor holds, a closed loop, gives 2.
-The factors left are multiplied over the boundary. The elimination is
-planned on the variable sets first, and WireBudgetError is raised before
-any einsum when the result or a tensor the plan holds has more than
-WIRE_BUDGET legs, the units of `denote`'s budget and the default the CLI
-and `theory` use.
+variables (a small union-find); Id and Perm only rename. A scalar, a 0 -> 0
+spider, is a variable on no wire, summed out to 1 + e^{ia}. The boundary is
+the outputs, then the inputs; a variable that reaches a second boundary
+position is tied there to a fresh one by a 2x2 identity. Every other
+variable is summed out in the order the walk made it, with one np.einsum
+(at most 30 operands at a time) over the factors that hold it; one that no
+factor holds, a closed loop, gives 2. The factors left are multiplied over
+the boundary. The elimination is planned on the variable sets first, and
+WireBudgetError is raised before any einsum when the result or a tensor the
+plan holds has more than WIRE_BUDGET legs, the units of `denote`'s budget
+and the default the CLI and `theory` use.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ from .diagram import (
     Id,
     Par,
     Perm,
-    Scalar,
     Seq,
     Spider,
     generators,
@@ -76,6 +75,7 @@ from .syntax import Basis, Phase, ZetaError
 SQRT2 = math.sqrt(2.0)
 
 WIRE_BUDGET = 14
+DEFAULT_TOL = 1e-9  # of every comparison: `compare`, the rule suite and --tol
 
 # the most complex128 entries one array can hold: at most sys.maxsize bytes
 _ADDRESSABLE = sys.maxsize // 16
@@ -177,8 +177,6 @@ def _leaf_matrix(d: Diagram) -> np.ndarray:
         return _CUP
     if isinstance(d, Cap):
         return _CUP.T
-    if isinstance(d, Scalar):
-        return np.array([[d.value]], dtype=complex)
     raise DiagramError(f"not a diagram: {d!r}")
 
 
@@ -308,7 +306,9 @@ def _fit(a: np.ndarray, b: np.ndarray):
     return c, bmax, float(np.abs(rest, out=absb).max())
 
 
-def equal_up_to_scalar(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> ScalarWitness:
+def equal_up_to_scalar(
+    a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL
+) -> ScalarWitness:
     """A nonzero c with max|a - c*b| <= tol, BOTH_ZERO if both vanish,
     None otherwise. c is the entry ratio at b's largest-magnitude entry."""
     a = np.asarray(a, dtype=complex)
@@ -380,9 +380,6 @@ def oracle_contract(d: Diagram) -> np.ndarray:
             out = [new()] * 2
         elif isinstance(node, Cap):
             parent[find(legs[0])] = find(legs[1])
-            out = []
-        elif isinstance(node, Scalar):
-            scale *= node.value
             out = []
         else:
             raise DiagramError(f"not a diagram: {node!r}")

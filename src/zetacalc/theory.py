@@ -13,6 +13,7 @@ from typing import Callable, Optional
 
 from .evaluator import (
     BOTH_ZERO,
+    DEFAULT_TOL,
     WIRE_BUDGET,
     denote,
     equal_up_to_scalar,
@@ -52,8 +53,6 @@ from .types import (
     infer,
     size,
 )
-
-DEFAULT_TOL = 1e-9
 
 
 @dataclass(slots=True, unsafe_hash=True)

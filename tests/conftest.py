@@ -15,11 +15,9 @@ from zetacalc.diagram import (
     Id,
     Par,
     Perm,
-    Scalar,
     Seq,
     Spider,
     cup_many,
-    discard,
     par,
     permutation,
     seq,
@@ -59,17 +57,15 @@ from zetacalc.types import (
     Fn,
     LinearityError,
     Numeral,
+    OccursCheckError,
     Tensor,
     TypeVar,
     UnboundVariableError,
     UnificationError,
     ZetaTypeError,
-    apply_subst,
-    contains_var,
     infer,
     print_type,
     size,
-    unify,
 )
 
 
@@ -203,7 +199,8 @@ def _literal_discards(entries, kept):
         e = entries[i]
         if e.name not in kept:
             after = stage.outputs - offs[i + 1]
-            stage = seq(stage, par(Id(offs[i]), discard(size(e.type), e.basis), Id(after)))
+            drop = par(*[Spider(e.basis, Phase.zero(), 1, 0)] * size(e.type))
+            stage = seq(stage, par(Id(offs[i]), drop, Id(after)))
     return stage
 
 
@@ -301,17 +298,58 @@ def literal_infer(ctx, term, expected=None):
     raising on the first type a variable stays in: within a node, the
     weakened entry, then the context entries, then the node's type. Nothing
     is shared: each occurrence of a subterm is derived and resolved on its
-    own, and every type error carries the message `infer` gives it."""
+    own, and every type error carries the message `infer` gives it. It
+    unifies and resolves with its own code, not with `types.unify` and
+    `types.apply_subst`, so a fault there cannot reach both sides."""
     subst, origin = {}, {}
 
     def fresh(what):
         origin[len(origin) + 1] = what
         return TypeVar(len(origin))
 
+    def applied(t):
+        """t with every bound variable replaced, all the way down."""
+        if isinstance(t, TypeVar):
+            return applied(subst[t.id]) if t.id in subst else t
+        if isinstance(t, Tensor):
+            return Tensor(applied(t.left), applied(t.right))
+        if isinstance(t, Dual):
+            return Dual(applied(t.inner))
+        return t
+
+    def var_ids(t):
+        """The ids of the variables in t, left to right."""
+        if isinstance(t, TypeVar):
+            yield t.id
+        elif isinstance(t, Tensor):
+            yield from var_ids(t.left)
+            yield from var_ids(t.right)
+        elif isinstance(t, Dual):
+            yield from var_ids(t.inner)
+
+    def unify(a, b):
+        """Extend subst to unify a and b, binding a variable side: the
+        first when both are variables."""
+        a, b = applied(a), applied(b)
+        if isinstance(b, TypeVar) and not isinstance(a, TypeVar):
+            a, b = b, a
+        if isinstance(a, TypeVar):
+            if a == b:
+                return
+            if a.id in var_ids(b):
+                raise OccursCheckError(f"occurs check: ?{a.id} in {print_type(b)}")
+            subst[a.id] = b
+        elif isinstance(a, Tensor) and isinstance(b, Tensor):
+            unify(a.left, b.left)
+            unify(a.right, b.right)
+        elif isinstance(a, Dual) and isinstance(b, Dual):
+            unify(a.inner, b.inner)
+        elif a != b:
+            raise UnificationError(f"cannot unify {print_type(a)} with {print_type(b)}")
+
     def unify_at(where, a, b):
-        nonlocal subst
         try:
-            subst = unify(a, b, subst)
+            unify(a, b)
         except UnificationError as exc:
             raise UnificationError(f"{where}: {exc}") from exc
 
@@ -381,19 +419,10 @@ def literal_infer(ctx, term, expected=None):
         d2 = derive(ctx.extended(*entries), body)
         return Derivation("E", ctx, term, d2.type, (d1, d2))
 
-    def first_var(t):
-        if isinstance(t, TypeVar):
-            return t.id
-        if isinstance(t, Tensor):
-            return first_var(t.left) or first_var(t.right)
-        if isinstance(t, Dual):
-            return first_var(t.inner)
-        return None
-
     def resolved(t, name=None):
         # name: the context entry whose type t is, if any
-        r = apply_subst(t, subst)
-        v = first_var(r)
+        r = applied(t)
+        v = next(var_ids(r), None)
         if v is not None:
             where = origin.get(v)
             if where == "application result" and name is not None:
@@ -416,14 +445,14 @@ def literal_infer(ctx, term, expected=None):
         ctx = Context(tuple(entry(e) for e in node.ctx))
         return Derivation(node.rule, ctx, node.term, resolved(node.type), children)
 
-    if expected is not None and contains_var(expected):
+    if expected is not None and next(var_ids(expected), None) is not None:
         raise AmbiguousTypeError("expected type must be fully inferred")
     missing = [x for x in term.fv if ctx.get(x) is None]
     if missing:
         raise UnboundVariableError(f"unbound variable {missing[0]}")
     d = derive(ctx, term)
     if expected is not None:
-        subst = unify(d.type, expected, subst)
+        unify(d.type, expected)
     return resolve(d)
 
 
@@ -799,7 +828,10 @@ def random_diagram(rng: random.Random, max_wires: int = 10, layers: int = 6):
             pos = rng.randint(0, wires - 1)
             parts.append(par(Id(pos), Had(), Id(wires - pos - 1)))
         elif choice < 0.7:
-            parts.append(par(Id(wires), Scalar(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))))
+            # a scalar: a 0 -> 0 spider
+            basis = Basis.Z if rng.uniform(-1, 1) < 0 else Basis.X
+            scalar = Spider(basis, Phase.radians(math.pi * rng.uniform(-1, 1)), 0, 0)
+            parts.append(par(Id(wires), scalar))
         else:
             m = rng.randint(0, min(2, wires))
             n = rng.randint(0, min(3, max_wires - (wires - m)))

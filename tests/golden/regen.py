@@ -1,15 +1,18 @@
 """The golden CLI corpus: what `zeta check --json`, `zeta diagram --format
-json` and `zeta eval --json` print for every text source behind
-`conftest.translated_derivations()`, namely the term pool, the H chains of
-length 2 to 20, the 48 copy maps and the higher-order share. A source whose
-type is a map is evaluated with `--as-map`.
+json`, `zeta diagram --format dot` and `zeta eval --json` print for every
+text source behind `conftest.translated_derivations()`, namely the term
+pool, the H chains of length 2 to 20, the 48 copy maps and the higher-order
+share, and what `zeta rules --json` prints once. A source whose type is a
+map is evaluated with `--as-map`.
 
 Each line of `cli.jsonl` is one run through `cli.main`: the source, the
 command, its exit code and its stdout, or the sha256 of a stdout longer
 than `LIMIT` characters. An eval record holds its matrix instead, as the
 distinct entries (`values`, each [re, im]) and, per entry in row-major
 order, the index of its value (`at`), so that `test_golden.py` can compare
-it to 1e-12 rather than as text. `tests/golden/test_golden.py` runs them
+it to 1e-12 rather than as text. The rules record has no source and holds
+the parsed report (`verdicts`), so that its scalars and deviations can be
+compared to 1e-12 too. `tests/golden/test_golden.py` runs them
 again and compares. After a change that is meant to alter the output,
 regenerate the file from the repository root and review the diff:
 
@@ -38,7 +41,11 @@ from zetacalc.syntax import fn_parts, parse  # noqa: E402
 from zetacalc.types import Context, infer  # noqa: E402
 
 CORPUS = HERE / "cli.jsonl"
-COMMANDS = (("check", "--json"), ("diagram", "--format", "json"))
+COMMANDS = (
+    ("check", "--json"),
+    ("diagram", "--format", "json"),
+    ("diagram", "--format", "dot"),
+)
 LIMIT = 2000
 
 
@@ -68,19 +75,25 @@ def decode_matrix(doc: dict) -> np.ndarray:
     return values[np.array(doc["at"], dtype=int)].reshape(doc["shape"])
 
 
+def run(argv: list[str]) -> tuple[int, str]:
+    """`cli.main` on argv: its exit code and stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
 def entries():
-    """One record per source and command, in corpus order."""
+    """One record per source and command, in corpus order, then the rules
+    report."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "term.zeta")
         for src in sources():
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(src)
             for command in (*COMMANDS, eval_command(src)):
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                    code = main([command[0], path, *command[1:]])
+                code, text = run([command[0], path, *command[1:]])
                 record = {"source": src, "command": " ".join(command), "exit": code}
-                text = out.getvalue()
                 if command[0] == "eval" and code == 0:
                     record["matrix"] = encode_matrix(matrix_from_json(text))
                 elif len(text) > LIMIT:
@@ -88,6 +101,8 @@ def entries():
                 else:
                     record["stdout"] = text
                 yield record
+    code, text = run(["rules", "--json"])
+    yield {"source": None, "command": "rules --json", "exit": code, "verdicts": json.loads(text)}
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import zetacalc
-from zetacalc import cli
+from zetacalc import cli, evaluator, theory
 from zetacalc.cli import main
 from zetacalc.diagram import Id, Seq
 from zetacalc.evaluator import EvalError, matrix_to_json, denote
@@ -446,6 +447,25 @@ class TestRefusedInputs:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "--ctx" in captured.err
+
+    def test_diagram_takes_no_json_flag(self, write, capsys):
+        # diagram chooses its output with --format
+        f = write("h.zeta", "H")
+        with pytest.raises(SystemExit) as exc:
+            main(["diagram", f, "--format", "dot", "--json"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--json" in captured.err
+        assert main(["diagram", f, "--ctx", ""]) == 0
+
+    def test_one_default_tolerance(self):
+        parser = cli.build_parser()
+        tols = {
+            parser.parse_args(argv).tol
+            for argv in (["rules"], ["equiv", "a", "b"], ["share-check", "a"])
+        }
+        fit = inspect.signature(evaluator.equal_up_to_scalar).parameters["tol"]
+        assert tols == {fit.default} == {theory.DEFAULT_TOL} == {evaluator.DEFAULT_TOL}
 
     def test_zero_tolerance_accepted(self, write, capsys):
         f = write("h.zeta", "H")

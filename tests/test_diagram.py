@@ -16,7 +16,6 @@ from zetacalc.diagram import (
     Seq,
     Spider,
     cup_many,
-    discard,
     from_json,
     generators,
     max_width,
@@ -141,9 +140,10 @@ class TestBuilders:
         assert np.allclose(v, expect)
 
     def test_discard(self):
-        m = denote(discard(1, Basis.Z))
+        # sharing zero ways
+        m = denote(upsilon(1, Basis.Z, 0))
         assert np.allclose(m, [[1, 1]])
-        mx = denote(discard(1, Basis.X))
+        mx = denote(upsilon(1, Basis.X, 0))
         assert np.allclose(mx, [[np.sqrt(2), 0]])
 
 
@@ -169,6 +169,9 @@ class TestSerialization:
             from_json("{}")
         with pytest.raises(DiagramError):
             from_json('{"kind": "mystery"}')
+        with pytest.raises(DiagramError, match="unknown node kind 'scalar'"):
+            # a scalar is written as a 0 -> 0 spider
+            from_json('{"kind": "scalar", "re": 1, "im": 0}')
         with pytest.raises(DiagramError):
             from_json("not json")
         spider = '{"kind":"spider","basis":"Z","phase":%s,"in":%s,"out":1}'

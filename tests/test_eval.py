@@ -18,7 +18,6 @@ from zetacalc.diagram import (
     Id,
     Par,
     Perm,
-    Scalar,
     Seq,
     Spider,
     from_json,
@@ -118,8 +117,9 @@ class TestDenote:
         assert np.allclose(denote(Had()), HADAMARD)
         assert np.allclose(HADAMARD @ HADAMARD, np.eye(2))
 
-    def test_scalar(self):
-        assert denote(Scalar(2 - 1j))[0, 0] == 2 - 1j
+    def test_scalar_is_a_closed_spider(self):
+        # a 0 -> 0 spider denotes 1 + e^{ia}
+        assert denote(Spider(Basis.Z, Phase.exact(1, 2), 0, 0))[0, 0] == 1 + 1j
 
     def test_par_wire_order(self):
         # wire 0 (top) is the most significant qubit
@@ -202,7 +202,7 @@ class TestOracle:
             Perm((1, 0)),
             Spider(Basis.Z, Phase.exact(1, 2), 2, 1),
             Spider(Basis.X, Phase.radians(0.7), 0, 3),
-            Scalar(1.5 - 0.5j),
+            Spider(Basis.X, Phase.radians(0.4), 0, 0),
             Id(2),
         ]:
             assert np.allclose(denote(d), oracle_contract(d), atol=1e-12)
@@ -259,7 +259,7 @@ class TestOracle:
         for d in [
             loop,
             Par(loop, Had()),
-            Par(Cup(), Par(Scalar(0.5j), Cap())),
+            Par(Cup(), Par(Spider(Basis.Z, Phase.exact(1, 2), 0, 0), Cap())),
             Seq(Par(Cup(), Id(1)), Par(Id(1), Perm((1, 0)))),
         ]:
             assert np.max(np.abs(denote(d) - oracle_contract(d))) <= 1e-12
@@ -351,10 +351,11 @@ def _denote_peak(d):
 class TestParLayers:
     def test_factors_applied_in_place(self):
         # a Par layer with a shrinking and a growing factor around Id wires
-        layer = Par(Par(Cap(), Id(1)), Par(Spider(Basis.X, Phase.exact(1, 2), 1, 3), Scalar(2j)))
+        scalar = Spider(Basis.Z, Phase.exact(1, 2), 0, 0)
+        layer = Par(Par(Cap(), Id(1)), Par(Spider(Basis.X, Phase.exact(1, 2), 1, 3), scalar))
         d = Seq(Spider(Basis.Z, Phase.exact(1), 1, 4), layer)
         expect = np.kron(np.kron(denote(Cap()), np.eye(2)),
-                         spider_matrix(Basis.X, Phase.exact(1, 2), 1, 3)) * 2j
+                         spider_matrix(Basis.X, Phase.exact(1, 2), 1, 3)) * (1 + 1j)
         assert np.max(np.abs(denote(d) - expect @ denote(d.first))) <= 1e-12
 
     def test_shrinking_factors_go_first(self):

@@ -11,7 +11,7 @@ import dataclasses
 from fractions import Fraction
 
 from zetacalc import diagram, semantics, syntax, theory, types
-from zetacalc.diagram import Cap, Cup, Had, Id, Par, Perm, Scalar, Seq, Spider
+from zetacalc.diagram import Cap, Cup, Had, Id, Par, Perm, Seq, Spider
 from zetacalc.evaluator import WireBudgetError, denote, oracle_contract
 from zetacalc.semantics import eval_as_map, translate
 from zetacalc.syntax import Basis, Phase, compose, fn_parts, hadamard_term, parse, rotation
@@ -117,7 +117,7 @@ def _samples():
     for node in d.walk():
         out += [node, node.ctx, *node.ctx, node.type, *_subterms(node.term)]
     out += list(_subdiagrams(jd.diagram))
-    out += [Phase.radians(1.0), TypeVar(1), Dual(Numeral(1)), Perm((1, 0)), Scalar(2j)]
+    out += [Phase.radians(1.0), TypeVar(1), Dual(Numeral(1)), Perm((1, 0))]
     out += [Id(1), Had(), Cup(), Cap(), Spider(Basis.Z, Phase.zero(), 1, 2)]
     out.append(theory.check_rule_instance(*theory.standard_instances()[0]))
     return out
@@ -161,7 +161,6 @@ class TestSlotsAndHashing:
         twice(lambda: Spider(Basis.X, Phase.exact(3, 2), 1, 2))
         twice(lambda: Id(3))
         twice(lambda: Perm((2, 0, 1)))
-        twice(lambda: Scalar(0.5 + 1j))
         for leaf in (Had, Cup, Cap):
             twice(leaf)
         twice(lambda: Seq(Par(Cup(), Id(1)), Par(Id(1), Cap())))
