@@ -17,9 +17,12 @@ an m -> n X spider is (1 + e^{ia} s_out[i] s_in[j]) / 2^((m+n)/2), where
 s[i] is (-1)^popcount(i). A repeated sub-diagram is evaluated once per call
 too: a nested Seq met again, after once being the second part of a Seq, is
 evaluated on its own identity when that has no more columns than the
-running tensor, and then it and each later occurrence is one matmul (so
-`H` x 20 as a map takes 27 matmuls, not 60). No normalization is applied
-anywhere: the cup denotes |00> + |11| with unit entries.
+running tensor, and then it and each later occurrence is one matmul. The
+body `translate` shares for `H` is evaluated so once per process, on first
+use, and every walk starts with its matrix, so each `H` the walk meets as
+a Seq part is one matmul (`H` x 20 as a map takes 20 matmuls, not 60). No
+normalization is applied anywhere: the cup denotes |00> + |11| with unit
+entries.
 
 `denote(d, budget)` raises WireBudgetError before it would create an array
 of more than 2^budget entries (the starting identity, a leaf matrix, or a
@@ -27,6 +30,8 @@ product with the running tensor), so the budget counts the legs of the
 largest tensor the walk holds, not the width of the diagram. Evaluating a
 repeated sub-diagram once can only shrink that tensor: a diagram may fit a
 budget that a copy sharing no node exceeds, never the other way round.
+So can `H`'s matrix: applying it is one matmul onto the running tensor,
+no larger than what walking the body there holds.
 
 `oracle_contract` evaluates the same diagram by a disjoint route: a factor
 graph over bits, read in one `generators` walk that keeps a variable per
@@ -50,6 +55,7 @@ and the default the CLI and `theory` use.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 import sys
@@ -70,6 +76,7 @@ from .diagram import (
     Spider,
     generators,
 )
+from .semantics import _hadamard as _hadamard_body
 from .syntax import Basis, Phase, ZetaError
 
 SQRT2 = math.sqrt(2.0)
@@ -133,7 +140,19 @@ def denote(d: Diagram, budget: Optional[int] = None) -> np.ndarray:
     limit = _ADDRESSABLE if budget is None else min(2**budget, _ADDRESSABLE)
     n = 2**d.inputs
     _fits(n * n, limit)
-    return _apply(d, _identity(n), {}, set(), limit).reshape(-1, n)
+    body, m = _hadamard()
+    return _apply(d, _identity(n), {id(body): m}, set(), limit).reshape(-1, n)
+
+
+@functools.cache
+def _hadamard() -> tuple[Diagram, np.ndarray]:
+    """The body `translate` shares for `H`, and its matrix, read-only: one
+    unbounded walk on the body's own identity, made on first use, so
+    importing builds nothing."""
+    body = _hadamard_body()[1]
+    m = _apply(body, _identity(2**body.inputs), {}, set(), _ADDRESSABLE)[0]
+    m.setflags(write=False)
+    return body, m
 
 
 def _fits(entries: int, limit: int) -> None:
@@ -185,11 +204,12 @@ def _apply(d: Diagram, t: np.ndarray, memo: dict, seen: set, limit) -> np.ndarra
     (L, 2^d.outputs, R). `memo` and `seen` are keyed by node identity (the
     diagram keeps every node alive for the walk, so no id is reused).
     `memo` holds each leaf matrix built so far in this walk, so a repeated
-    leaf object is built once, and each repeated Seq's matrix; `seen` holds
-    the Seqs met as a `second` part (see `_apply_seq`). A Seq or Par runs
-    on whichever is fewer, the L * R columns of t or its own 2^inputs
-    identity (then one matmul onto t), which is smaller than t. No array of
-    more than `limit` entries is created."""
+    leaf object is built once, and each repeated Seq's matrix, `H`'s body's
+    from the start; `seen` holds the Seqs met as a `second` part (see
+    `_apply_seq`). A Seq or Par runs on whichever is fewer, the L * R
+    columns of t or its own 2^inputs identity (then one matmul onto t),
+    which is smaller than t. No array of more than `limit` entries is
+    created."""
     L, _, R = t.shape
     if isinstance(d, Id):
         return t

@@ -36,13 +36,16 @@ no case of their own: they vanish as the diagram is built.
 A derivation node with an empty context may be shared (see `types`), as
 every `H` is. One `translate` call builds the body of each such abstraction
 once, and the diagram shares it at every occurrence; `denote` evaluates a
-repeated sub-diagram once per call. Other diagram walks, such as
+repeated sub-diagram once per call. `H`'s one derivation node is shared
+across calls too, and its body is built once per process, on first use:
+every `translate` starts from it. Other diagram walks, such as
 `generators`, `to_json_obj` and `to_dot`, still visit a shared sub-diagram
 once per occurrence.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Optional
@@ -64,6 +67,7 @@ from .syntax import Abs, Gen, Term, Type, ZetaError, fn_parts, print_term, print
 from .types import (
     Context,
     Derivation,
+    _hadamard as _hadamard_derivation,
     labels,
     print_context,
     size,
@@ -182,7 +186,7 @@ def translate(derivation: Derivation) -> JudgementDiagram:
     `validate_derivation` accepts, and on an application of a non-function
     type."""
     # id of an abstraction with an empty context -> its body
-    shared: dict[int, Diagram] = {}
+    shared = _shared()
     if derivation.rule == "B":
         body = _body(derivation, shared)
         d, binders = _bend(derivation, body), (derivation,)
@@ -199,6 +203,20 @@ def translate(derivation: Derivation) -> JudgementDiagram:
         body,
         binders,
     )
+
+
+@functools.cache
+def _hadamard() -> tuple[Derivation, Diagram]:
+    """The derivation node of `H` that every inference shares, and its
+    body; made on first use, so importing builds nothing."""
+    node = _hadamard_derivation()[2]
+    return node, _body(node, {})
+
+
+def _shared() -> dict[int, Diagram]:
+    """A new memo of shared bodies for one translation, holding `H`'s."""
+    node, body = _hadamard()
+    return {id(node): body}
 
 
 def _rotation(node: Derivation) -> Diagram:
@@ -315,7 +333,7 @@ def eval_as_map(jd: JudgementDiagram) -> JudgementDiagram:
         rotations = par(
             Id(jd.ctx.wire_count()), *map(_rotation, binders), Id(size(a_t))
         )
-        body, binders = seq(rotations, _body(inner, {})), binders + (inner,)
+        body, binders = seq(rotations, _body(inner, _shared())), binders + (inner,)
     if body is not None:
         return JudgementDiagram(
             jd.ctx, jd.term, b_t, body, in_labels, out_labels, binders=binders

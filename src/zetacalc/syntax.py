@@ -331,7 +331,8 @@ def compose(m: Term, n: Term, basis: Basis = Basis.Z) -> Term:
 def hadamard_term() -> Term:
     """H  :=  rotZ^{pi/2} o rotX^{pi/2} o rotZ^{pi/2}. Built once: every
     call returns the same immutable term, so each H a parse reads is one
-    object, which inference and translation handle once."""
+    object, which inference, translation and evaluation each handle once
+    per process, on first use."""
     half = Phase.exact(1, 2)
     return compose(
         rotation(Basis.Z, half),
@@ -775,40 +776,46 @@ def parse_type(text: str) -> Type:
     return t
 
 
+# what prints as an atom with no parentheses around it
+_BARE = (Unit, Var, Gen, Tup)
+
+
 def print_term(term: Term) -> str:
     """Concrete syntax; parse(print_term(t)) is alpha-equivalent to t.
-    Sugar is not reintroduced (lambda obligations print as Z-binders)."""
+    Sugar is not reintroduced (lambda obligations print as Z-binders).
+    One loop over an explicit stack of the terms and text still to print,
+    so, as with `parse`, no Python frame is used per nesting level."""
 
-    def atom(t: Term) -> str:
-        s = go(t)
-        if isinstance(t, (Unit, Var, Gen, Tup)):
-            return s
-        return f"({s})"
+    def atom(t: Term) -> tuple:
+        return (t,) if isinstance(t, _BARE) else ("(", t, ")")
 
-    def go(t: Term) -> str:
-        if isinstance(t, Unit):
-            return "*"
-        if isinstance(t, Var):
-            return t.name
-        if isinstance(t, Gen):
+    out: list[str] = []
+    todo: list = [term]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, str):
+            out.append(t)
+        elif isinstance(t, Unit):
+            out.append("*")
+        elif isinstance(t, Var):
+            out.append(t.name)
+        elif isinstance(t, Gen):
             head = f"{t.basis}[{t.n}]"
-            return head if t.phase.is_zero else f"{head}^{t.phase}"
-        if isinstance(t, Abs):
+            out.append(head if t.phase.is_zero else f"{head}^{t.phase}")
+        elif isinstance(t, Abs):
             head = str(t.basis) if t.phase.is_zero else f"{t.basis}^{t.phase}"
             ann = f":{print_type(t.annotation)}" if t.annotation is not None else ""
-            return f"{head} {t.var}{ann}. {go(t.body)}"
-        if isinstance(t, App):
-            fn = go(t.fn) if isinstance(t.fn, (App, Unit, Var, Gen, Tup)) else f"({go(t.fn)})"
-            return f"{fn} {atom(t.arg)}"
-        if isinstance(t, Tup):
-            return f"<{go(t.left)}, {go(t.right)}>"
-        if isinstance(t, Let):
+            todo += [t.body, f"{head} {t.var}{ann}. "]
+        elif isinstance(t, App):
+            fn = (t.fn,) if isinstance(t.fn, (App, *_BARE)) else ("(", t.fn, ")")
+            todo += reversed((*fn, " ", *atom(t.arg)))
+        elif isinstance(t, Tup):
+            todo += [">", t.right, ", ", t.left, "<"]
+        elif isinstance(t, Let):
             a1 = f":{print_type(t.annotation1)}" if t.annotation1 is not None else ""
             a2 = f":{print_type(t.annotation2)}" if t.annotation2 is not None else ""
-            return (
-                f"let <{t.var1}{a1}, {t.var2}{a2}> = {t.basis} {atom(t.bound)}"
-                f" in {go(t.body)}"
-            )
-        raise TypeError(f"not a term: {t!r}")
-
-    return go(term)
+            head = f"let <{t.var1}{a1}, {t.var2}{a2}> = {t.basis} "
+            todo += reversed((head, *atom(t.bound), " in ", t.body))
+        else:
+            raise TypeError(f"not a term: {t!r}")
+    return "".join(out)

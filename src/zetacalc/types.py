@@ -28,13 +28,16 @@ once, every type in it already resolved.
 A closed subterm whose type comes out ground is typed and built once per
 term object: every other occurrence of the same object (each `H` of one
 parse, say) gets the same derivation node, and `translate` builds a shared
-abstraction's body once. So a derivation, and the diagram translated from
-it, may share subtrees, and `Derivation.walk` yields a shared node once per
-occurrence.
+abstraction's body once. `H` itself, which every parse reads as one
+object, is typed and built once per process, on first use, and every
+inference starts from that node. So a derivation, and the diagram
+translated from it, may share subtrees, with each other too, and
+`Derivation.walk` yields a shared node once per occurrence.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -60,6 +63,7 @@ from .syntax import (
     _Parser,
     _subst,
     free_vars,
+    hadamard_term,
     occurrences,
     print_type,
     rename_free_occurrences,
@@ -381,9 +385,12 @@ class _Inferencer:
     `counter` by the variables the first walk created, so every later `?N`,
     and every message naming one, is as if the subterm were walked again.
     `build` builds it once too and gives every occurrence that one node.
+    `H` starts out so typed and built, from the one walk `_hadamard` makes
+    per process; its binders are never recorded, and `build` never takes
+    their types.
     """
 
-    def __init__(self):
+    def __init__(self, prelude: bool = True):
         self.subst: Subst = {}
         self.counter = 0
         self.origin: dict[int, str] = {}
@@ -398,6 +405,10 @@ class _Inferencer:
         self.closed: dict[int, tuple[Term, Type, int]] = {}
         # id(term) -> its derivation, for the closed subterms built so far
         self.built: dict[int, Derivation] = {}
+        if prelude:
+            h, typed, d = _hadamard()
+            self.closed[id(h)] = typed
+            self.built[id(h)] = d
         # the binders' types, resolved, for build to take in turn
         self.binder_types = iter(())
 
@@ -657,6 +668,17 @@ def _first_var(t: Type) -> Optional[int]:
     if cls is Dual:
         return _first_var(t.inner)
     return None
+
+
+@functools.cache
+def _hadamard() -> tuple[Term, tuple[Term, Type, int], Derivation]:
+    """`H`, its `closed` entry and its derivation node, from one walk
+    without the prelude in the empty context; made on first use, so
+    importing builds nothing."""
+    h = hadamard_term()
+    inf = _Inferencer(prelude=False)
+    d = inf.derivation(_EMPTY, h)
+    return h, inf.closed[id(h)], d
 
 
 def infer(ctx: Context, term: Term) -> tuple[Type, Derivation]:

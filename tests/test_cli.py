@@ -101,18 +101,22 @@ class TestCheck:
         assert main(["check", "/nonexistent.zeta"]) == 2
 
 
+def _fresh_python(*args):
+    """Run `python *args` in a new interpreter that imports this zetacalc."""
+    src = str(Path(zetacalc.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
 class TestFreshProcess:
     def test_compose_binder_does_not_capture(self, write):
         # a new interpreter, so no earlier parse in this process can have
         # chosen the sugar's binder names
         f = write("capture.zeta", "Z _c2:1->1. (_c2 o rot Z^0)")
-        src = str(Path(zetacalc.__file__).resolve().parents[1])
-        path = [src, os.environ.get("PYTHONPATH", "")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-        r = subprocess.run(
-            [sys.executable, "-m", "zetacalc.cli", "check", f],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        r = _fresh_python("-m", "zetacalc.cli", "check", f)
         assert r.returncode == 0, r.stderr
         assert r.stdout.splitlines()[0] == "(1 -> 1) -> 1 -> 1"
 
@@ -120,20 +124,37 @@ class TestFreshProcess:
         # composed redexes keep the H x 200 diagram shallow enough for the
         # recursive JSON writer and the evaluation walk
         f = write("hchain.zeta", " o ".join(["H"] * 200))
-        src = str(Path(zetacalc.__file__).resolve().parents[1])
-        path = [src, os.environ.get("PYTHONPATH", "")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
         for args, expect in [
             (["diagram", f], '"diagram"'),
             (["diagram", f, "--format", "dot"], "digraph"),
             (["eval", "--as-map", f], "[2x2]"),
         ]:
-            r = subprocess.run(
-                [sys.executable, "-m", "zetacalc.cli", *args],
-                capture_output=True, text=True, env=env, timeout=120,
-            )
+            r = _fresh_python("-m", "zetacalc.cli", *args)
             assert r.returncode == 0, (args, r.stderr)
             assert expect in r.stdout, args
+
+    def test_term_printed_at_the_default_recursion_limit(self, write):
+        # print_term keeps no frame per term level, so the JSON outputs,
+        # which print the term, go as deep as check does
+        f = write("hchain.zeta", " o ".join(["H"] * 248))
+        for args in (["check", f], ["check", "--json", f], ["diagram", f]):
+            r = _fresh_python("-m", "zetacalc.cli", *args)
+            assert r.returncode == 0, (args, r.stderr)
+        assert json.loads(r.stdout)["type"] == "1 -> 1"
+
+    def test_import_builds_no_h(self):
+        # H's derivation node, body and matrix are made on first use
+        caches = "(types._hadamard, semantics._hadamard, evaluator._hadamard)"
+        r = _fresh_python("-c", (
+            "import zetacalc\n"
+            "from zetacalc import evaluator, semantics, types\n"
+            f"print([f.cache_info().currsize for f in {caches}])\n"
+            "zetacalc.denote(zetacalc.translate(zetacalc.infer("
+            "zetacalc.Context(), zetacalc.parse('Z[1]'))[1]).diagram)\n"
+            f"print([f.cache_info().currsize for f in {caches}])\n"
+        ))
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.splitlines() == ["[0, 0, 0]", "[1, 1, 1]"]
 
 
 class TestDiagram:

@@ -10,7 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from zetacalc import evaluator
+from zetacalc import evaluator, semantics
 from zetacalc.diagram import (
     Cap,
     Cup,
@@ -625,17 +625,19 @@ class TestRepeatedSubDiagrams:
             assert unshared is None or np.array_equal(unshared, m_copy), budget
 
     def test_a_repeated_body_is_one_matmul(self):
-        # H x 20 as a map: the first two H's run spider by spider, the third
-        # builds H's matrix on its own identity, and it and each later H is
-        # one matmul, 3 + 3 + 3 + 18 in all, not 60
+        # H x 20 as a map: every walk starts with H's matrix, built once per
+        # process (here before the recorder is in place, so the count does
+        # not depend on which test ran first), and each H is one matmul, 20
+        # in all, not 60
         rec = _RecordingNumpy()
         d = _map_of(" o ".join(["H"] * 20))
+        evaluator._hadamard()
         evaluator.np = rec
         try:
             denote(d)
         finally:
             evaluator.np = np
-        assert rec.calls["matmul"] == 27
+        assert rec.calls["matmul"] == 20
 
     def test_identity_is_built_without_eye(self):
         rec = _RecordingNumpy()
@@ -646,6 +648,30 @@ class TestRepeatedSubDiagrams:
             evaluator.np = np
         assert np.array_equal(m, np.eye(8)) and m.dtype == complex
         assert "eye" not in rec.calls
+
+
+class TestHadamardMatrix:
+    """Every denote walk starts with the matrix of the body translate
+    shares for H, evaluated once per process."""
+
+    def test_read_only_and_the_oracle_value(self):
+        body, m = evaluator._hadamard()
+        assert body is semantics._hadamard()[1] and body is _map_of("H")
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 0
+        assert m.shape == (2, 2) and np.max(np.abs(m - oracle_contract(body))) <= 1e-12
+
+    @pytest.mark.parametrize("source", ["H", "H o H", "<H Z[1], Z x:1. H x>"])
+    def test_a_written_result_leaves_the_next_unchanged(self, source):
+        _, deriv = infer(Context(), parse(source))
+        jd = translate(deriv)
+        graphs = [jd.diagram] + ([eval_as_map(jd).diagram] if fn_parts(jd.type) else [])
+        for d in graphs:
+            first = denote(d)
+            expected = first.copy()
+            first[...] = 7
+            assert np.array_equal(denote(d), expected)
 
 
 def _naive_fit(a, b, tol):

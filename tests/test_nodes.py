@@ -29,7 +29,7 @@ from zetacalc.types import (
 )
 
 from conftest import rule_sides
-from test_types import _sharing_sources, _subdiagrams, _subterms
+from test_types import _sharing_sources, _subdiagrams, _subterms, _unshared
 
 EMPTY = Context()
 Q = Numeral(1)
@@ -67,9 +67,11 @@ def _h_node(d):
 
 def _fresh_h():
     """A fresh H derivation node, and a fresh translated body from another
-    one, so that no stage has run on the first."""
-    h = _h_node(infer(EMPTY, parse("H o H"))[1])
-    return h, semantics._body(_h_node(infer(EMPTY, parse("H"))[1]), {})
+    one, so that no stage has run on the first. Each is inferred from a
+    rebuild of H that shares no node, as every inference shares the node
+    of H itself."""
+    h = infer(EMPTY, _unshared(hadamard_term()))[1]
+    return h, semantics._body(infer(EMPTY, _unshared(hadamard_term()))[1], {})
 
 
 class TestSharedNodesStayUnchanged:

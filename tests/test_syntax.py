@@ -167,9 +167,9 @@ class TestParse:
 
 
 class TestDepth:
-    """The parser keeps no Python frame per nesting level: each of these
-    parses at the default recursion limit. Shapes are walked in a loop,
-    since dataclass `==` recurses."""
+    """The parser and the printer keep no Python frame per nesting level:
+    each of these parses, and prints, at the default recursion limit.
+    Shapes are walked in a loop, since dataclass `==` recurses."""
 
     DEPTH = 1000
 
@@ -189,6 +189,20 @@ class TestDepth:
             assert isinstance(t, Abs) and t.var == f"x{i}"
             t = t.body
         assert t == Var("x0")
+
+    def test_printed(self):
+        # each source is already in printed form
+        sources = [
+            "<" * self.DEPTH + "Z[1]" + ", *>" * self.DEPTH,
+            "".join(f"Z x{i}. " for i in range(self.DEPTH)) + "x0",
+            "f " + "(g " * self.DEPTH + "x" + ")" * self.DEPTH,
+            "let <a, b> = Z (" * (self.DEPTH - 1) + "let <a, b> = Z y in <b, a>"
+            + ") in <b, a>" * (self.DEPTH - 1),
+        ]
+        for src in sources:
+            assert print_term(parse(src)) == src
+        chain = print_term(parse(" o ".join(["H"] * self.DEPTH)))
+        assert print_term(parse(chain)) == chain
 
     def test_let_chain(self):
         t = parse("let <a, b> =Z " * self.DEPTH + "y" + " in <b, a>" * self.DEPTH)

@@ -687,6 +687,25 @@ class TestClosedSubtermsShared:
         assert not any(contains_var(n.type) for n in d.walk())
 
 
+class TestHOncePerProcess:
+    """H is typed and built once per process, and translated once: every
+    call starts from that derivation node and body."""
+
+    def test_calls_share_one_node_and_one_body(self):
+        def hs(d):
+            return [n for n in d.walk() if n.term is syntax.hadamard_term() and n.rule == "B"]
+
+        _, d1 = infer(EMPTY, parse("H o H"))
+        _, d2 = infer(context_of(("y", Basis.X, Q)), parse("<y, H Z[1]>"))
+        d3 = check(EMPTY, parse("H"), Fn(Q, Q))
+        nodes = hs(d1) + hs(d2) + hs(d3)
+        assert len(nodes) == 4 and all(n is d3 for n in nodes)
+        body = semantics._body(d3, {})
+        copies = [s for d in (d1, d2) for s in _subdiagrams(translate(d).diagram) if s == body]
+        assert len(copies) == 3 and all(s is copies[0] for s in copies)
+        assert translate(d3).body is copies[0] and copies[0] is not body
+
+
 def _recursive_walk(d):
     yield d
     for c in d.children:
