@@ -6,32 +6,31 @@ node's input wires sit in the middle axis, and the L * R columns around it
 are wires (and identity columns) that flow past. A generator is one matmul
 with its small matrix (an Id is skipped, a Perm is one transpose of the
 wire axes), a Seq applies its parts in order, and a Par applies each non-Id
-factor to its own wires, factors that shrink the wire count first. A Seq or
-Par is evaluated on whichever is fewer, the L * R columns flowing into it
-or its own 2^inputs identity; in the second case its matrix is then applied
-to the running tensor with one matmul. So no sub-diagram is widened by
-wires it does not touch, and none is evaluated on more columns than its own
-identity. Leaf matrices are built once per `denote` call, each spider entry
-by entry: a Z spider has two nonzero entries, the first and the last, and
-an m -> n X spider is (1 + e^{ia} s_out[i] s_in[j]) / 2^((m+n)/2), where
-s[i] is (-1)^popcount(i). A repeated sub-diagram is evaluated once per call
-too: a nested Seq met again, after once being the second part of a Seq, is
-evaluated on its own identity when that has no more columns than the
-running tensor, and then it and each later occurrence is one matmul. The
-body `translate` shares for `H` is evaluated so once per process, on first
-use, and every walk starts with its matrix, so each `H` the walk meets as
-a Seq part is one matmul (`H` x 20 as a map takes 20 matmuls, not 60). No
-normalization is applied anywhere: the cup denotes |00> + |11| with unit
-entries.
+factor to its own wires, factors that shrink the wire count first. A Par,
+and a Seq that is not itself a Seq part, is evaluated on whichever is
+fewer, the L * R columns flowing into it or its own 2^inputs identity; in
+the second case its matrix is then applied to the running tensor with one
+matmul. So no sub-diagram is widened by wires it does not touch, and none
+is evaluated on more columns than its own identity. Spider matrices are
+written entry by entry: a Z spider has two nonzero entries, the first and
+the last, and an m -> n X spider is (1 + e^{ia} s_out[i] s_in[j]) /
+2^((m+n)/2), where s[i] is (-1)^popcount(i). No normalization is applied
+anywhere: the cup denotes |00> + |11| with unit entries.
+
+The walk reuses only matrices it already holds, looked up by node identity
+at every node: each leaf object's matrix, built once per `denote` call, and
+the matrix of the body `translate` shares for `H`, evaluated once per
+process on first use. Such a node is one matmul wherever it stands, as a
+Seq part, a Par factor or the whole diagram (`H` x 20 as a map takes 20
+matmuls, not 60). Any other repeated Seq or Par is walked at each
+occurrence, as in a copy that shares no node; `translate` repeats none.
 
 `denote(d, budget)` raises WireBudgetError before it would create an array
 of more than 2^budget entries (the starting identity, a leaf matrix, or a
 product with the running tensor), so the budget counts the legs of the
-largest tensor the walk holds, not the width of the diagram. Evaluating a
-repeated sub-diagram once can only shrink that tensor: a diagram may fit a
-budget that a copy sharing no node exceeds, never the other way round.
-So can `H`'s matrix: applying it is one matmul onto the running tensor,
-no larger than what walking the body there holds.
+largest tensor the walk holds, not the width of the diagram. Sharing
+changes no budget verdict; `H`'s matrix is one matmul onto the running
+tensor, so it can only remove a refusal.
 
 `oracle_contract` evaluates the same diagram by a disjoint route: a factor
 graph over bits, read in one `generators` walk that keeps a variable per
@@ -141,7 +140,7 @@ def denote(d: Diagram, budget: Optional[int] = None) -> np.ndarray:
     n = 2**d.inputs
     _fits(n * n, limit)
     body, m = _hadamard()
-    return _apply(d, _identity(n), {id(body): m}, set(), limit).reshape(-1, n)
+    return _apply(d, _identity(n), {id(body): m}, limit).reshape(-1, n)
 
 
 @functools.cache
@@ -150,7 +149,7 @@ def _hadamard() -> tuple[Diagram, np.ndarray]:
     unbounded walk on the body's own identity, made on first use, so
     importing builds nothing."""
     body = _hadamard_body()[1]
-    m = _apply(body, _identity(2**body.inputs), {}, set(), _ADDRESSABLE)[0]
+    m = _apply(body, _identity(2**body.inputs), {}, _ADDRESSABLE)[0]
     m.setflags(write=False)
     return body, m
 
@@ -199,101 +198,56 @@ def _leaf_matrix(d: Diagram) -> np.ndarray:
     raise DiagramError(f"not a diagram: {d!r}")
 
 
-def _apply(d: Diagram, t: np.ndarray, memo: dict, seen: set, limit) -> np.ndarray:
+def _apply(d: Diagram, t: np.ndarray, memo: dict, limit) -> np.ndarray:
     """Apply d to t, of shape (L, 2^d.inputs, R); the result has shape
-    (L, 2^d.outputs, R). `memo` and `seen` are keyed by node identity (the
-    diagram keeps every node alive for the walk, so no id is reused).
-    `memo` holds each leaf matrix built so far in this walk, so a repeated
-    leaf object is built once, and each repeated Seq's matrix, `H`'s body's
-    from the start; `seen` holds the Seqs met as a `second` part (see
-    `_apply_seq`). A Seq or Par runs on whichever is fewer, the L * R
-    columns of t or its own 2^inputs identity (then one matmul onto t),
-    which is smaller than t. No array of more than `limit` entries is
-    created."""
+    (L, 2^d.outputs, R). The walk keeps its own stack of the nodes left to
+    apply: a nested Seq part is put back on it as its two parts, so deep
+    Seq trees do not hit the recursion limit. A node whose matrix `memo`
+    holds, keyed by node identity, is one matmul: each leaf built so far in
+    this walk, and `H`'s body from the start. A Par, and d itself when it is
+    a Seq, runs on whichever is fewer, the L * R columns of t or its own
+    2^inputs identity (then one matmul onto t). No array of more than
+    `limit` entries is created."""
     L, _, R = t.shape
-    if isinstance(d, Id):
-        return t
-    if isinstance(d, Perm):
-        k = d.inputs
-        s = t.reshape((L,) + (2,) * k + (R,))
-        return s.transpose([0, *d.route(range(1, k + 1)), k + 1]).reshape(L, 2**k, R)
-    if not isinstance(d, (Seq, Par)):
-        m = memo.get(id(d))
-        if m is None:
-            _fits(2 ** (d.inputs + d.outputs), limit)
-            m = memo[id(d)] = _leaf_matrix(d)
-        _fits(L * m.shape[0] * R, limit)
-        return np.matmul(m, t)
-    own = 2**d.inputs < L * R
-    s = _identity(2**d.inputs) if own else t
-    if isinstance(d, Seq):
-        s = _apply_seq(d, s, memo, seen, limit)
-    else:
-        # each non-Id factor acts on its own wires, shrinking ones first,
-        # so no intermediate has more rows than s or the result
-        factors = _par_factors(d)
-        l, _, r = s.shape
-        widths = [f.inputs for f in factors]
-        order = sorted(
-            (i for i, f in enumerate(factors) if not isinstance(f, Id)),
-            key=lambda i: factors[i].outputs - factors[i].inputs,
-        )
-        for i in order:
-            f = factors[i]
-            left, right = sum(widths[:i]), sum(widths[i + 1 :])
-            s = s.reshape(l * 2**left, 2**f.inputs, 2**right * r)
-            s = _apply(f, s, memo, seen, limit).reshape(l, -1, r)
-            widths[i] = f.outputs
-    if not own:
-        return s
-    _fits(L * s.shape[1] * R, limit)
-    return np.matmul(s[0], t)
-
-
-# tags the end of a repeated Seq's evaluation on `_apply_seq`'s stack
-_END = object()
-
-
-def _apply_seq(d: Seq, s: np.ndarray, memo: dict, seen: set, limit) -> np.ndarray:
-    """Apply the parts of the Seq tree d to s, of shape (l, 2^k, r), left
-    to right. A nested Seq met as a `second` part is added to `seen`. Met
-    again, when its 2^inputs is at most l * r, it is evaluated once on its
-    own identity and its matrix memoised, so that occurrence and every
-    later one is one matmul. No array that evaluation holds is larger than
-    the one the walk would hold in its place, so the memo adds no budget
-    refusal. It can remove one: a Seq first walked on few columns and met
-    again on more is evaluated there on its own identity, not walked, so a
-    walk that would refuse there does not happen. The walk keeps its own
-    stack, nested memo evaluations included, so deep Seq trees do not hit
-    the recursion limit."""
-    # (part, whether it is a second part), or (_END, id, tensor) where the
-    # evaluation of a repeated Seq on its own identity ends
-    todo: list = [(d.second, True), (d.first, False)]
+    todo = [d]
     while todo:
-        entry = todo.pop()
-        if entry[0] is _END:
-            _, key, outer = entry
-            m = memo[key] = s[0]
-            s = outer
-        else:
-            p, second = entry
-            key = id(p)
-            m = memo.get(key)
-            if m is None:
-                if not isinstance(p, Seq):
-                    s = _apply(p, s, memo, seen, limit)
-                    continue
-                if key in seen and 2**p.inputs <= s.shape[0] * s.shape[2]:
-                    todo.append((_END, key, s))
-                    s = _identity(2**p.inputs)
-                elif second:
-                    seen.add(key)
-                todo += [(p.second, True), (p.first, False)]
+        p = todo.pop()
+        if isinstance(p, Id):
+            continue
+        if isinstance(p, Perm):
+            k = p.inputs
+            t = t.reshape((L,) + (2,) * k + (R,))
+            t = t.transpose([0, *p.route(range(1, k + 1)), k + 1]).reshape(L, 2**k, R)
+            continue
+        m = memo.get(id(p))
+        if m is None:
+            if not isinstance(p, (Seq, Par)):
+                _fits(2 ** (p.inputs + p.outputs), limit)
+                m = memo[id(p)] = _leaf_matrix(p)
+            elif 2**p.inputs < L * R and (p is d or isinstance(p, Par)):
+                m = _apply(p, _identity(2**p.inputs), memo, limit)[0]
+            elif isinstance(p, Seq):
+                todo += [p.second, p.first]
                 continue
-        # a built leaf or a repeated Seq: one matmul
-        _fits(s.shape[0] * m.shape[0] * s.shape[2], limit)
-        s = np.matmul(m, s)
-    return s
+            else:
+                # each non-Id factor acts on its own wires, shrinking ones
+                # first, so no intermediate has more rows than t or the result
+                factors = _par_factors(p)
+                widths = [f.inputs for f in factors]
+                order = sorted(
+                    (i for i, f in enumerate(factors) if not isinstance(f, Id)),
+                    key=lambda i: factors[i].outputs - factors[i].inputs,
+                )
+                for i in order:
+                    f = factors[i]
+                    left, right = sum(widths[:i]), sum(widths[i + 1 :])
+                    t = t.reshape(L * 2**left, 2**f.inputs, 2**right * R)
+                    t = _apply(f, t, memo, limit).reshape(L, -1, R)
+                    widths[i] = f.outputs
+                continue
+        _fits(L * m.shape[0] * R, limit)
+        t = np.matmul(m, t)
+    return t
 
 
 # ---------------------------------------------------------------------------

@@ -35,12 +35,11 @@ no case of their own: they vanish as the diagram is built.
 
 A derivation node with an empty context may be shared (see `types`), as
 every `H` is. One `translate` call builds the body of each such abstraction
-once, and the diagram shares it at every occurrence; `denote` evaluates a
-repeated sub-diagram once per call. `H`'s one derivation node is shared
-across calls too, and its body is built once per process, on first use:
-every `translate` starts from it. Other diagram walks, such as
-`generators`, `to_json_obj` and `to_dot`, still visit a shared sub-diagram
-once per occurrence.
+once, and the diagram shares it at every occurrence. `H`'s one derivation
+node is shared across calls too, and its body is built once per process, on
+first use: every `translate` starts from it. `denote` reuses only leaf
+matrices and `H`'s matrix, and walks any other repeated sub-diagram at each
+occurrence, as `generators`, `to_json_obj` and `to_dot` do.
 """
 
 from __future__ import annotations

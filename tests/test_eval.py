@@ -438,6 +438,19 @@ class _RecordingNumpy:
         return recorded
 
 
+def _matmuls(d):
+    """The matmuls denote(d) makes. H's matrix is built first, outside the
+    count, so the count does not depend on which test ran first."""
+    evaluator._hadamard()
+    rec = _RecordingNumpy()
+    evaluator.np = rec
+    try:
+        denote(d)
+    finally:
+        evaluator.np = np
+    return rec.calls["matmul"]
+
+
 def _largest_legs(d, budget=None):
     """log2 of the entries of the largest array denote(d, budget) creates,
     whether or not it raises WireBudgetError."""
@@ -546,11 +559,10 @@ def _right_nested(body, parts):
 
 
 def _repeated_cases():
-    """(label, diagram, exact, freed) for diagrams that repeat a sub-diagram
+    """(label, diagram, exact) for diagrams that repeat a sub-diagram
     object. `exact` when every entry of every product is a dyadic rational,
-    so the order in which the matrices are multiplied cannot round; `freed`
-    the budgets at which only a copy that shares no node is refused."""
-    cases = [(f"H x {n}", _map_of(" o ".join(["H"] * n)), True, ()) for n in range(1, 65)]
+    so the order in which the matrices are multiplied cannot round."""
+    cases = [(f"H x {n}", _map_of(" o ".join(["H"] * n)), True) for n in range(1, 65)]
     # a 1 -> 1 body, two wires wide inside, repeated in both factors of a Par
     for label, gate, exact in [("X^pi", Spider(Basis.X, Phase.exact(1), 1, 1), True),
                                ("Had", Had(), False)]:
@@ -561,24 +573,23 @@ def _repeated_cases():
         )
         twice = Seq(body, body)
         chain = Seq(twice, twice)
-        cases.append((f"{label} body in a Par", Par(chain, Par(Id(1), chain)), exact, ()))
+        cases.append((f"{label} body in a Par", Par(chain, Par(Id(1), chain)), exact))
     # a 3 -> 3 body repeated on the 2 columns of a 1 -> 1 map: its own
     # identity has 8 columns, so it is never evaluated on it
     body = Seq(Par(Spider(Basis.X, _QUARTER, 1, 1), Id(2)), Perm((1, 2, 0)))
     fan = seq(Spider(Basis.Z, Z0, 1, 3), body, body, body, Spider(Basis.Z, Z0, 3, 1))
-    cases.append(("wide body on a narrow tensor", fan, True, ()))
+    cases.append(("wide body on a narrow tensor", fan, True))
     # a 1 -> 1 body 16 rows wide inside, walked first in a Par factor on its
-    # own 2 columns, then met on the 8 columns a 3 -> 1 spider leaves: the
-    # copy walks it there, a 128-entry array over budget 6's 64, and the
-    # shared diagram evaluates it on its own identity instead
+    # own 2 columns, then met on the 8 columns a 3 -> 1 spider leaves: both
+    # walks hold a 128-entry array there, over budget 6's 64
     body = Seq(Spider(Basis.Z, _QUARTER, 1, 4), Spider(Basis.Z, Z0, 4, 1))
     first = Par(Seq(Id(1), body), Id(2))
     later = Seq(Seq(Spider(Basis.Z, Z0, 3, 1), body), Spider(Basis.Z, Z0, 1, 3))
-    cases.append(("body met again on more columns", Seq(first, later), True, (6,)))
+    cases.append(("body met again on more columns", Seq(first, later), True))
     nested = _right_nested(_H_BODY, 2000)
-    cases.append(("2000 right-nested", nested, True, ()))
+    cases.append(("2000 right-nested", nested, True))
     # met again as a whole, each of its 1 999 inner Seqs is repeated
-    cases.append(("2000 right-nested, twice", Seq(nested, nested), True, ()))
+    cases.append(("2000 right-nested, twice", Seq(nested, nested), True))
     return cases
 
 
@@ -590,15 +601,15 @@ def _outcome(d, budget):
 
 
 class TestRepeatedSubDiagrams:
-    """denote evaluates a repeated Seq once; the matrix is that of a copy
-    that shares no node, and every budget refusal of the shared diagram is
-    one of the copy's."""
+    """denote walks a repeated Seq or Par at each occurrence and reuses only
+    leaf matrices and H's: the matrix is that of a copy that shares no node,
+    and the shared diagram and the copy are refused at the same budgets."""
 
     @pytest.mark.parametrize(
-        "d, exact, freed",
-        [pytest.param(d, exact, freed, id=label) for label, d, exact, freed in _repeated_cases()],
+        "d, exact",
+        [pytest.param(d, exact, id=label) for label, d, exact in _repeated_cases()],
     )
-    def test_same_as_a_copy_that_shares_nothing(self, d, exact, freed):
+    def test_same_as_a_copy_that_shares_nothing(self, d, exact):
         limit = sys.getrecursionlimit()
         try:
             # the JSON round trip recurses; denote does not
@@ -617,27 +628,38 @@ class TestRepeatedSubDiagrams:
         assert np.max(np.abs(m - o)) <= 1e-12 and np.max(np.abs(m_copy - o)) <= 1e-12
         for budget in range(7):
             shared, unshared = _outcome(d, budget), _outcome(copy, budget)
-            if budget in freed:
-                assert shared is not None and unshared is None, budget
-            else:
-                assert (shared is None) == (unshared is None), budget
+            assert (shared is None) == (unshared is None), budget
             assert shared is None or np.array_equal(shared, m), budget
             assert unshared is None or np.array_equal(unshared, m_copy), budget
 
     def test_a_repeated_body_is_one_matmul(self):
-        # H x 20 as a map: every walk starts with H's matrix, built once per
-        # process (here before the recorder is in place, so the count does
-        # not depend on which test ran first), and each H is one matmul, 20
-        # in all, not 60
-        rec = _RecordingNumpy()
-        d = _map_of(" o ".join(["H"] * 20))
-        evaluator._hadamard()
-        evaluator.np = rec
-        try:
-            denote(d)
-        finally:
-            evaluator.np = np
-        assert rec.calls["matmul"] == 20
+        # H x 20 as a map: every walk starts with H's matrix, and each H is
+        # one matmul, 20 in all, not 60
+        assert _matmuls(_map_of(" o ".join(["H"] * 20))) == 20
+
+    def test_h_as_a_par_factor_is_one_matmul(self):
+        # the map is Par(body, body) over H's body: each factor is one
+        # matmul with H's matrix, not a walk of its three spiders
+        d = _map_of("Z x:1*1. let <a, b> =Z x in <H a, H b>")
+        assert _matmuls(d) == 2
+        assert np.max(np.abs(denote(d) - oracle_contract(d))) <= 1e-12
+
+    def test_no_translated_diagram_repeats_a_composite_but_h(self):
+        # the premise of reusing only leaves and H's matrix: below H's
+        # body, no translated diagram reaches one Seq or Par object twice
+        body = evaluator._hadamard()[0]
+        for label, d in translated_diagrams():
+            seen, todo = set(), [d]
+            while todo:
+                node = todo.pop()
+                if node is body or not isinstance(node, (Seq, Par)):
+                    continue
+                assert id(node) not in seen, label
+                seen.add(id(node))
+                if isinstance(node, Seq):
+                    todo += [node.first, node.second]
+                else:
+                    todo += [node.top, node.bottom]
 
     def test_identity_is_built_without_eye(self):
         rec = _RecordingNumpy()
