@@ -23,6 +23,7 @@ merge adjacent `Id`s, so diagrams built from them carry no removable unit.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Iterator
@@ -69,6 +70,8 @@ class Spider(Diagram):
     def __post_init__(self):
         if self.m < 0 or self.n < 0:
             raise DiagramError("negative spider arity")
+        if max(self.m, self.n) > sys.maxsize:
+            raise OverflowError("spider arity past what the machine can index")
 
 
 @dataclass(slots=True, unsafe_hash=True)

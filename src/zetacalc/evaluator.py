@@ -1,36 +1,49 @@
 """Dense complex-matrix semantics of diagrams, and an independent oracle.
 
 `denote` makes one walk over the diagram (wire 0 = most significant qubit).
-Each node is applied to a running tensor of shape (L, 2^inputs, R): the
+Each node is applied to a running tensor t of shape (L, 2^inputs, R): the
 node's input wires sit in the middle axis, and the L * R columns around it
-are wires (and identity columns) that flow past. A generator is one matmul
-with its small matrix (an Id is skipped, a Perm is one transpose of the
-wire axes), a Seq applies its parts in order, and a Par applies each non-Id
-factor to its own wires, factors that shrink the wire count first. A Par,
-and a Seq that is not itself a Seq part, is evaluated on whichever is
-fewer, the L * R columns flowing into it or its own 2^inputs identity; in
-the second case its matrix is then applied to the running tensor with one
-matmul. So no sub-diagram is widened by wires it does not touch, and none
-is evaluated on more columns than its own identity. Spider matrices are
-written entry by entry: a Z spider has two nonzero entries, the first and
-the last, and an m -> n X spider is (1 + e^{ia} s_out[i] s_in[j]) /
-2^((m+n)/2), where s[i] is (-1)^popcount(i). No normalization is applied
-anywhere: the cup denotes |00> + |11| with unit entries.
+are wires (and identity columns) that flow past. An Id is skipped, a Perm
+is one transpose of the wire axes, and a Had, Cup or Cap is one matmul with
+its small matrix. A spider has no matrix: it is applied to t by its
+structure. An m -> n Z spider writes the two nonzero rows of a zeroed
+(L, 2^n, R) result, row 0 from t's row 0 and the last row from e^{ia}
+times t's last row (one row of t when m is 0); when n is 0 the result is
+one row, the sum of the two. An X spider folds t's rows into two (L, 1, R) slabs,
+u0 = sum_j t_j and u1 = sum_j (-1)^popcount(j) t_j, and fills row i with
+(u0 + (-1)^popcount(i) e^{ia} u1) / 2^((m+n)/2); no array it makes is
+larger than t or its result. A Seq applies its parts in order, and a Par
+applies each non-Id factor to its own wires, factors that shrink the wire
+count first. A Par, and a Seq that is not itself a Seq part, is evaluated
+on whichever is fewer, the L * R columns flowing into it or its own
+2^inputs identity; in the second case its matrix is then applied to the
+running tensor with one matmul. So no sub-diagram is widened by wires it
+does not touch, and none is evaluated on more columns than its own
+identity. No normalization is applied anywhere: the cup denotes
+|00> + |11> with unit entries. `spider_matrix` writes a spider's dense
+matrix entry by entry, the reference the kernels are tested against.
 
 The walk reuses only matrices it already holds, looked up by node identity
-at every node: each leaf object's matrix, built once per `denote` call, and
-the matrix of the body `translate` shares for `H`, evaluated once per
-process on first use. Such a node is one matmul wherever it stands, as a
-Seq part, a Par factor or the whole diagram (`H` x 20 as a map takes 20
-matmuls, not 60). Any other repeated Seq or Par is walked at each
-occurrence, as in a copy that shares no node; `translate` repeats none.
+at every node: each Had, Cup or Cap object's matrix, built once per
+`denote` call, and the matrix of the body `translate` shares for `H`,
+evaluated once per process on first use. Such a node is one matmul
+wherever it stands, as a Seq part, a Par factor or the whole diagram (`H`
+x 20 as a map takes 20 matmuls, not 60). Any other repeated Seq or Par is
+walked at each occurrence, as in a copy that shares no node; `translate`
+repeats none.
 
 `denote(d, budget)` raises WireBudgetError before it would create an array
-of more than 2^budget entries (the starting identity, a leaf matrix, or a
-product with the running tensor), so the budget counts the legs of the
-largest tensor the walk holds, not the width of the diagram. Sharing
-changes no budget verdict; `H`'s matrix is one matmul onto the running
-tensor, so it can only remove a refusal.
+of more than 2^budget entries (the starting identity, a leaf matrix, a
+spider's result, or a product with the running tensor), so the budget
+counts the legs of the largest tensor the walk holds, not the width of the
+diagram. A spider costs its result and nothing more, and `H`'s matrix is
+one matmul onto the running tensor: neither holds an array that building
+the spider's matrix or walking `H`'s body would not, so both can only
+remove a refusal.
+
+`equal_up_to_scalar` and `max_deviation` fit one matrix to the other up to
+a scalar, walking both in blocks of _FIT_BLOCK entries in row-major order;
+no temporary they make is larger than a block.
 
 `oracle_contract` evaluates the same diagram by a disjoint route: a factor
 graph over bits, read in one `generators` walk that keeps a variable per
@@ -132,12 +145,16 @@ _CUP = np.array([[1.0], [0.0], [0.0], [1.0]], dtype=complex)
 
 
 def denote(d: Diagram, budget: Optional[int] = None) -> np.ndarray:
-    """Dense denotation: a 2^outputs x 2^inputs complex matrix. Raises
+    """Dense denotation: a 2^outputs x 2^inputs complex matrix, each spider
+    applied by its structure (see the module docstring). Raises
     WireBudgetError instead of creating an array of more than 2^budget
-    entries (no bound when budget is None), and MemoryError instead of one
-    too large for the machine to address."""
+    entries (no bound when budget is None), MemoryError instead of one too
+    large for the machine to address, and OverflowError on an arity past
+    what the machine can index."""
     limit = _ADDRESSABLE if budget is None else min(2**budget, _ADDRESSABLE)
-    n = 2**d.inputs
+    # a shift, not a power: an arity past what the machine can index
+    # raises OverflowError at once
+    n = 1 << d.inputs
     _fits(n * n, limit)
     body, m = _hadamard()
     return _apply(d, _identity(n), {id(body): m}, limit).reshape(-1, n)
@@ -187,8 +204,6 @@ def _par_factors(d: Diagram) -> list:
 
 
 def _leaf_matrix(d: Diagram) -> np.ndarray:
-    if isinstance(d, Spider):
-        return spider_matrix(d.basis, d.phase, d.m, d.n)
     if isinstance(d, Had):
         return HADAMARD
     if isinstance(d, Cup):
@@ -198,16 +213,61 @@ def _leaf_matrix(d: Diagram) -> np.ndarray:
     raise DiagramError(f"not a diagram: {d!r}")
 
 
+def _odd(k: int) -> np.ndarray:
+    """Whether popcount(i) is odd, for i < 2^k: index i + 2^b (i < 2^b) has
+    one more set bit than i."""
+    odd = np.zeros(2**k, dtype=bool)
+    for b in range(k):
+        np.logical_not(odd[: 2**b], out=odd[2**b : 2 ** (b + 1)])
+    return odd
+
+
+def _fold(t: np.ndarray, combine, k: int) -> np.ndarray:
+    """Combine the two halves of t's middle axis, k times: with np.add, the
+    sum of t's 2^k rows; with np.subtract, their sum with sign
+    (-1)^popcount(j), as rows j and j + 2^(k-1) differ by one set bit."""
+    for _ in range(k):
+        half = t.shape[1] // 2
+        t = combine(t[:, :half], t[:, half:])
+    return t
+
+
+def _apply_spider(p: Spider, t: np.ndarray, limit) -> np.ndarray:
+    """Apply the m -> n spider p to t, of shape (L, 2^m, R), by its
+    structure; the result has shape (L, 2^n, R), and no array made is
+    larger than t or the result."""
+    L, _, R = t.shape
+    _fits(L * R << p.n, limit)
+    w = phase_exp(p.phase)
+    if p.basis is Basis.Z:
+        if not p.n:
+            # one result row, where the two terms add up
+            return np.add(t[:, :1], np.multiply(w, t[:, -1:]))
+        out = np.zeros((L, 2**p.n, R), dtype=complex)
+        out[:, 0] = t[:, 0]
+        np.multiply(w, t[:, -1], out=out[:, -1])
+        return out
+    # row i is (u0 + (-1)^popcount(i) e^{ia} u1) / 2^((m+n)/2)
+    scale = 2.0 ** (-(p.m + p.n) / 2)
+    u0 = np.multiply(scale, _fold(t, np.add, p.m))
+    u1 = np.multiply(scale * w, _fold(t, np.subtract, p.m))
+    out = np.empty((L, 2**p.n, R), dtype=complex)
+    np.copyto(out, np.add(u0, u1))
+    np.copyto(out, np.subtract(u0, u1), where=_odd(p.n)[:, None])
+    return out
+
+
 def _apply(d: Diagram, t: np.ndarray, memo: dict, limit) -> np.ndarray:
     """Apply d to t, of shape (L, 2^d.inputs, R); the result has shape
     (L, 2^d.outputs, R). The walk keeps its own stack of the nodes left to
     apply: a nested Seq part is put back on it as its two parts, so deep
-    Seq trees do not hit the recursion limit. A node whose matrix `memo`
-    holds, keyed by node identity, is one matmul: each leaf built so far in
-    this walk, and `H`'s body from the start. A Par, and d itself when it is
-    a Seq, runs on whichever is fewer, the L * R columns of t or its own
-    2^inputs identity (then one matmul onto t). No array of more than
-    `limit` entries is created."""
+    Seq trees do not hit the recursion limit. A spider is applied to t by
+    `_apply_spider`. A node whose matrix `memo` holds, keyed by node
+    identity, is one matmul: each Had, Cup or Cap built so far in this walk,
+    and `H`'s body from the start. A Par, and d itself when it is a Seq,
+    runs on whichever is fewer, the L * R columns of t or its own 2^inputs
+    identity (then one matmul onto t). No array of more than `limit`
+    entries is created."""
     L, _, R = t.shape
     todo = [d]
     while todo:
@@ -218,6 +278,9 @@ def _apply(d: Diagram, t: np.ndarray, memo: dict, limit) -> np.ndarray:
             k = p.inputs
             t = t.reshape((L,) + (2,) * k + (R,))
             t = t.transpose([0, *p.route(range(1, k + 1)), k + 1]).reshape(L, 2**k, R)
+            continue
+        if isinstance(p, Spider):
+            t = _apply_spider(p, t, limit)
             continue
         m = memo.get(id(p))
         if m is None:
@@ -264,20 +327,71 @@ BOTH_ZERO = _BothZero()
 ScalarWitness = Union[complex, _BothZero, None]
 
 
+# entries per block of the scalar fit, which holds no full-size temporary
+_FIT_BLOCK = 2**10
+
+
+def _blocks(x: np.ndarray):
+    """x's entries in row-major order: x itself when it fills one block,
+    else _FIT_BLOCK at a time, views of a C-contiguous x and small copies
+    of any other (none when x is empty)."""
+    if 0 < x.size <= _FIT_BLOCK:
+        return (x,)
+    flat = np.ravel(x) if x.flags.c_contiguous else x.flat
+    return (flat[i : i + _FIT_BLOCK] for i in range(0, x.size, _FIT_BLOCK))
+
+
+def _gives_way(top, x) -> bool:
+    """Whether the running maximum top gives way to x: x is larger or NaN
+    and top is not NaN yet, so the first NaN wins, as in max and argmax."""
+    return not x <= top and top == top
+
+
+def _largest(x: np.ndarray) -> tuple:
+    """The flat index of x's first largest-magnitude entry (its first NaN,
+    if any) and that magnitude; argmax, as it is cheaper than max."""
+    mags = np.abs(x)
+    j = mags.argmax()
+    return j, mags.item(j)
+
+
+def _max_abs(x: np.ndarray) -> float:
+    """max|x|, 0.0 when x is empty."""
+    top = 0.0
+    for y in _blocks(x):
+        m = _largest(y)[1]
+        if _gives_way(top, m):
+            top = m
+    return float(top)
+
+
 def _fit(a: np.ndarray, b: np.ndarray):
-    """The scalar fit of a to b: c = a/b at b's largest-magnitude entry,
-    that magnitude, and max|a - c*b|. When b vanishes, c is None and the
-    deviation is max|a|."""
-    absb = np.abs(b)
-    k = absb.argmax() if b.size else 0
-    bmax = absb.flat[k] if b.size else 0.0
+    """The scalar fit of a to b: c = a/b at b's first largest-magnitude
+    entry in row-major order, that magnitude, and max|a - c*b|. Both are
+    walked block by block, each block's temporaries freed before the next
+    block's are made, so none is larger than a block. When b vanishes, c
+    is None and the deviation is max|a|. Raises EvalError unless a and b
+    have one shape."""
+    if a.shape != b.shape:
+        raise EvalError(f"shape mismatch: {a.shape} vs {b.shape}")
+    k, bmax, start = 0, 0.0, 0
+    for y in _blocks(b):
+        j, m = _largest(y)
+        if _gives_way(bmax, m):
+            k, bmax = start + j, m
+        start += _FIT_BLOCK
     if not bmax:
-        return None, 0.0, float(np.abs(a).max()) if a.size else 0.0
+        return None, 0.0, _max_abs(a)
     c = a.flat[k] / b.flat[k]
-    # a - c*b and its magnitudes, in place
-    rest = c * b
-    np.subtract(a, rest, out=rest)
-    return c, bmax, float(np.abs(rest, out=absb).max())
+    deviation = 0.0
+    for x, y in zip(_blocks(a), _blocks(b)):
+        rest = c * y
+        np.subtract(x, rest, out=rest)
+        d = _largest(rest)[1]
+        del rest
+        if _gives_way(deviation, d):
+            deviation = d
+    return c, bmax, float(deviation)
 
 
 def equal_up_to_scalar(
@@ -287,11 +401,9 @@ def equal_up_to_scalar(
     None otherwise. c is the entry ratio at b's largest-magnitude entry."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise EvalError(f"shape mismatch: {a.shape} vs {b.shape}")
     c, bmax, deviation = _fit(a, b)
     if bmax <= tol:
-        amax = np.abs(a).max() if a.size else 0.0
+        amax = _max_abs(a)
         return BOTH_ZERO if amax <= tol else None
     if c != 0 and deviation <= tol:
         return complex(c)

@@ -37,9 +37,16 @@ A derivation node with an empty context may be shared (see `types`), as
 every `H` is. One `translate` call builds the body of each such abstraction
 once, and the diagram shares it at every occurrence. `H`'s one derivation
 node is shared across calls too, and its body is built once per process, on
-first use: every `translate` starts from it. `denote` reuses only leaf
-matrices and `H`'s matrix, and walks any other repeated sub-diagram at each
-occurrence, as `generators`, `to_json_obj` and `to_dot` do.
+first use: every `translate` starts from it. `denote` reuses only the
+matrices of Had, Cup and Cap leaves and `H`'s matrix, and walks any other
+repeated sub-diagram at each occurrence, as `generators`, `to_json_obj` and
+`to_dot` do.
+
+A `JudgementDiagram` records the argument type of each `eval_as_map` that
+made it, not its wire labels: `input_labels` and `output_labels` are built
+from the context, those types and the result type when read (by
+`to_json_obj`), as labelling a right-nested k-tuple takes time quadratic in
+k.
 """
 
 from __future__ import annotations
@@ -83,8 +90,9 @@ class JudgementDiagram:
     term: Term
     type: Type
     diagram: Diagram
-    input_labels: tuple
-    output_labels: tuple
+    # the A of each `eval_as_map` that made this map, outermost first; ()
+    # for a state
+    args: tuple = ()
     # the (Gamma, A) -> B map of an abstraction at the root, which
     # eval_as_map returns in place of capping the state's dual outputs
     body: Optional[Diagram] = field(default=None, compare=False, repr=False)
@@ -92,6 +100,18 @@ class JudgementDiagram:
     # built; with no body, when the last one's premise is an abstraction,
     # the next eval_as_map builds that one's body in place of capping
     binders: tuple = field(default=(), compare=False, repr=False)
+
+    @property
+    def input_labels(self) -> tuple:
+        """The context's wire labels, then each argument's, as
+        ("<map-arg>", label); built when read, not by translation."""
+        return context_labels(self.ctx) + tuple(
+            ("<map-arg>", l) for a in self.args for l in labels(a)
+        )
+
+    @property
+    def output_labels(self) -> tuple:
+        return tuple(labels(self.type))
 
     def to_json_obj(self) -> dict:
         return {
@@ -193,14 +213,7 @@ def translate(derivation: Derivation) -> JudgementDiagram:
         body, binders = None, ()
         d = _translate(derivation, shared)
     return JudgementDiagram(
-        derivation.ctx,
-        derivation.term,
-        derivation.type,
-        d,
-        context_labels(derivation.ctx),
-        tuple(labels(derivation.type)),
-        body,
-        binders,
+        derivation.ctx, derivation.term, derivation.type, d, body=body, binders=binders
     )
 
 
@@ -322,8 +335,7 @@ def eval_as_map(jd: JudgementDiagram) -> JudgementDiagram:
             f"type {print_type(jd.type)} is not of function shape A* (x) B"
         )
     a_t, b_t = parts
-    in_labels = jd.input_labels + tuple(("<map-arg>", l) for l in labels(a_t))
-    out_labels = tuple(labels(b_t))
+    args = jd.args + (a_t,)
     body, binders = jd.body, jd.binders
     if body is None and binders and binders[-1].children[0].rule == "B":
         # the state of the abstraction that is the last taken body's
@@ -334,12 +346,10 @@ def eval_as_map(jd: JudgementDiagram) -> JudgementDiagram:
         )
         body, binders = seq(rotations, _body(inner, _shared())), binders + (inner,)
     if body is not None:
-        return JudgementDiagram(
-            jd.ctx, jd.term, b_t, body, in_labels, out_labels, binders=binders
-        )
+        return JudgementDiagram(jd.ctx, jd.term, b_t, body, args, binders=binders)
     a, b = size(a_t), size(b_t)
     # inputs [Gamma, A]; run the state diagram on Gamma, carry A through,
     # then cap each dual output against the matching carried input.
     staged = par(jd.diagram, Id(a))  # (g+a) -> (a + b + a)
     capped = seq(staged, _caps(a, b))
-    return JudgementDiagram(jd.ctx, jd.term, b_t, capped, in_labels, out_labels)
+    return JudgementDiagram(jd.ctx, jd.term, b_t, capped, args)

@@ -269,12 +269,13 @@ class TestBudgetCountsTensors:
         assert "[16384x2]" in capsys.readouterr().out
 
     def test_share_check_honours_env(self, write, capsys, monkeypatch):
-        # sharing one wire 3 ways is a 1 -> 3 spider, a 4-leg tensor
+        # sharing one wire 3 ways applies a 1 -> 3 spider to the one-wire
+        # state, so the largest tensor held is the 3-leg result
         f = write("xpi.zeta", "X[1]^pi")
-        monkeypatch.setenv("ZETA_WIRE_BUDGET", "3")
+        monkeypatch.setenv("ZETA_WIRE_BUDGET", "2")
         assert main(["share-check", f, "--copies", "3"]) == 3
-        assert "4 legs" in capsys.readouterr().err
-        monkeypatch.setenv("ZETA_WIRE_BUDGET", "4")
+        assert "3 legs" in capsys.readouterr().err
+        monkeypatch.setenv("ZETA_WIRE_BUDGET", "3")
         assert main(["share-check", f, "--copies", "3"]) == 0
         monkeypatch.setenv("ZETA_WIRE_BUDGET", "abc")
         assert main(["share-check", f, "--copies", "3"]) == 2

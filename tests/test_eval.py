@@ -413,6 +413,68 @@ class TestEvaluationWalk:
         assert np.allclose(HADAMARD @ HADAMARD, np.eye(2))
 
 
+_KERNEL_PHASES = [Z0, Phase.exact(1, 2), Phase.exact(1), Phase.exact(1, 4),
+                  Phase.radians(1.25)]
+
+
+def _spread(m, L, R):
+    """L * 2^m * R identity columns as a (L, 2^m, R * columns) tensor, so
+    that applying a spider to it gives kron(I_L, spider, I_R)."""
+    n = L * 2**m * R
+    return np.eye(n, dtype=complex).reshape(L, 2**m, R * n)
+
+
+class TestSpiderKernel:
+    """denote applies a spider to the running tensor by its structure; the
+    m -> n matrix is never built."""
+
+    @pytest.mark.parametrize("basis", [Basis.Z, Basis.X])
+    @pytest.mark.parametrize("phase", _KERNEL_PHASES, ids=str)
+    def test_matches_the_matrix_and_the_oracle(self, basis, phase):
+        # quarter turns: 0, pi/2 and pi
+        exact = basis is Basis.Z and phase in _KERNEL_PHASES[:3]
+        for m in range(6):
+            for n in range(6):
+                p = Spider(basis, phase, m, n)
+                refs = spider_matrix(basis, phase, m, n), oracle_contract(p)
+                for L, R in [(1, 1), (2, 1), (1, 2), (2, 4)]:
+                    t = _spread(m, L, R)
+                    got = evaluator._apply_spider(p, t, evaluator._ADDRESSABLE)
+                    got = got.reshape(L * 2**n * R, -1)
+                    for ref in refs:
+                        want = np.kron(np.kron(np.eye(L), ref), np.eye(R))
+                        if exact:
+                            assert np.array_equal(got, want), (m, n, L, R)
+                        else:
+                            assert np.max(np.abs(got - want)) <= 1e-15, (m, n, L, R)
+
+    @pytest.mark.parametrize("basis", [Basis.Z, Basis.X])
+    def test_no_array_larger_than_its_input_or_result(self, basis):
+        # a 0 -> 0 X spider on a (L, 1, R) tensor may make no (L, 2, R) slab
+        for m in range(4):
+            for n in range(4):
+                for L, R in [(1, 1), (2, 3)]:
+                    t = np.ones((L, 2**m, R), dtype=complex)
+                    rec = _RecordingNumpy()
+                    evaluator.np = rec
+                    try:
+                        out = evaluator._apply_spider(
+                            Spider(basis, Phase.exact(1, 4), m, n), t, evaluator._ADDRESSABLE
+                        )
+                    finally:
+                        evaluator.np = np
+                    assert out.shape == (L, 2**n, R)
+                    assert rec.largest <= max(t.size, out.size), (m, n, L, R)
+                    assert "matmul" not in rec.calls
+
+    @pytest.mark.parametrize("basis", "ZX")
+    def test_wide_copy_map_holds_about_its_result(self, basis):
+        evaluator._hadamard()
+        m, peak = _denote_peak(_map_of(f"{basis} x:1. " + "<x," * 10 + "x" + ">" * 10))
+        assert m.shape == (2**11, 2)
+        assert peak <= 1.3 * m.nbytes
+
+
 class _RecordingNumpy:
     """Stands in for numpy inside the evaluator and records the size of the
     largest array any numpy call returns, and how often each function is
@@ -453,7 +515,10 @@ def _matmuls(d):
 
 def _largest_legs(d, budget=None):
     """log2 of the entries of the largest array denote(d, budget) creates,
-    whether or not it raises WireBudgetError."""
+    whether or not it raises WireBudgetError. H's matrix, unbounded by
+    design, is built first, outside the record, so the result does not
+    depend on which test ran first."""
+    evaluator._hadamard()
     rec = _RecordingNumpy()
     evaluator.np = rec
     try:
@@ -733,10 +798,43 @@ def _fit_cases():
     # views: transposed, strided, and a real array against a complex one
     big = rand(4, 6)
     cases += [(big.T, (big * 2).T), (big[::2, ::3], big[1::2, ::3]), (big.real.T, big.T)]
+    # more than one block of the fit: b's largest magnitude tied across two
+    # blocks, where the first sets c
+    block = evaluator._FIT_BLOCK
+    wide = rand(3 * block // 2, 2)
+    wide.flat[[5, 2 * block + 7]] = [9, 9j]
+    cases += [(wide * (0.5 - 2j), wide), (rand(3 * block // 2, 2), wide)]
+    # transposed and strided views over several blocks
+    huge = rand(2 * block, 4)
+    cases += [(huge.T, (huge * 1j).T), (huge[::3, ::2], huge[1::3, 1::2] * 2)]
+    # all-zero arrays over several blocks
+    zeros = np.zeros((3 * block, 2), dtype=complex)
+    cases += [(zeros, zeros), (huge, np.zeros_like(huge)), (zeros[:, :1] + 1e-12, zeros[:, 1:])]
     return cases
 
 
 class TestScalarFit:
+    def test_fit_allocates_a_block_not_the_arrays(self):
+        rng = np.random.default_rng(11)
+        a = rng.normal(size=(2**13, 2)) + 1j * rng.normal(size=(2**13, 2))
+        b = a * (2 - 1j)
+        tracemalloc.start()
+        try:
+            max_deviation(a, b)
+            equal_up_to_scalar(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert a.nbytes == 2**18 and peak <= 64 * 1024
+
+    def test_max_deviation_checks_shapes(self):
+        # blocks of unequal arrays would pair entries that do not match
+        block = evaluator._FIT_BLOCK
+        with pytest.raises(EvalError, match="shape mismatch"):
+            max_deviation(np.ones((2, 1)), np.ones((2, 2)))
+        with pytest.raises(EvalError, match="shape mismatch"):
+            max_deviation(np.ones(3 * block), np.ones(2 * block))
+
     @pytest.mark.parametrize("tol", [1e-9, 0.5])
     def test_matches_the_naive_formula(self, tol):
         for a, b in _fit_cases():

@@ -170,3 +170,22 @@ class TestSlotsAndHashing:
     def test_zero_phase_is_one_constant(self):
         assert Phase.zero() is Phase.zero()
         assert Phase.zero() == Phase.exact(0) == Phase.exact(2)
+
+
+class TestJudgementLabels:
+    """A judgement diagram builds its wire labels when they are read, not
+    when `translate` or `eval_as_map` makes it."""
+
+    def test_built_only_when_read(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(semantics, "labels", lambda t: calls.append(t) or types.labels(t))
+        ctx = context_of(("y", Basis.X, Numeral(2)))
+        _, d = infer(ctx, parse("Z x:1. <x, <y, x>>"))
+        state = translate(d)
+        m = eval_as_map(state)
+        assert calls == []
+        assert (state.args, m.args) == ((), (Q,))
+        assert m.input_labels == (("y", 0), ("y", 1), ("<map-arg>", 0))
+        assert m.output_labels == tuple(types.labels(m.type))
+        assert state.input_labels == (("y", 0), ("y", 1))
+        assert calls
