@@ -4,7 +4,8 @@ Diagrams are trees over generators (spiders, cups/caps, Hadamard, wire
 permutations) combined with sequential (`Seq`) and parallel (`Par`)
 composition; a scalar is a 0 -> 0 spider. Wire 0 is the most significant
 qubit everywhere. A routing of any width is one `Perm` leaf; every walk
-reads it through `Perm.route`.
+reads it through `Perm.route`. `thread` is the walk that carries an item
+per open wire, for the DOT export and the evaluator's oracle.
 
 Every node carries its wire arity as `inputs` and `outputs`: generators
 give it by property, and `Seq` and `Par` compute it once from their
@@ -26,7 +27,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Iterator
+from typing import Callable
 
 from .syntax import Basis, Phase, ZetaError
 
@@ -172,13 +173,15 @@ def max_width(d: Diagram) -> int:
     return widths[0]
 
 
-def generators(d: Diagram) -> Iterator[tuple[Diagram, int]]:
-    """The leaves of d (every node but Seq and Par) in wire order, each with
-    `at`, the position of its first input among the wires open when it is
-    reached: a Seq runs its parts at the same offset, a Par its factors
-    side by side. A consumer that keeps a list of the open wires replaces
-    its slice [at, at + inputs) with the leaf's outputs. Walked with an
-    explicit stack, so deep diagrams do not hit the recursion limit."""
+def thread(d: Diagram, wires: list, leaf: Callable[[Diagram, list], list]) -> list:
+    """The items on d's outputs, given wires[i] on its input wire i. Each
+    leaf (every node but Seq and Par) is reached in wire order: an Id
+    passes its items through, a Perm routes them with `Perm.route`, and any
+    other leaf's outputs carry `leaf(node, ins)`, where ins are the items on
+    its inputs. A Seq runs its parts on the same wires, a Par its factors
+    side by side. Walked with an explicit stack, so deep diagrams do not hit
+    the recursion limit."""
+    wires = list(wires)
     todo = [(d, 0)]
     while todo:
         node, at = todo.pop()
@@ -186,8 +189,11 @@ def generators(d: Diagram) -> Iterator[tuple[Diagram, int]]:
             todo += [(node.second, at), (node.first, at)]
         elif isinstance(node, Par):
             todo += [(node.bottom, at + node.top.outputs), (node.top, at)]
-        else:
-            yield node, at
+        elif not isinstance(node, Id):
+            ins = wires[at : at + node.inputs]
+            outs = node.route(ins) if isinstance(node, Perm) else leaf(node, ins)
+            wires[at : at + node.inputs] = outs
+    return wires
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +276,10 @@ def _phase_from_json(doc) -> Phase:
     if isinstance(doc, dict):
         try:
             if "pi_num" in doc:
-                return Phase.exact(doc["pi_num"], doc.get("pi_den", 1))
+                return Phase.exact(_count(doc["pi_num"]), _count(doc.get("pi_den", 1)))
             if "radians" in doc:
-                return Phase.radians(doc["radians"])
-        except (TypeError, ZeroDivisionError) as exc:
+                return Phase.radians(_real(doc["radians"]))
+        except (TypeError, OverflowError, ZeroDivisionError) as exc:
             raise DiagramError(f"malformed phase {doc!r}: {exc}") from exc
     raise DiagramError(f"malformed phase: {doc!r}")
 
@@ -312,6 +318,13 @@ def _count(value) -> int:
     # int() would truncate 1.9 to 1 and read true as 1
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"expected an integer, found {value!r}")
+    return value
+
+
+def _real(value):
+    # true is an int to Python, and would read as 1 rad
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise TypeError(f"expected a real number, found {value!r}")
     return value
 
 
@@ -366,43 +379,28 @@ def to_dot(d: Diagram) -> str:
         counter[0] += 1
         name = f"n{counter[0]}"
         attr = " ".join(f'{k}="{v}"' for k, v in attrs.items())
-        lines.append(f"  {name} [label=\"{label}\" {attr}];".replace(" ]", "]"))
+        lines.append(f"  {name} [label=\"{label}\" {attr}];")
         return name
 
     def edge(a: str, b: str):
         lines.append(f"  {a} -> {b};")
 
-    # the node names feeding the wires open so far
-    wires = [node(f"in{i}", shape="plaintext") for i in range(d.inputs)]
-    for dg, at in generators(d):
-        ins = wires[at : at + dg.inputs]
-        if isinstance(dg, Id):
-            outs = ins
-        elif isinstance(dg, Perm):
-            outs = dg.route(ins)
-        elif isinstance(dg, Spider):
+    def leaf(dg: Diagram, ins: list) -> list:
+        if isinstance(dg, Spider):
             label = "" if dg.phase.is_zero else str(dg.phase)
             name = node(label, style="filled", fillcolor=_SPIDER_COLORS[dg.basis])
-            for src in ins:
-                edge(src, name)
-            outs = [name] * dg.n
         elif isinstance(dg, Had):
             name = node("H", shape="box", style="filled", fillcolor="yellow")
-            edge(ins[0], name)
-            outs = [name]
-        elif isinstance(dg, Cup):
-            name = node("cup", shape="point")
-            outs = [name, name]
-        elif isinstance(dg, Cap):
-            name = node("cap", shape="point")
-            edge(ins[0], name)
-            edge(ins[1], name)
-            outs = []
+        elif isinstance(dg, (Cup, Cap)):
+            name = node("cup" if isinstance(dg, Cup) else "cap", shape="point")
         else:
             raise DiagramError(f"not a diagram: {dg!r}")
-        wires[at : at + dg.inputs] = outs
-    for i, src in enumerate(wires):
-        name = node(f"out{i}", shape="plaintext")
-        edge(src, name)
+        for src in ins:
+            edge(src, name)
+        return [name] * dg.outputs
+
+    ins = [node(f"in{i}", shape="plaintext") for i in range(d.inputs)]
+    for i, src in enumerate(thread(d, ins, leaf)):
+        edge(src, node(f"out{i}", shape="plaintext"))
     lines.append("}")
     return "\n".join(lines)

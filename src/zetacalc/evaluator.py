@@ -45,23 +45,24 @@ remove a refusal.
 a scalar, walking both in blocks of _FIT_BLOCK entries in row-major order;
 no temporary they make is larger than a block.
 
-`oracle_contract` evaluates the same diagram by a disjoint route: a factor
-graph over bits, read in one `generators` walk that keeps a variable per
-open wire. A Z spider is one variable shared by all its legs, with the
-weight (1, e^{ia}); an X spider is such a variable with the factor
-H~ = [[1, 1], [1, -1]] / sqrt(2) on each leg, and a Had is one H~. A Cup
-puts one new variable on its two wires and a Cap unites its two wires'
-variables (a small union-find); Id and Perm only rename. A scalar, a 0 -> 0
-spider, is a variable on no wire, summed out to 1 + e^{ia}. The boundary is
-the outputs, then the inputs; a variable that reaches a second boundary
-position is tied there to a fresh one by a 2x2 identity. Every other
-variable is summed out in the order the walk made it, with one np.einsum
-(at most 30 operands at a time) over the factors that hold it; one that no
-factor holds, a closed loop, gives 2. The factors left are multiplied over
-the boundary. The elimination is planned on the variable sets first, and
-WireBudgetError is raised before any einsum when the result or a tensor the
-plan holds has more than WIRE_BUDGET legs, the units of `denote`'s budget
-and the default the CLI and `theory` use.
+`oracle_contract` evaluates the same diagram by a disjoint route: its
+`factor_graph`, a graph over bits read in one `diagram.thread` walk that
+carries a variable per wire. A Z spider is one variable shared by all its
+legs, with the weight (1, e^{ia}); an X spider is such a variable with the
+factor H~ = [[1, 1], [1, -1]] / sqrt(2) on each leg, and a Had is one H~.
+A Cup puts one new variable on its two wires and a Cap unites its two
+wires' variables (a small union-find); `thread` passes an Id's variables
+through and routes a Perm's. A scalar, a 0 -> 0 spider, is a variable on
+no wire, summed out to 1 + e^{ia}. The boundary is the outputs, then the
+inputs; a variable that reaches a second boundary position is tied there
+to a fresh one by a 2x2 identity. Every other variable is summed out in
+the order the walk made it, with one np.einsum (at most 30 operands at a
+time) over the factors that hold it; one that no factor holds, a closed
+loop, gives 2. The factors left are multiplied over the boundary. The
+elimination is planned on the variable sets first, and WireBudgetError is
+raised before any einsum when the result or a tensor the plan holds has
+more than WIRE_BUDGET legs, the units of `denote`'s budget and the default
+the CLI and `theory` use.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ from .diagram import (
     Perm,
     Seq,
     Spider,
-    generators,
+    thread,
 )
 from .semantics import _hadamard as _hadamard_body
 from .syntax import Basis, Phase, ZetaError
@@ -365,13 +366,26 @@ def _max_abs(x: np.ndarray) -> float:
     return float(top)
 
 
+# the dtypes the scalar fit reads as they are
+_AS_IS = (np.dtype(complex), np.dtype(float))
+
+
+def _inexact(x) -> np.ndarray:
+    """x as a complex128 or float64 array: one of any other dtype (ints,
+    whose np.abs can overflow, or other float widths) is copied to complex."""
+    x = np.asarray(x)
+    return x if x.dtype in _AS_IS else x.astype(complex)
+
+
 def _fit(a: np.ndarray, b: np.ndarray):
     """The scalar fit of a to b: c = a/b at b's first largest-magnitude
     entry in row-major order, that magnitude, and max|a - c*b|. Both are
     walked block by block, each block's temporaries freed before the next
-    block's are made, so none is larger than a block. When b vanishes, c
-    is None and the deviation is max|a|. Raises EvalError unless a and b
-    have one shape."""
+    block's are made, so none is larger than a block. Real blocks are not
+    converted: c is a complex quotient, so each product with it is complex
+    and gives the values of complex copies. When b vanishes, c is None and
+    the deviation is max|a|. Raises EvalError unless a and b have one
+    shape."""
     if a.shape != b.shape:
         raise EvalError(f"shape mismatch: {a.shape} vs {b.shape}")
     k, bmax, start = 0, 0.0, 0
@@ -383,6 +397,9 @@ def _fit(a: np.ndarray, b: np.ndarray):
     if not bmax:
         return None, 0.0, _max_abs(a)
     c = a.flat[k] / b.flat[k]
+    if isinstance(c, np.floating):
+        # numpy's complex quotient, which rounds otherwise than a real one
+        c = np.complex128(a.flat[k]) / b.flat[k]
     deviation = 0.0
     for x, y in zip(_blocks(a), _blocks(b)):
         rest = c * y
@@ -399,8 +416,7 @@ def equal_up_to_scalar(
 ) -> ScalarWitness:
     """A nonzero c with max|a - c*b| <= tol, BOTH_ZERO if both vanish,
     None otherwise. c is the entry ratio at b's largest-magnitude entry."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    a, b = _inexact(a), _inexact(b)
     c, bmax, deviation = _fit(a, b)
     if bmax <= tol:
         amax = _max_abs(a)
@@ -412,7 +428,7 @@ def equal_up_to_scalar(
 
 def max_deviation(a: np.ndarray, b: np.ndarray) -> float:
     """Deviation after the best scalar fit at b's largest entry (for reports)."""
-    return _fit(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))[2]
+    return _fit(_inexact(a), _inexact(b))[2]
 
 
 # ---------------------------------------------------------------------------
@@ -425,11 +441,11 @@ _HT = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / SQRT2
 _OPERANDS = 30
 
 
-def oracle_contract(d: Diagram) -> np.ndarray:
-    """Evaluate the diagram as a factor graph over bits (see the module
-    docstring), summing out its inner variables one at a time. Independent
-    of `denote`. Raises WireBudgetError, before any contraction, when the
-    result or a tensor the elimination holds has more than WIRE_BUDGET legs."""
+def factor_graph(d: Diagram) -> tuple[list, list[int], list[int]]:
+    """The diagram as a factor graph over bits (see the module docstring):
+    the factors, each as (variables, tensor); the boundary variables, the
+    outputs, then the inputs, each once, with their 2x2 identity ties among
+    the factors; and the inner variables, in the order they were made."""
     parent: list[int] = []
 
     def new() -> int:
@@ -441,42 +457,50 @@ def oracle_contract(d: Diagram) -> np.ndarray:
             parent[v] = v = parent[parent[v]]
         return v
 
-    factors = [([], np.ones((), dtype=complex))]  # so the last product has an operand
-    scale = 1.0 + 0j
-    ins = [new() for _ in range(d.inputs)]
-    wires = list(ins)
-    for node, at in generators(d):
-        legs = wires[at : at + node.inputs]
-        if isinstance(node, (Id, Perm)):
-            out = node.route(legs) if isinstance(node, Perm) else legs
-        elif isinstance(node, Spider):
+    factors: list[tuple[list[int], np.ndarray]] = []
+
+    def leaf(node: Diagram, legs: list[int]) -> list[int]:
+        if isinstance(node, Spider):
             v = new()
             factors.append(([v], np.array([1.0, phase_exp(node.phase)])))
             if node.basis is Basis.Z:
                 for w in legs:
                     parent[find(w)] = v
-                out = [v] * node.n
-            else:
-                out = [new() for _ in range(node.n)]
-                factors += [([w, v], _HT) for w in legs + out]
-        elif isinstance(node, Had):
+                return [v] * node.n
+            out = [new() for _ in range(node.n)]
+            factors.extend(([w, v], _HT) for w in legs + out)
+            return out
+        if isinstance(node, Had):
             out = [new()]
             factors.append((out + legs, _HT))
-        elif isinstance(node, Cup):
-            out = [new()] * 2
-        elif isinstance(node, Cap):
+            return out
+        if isinstance(node, Cup):
+            return [new()] * 2
+        if isinstance(node, Cap):
             parent[find(legs[0])] = find(legs[1])
-            out = []
-        else:
-            raise DiagramError(f"not a diagram: {node!r}")
-        wires[at : at + node.inputs] = out
-    boundary: dict[int, None] = {}  # outputs, then inputs
-    for v in map(find, wires + ins):
+            return []
+        raise DiagramError(f"not a diagram: {node!r}")
+
+    ins = [new() for _ in range(d.inputs)]
+    boundary: dict[int, None] = {}
+    for v in map(find, thread(d, ins, leaf) + ins):
         if v in boundary:
             factors.append(([v, new()], np.eye(2, dtype=complex)))
             v = len(parent) - 1
         boundary[v] = None
-    axes = [[find(u) for u in a] for a, _ in factors]
+    inner = [v for v in range(len(parent)) if parent[v] == v and v not in boundary]
+    return [([find(u) for u in a], t) for a, t in factors], list(boundary), inner
+
+
+def oracle_contract(d: Diagram) -> np.ndarray:
+    """Evaluate the diagram's `factor_graph`, summing out its inner
+    variables one at a time (see the module docstring). Independent of
+    `denote`. Raises WireBudgetError, before any contraction, when the
+    result or a tensor the elimination holds has more than WIRE_BUDGET legs."""
+    factors, boundary, inner = factor_graph(d)
+    # so the last product has an operand
+    factors.insert(0, ([], np.ones((), dtype=complex)))
+    axes = [a for a, _ in factors]
     steps: list[tuple[list[int], list[int]]] = []
 
     def join(ids: list[int], drop: Optional[int]) -> int:
@@ -496,9 +520,8 @@ def oracle_contract(d: Diagram) -> np.ndarray:
         for u in set(a):
             holders.setdefault(u, []).append(i)
     live = set(range(len(axes)))
-    for v in range(len(parent)):
-        if parent[v] != v or v in boundary:
-            continue
+    scale = 1.0 + 0j
+    for v in inner:
         group = [i for i in holders.get(v, ()) if i in live]
         if not group:
             scale *= 2
@@ -518,7 +541,7 @@ def oracle_contract(d: Diagram) -> np.ndarray:
             tensors[i] = None
         tensors.append(np.einsum(*operands, [label[u] for u in out]))
     result = tensors[-1].transpose([axes[-1].index(v) for v in boundary])
-    return scale * result.reshape(2 ** len(wires), 2 ** len(ins))
+    return scale * result.reshape(2**d.outputs, 2**d.inputs)
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,8 @@ once, and the diagram shares it at every occurrence. `H`'s one derivation
 node is shared across calls too, and its body is built once per process, on
 first use: every `translate` starts from it. `denote` reuses only the
 matrices of Had, Cup and Cap leaves and `H`'s matrix, and walks any other
-repeated sub-diagram at each occurrence, as `generators`, `to_json_obj` and
-`to_dot` do.
+repeated sub-diagram at each occurrence, as `thread` (and so `to_dot` and
+the oracle) and `to_json_obj` do.
 
 A `JudgementDiagram` records the argument type of each `eval_as_map` that
 made it, not its wire labels: `input_labels` and `output_labels` are built

@@ -17,11 +17,11 @@ from zetacalc.diagram import (
     Spider,
     cup_many,
     from_json,
-    generators,
     max_width,
     par,
     permutation,
     seq,
+    thread,
     to_dot,
     to_json,
     upsilon,
@@ -75,14 +75,35 @@ class TestArity:
         d = Seq(cup_many(2), par(Cap(), Id(2)))
         assert max_width(d) == 4
 
-    def test_generators_in_wire_order(self):
+    def test_thread_in_wire_order(self):
         h, cup, cap = Had(), Cup(), Cap()
         d = Seq(Par(h, cup), Par(cap, Id(1)))
-        # the cap has already taken two of the three open wires when the
-        # Id is reached, so the Id's wire is open wire 0
-        assert list(generators(d)) == [(h, 0), (cup, 1), (cap, 0), (Id(1), 0)]
-        # deeper than the recursion limit
-        assert sum(1 for _ in generators(seq(*[h] * 5000))) == 5000
+        seen = []
+
+        def leaf(node, ins):
+            seen.append((node, ins))
+            return [f"{type(node).__name__}{j}" for j in range(node.outputs)]
+
+        # the cap takes the Had's output and the cup's first wire, and the
+        # Id passes the cup's second; leaf never sees the Id
+        assert thread(d, ["a"], leaf) == ["Cup1"]
+        assert seen == [(h, ["a"]), (cup, []), (cap, ["Had0", "Cup0"])]
+        # a Perm routes, input i to position perm[i], and leaf never sees
+        # it; the inverse routing would give c, a, b
+        seen.clear()
+        d = Seq(Perm((2, 0, 1)), Par(h, Id(2)))
+        assert thread(d, ["a", "b", "c"], leaf) == ["Had0", "c", "a"]
+        assert seen == [(h, ["b"])]
+
+        # deeper than the recursion limit, in a Seq and in a hand-built Par
+        def step(node, ins):
+            return [ins[0] + 1]
+
+        assert thread(seq(*[h] * 5000), [0], step) == [5000]
+        d = h
+        for _ in range(4999):
+            d = Par(d, h)
+        assert thread(d, list(range(5000)), step) == list(range(1, 5001))
 
 
 class TestPermutation:
@@ -180,6 +201,12 @@ class TestSerialization:
             spider % ('{"pi_num":"a"}', "1"),
             spider % ('{"pi_num":1,"pi_den":0}', "1"),
             spider % ('{"radians":null}', "1"),
+            spider % ('{"pi_num":true}', "1"),
+            spider % ('{"pi_num":1,"pi_den":true}', "1"),
+            spider % ('{"radians":true}', "1"),
+            spider % ('{"radians":NaN}', "1"),
+            spider % ('{"radians":1e400}', "1"),
+            spider % ('{"radians":1%s}' % ("0" * 400), "1"),
             '{"kind":"scalar","re":null,"im":0}',
             '{"kind":"perm","perm":5}',
             '{"kind":"perm","perm":[0,0]}',

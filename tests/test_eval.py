@@ -827,6 +827,19 @@ class TestScalarFit:
             tracemalloc.stop()
         assert a.nbytes == 2**18 and peak <= 64 * 1024
 
+    def test_real_inputs_are_not_copied_whole(self):
+        rng = np.random.default_rng(11)
+        a = rng.normal(size=(2**13, 2))
+        for b in (a * 3, a * (2 - 1j) + rng.normal(size=a.shape)):
+            tracemalloc.start()
+            try:
+                max_deviation(a, b)
+                equal_up_to_scalar(a, b)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert a.nbytes == 2**17 and peak <= 64 * 1024
+
     def test_max_deviation_checks_shapes(self):
         # blocks of unequal arrays would pair entries that do not match
         block = evaluator._FIT_BLOCK
@@ -844,3 +857,22 @@ class TestScalarFit:
             assert got is witness if witness in (None, BOTH_ZERO) else got == witness
             assert max_deviation(a, b) == deviation
             assert np.array_equal(a, before[0]) and np.array_equal(b, before[1])
+
+    @pytest.mark.parametrize("tol", [1e-9, 0.5])
+    def test_real_and_int_inputs_match_the_naive_formula(self, tol):
+        # real parts (strided views of complex arrays) and rounded ints,
+        # against each other and against the complex originals, and a real
+        # pair in proportion, whose c a real quotient would round otherwise
+        def real(x):
+            return x.real
+
+        def ints(x):
+            return np.round(x.real * 8).astype(int)
+
+        for a, b in _fit_cases():
+            pairs = [(real(a), real(b)), (ints(a), ints(b)), (real(a), b), (a, ints(b))]
+            for x, y in pairs + [(real(b) * np.pi, real(b))]:
+                witness, deviation = _naive_fit(x, y, tol)
+                got = equal_up_to_scalar(x, y, tol)
+                assert got is witness if witness in (None, BOTH_ZERO) else got == witness
+                assert max_deviation(x, y) == deviation

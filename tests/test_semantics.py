@@ -13,7 +13,6 @@ from zetacalc.diagram import (
     Perm,
     Seq,
     Spider,
-    generators,
     par,
     seq,
     upsilon,
@@ -365,7 +364,17 @@ def _derivations():
 
 
 def _leaf_kinds(d) -> list:
-    return [type(leaf) for leaf, _ in generators(d)]
+    """The kind of every leaf of d, Ids and Perms included."""
+    kinds, todo = [], [d]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Seq):
+            todo += [node.second, node.first]
+        elif isinstance(node, Par):
+            todo += [node.bottom, node.top]
+        else:
+            kinds.append(type(node))
+    return kinds
 
 
 class TestComposedRedexes:
