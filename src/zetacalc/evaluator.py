@@ -23,14 +23,12 @@ identity. No normalization is applied anywhere: the cup denotes
 |00> + |11> with unit entries. `spider_matrix` writes a spider's dense
 matrix entry by entry, the reference the kernels are tested against.
 
-The walk reuses only matrices it already holds, looked up by node identity
-at every node: each Had, Cup or Cap object's matrix, built once per
-`denote` call, and the matrix of the body `translate` shares for `H`,
-evaluated once per process on first use. Such a node is one matmul
-wherever it stands, as a Seq part, a Par factor or the whole diagram (`H`
-x 20 as a map takes 20 matmuls, not 60). Any other repeated Seq or Par is
-walked at each occurrence, as in a copy that shares no node; `translate`
-repeats none.
+The one matrix the walk reuses is that of the body `translate` shares for
+`H`, evaluated once per process on first use and matched by identity at
+every node. That body is one matmul wherever it stands, as a Seq part, a
+Par factor or the whole diagram (`H` x 20 as a map takes 20 matmuls, not
+60). Any other repeated Seq or Par is walked at each occurrence, as in a
+copy that shares no node; `translate` repeats none.
 
 `denote(d, budget)` raises WireBudgetError before it would create an array
 of more than 2^budget entries (the starting identity, a leaf matrix, a
@@ -157,8 +155,7 @@ def denote(d: Diagram, budget: Optional[int] = None) -> np.ndarray:
     # raises OverflowError at once
     n = 1 << d.inputs
     _fits(n * n, limit)
-    body, m = _hadamard()
-    return _apply(d, _identity(n), {id(body): m}, limit).reshape(-1, n)
+    return _apply(d, _identity(n), _hadamard(), limit).reshape(-1, n)
 
 
 @functools.cache
@@ -167,7 +164,7 @@ def _hadamard() -> tuple[Diagram, np.ndarray]:
     unbounded walk on the body's own identity, made on first use, so
     importing builds nothing."""
     body = _hadamard_body()[1]
-    m = _apply(body, _identity(2**body.inputs), {}, _ADDRESSABLE)[0]
+    m = _apply(body, _identity(2**body.inputs), (None, None), _ADDRESSABLE)[0]
     m.setflags(write=False)
     return body, m
 
@@ -258,17 +255,17 @@ def _apply_spider(p: Spider, t: np.ndarray, limit) -> np.ndarray:
     return out
 
 
-def _apply(d: Diagram, t: np.ndarray, memo: dict, limit) -> np.ndarray:
+def _apply(d: Diagram, t: np.ndarray, h: tuple, limit) -> np.ndarray:
     """Apply d to t, of shape (L, 2^d.inputs, R); the result has shape
     (L, 2^d.outputs, R). The walk keeps its own stack of the nodes left to
     apply: a nested Seq part is put back on it as its two parts, so deep
     Seq trees do not hit the recursion limit. A spider is applied to t by
-    `_apply_spider`. A node whose matrix `memo` holds, keyed by node
-    identity, is one matmul: each Had, Cup or Cap built so far in this walk,
-    and `H`'s body from the start. A Par, and d itself when it is a Seq,
-    runs on whichever is fewer, the L * R columns of t or its own 2^inputs
-    identity (then one matmul onto t). No array of more than `limit`
-    entries is created."""
+    `_apply_spider`, and a Had, Cup or Cap is one matmul with its matrix.
+    h is `H`'s (body, matrix), or (None, None) while that matrix is being
+    made: a node that is that body is one matmul with the matrix. A Par,
+    and d itself when it is a Seq, runs on whichever is fewer, the L * R
+    columns of t or its own 2^inputs identity (then one matmul onto t). No
+    array of more than `limit` entries is created."""
     L, _, R = t.shape
     todo = [d]
     while todo:
@@ -283,32 +280,32 @@ def _apply(d: Diagram, t: np.ndarray, memo: dict, limit) -> np.ndarray:
         if isinstance(p, Spider):
             t = _apply_spider(p, t, limit)
             continue
-        m = memo.get(id(p))
-        if m is None:
-            if not isinstance(p, (Seq, Par)):
-                _fits(2 ** (p.inputs + p.outputs), limit)
-                m = memo[id(p)] = _leaf_matrix(p)
-            elif 2**p.inputs < L * R and (p is d or isinstance(p, Par)):
-                m = _apply(p, _identity(2**p.inputs), memo, limit)[0]
-            elif isinstance(p, Seq):
-                todo += [p.second, p.first]
-                continue
-            else:
-                # each non-Id factor acts on its own wires, shrinking ones
-                # first, so no intermediate has more rows than t or the result
-                factors = _par_factors(p)
-                widths = [f.inputs for f in factors]
-                order = sorted(
-                    (i for i, f in enumerate(factors) if not isinstance(f, Id)),
-                    key=lambda i: factors[i].outputs - factors[i].inputs,
-                )
-                for i in order:
-                    f = factors[i]
-                    left, right = sum(widths[:i]), sum(widths[i + 1 :])
-                    t = t.reshape(L * 2**left, 2**f.inputs, 2**right * R)
-                    t = _apply(f, t, memo, limit).reshape(L, -1, R)
-                    widths[i] = f.outputs
-                continue
+        if p is h[0]:
+            m = h[1]
+        elif not isinstance(p, (Seq, Par)):
+            _fits(2 ** (p.inputs + p.outputs), limit)
+            m = _leaf_matrix(p)
+        elif 2**p.inputs < L * R and (p is d or isinstance(p, Par)):
+            m = _apply(p, _identity(2**p.inputs), h, limit)[0]
+        elif isinstance(p, Seq):
+            todo += [p.second, p.first]
+            continue
+        else:
+            # each non-Id factor acts on its own wires, shrinking ones
+            # first, so no intermediate has more rows than t or the result
+            factors = _par_factors(p)
+            widths = [f.inputs for f in factors]
+            order = sorted(
+                (i for i, f in enumerate(factors) if not isinstance(f, Id)),
+                key=lambda i: factors[i].outputs - factors[i].inputs,
+            )
+            for i in order:
+                f = factors[i]
+                left, right = sum(widths[:i]), sum(widths[i + 1 :])
+                t = t.reshape(L * 2**left, 2**f.inputs, 2**right * R)
+                t = _apply(f, t, h, limit).reshape(L, -1, R)
+                widths[i] = f.outputs
+            continue
         _fits(L * m.shape[0] * R, limit)
         t = np.matmul(m, t)
     return t
@@ -548,14 +545,21 @@ def oracle_contract(d: Diagram) -> np.ndarray:
 # Matrix serialization
 
 
-def matrix_to_json_obj(m: np.ndarray) -> dict:
-    m = np.asarray(m, dtype=complex)
-    rows, cols = m.shape
-    for dim in (rows, cols):
+def _check_matrix(m: np.ndarray) -> np.ndarray:
+    """m, once each of its dimensions is a power of two and each entry
+    finite, the rules of a matrix document on write and on read; raises
+    EvalError otherwise."""
+    for dim in m.shape:
         if dim & (dim - 1):
             raise EvalError(f"matrix dimension {dim} is not a power of two")
     if not np.isfinite(m).all():
         raise EvalError("matrix entries must be finite")
+    return m
+
+
+def matrix_to_json_obj(m: np.ndarray) -> dict:
+    m = _check_matrix(np.asarray(m, dtype=complex))
+    rows, cols = m.shape
     entries = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
     return {"shape": [rows, cols], "entries": entries}
 
@@ -565,10 +569,27 @@ def matrix_to_json(m: np.ndarray) -> str:
 
 
 def matrix_from_json(text: str) -> np.ndarray:
-    doc = json.loads(text)
-    rows, cols = doc["shape"]
-    flat = np.array([complex(re, im) for re, im in doc["entries"]], dtype=complex)
-    return flat.reshape(rows, cols)
+    """The matrix of a `matrix_to_json` document. Raises EvalError on any
+    other text: not JSON, a shape that is not two whole numbers, entries
+    that are not [re, im] pairs of numbers (a boolean is none) or not one
+    per cell, or a matrix that `_check_matrix` refuses."""
+    try:
+        doc = json.loads(text)
+        rows, cols = doc["shape"]
+        pairs = [(re, im) for re, im in doc["entries"]]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise EvalError(f"not a matrix document: {type(exc).__name__}: {exc}") from exc
+    if not all(type(x) is int and x >= 0 for x in (rows, cols)):
+        raise EvalError(f"matrix shape {[rows, cols]} is not two whole numbers")
+    if not all(type(x) in (int, float) for pair in pairs for x in pair):
+        raise EvalError("matrix entries must be [re, im] pairs of numbers")
+    if len(pairs) != rows * cols:
+        raise EvalError(f"{len(pairs)} entries for a {rows}x{cols} matrix")
+    try:
+        m = np.array(pairs, dtype=float).reshape(-1, 2).view(complex)
+    except OverflowError as exc:
+        raise EvalError(f"matrix entry out of range: {exc}") from exc
+    return _check_matrix(m.reshape(rows, cols))
 
 
 def format_complex(z: complex) -> str:

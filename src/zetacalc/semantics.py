@@ -33,12 +33,10 @@ Every diagram here is built with `seq` and `par`, which apply the monoidal
 unit laws, so empty contexts, zero-wire binders and identity routings need
 no case of their own: they vanish as the diagram is built.
 
-A derivation node with an empty context may be shared (see `types`), as
-every `H` is. One `translate` call builds the body of each such abstraction
-once, and the diagram shares it at every occurrence. `H`'s one derivation
-node is shared across calls too, and its body is built once per process, on
-first use: every `translate` starts from it. `denote` reuses only the
-matrices of Had, Cup and Cap leaves and `H`'s matrix, and walks any other
+The one derivation node a derivation shares is `H`'s (see `types`). Its
+body is built once per process, on first use, and every diagram shares it
+at each occurrence of that node; any other node is translated at each
+occurrence. `denote` reuses only `H`'s matrix, and walks any other
 repeated sub-diagram at each occurrence, as `thread` (and so `to_dot` and
 the oracle) and `to_json_obj` do.
 
@@ -199,19 +197,16 @@ def translate(derivation: Derivation) -> JudgementDiagram:
     """Structural translation of a derivation in the W/C-normal form that
     `infer` builds (see the module docstring). Every beta-redex is composed,
     with no cup/cap snake; an abstraction at the root keeps its body for
-    `eval_as_map`. An abstraction with an empty context that the derivation
-    shares has its body translated once, and the diagram shares it. Raises
+    `eval_as_map`. Every occurrence of `H`'s node gets `H`'s one body. Raises
     TranslationError on a derivation in another shape, even one
     `validate_derivation` accepts, and on an application of a non-function
     type."""
-    # id of an abstraction with an empty context -> its body
-    shared = _shared()
     if derivation.rule == "B":
-        body = _body(derivation, shared)
+        body = _body(derivation)
         d, binders = _bend(derivation, body), (derivation,)
     else:
         body, binders = None, ()
-        d = _translate(derivation, shared)
+        d = _translate(derivation)
     return JudgementDiagram(
         derivation.ctx, derivation.term, derivation.type, d, body=body, binders=binders
     )
@@ -220,15 +215,11 @@ def translate(derivation: Derivation) -> JudgementDiagram:
 @functools.cache
 def _hadamard() -> tuple[Derivation, Diagram]:
     """The derivation node of `H` that every inference shares, and its
-    body; made on first use, so importing builds nothing."""
-    node = _hadamard_derivation()[2]
-    return node, _body(node, {})
-
-
-def _shared() -> dict[int, Diagram]:
-    """A new memo of shared bodies for one translation, holding `H`'s."""
-    node, body = _hadamard()
-    return {id(node): body}
+    body, built here and not by `_body`, which returns this one; made on
+    first use, so importing builds nothing. `H` is a composite, of phase
+    zero, so its body has no rotation stage."""
+    node = _hadamard_derivation()[-1]
+    return node, _translate(node.children[0])
 
 
 def _rotation(node: Derivation) -> Diagram:
@@ -241,18 +232,15 @@ def _rotation(node: Derivation) -> Diagram:
     return par(*[Spider(term.basis, term.phase, 1, 1)] * a)
 
 
-def _body(node: Derivation, shared: dict) -> Diagram:
+def _body(node: Derivation) -> Diagram:
     """The (Gamma, A) -> B map of a `B` node: the binder rotation, if its
-    phase is not zero, then the body's diagram. Built once for a node with
-    an empty context."""
-    closed = not node.ctx.entries
-    if closed and id(node) in shared:
-        return shared[id(node)]
-    d = _translate(node.children[0], shared)
+    phase is not zero, then the body's diagram; `H`'s one body for `H`'s
+    node."""
+    if node is _hadamard_derivation()[-1]:
+        return _hadamard()[1]
+    d = _translate(node.children[0])
     if not node.term.phase.is_zero:
         d = seq(par(Id(node.ctx.wire_count()), _rotation(node)), d)
-    if closed:
-        shared[id(node)] = d
     return d
 
 
@@ -267,7 +255,7 @@ def _bend(node: Derivation, body: Diagram) -> Diagram:
     return seq(stage1, permutation(perm), par(Id(a), body))
 
 
-def _translate(node: Derivation, shared: dict) -> Diagram:
+def _translate(node: Derivation) -> Diagram:
     rule, ctx = node.rule, node.ctx
     if rule == "A":
         c1, c2 = node.children
@@ -277,8 +265,8 @@ def _translate(node: Derivation, shared: dict) -> Diagram:
         router, p1, p2, g1 = _split_binary(ctx, c1, c2)
         if p1.rule == "B":
             # a redex: the argument feeds the body's binder wires
-            return seq(router, par(Id(g1), _translate(p2, shared)), _body(p1, shared))
-        both = par(_translate(p1, shared), _translate(p2, shared))
+            return seq(router, par(Id(g1), _translate(p2)), _body(p1))
+        both = par(_translate(p1), _translate(p2))
         return seq(router, both, _caps(size(parts[0]), size(parts[1])))
     if rule == "W" or rule == "C":
         # an entry the child's context lacks is copied k ways: into the
@@ -289,25 +277,25 @@ def _translate(node: Derivation, shared: dict) -> Diagram:
         k = len(child.ctx) - len(ctx) + 1 if rule == "C" else 0
         stage = par(*(Id(size(e.type)) if e.name in kept else upsilon(size(e.type), e.basis, k)
                       for e in ctx.entries))
-        return seq(stage, _translate(child, shared))
+        return seq(stage, _translate(child))
     if rule == "V" and len(ctx) == 1 and ctx.entries[0].name == node.term.name:
         return Id(size(node.type))
     if rule == "B":
-        return _bend(node, _body(node, shared))
+        return _bend(node, _body(node))
     if rule == "T":
         router, p1, p2, _ = _split_binary(ctx, *node.children)
-        return seq(router, par(_translate(p1, shared), _translate(p2, shared)))
+        return seq(router, par(_translate(p1), _translate(p2)))
     if rule == "E":
         m, n = node.children
         # layout [N's entries, M's entries]: run M, then feed its outputs as
         # the trailing x,y wires of N, discarding a binder N does not use.
         router, pn, pm, gn = _split_binary(ctx, n, m)
-        arg = par(Id(gn), _translate(pm, shared))
+        arg = par(Id(gn), _translate(pm))
         kept = {e.name for e in pn.ctx.entries}
         drop = par(Id(gn), *(Id(size(e.type)) if e.name in kept
                              else upsilon(size(e.type), e.basis, 0)
                              for e in n.ctx.entries[len(ctx):]))
-        return seq(router, arg, seq(drop, _translate(pn, shared)))
+        return seq(router, arg, seq(drop, _translate(pn)))
     if rule not in ("U", "V", "G", "D"):
         raise TranslationError(f"unknown rule {rule!r}")
     if rule == "V" or ctx.entries:
@@ -344,7 +332,7 @@ def eval_as_map(jd: JudgementDiagram) -> JudgementDiagram:
         rotations = par(
             Id(jd.ctx.wire_count()), *map(_rotation, binders), Id(size(a_t))
         )
-        body, binders = seq(rotations, _body(inner, _shared())), binders + (inner,)
+        body, binders = seq(rotations, _body(inner)), binders + (inner,)
     if body is not None:
         return JudgementDiagram(jd.ctx, jd.term, b_t, body, args, binders=binders)
     a, b = size(a_t), size(b_t)

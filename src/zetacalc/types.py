@@ -25,14 +25,13 @@ a term. Inference takes two passes: it first finds the types over the term,
 with fresh type variables and unification, and then builds the derivation
 once, every type in it already resolved.
 
-A closed subterm whose type comes out ground is typed and built once per
-term object: every other occurrence of the same object (each `H` of one
-parse, say) gets the same derivation node, and `translate` builds a shared
-abstraction's body once. `H` itself, which every parse reads as one
-object, is typed and built once per process, on first use, and every
-inference starts from that node. So a derivation, and the diagram
-translated from it, may share subtrees, with each other too, and
-`Derivation.walk` yields a shared node once per occurrence.
+`H`, which every parse reads as one object, is the one term shared: it is
+typed and built once per process, on first use, and every occurrence of
+that object, in every inference, gets that one derivation node. Any other
+subterm is typed and built at each occurrence, even one object repeated.
+So a derivation, and the diagram translated from it, may share `H`'s
+subtree, with each other too, and `Derivation.walk` yields it once per
+occurrence.
 """
 
 from __future__ import annotations
@@ -379,15 +378,12 @@ class _Inferencer:
     the two parts of its bound term's type. It meets the abstractions in
     `typeof`'s order, so it takes the recorded types in turn.
 
-    A closed subterm whose type and binders come out ground once `typeof`
-    has walked it is typed once per term object: each later occurrence of
-    that object (each `H` of one parse, say) gets the type and advances
-    `counter` by the variables the first walk created, so every later `?N`,
-    and every message naming one, is as if the subterm were walked again.
-    `build` builds it once too and gives every occurrence that one node.
-    `H` starts out so typed and built, from the one walk `_hadamard` makes
-    per process; its binders are never recorded, and `build` never takes
-    their types.
+    `H` is typed and built once per process, by the one walk `_hadamard`
+    makes without the prelude. Each occurrence of that object gets its type
+    and advances `counter` by the variables that walk created, so every
+    later `?N`, and every message naming one, is as if `H` were walked
+    again; `build` gives it `H`'s one node. Its binders are never recorded,
+    and `build` never takes their types.
     """
 
     def __init__(self, prelude: bool = True):
@@ -395,20 +391,13 @@ class _Inferencer:
         self.counter = 0
         self.origin: dict[int, str] = {}
         # the type variable of each unannotated abstraction binder, in
-        # typeof's order, and those of them not yet seen bound to a ground
-        # type
+        # typeof's order
         self.binders: list[TypeVar] = []
-        self.unbound: list[TypeVar] = []
-        # id(term) -> (term, its type, variables created) for each closed
-        # subterm typed ground; holding the term keeps its id from being
-        # reused
-        self.closed: dict[int, tuple[Term, Type, int]] = {}
-        # id(term) -> its derivation, for the closed subterms built so far
-        self.built: dict[int, Derivation] = {}
-        if prelude:
-            h, typed, d = _hadamard()
-            self.closed[id(h)] = typed
-            self.built[id(h)] = d
+        # `H`, its type, the variables its walk created and its node; no
+        # term is `H` in `_hadamard`'s own walk
+        self.h, self.h_type, self.h_vars, self.h_node = (
+            _hadamard() if prelude else (None, None, 0, None)
+        )
         # the binders' types, resolved, for build to take in turn
         self.binder_types = iter(())
 
@@ -449,13 +438,9 @@ class _Inferencer:
         return d
 
     def typeof(self, env: dict[str, Type], term: Term) -> Type:
-        closed = not term.fv
-        if closed:
-            hit = self.closed.get(id(term))
-            if hit is not None:
-                self.counter += hit[2]
-                return hit[1]
-            before, first = self.counter, len(self.unbound)
+        if term is self.h:
+            self.counter += self.h_vars
+            return self.h_type
 
         cls = type(term)
         if cls is App:
@@ -489,7 +474,6 @@ class _Inferencer:
             if a is None:
                 a = self.fresh(f"binder {term.var}")
                 self.binders.append(a)
-                self.unbound.append(a)
             t = Fn(a, self.typeof({**env, term.var: a}, term.body))
         elif cls is Var:
             t = env[term.name]
@@ -515,17 +499,6 @@ class _Inferencer:
             t = TOP
         else:
             raise TypeError(f"not a term: {term!r}")
-
-        if closed and self.counter != before:
-            # a binder once bound to a ground type stays so: each is looked
-            # at again only while it is not
-            subst = self.subst
-            unbound = self.unbound
-            unbound[first:] = [v for v in unbound[first:] if _resolved(v, subst) is None]
-            ground = _resolved(t, subst)
-            if ground is not None and len(unbound) == first:
-                self.closed[id(term)] = (term, ground, self.counter - before)
-                return ground
         return t
 
     def build(self, ctx: Context, term: Term) -> Derivation:
@@ -550,13 +523,8 @@ class _Inferencer:
                 child = self.build(Context(entries[:i] + split + entries[i + 1 :]), renamed)
                 return Derivation("C", ctx, term, child.type, (child,))
 
-        # the context is now empty exactly when the term is closed
-        key = id(term)
-        shared = not fvs and key in self.closed
-        if shared:
-            d = self.built.get(key)
-            if d is not None:
-                return d
+        if term is self.h:
+            return self.h_node
 
         cls = type(term)
         if cls is Abs:
@@ -605,9 +573,6 @@ class _Inferencer:
                 ctx.extended(Entry(v1, term.basis, a), Entry(v2, term.basis, b)), body
             )
             d = Derivation("E", ctx, term, d2.type, (d1, d2))
-
-        if shared:
-            self.built[key] = d
         return d
 
     def _reject_variables(self, d: Derivation) -> None:
@@ -671,14 +636,14 @@ def _first_var(t: Type) -> Optional[int]:
 
 
 @functools.cache
-def _hadamard() -> tuple[Term, tuple[Term, Type, int], Derivation]:
-    """`H`, its `closed` entry and its derivation node, from one walk
-    without the prelude in the empty context; made on first use, so
-    importing builds nothing."""
+def _hadamard() -> tuple[Term, Type, int, Derivation]:
+    """`H`, its type, the number of type variables its walk creates and its
+    derivation node, from one walk without the prelude in the empty
+    context; made on first use, so importing builds nothing."""
     h = hadamard_term()
     inf = _Inferencer(prelude=False)
     d = inf.derivation(_EMPTY, h)
-    return h, inf.closed[id(h)], d
+    return h, d.type, inf.counter, d
 
 
 def infer(ctx: Context, term: Term) -> tuple[Type, Derivation]:

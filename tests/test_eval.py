@@ -603,6 +603,32 @@ class TestMatrixJson:
         doc = json.loads(matrix_to_json(m))
         assert doc["shape"] == [2, 2]
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"shape": [1, 1]}', "KeyError"),
+        ('{"shape": [2, 1], "entries": [[1, 0]]}', "1 entries for a 2x1"),
+        ("not json", "JSONDecodeError"),
+        ('{"shape": [1, 1], "entries": [[true, 0]]}', "pairs of numbers"),
+        ('{"shape": [1, 1], "entries": [[NaN, 0]]}', "finite"),
+        ('{"shape": [1, 1], "entries": [[0, Infinity]]}', "finite"),
+        ('{"shape": [1, 1], "entries": [[1e400, 0]]}', "finite"),
+        ('{"shape": [1, 1], "entries": [[1' + "0" * 400 + ', 0]]}', "out of range"),
+        ('{"shape": [3, 1], "entries": [[1, 0], [1, 0], [1, 0]]}', "power of two"),
+        ('{"shape": [-2, -2], "entries": [[1, 0], [1, 0], [1, 0], [1, 0]]}', "whole"),
+        ('{"shape": [1.0, 1], "entries": [[1, 0]]}', "whole"),
+        ('{"shape": [1, 1], "entries": [[1, 0, 0]]}', "ValueError"),
+        ('{"shape": [1, 1], "entries": ["ab"]}', "pairs of numbers"),
+        ("[1, 2]", "TypeError"),
+    ])
+    def test_malformed_documents_raise_eval_error(self, text, message):
+        with pytest.raises(EvalError, match=message):
+            matrix_from_json(text)
+
+    def test_round_trip_is_exact(self):
+        m = np.array([[-0.0, 1e-300 - 2.5j], [0.1, -1j]])
+        m2 = matrix_from_json(matrix_to_json(m))
+        assert m2.tobytes() == m.tobytes() and m2.shape == (2, 2)
+        assert matrix_from_json(matrix_to_json(np.zeros((0, 0)))).shape == (0, 0)
+
     def test_format_complex(self):
         assert format_complex(1 + 0j) == "1+0i"
         assert "i" in format_complex(0.5j)

@@ -71,7 +71,7 @@ def _fresh_h():
     rebuild of H that shares no node, as every inference shares the node
     of H itself."""
     h = infer(EMPTY, _unshared(hadamard_term()))[1]
-    return h, semantics._body(infer(EMPTY, _unshared(hadamard_term()))[1], {})
+    return h, semantics._body(infer(EMPTY, _unshared(hadamard_term()))[1])
 
 
 class TestSharedNodesStayUnchanged:

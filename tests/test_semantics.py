@@ -450,8 +450,8 @@ class TestComposedRedexes:
         assert b.rule == "B"
         # stands for the premise's diagram, a (y, x) -> (x, y) map
         premise = Spider(Basis.X, Phase.zero(), 3, 3)
-        monkeypatch.setattr(semantics, "_translate", lambda node, shared: premise)
-        body = semantics._body(b, {})
+        monkeypatch.setattr(semantics, "_translate", lambda node: premise)
+        body = semantics._body(b)
         if not phase:
             assert body is premise
         else:

@@ -3,10 +3,12 @@ import gc
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from zetacalc import semantics, syntax, types
+from zetacalc import semantics, syntax, theory, types
 from zetacalc.diagram import Par, Seq
+from zetacalc.evaluator import denote
 from zetacalc.semantics import translate
 from zetacalc.syntax import Abs, App, Basis, Gen, Let, Phase, Tup, Var, parse, parse_type
 from zetacalc.types import (
@@ -636,15 +638,17 @@ _SHARED_SOURCES = [
 
 
 class TestClosedSubtermsShared:
-    """Each closed subterm object is derived, resolved and translated once;
-    every other occurrence shares the result."""
+    """`H` is the one closed subterm object derived, resolved and translated
+    once, every occurrence sharing the result; any other is derived again
+    at each occurrence, with the same result as a rebuild that shares
+    nothing."""
 
     def test_h_derived_and_translated_once(self):
         _, d = infer(EMPTY, parse("H o H o H"))
         hs = [n for n in d.walk() if n.term is syntax.hadamard_term() and n.rule == "B"]
         assert len(hs) == 3 and all(n is hs[0] for n in hs)
         assert hs[0] == infer(EMPTY, _unshared(syntax.hadamard_term()))[1]
-        body = semantics._body(hs[0], {})
+        body = semantics._body(hs[0])
         copies = [s for s in _subdiagrams(translate(d).diagram) if s == body]
         assert len(copies) == 3 and all(s is copies[0] for s in copies)
 
@@ -660,6 +664,17 @@ class TestClosedSubtermsShared:
             assert result(ctx, term) == result(ctx, _unshared(term)), (
                 syntax.print_term(term)
             )
+        # one closed object other than H, whose walk makes type variables,
+        # repeated: each occurrence gets a node of its own
+        t = parse("(Z x. x) Z[1]")
+        for term in (Tup(t, Tup(t, t)), theory._copies(t, 3)):
+            (_, d), (_, u) = infer(EMPTY, term), infer(EMPTY, _unshared(term))
+            assert d == u
+            jd, ju = translate(d), translate(u)
+            assert jd == ju
+            assert np.array_equal(denote(jd.diagram), denote(ju.diagram))
+            nodes = [n for n in d.walk() if n.term is t]
+            assert len(nodes) == 3 and len({id(n) for n in nodes}) == 3
 
     # each ?N counts the variables of every H copy before it, as if each
     # copy were derived again
@@ -700,7 +715,7 @@ class TestHOncePerProcess:
         d3 = check(EMPTY, parse("H"), Fn(Q, Q))
         nodes = hs(d1) + hs(d2) + hs(d3)
         assert len(nodes) == 4 and all(n is d3 for n in nodes)
-        body = semantics._body(d3, {})
+        body = semantics._body(infer(EMPTY, _unshared(syntax.hadamard_term()))[1])
         copies = [s for d in (d1, d2) for s in _subdiagrams(translate(d).diagram) if s == body]
         assert len(copies) == 3 and all(s is copies[0] for s in copies)
         assert translate(d3).body is copies[0] and copies[0] is not body
