@@ -24,14 +24,16 @@ in every context, one weakening (W) drops all unused entries and contraction
 leaves `U`, `G` and `D` have an empty context and `V` has exactly its
 variable, and each entry of a binary node (`A`, `T`, `E`) is kept, just
 below the weakening, by exactly one child, which gets its wires through a
-router, not a copy spider: an Id when the entries are already in block order
-(the first child's, then the second's), else one Perm; a let discards the
-binders its body does not use. A derivation in another shape raises
+router, not a copy spider: no router when the entries are already in block
+order (the first child's, then the second's), else one Perm; a let discards
+the binders its body does not use. A derivation in another shape raises
 TranslationError, even one that `validate_derivation` accepts.
 
 Every diagram here is built with `seq` and `par`, which apply the monoidal
-unit laws, so empty contexts, zero-wire binders and identity routings need
-no case of their own: they vanish as the diagram is built.
+unit laws, so empty contexts and zero-wire binders need no case of their
+own: they vanish as the diagram is built. A binary node builds no router
+in block order, and no Id beside a redex's argument or a let's bound term
+when the other child keeps no wire.
 
 The one derivation node a derivation shares is `H`'s (see `types`). Its
 body is built once per process, on first use, and every diagram shares it
@@ -158,10 +160,17 @@ def _split_binary(ctx: Context, c1: Derivation, c2: Derivation):
     that keeps it just below its weakening (the full-context sharing of the
     child judgements collapses, since a same-basis copy spider with one leg
     discarded is an identity wire). Returns (router to [c1 block, c2 block],
-    c1 and c2 past their weakenings, c1 block size): the router is an Id
-    when the entries are already in block order, else one Perm. Raises
-    TranslationError when an entry is kept by both children or by neither."""
+    c1 and c2 past their weakenings, c1 block size): no router (None) when
+    the entries are already in block order, else one Perm. When one child
+    keeps nothing and the other the whole context, as beside every closed
+    child infer builds, that is known without a walk. Raises
+    TranslationError when an entry is kept by both children or by
+    neither."""
     p1, p2 = _past_w(c1), _past_w(c2)
+    if not p1.ctx.entries and p2.ctx.entries == ctx.entries:
+        return None, p1, p2, 0
+    if not p2.ctx.entries and p1.ctx.entries == ctx.entries:
+        return None, p1, p2, ctx.wire_count()
     kept1, kept2 = {e.name for e in p1.ctx.entries}, {e.name for e in p2.ctx.entries}
     # wires of each block so far; in block order while no c2 wire precedes
     # a c1 wire
@@ -183,7 +192,7 @@ def _split_binary(ctx: Context, c1: Derivation, c2: Derivation):
         else:
             g2 += n
     if ordered:
-        return Id(g1 + g2), p1, p2, g1
+        return None, p1, p2, g1
     # input wire i leaves at the next free position of its entry's block
     perm, dst = [], [0, g1]
     for e in ctx.entries:
@@ -265,9 +274,12 @@ def _translate(node: Derivation) -> Diagram:
         router, p1, p2, g1 = _split_binary(ctx, c1, c2)
         if p1.rule == "B":
             # a redex: the argument feeds the body's binder wires
-            return seq(router, par(Id(g1), _translate(p2)), _body(p1))
-        both = par(_translate(p1), _translate(p2))
-        return seq(router, both, _caps(size(parts[0]), size(parts[1])))
+            arg = _translate(p2)
+            stages = (par(Id(g1), arg) if g1 else arg, _body(p1))
+        else:
+            both = par(_translate(p1), _translate(p2))
+            stages = (both, _caps(size(parts[0]), size(parts[1])))
+        return seq(*stages) if router is None else seq(router, *stages)
     if rule == "W" or rule == "C":
         # an entry the child's context lacks is copied k ways: into the
         # copies that hold its place at a C node, or 0 ways, a discard, at
@@ -284,18 +296,20 @@ def _translate(node: Derivation) -> Diagram:
         return _bend(node, _body(node))
     if rule == "T":
         router, p1, p2, _ = _split_binary(ctx, *node.children)
-        return seq(router, par(_translate(p1), _translate(p2)))
+        both = par(_translate(p1), _translate(p2))
+        return both if router is None else seq(router, both)
     if rule == "E":
         m, n = node.children
         # layout [N's entries, M's entries]: run M, then feed its outputs as
         # the trailing x,y wires of N, discarding a binder N does not use.
         router, pn, pm, gn = _split_binary(ctx, n, m)
-        arg = par(Id(gn), _translate(pm))
+        arg = _translate(pm)
         kept = {e.name for e in pn.ctx.entries}
         drop = par(Id(gn), *(Id(size(e.type)) if e.name in kept
                              else upsilon(size(e.type), e.basis, 0)
                              for e in n.ctx.entries[len(ctx):]))
-        return seq(router, arg, seq(drop, _translate(pn)))
+        stages = (par(Id(gn), arg) if gn else arg, seq(drop, _translate(pn)))
+        return seq(*stages) if router is None else seq(router, *stages)
     if rule not in ("U", "V", "G", "D"):
         raise TranslationError(f"unknown rule {rule!r}")
     if rule == "V" or ctx.entries:

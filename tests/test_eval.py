@@ -693,7 +693,7 @@ def _outcome(d, budget):
 
 class TestRepeatedSubDiagrams:
     """denote walks a repeated Seq or Par at each occurrence and reuses only
-    leaf matrices and H's: the matrix is that of a copy that shares no node,
+    H's matrix: the matrix is that of a copy that shares no node,
     and the shared diagram and the copy are refused at the same budgets."""
 
     @pytest.mark.parametrize(

@@ -229,7 +229,7 @@ class TestRouting:
 
     def test_router_is_id_exactly_in_block_order(self):
         # a binary node's router sends the context's wires to [first child's
-        # block, second child's block]: an Id when no wire of the second
+        # block, second child's block]: none when no wire of the second
         # block precedes one of the first, else one Perm, never the identity
         # (no translated diagram holds one: see _removable_units)
         ids = perms = 0
@@ -249,7 +249,7 @@ class TestRouting:
                 order = blocks[0] + blocks[1]
                 assert g1 == len(blocks[0]), label
                 if order == list(range(at)):
-                    assert router == Id(at), label
+                    assert router is None, label
                     ids += 1
                 else:
                     assert isinstance(router, Perm), label
@@ -292,6 +292,16 @@ class TestNormalFormContract:
         g = Derivation("G", EMPTY, term.left, Q)
         w = Derivation("W", self.X1, term.left, Q, (g,))
         self.refused(Derivation("T", self.X1, term, Tensor(Q, Q), (w, w)), "neither child")
+
+    def test_closed_child_beside_a_child_keeping_part_of_the_context(self):
+        # one child keeps nothing and the other only x of (x, y): y is kept
+        # by neither, though one child is closed
+        ctx = context_of(("x", Basis.Z, Q), ("y", Basis.X, Q))
+        term = parse("<x, Z[1]>")
+        v = Derivation("V", self.X1, term.left, Q)
+        g = Derivation("G", EMPTY, term.right, Q)
+        w1, w2 = Derivation("W", ctx, v.term, Q, (v,)), Derivation("W", ctx, g.term, Q, (g,))
+        self.refused(Derivation("T", ctx, term, Tensor(Q, Q), (w1, w2)), "neither child")
 
     def test_variable_over_an_unused_entry(self):
         ctx = context_of(("x", Basis.Z, Q), ("y", Basis.X, Q))
