@@ -161,16 +161,14 @@ def _split_binary(ctx: Context, c1: Derivation, c2: Derivation):
     child judgements collapses, since a same-basis copy spider with one leg
     discarded is an identity wire). Returns (router to [c1 block, c2 block],
     c1 and c2 past their weakenings, c1 block size): no router (None) when
-    the entries are already in block order, else one Perm. When one child
-    keeps nothing and the other the whole context, as beside every closed
-    child infer builds, that is known without a walk. Raises
-    TranslationError when an entry is kept by both children or by
-    neither."""
+    the entries are already in block order, else one Perm. One tuple test
+    recognises a node whose children take the context in block order, as
+    beside every closed child infer builds; only another node, or a let
+    whose body keeps a binder, walks the context. Raises TranslationError
+    when an entry is kept by both children or by neither."""
     p1, p2 = _past_w(c1), _past_w(c2)
-    if not p1.ctx.entries and p2.ctx.entries == ctx.entries:
-        return None, p1, p2, 0
-    if not p2.ctx.entries and p1.ctx.entries == ctx.entries:
-        return None, p1, p2, ctx.wire_count()
+    if p1.ctx.entries + p2.ctx.entries == ctx.entries:
+        return None, p1, p2, p1.ctx.wire_count() if p1.ctx.entries else 0
     kept1, kept2 = {e.name for e in p1.ctx.entries}, {e.name for e in p2.ctx.entries}
     # wires of each block so far; in block order while no c2 wire precedes
     # a c1 wire

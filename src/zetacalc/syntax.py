@@ -14,11 +14,11 @@ forms carry a basis (Z or X) and a phase; phases are exact rational
 multiples of pi whenever written symbolically, with decimal radians as an
 escape hatch.
 
-`parse` reads a text with one regex match per token into parallel lists of
-token kinds, texts and start offsets, then builds the term in one loop over
-an explicit stack of open constructs, so it has no nesting limit of its own.
-A `ParseError`'s line and column are worked out from the offset when it is
-raised.
+`parse` lexes a text with one regex `findall` into parallel lists of token
+kinds and texts, then builds the term in one loop over an explicit stack of
+open constructs, so it has no nesting limit of its own. No offset is kept: a
+`ParseError` finds its token's line and column by lexing the text again,
+only when it is raised.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import enum
 import functools
 import math
 import re
+import string
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -188,35 +189,46 @@ def fn_parts(t: Type) -> Optional[tuple[Type, Type]]:
 
 
 def print_type(t: Type) -> str:
-    # precedence: 0 = arrow (right-assoc), 1 = tensor (left-assoc), 2 = atom
-    def go(t: Type, prec: int) -> str:
-        parts = fn_parts(t)
-        if parts is not None:
-            a, b = parts
-            s = f"{go(a, 1)} -> {go(b, 0)}"
-            return s if prec <= 0 else f"({s})"
-        if isinstance(t, Tensor):
-            s = f"{go(t.left, 1)} * {go(t.right, 2)}"
-            return s if prec <= 1 else f"({s})"
-        if isinstance(t, Dual):
-            return f"{go(t.inner, 2)}'"
-        if isinstance(t, Numeral):
-            return str(t.n)
-        if isinstance(t, TypeVar):
-            return f"?{t.id}"
-        raise TypeError(f"not a type: {t!r}")
+    return _print_type(t, 0)
 
-    return go(t, 0)
+
+def _print_type(t: Type, prec: int) -> str:
+    """`print_type` at precedence prec: 0 = arrow (right-assoc), 1 = tensor
+    (left-assoc), 2 = atom. Each walk here is a module-level function, not a
+    closure that calls itself: that closure is a reference cycle, freed only
+    by the cycle collector."""
+    parts = fn_parts(t)
+    if parts is not None:
+        a, b = parts
+        s = f"{_print_type(a, 1)} -> {_print_type(b, 0)}"
+        return s if prec <= 0 else f"({s})"
+    if isinstance(t, Tensor):
+        s = f"{_print_type(t.left, 1)} * {_print_type(t.right, 2)}"
+        return s if prec <= 1 else f"({s})"
+    if isinstance(t, Dual):
+        return f"{_print_type(t.inner, 2)}'"
+    if isinstance(t, Numeral):
+        return str(t.n)
+    if isinstance(t, TypeVar):
+        return f"?{t.id}"
+    raise TypeError(f"not a type: {t!r}")
 
 
 # ---------------------------------------------------------------------------
 # Terms
 
 
-def _without(counts: dict[str, int], names: tuple) -> dict[str, int]:
-    if not any(n in counts for n in names):
+# the counts of a term with no free variable that `_without` returns; like
+# every `fv` dict, never changed
+_NONE_FREE: dict[str, int] = {}
+
+
+def _without(counts: dict[str, int], name: str) -> dict[str, int]:
+    if name not in counts:
         return counts
-    return {k: v for k, v in counts.items() if k not in names}
+    if len(counts) == 1:
+        return _NONE_FREE
+    return {k: v for k, v in counts.items() if k != name}
 
 
 def _merged(first: dict[str, int], second: dict[str, int]) -> dict[str, int]:
@@ -225,9 +237,12 @@ def _merged(first: dict[str, int], second: dict[str, int]) -> dict[str, int]:
         return first
     if not first:
         return second
-    out = dict(first)
-    for k, v in second.items():
-        out[k] = out.get(k, 0) + v
+    out = {**first, **second}
+    # sum the names both hold, found by walking the smaller dict
+    small, large = (first, second) if len(first) < len(second) else (second, first)
+    for k in small:
+        if k in large:
+            out[k] = first[k] + second[k]
     return out
 
 
@@ -275,7 +290,7 @@ class Abs(Term):
     is_lambda: bool = False
 
     def __post_init__(self):
-        self.fv = _without(self.body.fv, (self.var,))
+        self.fv = _without(self.body.fv, self.var)
 
 
 @dataclass(unsafe_hash=True)
@@ -307,7 +322,7 @@ class Let(Term):
     body: Term
 
     def __post_init__(self):
-        body = _without(self.body.fv, (self.var1, self.var2))
+        body = _without(_without(self.body.fv, self.var1), self.var2)
         self.fv = _merged(self.bound.fv, body)
 
 
@@ -323,7 +338,9 @@ def compose(m: Term, n: Term, basis: Basis = Basis.Z) -> Term:
     """M o N  :=  B^0 x. M (N x); the basis is semantically irrelevant for
     the linearly used x (asserted in tests), fixed to Z by default. x is not
     free in M or N, so it captures nothing."""
-    x = _freshen("_c", m.fv.keys() | n.fv.keys())
+    x = "_c"
+    if x in m.fv or x in n.fv:
+        x = _freshen(x, m.fv.keys() | n.fv.keys())
     return Abs(basis, Phase.zero(), x, None, App(m, App(n, Var(x))))
 
 
@@ -418,104 +435,113 @@ def rename_free_occurrences(term: Term, name: str, names: list[str]) -> Term:
     given fresh names. Used to make contraction explicit."""
     if term.fv.get(name, 0) != len(names):
         raise ValueError(f"expected {len(names)} occurrences of {name}")
-    it = iter(names)
+    return _renamed(term, name, iter(names))
 
-    def go(t: Term) -> Term:
-        if name not in t.fv:
-            return t
-        if isinstance(t, Var):
-            return Var(next(it))
-        if isinstance(t, Abs):
-            return Abs(t.basis, t.phase, t.var, t.annotation, go(t.body), t.is_lambda)
-        if isinstance(t, App):
-            return App(go(t.fn), go(t.arg))
-        if isinstance(t, Tup):
-            return Tup(go(t.left), go(t.right))
-        if isinstance(t, Let):
-            bound = go(t.bound)
-            body = t.body if name in (t.var1, t.var2) else go(t.body)
-            return Let(t.basis, t.var1, t.var2, t.annotation1, t.annotation2, bound, body)
+
+def _renamed(t: Term, name: str, fresh) -> Term:
+    """t with each free occurrence of name, left to right, replaced by the
+    next name of the iterator fresh."""
+    if name not in t.fv:
         return t
-
-    return go(term)
+    if isinstance(t, Var):
+        return Var(next(fresh))
+    if isinstance(t, Abs):
+        body = _renamed(t.body, name, fresh)
+        return Abs(t.basis, t.phase, t.var, t.annotation, body, t.is_lambda)
+    if isinstance(t, App):
+        return App(_renamed(t.fn, name, fresh), _renamed(t.arg, name, fresh))
+    if isinstance(t, Tup):
+        return Tup(_renamed(t.left, name, fresh), _renamed(t.right, name, fresh))
+    if isinstance(t, Let):
+        bound = _renamed(t.bound, name, fresh)
+        body = t.body if name in (t.var1, t.var2) else _renamed(t.body, name, fresh)
+        return Let(t.basis, t.var1, t.var2, t.annotation1, t.annotation2, bound, body)
+    return t
 
 
 def alpha_eq(t1: Term, t2: Term) -> bool:
     """Equality up to renaming of bound variables. Phases compare by
     normalized value; the lambda-obligation flag is ignored."""
+    return _alpha_eq(t1, t2, {}, {}, 0)
 
-    def go(a: Term, b: Term, env1: dict, env2: dict, depth: int) -> bool:
-        if type(a) is not type(b):
-            return False
-        if isinstance(a, Unit):
-            return True
-        if isinstance(a, Var):
-            return env1.get(a.name, a.name) == env2.get(b.name, b.name)
-        if isinstance(a, Gen):
-            return a.basis == b.basis and a.n == b.n and a.phase.approx_eq(b.phase)
-        if isinstance(a, Abs):
-            if a.basis != b.basis or not a.phase.approx_eq(b.phase):
-                return False
-            e1 = {**env1, a.var: depth}
-            e2 = {**env2, b.var: depth}
-            return go(a.body, b.body, e1, e2, depth + 1)
-        if isinstance(a, App):
-            return go(a.fn, b.fn, env1, env2, depth) and go(a.arg, b.arg, env1, env2, depth)
-        if isinstance(a, Tup):
-            return go(a.left, b.left, env1, env2, depth) and go(
-                a.right, b.right, env1, env2, depth
-            )
-        if isinstance(a, Let):
-            if a.basis != b.basis or not go(a.bound, b.bound, env1, env2, depth):
-                return False
-            e1 = {**env1, a.var1: depth, a.var2: depth + 1}
-            e2 = {**env2, b.var1: depth, b.var2: depth + 1}
-            return go(a.body, b.body, e1, e2, depth + 2)
+
+def _alpha_eq(a: Term, b: Term, env1: dict, env2: dict, depth: int) -> bool:
+    """`alpha_eq` under environments mapping each bound name to its binder's
+    depth."""
+    if type(a) is not type(b):
         return False
-
-    return go(t1, t2, {}, {}, 0)
+    if isinstance(a, Unit):
+        return True
+    if isinstance(a, Var):
+        return env1.get(a.name, a.name) == env2.get(b.name, b.name)
+    if isinstance(a, Gen):
+        return a.basis == b.basis and a.n == b.n and a.phase.approx_eq(b.phase)
+    if isinstance(a, Abs):
+        if a.basis != b.basis or not a.phase.approx_eq(b.phase):
+            return False
+        e1 = {**env1, a.var: depth}
+        e2 = {**env2, b.var: depth}
+        return _alpha_eq(a.body, b.body, e1, e2, depth + 1)
+    if isinstance(a, App):
+        return (_alpha_eq(a.fn, b.fn, env1, env2, depth)
+                and _alpha_eq(a.arg, b.arg, env1, env2, depth))
+    if isinstance(a, Tup):
+        return (_alpha_eq(a.left, b.left, env1, env2, depth)
+                and _alpha_eq(a.right, b.right, env1, env2, depth))
+    if isinstance(a, Let):
+        if a.basis != b.basis or not _alpha_eq(a.bound, b.bound, env1, env2, depth):
+            return False
+        e1 = {**env1, a.var1: depth, a.var2: depth + 1}
+        e2 = {**env2, b.var1: depth, b.var2: depth + 1}
+        return _alpha_eq(a.body, b.body, e1, e2, depth + 2)
+    return False
 
 
 # ---------------------------------------------------------------------------
 # Concrete syntax
 
-_KEYWORDS = {"Z", "X", "H", "rot", "let", "in", "o", "rad", "pi"}
+# a keyword or punctuation lexeme is its own kind
+_KINDS = {k: k for k in ("Z", "X", "H", "rot", "let", "in", "o", "rad", "pi",
+                         *r"<>,.:^[]*\/=()'-")}
+_IDENT_START = frozenset(string.ascii_letters + "_")
 
-# one match per token, with the whitespace before it; `bad` is any other character
+# one match per token, with the whitespace before it: a number, an
+# identifier, a punctuation character, or any other character
 _TOKEN_RE = re.compile(
-    r"""\s*(?:
-    (?P<num>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
-  | (?P<punct>[<>,.:^\[\]*\\/=()'-])
-  | (?P<bad>\S)
-    )""",
-    re.VERBOSE,
+    r"\s*(\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|[A-Za-z_][A-Za-z0-9_']*|[<>,.:^\[\]*\\/=()'-]|\S)"
 )
 
 
-def _line_col(text: str, offset: int) -> tuple[int, int]:
-    """1-based line and column of a character offset."""
+def _line_col(text: str, index: int) -> tuple[int, int]:
+    """1-based line and column of the start of token `index` of text, or of
+    the end of text for its end token; found by lexing text again."""
+    offset = len(text)
+    for i, m in enumerate(_TOKEN_RE.finditer(text)):
+        if i == index:
+            offset = m.start(1)
+            break
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _tokenize(text: str) -> tuple[list[str], list[str], list[int]]:
-    """Kinds ('num', 'ident', keyword or punctuation text, 'eof'), texts
-    and start offsets of the tokens of text."""
-    kinds, texts, starts = [], [], []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        lexeme = m[kind]
-        if kind == "punct" or kind == "ident" and lexeme in _KEYWORDS:
-            kind = lexeme
-        elif kind == "bad":
-            raise ParseError(f"unexpected character {lexeme!r}", *_line_col(text, m.start(kind)))
+def _tokenize(text: str) -> tuple[list[str], list[str]]:
+    """Kinds ('num', 'ident', keyword or punctuation text, 'eof') and texts
+    of the tokens of text."""
+    texts = _TOKEN_RE.findall(text)
+    kinds = []
+    for i, lexeme in enumerate(texts):
+        kind = _KINDS.get(lexeme)
+        if kind is None:
+            # `isdecimal` is what `\d` matches
+            if lexeme[0].isdecimal():
+                kind = "num"
+            elif lexeme[0] in _IDENT_START:
+                kind = "ident"
+            else:
+                raise ParseError(f"unexpected character {lexeme!r}", *_line_col(text, i))
         kinds.append(kind)
-        texts.append(lexeme)
-        starts.append(m.end() - len(lexeme))
     kinds.append("eof")
     texts.append("")
-    starts.append(len(text))
-    return kinds, texts, starts
+    return kinds, texts
 
 
 _ATOM_START = {"*", "ident", "Z", "X", "H", "rot", "let", "<", "(", "\\"}
@@ -526,7 +552,7 @@ _OPENERS = {"<", "(", "\\", "let"}
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.kinds, self.texts, self.starts = _tokenize(text)
+        self.kinds, self.texts = _tokenize(text)
         self.pos = 0
 
     def next(self) -> str:
@@ -541,8 +567,7 @@ class _Parser:
 
     def error(self, message: str, pos: Optional[int] = None):
         """Raise at the token at pos, the current one by default."""
-        offset = self.starts[self.pos if pos is None else pos]
-        raise ParseError(message, *_line_col(self.text, offset))
+        raise ParseError(message, *_line_col(self.text, self.pos if pos is None else pos))
 
     def end(self):
         if self.kinds[self.pos] != "eof":

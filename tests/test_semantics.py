@@ -257,6 +257,28 @@ class TestRouting:
                     perms += 1
         assert ids > 1000 and perms > 20
 
+    def _split_root(self, src, ctx, monkeypatch):
+        """_split_binary of the root of src over ctx, and how many times it
+        read an entry's wire count, which only its walk over the context
+        does."""
+        sizes = []
+        monkeypatch.setattr(semantics, "size", lambda t: sizes.append(t) or size(t))
+        _, d = infer(ctx, parse(src))
+        return _split_binary(d.ctx, *d.children), len(sizes)
+
+    def test_block_order_with_no_closed_child_needs_no_walk(self, monkeypatch):
+        ctx = context_of(("x", Basis.Z, Q), ("y", Basis.X, Q))
+        (router, p1, p2, g1), walked = self._split_root("<x, y>", ctx, monkeypatch)
+        assert p1.ctx.entries and p2.ctx.entries
+        assert (router, g1, walked) == (None, 1, 0)
+
+    def test_zero_wire_entry_out_of_block_order_needs_no_router(self, monkeypatch):
+        # z, kept by the first child, follows a, kept by the second: out of
+        # block order by entry, in block order by wire
+        ctx = context_of(("a", Basis.Z, Q), ("z", Basis.X, Numeral(0)))
+        (router, _, _, g1), walked = self._split_root("<z, a>", ctx, monkeypatch)
+        assert (router, g1) == (None, 0) and walked
+
     def test_binary_node_routes_a_three_cycle(self):
         # wires (x, y, z) leave as (z, x, y); a router that inverted its
         # permutation would send them to (y, z, x)

@@ -285,6 +285,10 @@ class TestFreshNames:
         t = parse("_c o _c'")
         assert t.var == "_c''"
         assert free_vars(t) == ["_c", "_c'"]
+        # `_c` free in the second term only
+        t = parse("H o _c")
+        assert t.var == "_c'"
+        assert free_vars(t) == ["_c"]
 
     def test_sugar_binders_do_not_capture(self):
         # compose's first choice of binder is the user's name here
@@ -421,6 +425,10 @@ _MALFORMED = [
     ("multi-line-trailing", "Z x:1.\n\tx\n )"),
     ("multi-line-let", "let <a,b> =Z\n y\n in\n a b )"),
     ("multi-line-end-of-input", "<x,\n y\n"),
+    # `\d` matches a decimal digit of any script, but an identifier starts
+    # with an ASCII letter or `_`
+    ("unexpected-character-letter", "Z x:1. \u00e9"),
+    ("unexpected-character-superscript-digit", "Z x:1. x\u00b2"),
 ]
 
 
@@ -462,6 +470,7 @@ class TestAgainstLiteralParse:
         "Z", "X", "H", "rot", "let", "in", "o", "rad", "pi", "x", "y", "_c",
         "0", "1", "2", "1.5", "1e400", "<", ">", ",", ".", ":", "^", "[", "]",
         "*", "\\", "/", "-", "->", "=", "(", ")", "'", "?", "\n",
+        "\u00b2", "\u00e9", "\u0663", "x\u0663", "\u00a0", "\u2003",
     ]
 
     @settings(max_examples=300, deadline=None)

@@ -1,3 +1,4 @@
+import gc
 from functools import reduce
 
 import numpy as np
@@ -11,7 +12,7 @@ from zetacalc.evaluator import (
     max_deviation,
 )
 from zetacalc.semantics import translate
-from zetacalc.syntax import Basis, Phase, ZetaError, alpha_eq, parse
+from zetacalc.syntax import Basis, Fn, Phase, Tensor, ZetaError, alpha_eq, parse, print_type
 from zetacalc.theory import (
     DEFAULT_TOL,
     beta_step,
@@ -124,6 +125,26 @@ class TestCheckRuleInstance:
         )
         doc = v.to_json_obj()
         assert doc["rule"] == "h-gen" and doc["status"] == "sound"
+
+    def test_no_reference_cycles(self):
+        # a walk that is a closure calling itself is a reference cycle, which
+        # keeps what it holds alive until the cycle collector runs; a rule
+        # pass and the walks it takes (a contraction's renaming, printing a
+        # type, alpha-equivalence) leave none
+        term, t = parse("Z x:1. <x,<x,x>>"), Fn(Numeral(1), Tensor(Numeral(1), Numeral(1)))
+        instances = standard_instances()
+        gc.collect()
+        gc.disable()
+        try:
+            infer(EMPTY, term)
+            print_type(Fn(t, t))
+            alpha_eq(term, parse("Z y:1. <y,<y,y>>"))
+            assert gc.collect() == 0
+            for instance in instances:
+                check_rule_instance(*instance)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestSuite:

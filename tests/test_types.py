@@ -550,8 +550,12 @@ class TestCountsOncePerInference:
                 assert got == _literal_result(ctx, term, t), (syntax.print_term(term), t)
 
     def test_counts_match_naive_in_first_use_order(self):
+        # besides every typing case: a let binding one name twice, composites
+        # with `_c` free on either side, and names shared in another order
+        extra = ["let <a, a> =Z <b, Z[1]> in <a, b>", "let <a, b> =Z y in <b, <y, a>>",
+                 "_c o H", "H o _c", "(Z _c. _c) o _c'", "<<a, b>, <b, <c, a>>>"]
         c_children = 0
-        for ctx, term in _typing_cases():
+        for ctx, term in _typing_cases() + [(EMPTY, parse(s)) for s in extra]:
             for t in _subterms(term):
                 assert list(t.fv.items()) == _naive_counts(t), syntax.print_term(t)
             d = _outcome(lambda: infer(ctx, term)[1])
@@ -562,6 +566,8 @@ class TestCountsOncePerInference:
                 assert list(node.term.fv.items()) == _naive_counts(node.term)
                 c_children += node.rule == "C"
         assert c_children > 100
+        # the one dict of every closed binder's counts is never changed
+        assert syntax._NONE_FREE == {}
 
     def test_no_per_node_term_walks(self, monkeypatch):
         calls = Counter()
