@@ -9,10 +9,12 @@ its small matrix. A spider has no matrix: it is applied to t by its
 structure. An m -> n Z spider writes the two nonzero rows of a zeroed
 (L, 2^n, R) result, row 0 from t's row 0 and the last row from e^{ia}
 times t's last row (one row of t when m is 0); when n is 0 the result is
-one row, the sum of the two. An X spider folds t's rows into two (L, 1, R) slabs,
-u0 = sum_j t_j and u1 = sum_j (-1)^popcount(j) t_j, and fills row i with
-(u0 + (-1)^popcount(i) e^{ia} u1) / 2^((m+n)/2); no array it makes is
-larger than t or its result. A Seq applies its parts in order, and a Par
+one row, the sum of the two. An X spider folds t's rows into two (L, 1, R)
+slabs, u0 = sum_j t_j and u1 = e^{ia} sum_j (-1)^popcount(j) t_j, scaled by
+2^(-(m+n)/2), and writes its result's rows 0 and 1 as u0 + u1 and u0 - u1;
+rows [2^b, 2^(b+1)) repeat rows [0, 2^b) with rows 2k, 2k+1 swapped, as
+i + 2^b has one more set bit than i. No array it makes is larger than t or
+its result. A Seq applies its parts in order, and a Par
 applies each non-Id factor to its own wires, factors that shrink the wire
 count first. A Par, and a Seq that is not itself a Seq part, is evaluated
 on whichever is fewer, the L * R columns flowing into it or its own
@@ -39,9 +41,9 @@ one matmul onto the running tensor: neither holds an array that building
 the spider's matrix or walking `H`'s body would not, so both can only
 remove a refusal.
 
-`equal_up_to_scalar` and `max_deviation` fit one matrix to the other up to
-a scalar, walking both in blocks of _FIT_BLOCK entries in row-major order;
-no temporary they make is larger than a block.
+`scalar_fit` fits one matrix to the other up to a scalar, giving the witness
+and the deviation from one walk over both in blocks of _FIT_BLOCK entries in
+row-major order; no temporary it makes is larger than a block.
 
 `oracle_contract` evaluates the same diagram by a disjoint route: its
 `factor_graph`, a graph over bits read in one `diagram.thread` walk that
@@ -211,15 +213,6 @@ def _leaf_matrix(d: Diagram) -> np.ndarray:
     raise DiagramError(f"not a diagram: {d!r}")
 
 
-def _odd(k: int) -> np.ndarray:
-    """Whether popcount(i) is odd, for i < 2^k: index i + 2^b (i < 2^b) has
-    one more set bit than i."""
-    odd = np.zeros(2**k, dtype=bool)
-    for b in range(k):
-        np.logical_not(odd[: 2**b], out=odd[2**b : 2 ** (b + 1)])
-    return odd
-
-
 def _fold(t: np.ndarray, combine, k: int) -> np.ndarray:
     """Combine the two halves of t's middle axis, k times: with np.add, the
     sum of t's 2^k rows; with np.subtract, their sum with sign
@@ -245,13 +238,16 @@ def _apply_spider(p: Spider, t: np.ndarray, limit) -> np.ndarray:
         out[:, 0] = t[:, 0]
         np.multiply(w, t[:, -1], out=out[:, -1])
         return out
-    # row i is (u0 + (-1)^popcount(i) e^{ia} u1) / 2^((m+n)/2)
+    # rows 0 and 1, then rows [2^b, 2^(b+1)): rows [0, 2^b), 2k and 2k+1 swapped
     scale = 2.0 ** (-(p.m + p.n) / 2)
     u0 = np.multiply(scale, _fold(t, np.add, p.m))
     u1 = np.multiply(scale * w, _fold(t, np.subtract, p.m))
     out = np.empty((L, 2**p.n, R), dtype=complex)
-    np.copyto(out, np.add(u0, u1))
-    np.copyto(out, np.subtract(u0, u1), where=_odd(p.n)[:, None])
+    np.add(u0, u1, out=out[:, :1])
+    np.subtract(u0, u1, out=out[:, 1:2])
+    for b in range(p.n - 1):
+        pairs = out.reshape(L, -1, 2, R)
+        pairs[:, 2**b : 2 ** (b + 1)] = pairs[:, : 2**b, ::-1]
     return out
 
 
@@ -303,7 +299,9 @@ def _apply(d: Diagram, t: np.ndarray, h: tuple, limit) -> np.ndarray:
                 f = factors[i]
                 left, right = sum(widths[:i]), sum(widths[i + 1 :])
                 t = t.reshape(L * 2**left, 2**f.inputs, 2**right * R)
-                t = _apply(f, t, h, limit).reshape(L, -1, R)
+                spider = isinstance(f, Spider)
+                t = _apply_spider(f, t, limit) if spider else _apply(f, t, h, limit)
+                t = t.reshape(L, -1, R)
                 widths[i] = f.outputs
             continue
         _fits(L * m.shape[0] * R, limit)
@@ -408,24 +406,26 @@ def _fit(a: np.ndarray, b: np.ndarray):
     return c, bmax, float(deviation)
 
 
-def equal_up_to_scalar(
-    a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL
-) -> ScalarWitness:
-    """A nonzero c with max|a - c*b| <= tol, BOTH_ZERO if both vanish,
-    None otherwise. c is the entry ratio at b's largest-magnitude entry."""
+def scalar_fit(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> tuple:
+    """(witness, max|a - c*b|) from one `_fit`, c = a/b at b's largest entry:
+    the witness is c if nonzero within tol, BOTH_ZERO if both vanish, else None."""
     a, b = _inexact(a), _inexact(b)
     c, bmax, deviation = _fit(a, b)
     if bmax <= tol:
-        amax = _max_abs(a)
-        return BOTH_ZERO if amax <= tol else None
-    if c != 0 and deviation <= tol:
-        return complex(c)
-    return None
+        # max|a|, which _fit has taken already when b vanishes
+        amax = deviation if c is None else _max_abs(a)
+        return (BOTH_ZERO if amax <= tol else None), deviation
+    return (complex(c) if c != 0 and deviation <= tol else None), deviation
+
+
+def equal_up_to_scalar(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> ScalarWitness:
+    """`scalar_fit`'s witness: c, BOTH_ZERO or None."""
+    return scalar_fit(a, b, tol)[0]
 
 
 def max_deviation(a: np.ndarray, b: np.ndarray) -> float:
-    """Deviation after the best scalar fit at b's largest entry (for reports)."""
-    return _fit(_inexact(a), _inexact(b))[2]
+    """`scalar_fit`'s deviation, max|a - c*b| (for reports)."""
+    return scalar_fit(a, b)[1]
 
 
 # ---------------------------------------------------------------------------

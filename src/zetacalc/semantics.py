@@ -163,12 +163,21 @@ def _split_binary(ctx: Context, c1: Derivation, c2: Derivation):
     c1 and c2 past their weakenings, c1 block size): no router (None) when
     the entries are already in block order, else one Perm. One tuple test
     recognises a node whose children take the context in block order, as
-    beside every closed child infer builds; only another node, or a let
-    whose body keeps a binder, walks the context. Raises TranslationError
-    when an entry is kept by both children or by neither."""
+    beside every closed child infer builds. At a let, c1 is the body, whose
+    context ends with the binders it keeps; they are not in ctx, so the
+    test is made again without them, and the block size leaves them out.
+    Only another node walks the context. Raises TranslationError when an
+    entry is kept by both children or by neither."""
     p1, p2 = _past_w(c1), _past_w(c2)
-    if p1.ctx.entries + p2.ctx.entries == ctx.entries:
-        return None, p1, p2, p1.ctx.wire_count() if p1.ctx.entries else 0
+    own = p1.ctx.entries
+    if own + p2.ctx.entries == ctx.entries:
+        return None, p1, p2, p1.ctx.wire_count() if own else 0
+    if len(c1.ctx.entries) > len(ctx.entries):
+        binders = c1.ctx.entries[len(ctx.entries) :]
+        while own and own[-1] in binders:
+            own = own[:-1]
+        if own + p2.ctx.entries == ctx.entries:
+            return None, p1, p2, Context(own).wire_count()
     kept1, kept2 = {e.name for e in p1.ctx.entries}, {e.name for e in p2.ctx.entries}
     # wires of each block so far; in block order while no c2 wire precedes
     # a c1 wire

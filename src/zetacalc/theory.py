@@ -11,6 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+# equal_up_to_scalar and max_deviation are not called here; they stay
+# because perfbench/tracing.py reads and swaps them by name, with infer,
+# translate and denote, around each traced op
 from .evaluator import (
     BOTH_ZERO,
     DEFAULT_TOL,
@@ -18,6 +21,7 @@ from .evaluator import (
     denote,
     equal_up_to_scalar,
     max_deviation,
+    scalar_fit,
 )
 from .semantics import translate
 from .syntax import (
@@ -287,7 +291,8 @@ def compare(
     ctx: Context, t1: Term, t2: Term, tol: float, budget: Optional[int] = None
 ) -> Comparison:
     """Type both terms in ctx, translate and evaluate them, and fit one
-    matrix to the other up to a nonzero scalar within tol. `budget` bounds
+    matrix to the other up to a nonzero scalar within tol, with one
+    `scalar_fit` giving both the witness and the deviation. `budget` bounds
     evaluation as in `denote`. Raises typing, translation and budget
     errors."""
     ty1, d1 = infer(ctx, t1)
@@ -299,8 +304,7 @@ def compare(
     bound = () if budget is None else (budget,)
     m1 = denote(translate(d1).diagram, *bound)
     m2 = denote(translate(d2).diagram, *bound)
-    witness = equal_up_to_scalar(m1, m2, tol)
-    deviation = max_deviation(m1, m2)
+    witness, deviation = scalar_fit(m1, m2, tol)
     if witness is None:
         return Comparison("distinct", ty1, ty2, deviation=deviation)
     scalar = None if witness is BOTH_ZERO else witness

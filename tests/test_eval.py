@@ -467,6 +467,43 @@ class TestSpiderKernel:
                     assert rec.largest <= max(t.size, out.size), (m, n, L, R)
                     assert "matmul" not in rec.calls
 
+    @pytest.mark.parametrize("phase", _KERNEL_PHASES, ids=str)
+    def test_x_rows_are_the_literal_formula_bit_for_bit(self, phase):
+        # integer entries, so u0 and u1 are exact in any order of summation;
+        # row i is then scale u0 + (-1)^popcount(i) (scale e^{ia}) u1, each
+        # product rounded once, as the kernel rounds it
+        rng = np.random.default_rng(5)
+        w = phase_exp(phase)
+        for m in range(6):
+            for n in range(6):
+                scale = 2.0 ** (-(m + n) / 2)
+                for L, R in [(1, 1), (2, 3)]:
+                    t = rng.integers(-8, 9, (L, 2**m, R)) + 1j * rng.integers(-8, 9, (L, 2**m, R))
+                    u0 = sum(t[:, j] for j in range(2**m))
+                    u1 = sum((-1) ** bin(j).count("1") * t[:, j] for j in range(2**m))
+                    a, b = scale * u0, scale * w * u1
+                    rows = [a - b if bin(i).count("1") % 2 else a + b for i in range(2**n)]
+                    got = evaluator._apply_spider(
+                        Spider(Basis.X, phase, m, n), t, evaluator._ADDRESSABLE
+                    )
+                    assert np.array_equal(got, np.stack(rows, axis=1)), (m, n, L, R)
+
+    def test_one_to_one_x_spider_takes_a_few_numpy_calls(self):
+        # two folds, two scalings, and rows 0 and 1 written into the result:
+        # no parity table and no masked copy
+        rec = _RecordingNumpy()
+        evaluator.np = rec
+        try:
+            evaluator._apply_spider(
+                Spider(Basis.X, Phase.exact(1, 4), 1, 1),
+                np.ones((1, 2, 1), dtype=complex),
+                evaluator._ADDRESSABLE,
+            )
+        finally:
+            evaluator.np = np
+        assert ("copyto", "where") not in rec.keywords
+        assert sum(rec.calls.values()) <= 7, rec.calls
+
     @pytest.mark.parametrize("basis", "ZX")
     def test_wide_copy_map_holds_about_its_result(self, basis):
         evaluator._hadamard()
@@ -477,13 +514,15 @@ class TestSpiderKernel:
 
 class _RecordingNumpy:
     """Stands in for numpy inside the evaluator and records the size of the
-    largest array any numpy call returns, and how often each function is
-    called. Reshapes and transposes are array methods and are not seen, but
-    they copy at most an array already held."""
+    largest array any numpy call returns, how often each function is
+    called, and how often with each keyword argument. Reshapes and
+    transposes are array methods and are not seen, but they copy at most an
+    array already held."""
 
     def __init__(self):
         self.largest = 0
         self.calls = Counter()
+        self.keywords = Counter()
 
     def __getattr__(self, name):
         fn = getattr(np, name)
@@ -492,6 +531,7 @@ class _RecordingNumpy:
 
         def recorded(*args, **kwargs):
             self.calls[name] += 1
+            self.keywords.update((name, key) for key in kwargs)
             out = fn(*args, **kwargs)
             if isinstance(out, np.ndarray):
                 self.largest = max(self.largest, out.size)

@@ -272,6 +272,29 @@ class TestRouting:
         assert p1.ctx.entries and p2.ctx.entries
         assert (router, g1, walked) == (None, 1, 0)
 
+    def test_let_in_block_order_needs_no_walk(self, monkeypatch):
+        # a let's body keeps the binders it uses after its share of the
+        # let's context; the block-order test leaves them out, so no let
+        # whose entries are in block order reads an entry's wire count
+        sizes = []
+        monkeypatch.setattr(semantics, "size", lambda t: sizes.append(t) or size(t))
+        lets = 0
+        for label, d, _ in translated_derivations():
+            for node in d.walk():
+                if node.rule != "E":
+                    continue
+                m, n = node.children
+                kept = {e.name for e in _past_w(n).ctx}
+                names = [e.name for e in node.ctx]
+                # in block order: the body's entries, then the bound term's
+                if names != sorted(names, key=lambda x: x not in kept):
+                    continue
+                sizes.clear()
+                _split_binary(node.ctx, n, m)
+                assert not sizes, label
+                lets += 1
+        assert lets >= 15
+
     def test_zero_wire_entry_out_of_block_order_needs_no_router(self, monkeypatch):
         # z, kept by the first child, follows a, kept by the second: out of
         # block order by entry, in block order by wire

@@ -1,9 +1,11 @@
 import gc
 from functools import reduce
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from zetacalc import evaluator, theory
 from zetacalc.evaluator import (
     BOTH_ZERO,
     WireBudgetError,
@@ -188,6 +190,18 @@ class TestCompare:
                                     DEFAULT_TOL)
             assert (verdict.status, verdict.scalar, verdict.deviation) == expect
         assert "sound" in seen
+
+    def test_one_scalar_fit_per_compare(self):
+        with mock.patch.object(theory, "compare", wraps=compare) as compares, \
+                mock.patch.object(evaluator, "_fit", wraps=evaluator._fit) as fits:
+            for rule, bindings, ctx in standard_instances():
+                check_rule_instance(rule, bindings, ctx)
+        assert compares.call_count == fits.call_count == 264
+
+    def test_names_the_benchmark_tracer_swaps_stay(self):
+        # perfbench/tracing.py reads and swaps these theory attributes by name
+        for name in ("infer", "translate", "denote", "equal_up_to_scalar", "max_deviation"):
+            assert callable(getattr(theory, name)), name
 
     def test_result_fields(self):
         equal = compare(EMPTY, parse("Z x:1. x"), parse("\\y:1. y"), 1e-9)
