@@ -163,26 +163,17 @@ def _split_binary(ctx: Context, c1: Derivation, c2: Derivation):
     c1 and c2 past their weakenings, c1 block size): no router (None) when
     the entries are already in block order, else one Perm. One tuple test
     recognises a node whose children take the context in block order, as
-    beside every closed child infer builds. At a let, c1 is the body, whose
-    context ends with the binders it keeps; they are not in ctx, so the
-    test is made again without them, and the block size leaves them out.
-    Only another node walks the context. Raises TranslationError when an
-    entry is kept by both children or by neither."""
+    beside every closed child infer builds; any other node walks the
+    context once. At a let, c1 is the body, whose context ends with the
+    binders it keeps; they are not in ctx, so the walk leaves them out of
+    the block size. Raises TranslationError when an entry is kept by both
+    children or by neither."""
     p1, p2 = _past_w(c1), _past_w(c2)
-    own = p1.ctx.entries
-    if own + p2.ctx.entries == ctx.entries:
-        return None, p1, p2, p1.ctx.wire_count() if own else 0
-    if len(c1.ctx.entries) > len(ctx.entries):
-        binders = c1.ctx.entries[len(ctx.entries) :]
-        while own and own[-1] in binders:
-            own = own[:-1]
-        if own + p2.ctx.entries == ctx.entries:
-            return None, p1, p2, Context(own).wire_count()
+    if p1.ctx.entries + p2.ctx.entries == ctx.entries:
+        return None, p1, p2, p1.ctx.wire_count() if p1.ctx.entries else 0
     kept1, kept2 = {e.name for e in p1.ctx.entries}, {e.name for e in p2.ctx.entries}
-    # wires of each block so far; in block order while no c2 wire precedes
-    # a c1 wire
-    g1 = g2 = 0
-    ordered = True
+    # the input wires of each block, in context order
+    blocks, wires = ([], []), 0
     for e in ctx.entries:
         first = e.name in kept1
         if first == (e.name in kept2):
@@ -192,21 +183,16 @@ def _split_binary(ctx: Context, c1: Derivation, c2: Derivation):
                 " translate takes only the W/C-normal form that infer builds"
             )
         n = size(e.type)
-        if first:
-            if n and g2:
-                ordered = False
-            g1 += n
-        else:
-            g2 += n
-    if ordered:
-        return None, p1, p2, g1
-    # input wire i leaves at the next free position of its entry's block
-    perm, dst = [], [0, g1]
-    for e in ctx.entries:
-        block, n = e.name not in kept1, size(e.type)
-        perm.extend(range(dst[block], dst[block] + n))
-        dst[block] += n
-    return Perm(tuple(perm)), p1, p2, g1
+        blocks[not first].extend(range(wires, wires + n))
+        wires += n
+    order = blocks[0] + blocks[1]
+    if order == list(range(wires)):
+        return None, p1, p2, len(blocks[0])
+    # input wire order[i] leaves at output position i
+    perm = [0] * wires
+    for i, w in enumerate(order):
+        perm[w] = i
+    return Perm(tuple(perm)), p1, p2, len(blocks[0])
 
 
 def translate(derivation: Derivation) -> JudgementDiagram:

@@ -8,7 +8,7 @@ what soundness of the equational theory asserts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 # equal_up_to_scalar and max_deviation are not called here; they stay
@@ -408,45 +408,29 @@ def _is_linear_redex(t: Term) -> bool:
     return True
 
 
+# the subterms beta_step searches, left to right, by class
+_SUBTERMS = {Abs: ("body",), App: ("fn", "arg"), Tup: ("left", "right"), Let: ("bound", "body")}
+
+
 def beta_step(term: Term) -> Optional[Term]:
     """Reduce the leftmost-outermost linear redex (phase-0 binder, bound
     variable used at most once; a vacuous binder only for closed arguments).
-    Shared redexes are not reduced here: their soundness is semantic."""
-    if _is_linear_redex(term):
-        fn: Abs = term.fn
-        return substitute(fn.body, fn.var, term.arg)
-    if isinstance(term, Abs):
-        body = beta_step(term.body)
-        if body is not None:
-            return Abs(term.basis, term.phase, term.var, term.annotation, body,
-                       term.is_lambda)
-        return None
-    if isinstance(term, App):
-        fn = beta_step(term.fn)
-        if fn is not None:
-            return App(fn, term.arg)
-        arg = beta_step(term.arg)
-        if arg is not None:
-            return App(term.fn, arg)
-        return None
-    if isinstance(term, Tup):
-        left = beta_step(term.left)
-        if left is not None:
-            return Tup(left, term.right)
-        right = beta_step(term.right)
-        if right is not None:
-            return Tup(term.left, right)
-        return None
-    if isinstance(term, Let):
-        bound = beta_step(term.bound)
-        if bound is not None:
-            return Let(term.basis, term.var1, term.var2, term.annotation1,
-                       term.annotation2, bound, term.body)
-        body = beta_step(term.body)
-        if body is not None:
-            return Let(term.basis, term.var1, term.var2, term.annotation1,
-                       term.annotation2, term.bound, body)
-        return None
+    Shared redexes are not reduced here: their soundness is semantic. The
+    search runs in pre-order over an explicit stack of (subterm, path above
+    it) pairs, a path being a (parent, field, path above the parent) link,
+    and the spine above the redex is rebuilt in a loop, so no Python frame
+    is used per nesting level."""
+    todo = [(term, None)]
+    while todo:
+        t, path = todo.pop()
+        if _is_linear_redex(t):
+            t = substitute(t.fn.body, t.fn.var, t.arg)
+            while path is not None:
+                parent, name, path = path
+                t = replace(parent, **{name: t})
+            return t
+        fields = _SUBTERMS.get(type(t), ())
+        todo.extend((getattr(t, f), (t, f, path)) for f in reversed(fields))
     return None
 
 

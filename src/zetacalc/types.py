@@ -406,28 +406,26 @@ class _Inferencer:
         self.origin[self.counter] = origin
         return TypeVar(self.counter)
 
-    def unify(self, a: Type, b: Type):
-        # in place: a failure ends the inference, so no caller sees the
-        # partial bindings
-        _unify_into(a, b, self.subst)
-
     def derivation(self, ctx: Context, term: Term, expected: Optional[Type] = None):
         """The derivation of ctx |- term, its type unified with `expected`
-        when one is given. A binder type that does not resolve leaves a
-        variable in the derivation: it is built with the variables in, and
-        the first one `_reject_variables` meets is reported."""
+        when one is given. Each unannotated binder's type is resolved once,
+        under the one substitution, for `build` to take in turn. A binder or
+        context type that does not resolve leaves a variable in the
+        derivation: it is built with the variables in, the context resolved
+        too, and the first variable `_reject_variables` meets is reported."""
         env = {e.name: e.type for e in ctx.entries}
         missing = [x for x in term.fv if x not in env]
         if missing:
             raise UnboundVariableError(f"unbound variable {missing[0]}")
         t = self.typeof(env, term)
-        if expected is not None:
-            self.unify(t, expected)
         subst = self.subst
-        binders = [_resolved(v, subst) for v in self.binders]
-        unsure = any(b is None for b in binders) or any(contains_var(e.type) for e in ctx)
+        if expected is not None:
+            # in place: a failure ends the inference, so no caller sees the
+            # partial bindings
+            _unify_into(t, expected, subst)
+        binders = [apply_subst(v, subst) for v in self.binders]
+        unsure = any(map(contains_var, binders)) or any(contains_var(e.type) for e in ctx)
         if unsure:
-            binders = [apply_subst(v, subst) for v in self.binders]
             ctx = Context(
                 tuple(Entry(e.name, e.basis, apply_subst(e.type, subst)) for e in ctx)
             )
@@ -491,7 +489,7 @@ class _Inferencer:
             if b is None:
                 b = self.fresh(f"let binder {term.var2}")
             try:
-                self.unify(bound, Tensor(a, b))
+                _unify_into(bound, Tensor(a, b), self.subst)
             except UnificationError as exc:
                 raise UnificationError(f"in let binding: {exc}") from exc
             t = self.typeof({**env, term.var1: a, term.var2: b}, term.body)
@@ -599,29 +597,6 @@ def _hint(origin: Optional[str], name: Optional[str]) -> str:
         # a contracted copy x#k names its binder x
         origin = f"binder {name.partition('#')[0]}"
     return "" if origin is None else f" (add an annotation at {origin})"
-
-
-def _resolved(t: Type, subst: Subst) -> Optional[Type]:
-    """t under subst, or None while a variable in it stays unbound. t itself
-    comes back, not a copy, when nothing in it was bound."""
-    cls = type(t)
-    if cls is Tensor:
-        left = _resolved(t.left, subst)
-        if left is None:
-            return None
-        right = _resolved(t.right, subst)
-        if right is None:
-            return None
-        return t if left is t.left and right is t.right else Tensor(left, right)
-    if cls is TypeVar:
-        b = subst.get(t.id)
-        return None if b is None else _resolved(b, subst)
-    if cls is Dual:
-        inner = _resolved(t.inner, subst)
-        if inner is None:
-            return None
-        return t if inner is t.inner else Dual(inner)
-    return t
 
 
 def _first_var(t: Type) -> Optional[int]:

@@ -266,6 +266,12 @@ class TestFreeVarsOccurrences:
         with pytest.raises(ValueError):
             rename_free_occurrences(t, "x", ["x#1", "x#2"])
 
+    def test_rename_through_an_abstraction(self):
+        t = parse("<x, \\y:1. <y, x>>")
+        r = rename_free_occurrences(t, "x", ["x1", "x2"])
+        assert r == parse("<x1, \\y:1. <y, x2>>")
+        assert r.right.is_lambda
+
     def test_rename_under_a_let(self):
         t = parse("let <a, b> =Z <x, x> in <a, <b, x>>")
         r = rename_free_occurrences(t, "x", ["x1", "x2", "x3"])
@@ -326,6 +332,12 @@ class TestSubstitute:
     def test_let_binder_renamed_away_from_the_replacement(self):
         t = substitute(parse("let <a, b> =Z y in <a, x>"), "x", Var("a"))
         assert t == parse("let <a', b> =Z y in <a', a>")
+
+    def test_let_second_binder_renamed_away_from_the_replacement(self):
+        t = substitute(parse("let <a, b> =Z y in <a, x>"), "x", Var("b"))
+        assert t == parse("let <a, b'> =Z y in <a, b>")
+        t = substitute(parse("let <a, b> =Z y in <<a, b>, x>"), "x", parse("<b, a>"))
+        assert t == parse("let <a', b'> =Z y in <<a', b'>, <b, a>>")
 
     def test_nested_collision(self):
         # renaming y must not be captured by an inner binder already named y'

@@ -14,7 +14,17 @@ from zetacalc.evaluator import (
     max_deviation,
 )
 from zetacalc.semantics import translate
-from zetacalc.syntax import Basis, Fn, Phase, Tensor, ZetaError, alpha_eq, parse, print_type
+from zetacalc.syntax import (
+    Basis,
+    Fn,
+    Phase,
+    Tensor,
+    ZetaError,
+    alpha_eq,
+    parse,
+    print_term,
+    print_type,
+)
 from zetacalc.theory import (
     DEFAULT_TOL,
     beta_step,
@@ -355,6 +365,33 @@ class TestBetaStep:
     def test_h_normalizes_to_rotation_spine(self):
         r = normalize(parse("H"), max_steps=10)
         assert r.normal_form and r.steps <= 5
+
+    @pytest.mark.parametrize("src, want", [
+        # an application's function part
+        ("((\\f:1->1. f) (\\y:1. y)) Z[1]", "(\\y:1. y) Z[1]"),
+        # a pair's left part, before its right part
+        ("<(\\x:1. x) Z[1], (\\x:1. x) X[1]>", "<Z[1], (\\x:1. x) X[1]>"),
+        # a let's bound term
+        ("let <a, b> =Z (\\p:1*1. p) <Z[1], X[1]> in <b, a>",
+         "let <a, b> =Z <Z[1], X[1]> in <b, a>"),
+    ])
+    def test_reduces_the_leftmost_outermost_redex(self, src, want):
+        assert beta_step(parse(src)) == parse(want)
+
+    def test_normalize_stops_at_max_steps(self):
+        t = parse("(\\f:1->1. f Z[1]) (\\y:1. y)")
+        r = normalize(t, max_steps=1)
+        assert (r.steps, r.normal_form) == (1, False)
+        assert r.term == parse("(\\y:1. y) Z[1]")
+        r = normalize(t, max_steps=2)
+        assert (r.steps, r.normal_form) == (2, True)
+
+    def test_redex_nested_3000_deep(self):
+        # the search and the rebuilt spine take no Python frame per level,
+        # so the default recursion limit does not bound the depth
+        n = 3000
+        t = beta_step(parse("<" * n + "(\\x:1. x) Z[1]" + ", *>" * n))
+        assert print_term(t) == print_term(parse("<" * n + "Z[1]" + ", *>" * n))
 
 
 class TestComposeBasisIrrelevance:

@@ -10,7 +10,7 @@ from zetacalc import semantics, syntax, theory, types
 from zetacalc.diagram import Par, Seq
 from zetacalc.evaluator import denote
 from zetacalc.semantics import translate
-from zetacalc.syntax import Abs, App, Basis, Gen, Let, Phase, Tup, Var, parse, parse_type
+from zetacalc.syntax import Abs, App, Basis, Gen, Let, Phase, Tup, Unit, Var, parse, parse_type
 from zetacalc.types import (
     TOP,
     AmbiguousTypeError,
@@ -380,6 +380,108 @@ class TestValidator:
         bad = self._tamper(d, term=Gen(Basis.Z, Phase.zero(), 2))
         with pytest.raises(Exception):
             validate_derivation(bad)
+
+
+def _tampered(d: Derivation, rule: str, change) -> Derivation:
+    """d with its first node of `rule`, in walk order, replaced by
+    change(node) (a dict of fields), and every node above it rebuilt."""
+    if d.rule == rule:
+        return dataclasses.replace(d, **change(d))
+    for i, child in enumerate(d.children):
+        new = _tampered(child, rule, change)
+        if new is not child:
+            return dataclasses.replace(d, children=d.children[:i] + (new,) + d.children[i + 1:])
+    return d
+
+
+_Y = context_of(("y", Basis.Z, Q))
+_PAIR = "let <a, b> =Z <Z[1], X[1]> in Z[1]"
+
+# (source, rule of the tampered node, change, error, message): one rejecting
+# statement of validate_derivation each, reached by changing one node of the
+# derivation infer gives the source in the empty context
+_REJECTED = [
+    ("*", "U", lambda n: dict(type=Q), InvalidDerivationError,
+     "rule U: conclusion is not Gamma |- * : 0"),
+    ("Z x:1. x", "V", lambda n: dict(term=Unit()), InvalidDerivationError,
+     "rule V: subject is not a variable"),
+    ("Z x:1. x", "V", lambda n: dict(term=Var("y")), UnboundVariableError,
+     "unbound variable y"),
+    ("Z x:1. x", "V", lambda n: dict(type=Numeral(2)), InvalidDerivationError,
+     "rule V: variable x has type 1"),
+    ("Z[1]", "G", lambda n: dict(type=Numeral(2)), InvalidDerivationError,
+     "rule G: conclusion does not match the generator rule"),
+    ("Z[-1]", "D", lambda n: dict(type=Q), InvalidDerivationError,
+     "rule D: conclusion does not match the effect rule"),
+    ("Z x:1. x", "B", lambda n: dict(term=Unit()), InvalidDerivationError,
+     "rule B: subject is not an abstraction"),
+    ("Z x:1. x", "B", lambda n: dict(ctx=_Y), InvalidDerivationError,
+     "rule B: premise context is not Gamma, x"),
+    ("Z x:1. x", "B", lambda n: dict(term=parse("X x:1. x")), InvalidDerivationError,
+     "rule B: binder does not match the appended entry"),
+    ("Z x:1. x", "B", lambda n: dict(term=parse("Z x:1. <x, *>")), InvalidDerivationError,
+     "rule B: premise subject is not the body"),
+    ("Z x:1. x", "B", lambda n: dict(type=Fn(Q, Numeral(2))), InvalidDerivationError,
+     "rule B: conclusion type is not A -> B"),
+    ("Z x:1. <x, x>", "B", lambda n: dict(term=dataclasses.replace(n.term, is_lambda=True)),
+     LinearityError, "lambda-bound variable x must occur exactly once"),
+    ("(Z x:1. x) Z[1]", "A", lambda n: dict(term=Unit()), InvalidDerivationError,
+     "rule A: subject is not an application"),
+    ("(Z x:1. x) Z[1]", "A", lambda n: dict(ctx=_Y), InvalidDerivationError,
+     "rule A: premise contexts differ from the conclusion context"),
+    ("(Z x:1. x) Z[1]", "A", lambda n: dict(term=parse("(Z x:1. x) X[1]")),
+     InvalidDerivationError, "rule A: premise subjects do not match"),
+    ("(Z x:1. x) Z[1]", "A", lambda n: dict(type=Numeral(2)), InvalidDerivationError,
+     "rule A: function type does not match argument and result"),
+    ("<Z[1], X[1]>", "T", lambda n: dict(term=Unit()), InvalidDerivationError,
+     "rule T: subject is not a tuple"),
+    ("<Z[1], X[1]>", "T", lambda n: dict(ctx=_Y), InvalidDerivationError,
+     "rule T: premise contexts differ from the conclusion context"),
+    ("<Z[1], X[1]>", "T", lambda n: dict(term=parse("<Z[1], Z[1]>")), InvalidDerivationError,
+     "rule T: premise subjects do not match"),
+    ("<Z[1], X[1]>", "T", lambda n: dict(type=Numeral(2)), InvalidDerivationError,
+     "rule T: conclusion type is not the tensor of the premises"),
+    (_PAIR, "E", lambda n: dict(term=Unit()), InvalidDerivationError,
+     "rule E: subject is not a let"),
+    (_PAIR, "E", lambda n: dict(ctx=_Y), InvalidDerivationError,
+     "rule E: bound-term context differs"),
+    (_PAIR, "E", lambda n: dict(term=parse("let <a, b> =Z <Z[1], Z[1]> in Z[1]")),
+     InvalidDerivationError, "rule E: bound term does not match"),
+    # the one case that changes two fields: a bound term of type 2 has a
+    # valid derivation of its own, which the let then takes
+    (_PAIR, "E", lambda n: dict(term=dataclasses.replace(n.term, bound=parse("Z[2]")),
+                                children=(infer(EMPTY, parse("Z[2]"))[1], n.children[1])),
+     InvalidDerivationError, "rule E: bound term is not tensor-typed"),
+    # the body's W node, which weakens away exactly the entries given to it
+    (_PAIR, "W", lambda n: dict(ctx=context_of(("a", Basis.Z, Q))), InvalidDerivationError,
+     "rule E: body context is not Gamma, x, y"),
+    (_PAIR, "W", lambda n: dict(ctx=context_of(("a", Basis.X, Q), ("b", Basis.X, Q))),
+     InvalidDerivationError, "rule E: body context is not Gamma, x, y"),
+    ("Z x:1. Z[1]", "W", lambda n: dict(type=Numeral(2)), InvalidDerivationError,
+     "rule W: subject or type changed across weakening"),
+    ("Z x:1. <x, x>", "C", lambda n: dict(ctx=context_of(("x", Basis.Z, Numeral(2)))),
+     InvalidDerivationError, "rule C: occurrence types differ"),
+    ("Z x:1. <x, x>", "C", lambda n: dict(term=parse("<<x, *>, x>")), InvalidDerivationError,
+     "rule C: premise subject is not the renamed conclusion subject"),
+    ("Z x:1. <x, x>", "C", lambda n: dict(type=Numeral(3)), InvalidDerivationError,
+     "rule C: type changed across contraction"),
+    ("Z[1]", "G", lambda n: dict(rule="Q"), InvalidDerivationError,
+     "rule Q: unknown rule 'Q'"),
+]
+
+
+@pytest.mark.parametrize(
+    "src, rule, change, error, message", _REJECTED,
+    ids=[case[4] for case in _REJECTED],
+)
+def test_validator_rejects_a_bad_node_of_each_rule(src, rule, change, error, message):
+    _, d = infer(EMPTY, parse(src))
+    validate_derivation(d)
+    bad = _tampered(d, rule, change)
+    assert bad is not d
+    with pytest.raises(error) as info:
+        validate_derivation(bad)
+    assert type(info.value) is error and str(info.value) == message
 
 
 def _naive_free_vars(term):
