@@ -157,6 +157,7 @@ def cmd_equiv(args) -> int:
                    "scalar": None if s is None else [s.real, s.imag]}
         shown = "0 (both sides zero)" if s is None else format_complex(s)
         line = f"EQUIVALENT  scalar = {shown}"
+    verdict["method"] = result.method
     print(json.dumps(verdict) if args.json else line)
     return EXIT_TYPE if result.status == "distinct" else EXIT_OK
 

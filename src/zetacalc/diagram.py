@@ -173,6 +173,27 @@ def max_width(d: Diagram) -> int:
     return widths[0]
 
 
+def same(a: Diagram, b: Diagram) -> bool:
+    """Whether a and b are the same diagram, node for node: what `==` tells,
+    walked over a stack of node pairs, so deep diagrams do not hit the
+    recursion limit. A subtree both share (`H`'s body) matches by identity;
+    every node but Seq and Par compares with its own `==`."""
+    todo = [(a, b)]
+    while todo:
+        x, y = todo.pop()
+        if x is y:
+            continue
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, Seq):
+            todo += [(x.second, y.second), (x.first, y.first)]
+        elif isinstance(x, Par):
+            todo += [(x.bottom, y.bottom), (x.top, y.top)]
+        elif x != y:
+            return False
+    return True
+
+
 def thread(d: Diagram, wires: list, leaf: Callable[[Diagram, list], list]) -> list:
     """The items on d's outputs, given wires[i] on its input wire i. Each
     leaf (every node but Seq and Par) is reached in wire order: an Id

@@ -43,7 +43,8 @@ remove a refusal.
 
 `scalar_fit` fits one matrix to the other up to a scalar, giving the witness
 and the deviation from one walk over both in blocks of _FIT_BLOCK entries in
-row-major order; no temporary it makes is larger than a block.
+row-major order; no temporary it makes is larger than a block. A matrix
+fitted to itself is walked once, for its largest entry.
 
 `oracle_contract` evaluates the same diagram by a disjoint route: its
 `factor_graph`, a graph over bits read in one `diagram.thread` walk that
@@ -351,14 +352,22 @@ def _largest(x: np.ndarray) -> tuple:
     return j, mags.item(j)
 
 
+def _peak(x: np.ndarray) -> tuple:
+    """The flat index of x's first largest-magnitude entry in row-major
+    order (its first NaN, if any) and that magnitude; (0, 0.0) when x is
+    empty."""
+    k, top, start = 0, 0.0, 0
+    for y in _blocks(x):
+        j, m = _largest(y)
+        if _gives_way(top, m):
+            k, top = start + j, m
+        start += _FIT_BLOCK
+    return k, top
+
+
 def _max_abs(x: np.ndarray) -> float:
     """max|x|, 0.0 when x is empty."""
-    top = 0.0
-    for y in _blocks(x):
-        m = _largest(y)[1]
-        if _gives_way(top, m):
-            top = m
-    return float(top)
+    return float(_peak(x)[1])
 
 
 # the dtypes the scalar fit reads as they are
@@ -372,6 +381,15 @@ def _inexact(x) -> np.ndarray:
     return x if x.dtype in _AS_IS else x.astype(complex)
 
 
+def _quotient(a: np.ndarray, b: np.ndarray, k: int):
+    """a/b at flat index k, as a complex quotient."""
+    c = a.flat[k] / b.flat[k]
+    if isinstance(c, np.floating):
+        # numpy's complex quotient, which rounds otherwise than a real one
+        c = np.complex128(a.flat[k]) / b.flat[k]
+    return c
+
+
 def _fit(a: np.ndarray, b: np.ndarray):
     """The scalar fit of a to b: c = a/b at b's first largest-magnitude
     entry in row-major order, that magnitude, and max|a - c*b|. Both are
@@ -383,18 +401,10 @@ def _fit(a: np.ndarray, b: np.ndarray):
     shape."""
     if a.shape != b.shape:
         raise EvalError(f"shape mismatch: {a.shape} vs {b.shape}")
-    k, bmax, start = 0, 0.0, 0
-    for y in _blocks(b):
-        j, m = _largest(y)
-        if _gives_way(bmax, m):
-            k, bmax = start + j, m
-        start += _FIT_BLOCK
+    k, bmax = _peak(b)
     if not bmax:
         return None, 0.0, _max_abs(a)
-    c = a.flat[k] / b.flat[k]
-    if isinstance(c, np.floating):
-        # numpy's complex quotient, which rounds otherwise than a real one
-        c = np.complex128(a.flat[k]) / b.flat[k]
+    c = _quotient(a, b, k)
     deviation = 0.0
     for x, y in zip(_blocks(a), _blocks(b)):
         rest = c * y
@@ -406,14 +416,32 @@ def _fit(a: np.ndarray, b: np.ndarray):
     return c, bmax, float(deviation)
 
 
+def _self_fit(a: np.ndarray):
+    """`_fit(a, a)` from one walk over a: when the quotient at a's largest
+    entry rounds to 1, c*a is a exactly and nothing is left over. None when
+    it does not round to 1 (a NaN or infinite entry, or a peak such as 49.0
+    whose x/x rounds below 1), and then only `_fit` gives the deviation."""
+    k, amax = _peak(a)
+    if not amax:
+        return None, 0.0, 0.0
+    c = _quotient(a, a, k)
+    return (c, amax, 0.0) if c == 1 else None
+
+
 def scalar_fit(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> tuple:
     """(witness, max|a - c*b|) from one `_fit`, c = a/b at b's largest entry:
-    the witness is c if nonzero within tol, BOTH_ZERO if both vanish, else None."""
-    a, b = _inexact(a), _inexact(b)
-    c, bmax, deviation = _fit(a, b)
+    the witness is c if nonzero within tol, BOTH_ZERO if both vanish, else
+    None. A matrix fitted to itself (a is b) is walked once by `_self_fit`,
+    with the values `_fit` gives."""
+    same = a is b
+    a = _inexact(a)
+    b = a if same else _inexact(b)
+    fit = _self_fit(a) if same else None
+    c, bmax, deviation = fit or _fit(a, b)
     if bmax <= tol:
-        # max|a|, which _fit has taken already when b vanishes
-        amax = deviation if c is None else _max_abs(a)
+        # max|a|, which _fit has taken already when b vanishes, and which
+        # is bmax when a is b
+        amax = deviation if c is None else bmax if same else _max_abs(a)
         return (BOTH_ZERO if amax <= tol else None), deviation
     return (complex(c) if c != 0 and deviation <= tol else None), deviation
 

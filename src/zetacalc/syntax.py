@@ -400,29 +400,29 @@ def _subst(t: Term, sub: dict[str, Term]) -> Term:
             var = _freshen(var, fvr | body.fv.keys() | sub.keys())
             body = _subst(body, {t.var: Var(var)})
         return Abs(t.basis, t.phase, var, t.annotation, _subst(body, sub), t.is_lambda)
-    if isinstance(t, Let):
-        bound = _subst(t.bound, sub)
-        inner = {
-            k: v
-            for k, v in sub.items()
-            if k not in (t.var1, t.var2) and k in t.body.fv
-        }
-        v1, v2, body = t.var1, t.var2, t.body
-        if inner:
-            fvr = set().union(*(v.fv for v in inner.values()))
-            rename: dict[str, Term] = {}
-            avoid = fvr | body.fv.keys() | inner.keys()
-            if v1 in fvr:
-                v1 = _freshen(v1, avoid)
-                rename[t.var1] = Var(v1)
-            if v2 in fvr:
-                v2 = _freshen(v2, avoid | {v1})
-                rename[t.var2] = Var(v2)
-            if rename:
-                body = _subst(body, rename)
-            body = _subst(body, inner)
-        return Let(t.basis, v1, v2, t.annotation1, t.annotation2, bound, body)
-    return t
+    # a Let: Gen and Unit have no free variables, so the first test
+    # returned them
+    bound = _subst(t.bound, sub)
+    inner = {
+        k: v
+        for k, v in sub.items()
+        if k not in (t.var1, t.var2) and k in t.body.fv
+    }
+    v1, v2, body = t.var1, t.var2, t.body
+    if inner:
+        fvr = set().union(*(v.fv for v in inner.values()))
+        rename: dict[str, Term] = {}
+        avoid = fvr | body.fv.keys() | inner.keys()
+        if v1 in fvr:
+            v1 = _freshen(v1, avoid)
+            rename[t.var1] = Var(v1)
+        if v2 in fvr:
+            v2 = _freshen(v2, avoid | {v1})
+            rename[t.var2] = Var(v2)
+        if rename:
+            body = _subst(body, rename)
+        body = _subst(body, inner)
+    return Let(t.basis, v1, v2, t.annotation1, t.annotation2, bound, body)
 
 
 def substitute(term: Term, name: str, replacement: Term) -> Term:
@@ -452,11 +452,11 @@ def _renamed(t: Term, name: str, fresh) -> Term:
         return App(_renamed(t.fn, name, fresh), _renamed(t.arg, name, fresh))
     if isinstance(t, Tup):
         return Tup(_renamed(t.left, name, fresh), _renamed(t.right, name, fresh))
-    if isinstance(t, Let):
-        bound = _renamed(t.bound, name, fresh)
-        body = t.body if name in (t.var1, t.var2) else _renamed(t.body, name, fresh)
-        return Let(t.basis, t.var1, t.var2, t.annotation1, t.annotation2, bound, body)
-    return t
+    # a Let: Gen and Unit have no free variables, so the first test
+    # returned them
+    bound = _renamed(t.bound, name, fresh)
+    body = t.body if name in (t.var1, t.var2) else _renamed(t.body, name, fresh)
+    return Let(t.basis, t.var1, t.var2, t.annotation1, t.annotation2, bound, body)
 
 
 def alpha_eq(t1: Term, t2: Term) -> bool:

@@ -4,12 +4,22 @@ Each rule is a term schema with metavariables; an instance is checked by
 typing both sides, translating to diagrams, and comparing denotations up to
 a nonzero scalar. The relation is denotational equality, which is exactly
 what soundness of the equational theory asserts.
+
+`compare` decides a pair by a ladder of named methods, and its result says
+which one decided. `same-diagram` comes first: the semantics is
+compositional, so two sides that translate to the same diagram denote one
+matrix, and that matrix is evaluated once and fitted to itself. Otherwise
+`dense` evaluates both sides and fits one to the other. Each side's
+derivation is released once it is translated, so the two are not held
+while the matrices are evaluated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
+
+from .diagram import same
 
 # equal_up_to_scalar and max_deviation are not called here; they stay
 # because perfbench/tracing.py reads and swaps them by name, with infer,
@@ -278,37 +288,55 @@ class Comparison:
     """How two judgements' denotations compare. `status` is equal, distinct
     or size-mismatch (the types have different wire counts, so nothing was
     evaluated); `scalar` is the c with [[t1]] = c [[t2]] (None when both
-    sides vanish), and `deviation` is max|[[t1]] - c [[t2]]|."""
+    sides vanish), and `deviation` is max|[[t1]] - c [[t2]]|. `method` names
+    the rung that decided: same-diagram or dense (None on a size
+    mismatch)."""
 
     status: str
     type1: Type
     type2: Type
     scalar: Optional[complex] = None
     deviation: Optional[float] = None
+    method: Optional[str] = None
 
 
 def compare(
     ctx: Context, t1: Term, t2: Term, tol: float, budget: Optional[int] = None
 ) -> Comparison:
-    """Type both terms in ctx, translate and evaluate them, and fit one
-    matrix to the other up to a nonzero scalar within tol, with one
-    `scalar_fit` giving both the witness and the deviation. `budget` bounds
-    evaluation as in `denote`. Raises typing, translation and budget
-    errors."""
+    """Type both terms in ctx, check their wire counts, translate them, and
+    decide by the first rung that applies:
+
+    1. same-diagram: the two diagrams are equal node for node
+       (`diagram.same`), so they denote one matrix; it is evaluated once and
+       fitted to itself.
+    2. dense: both are evaluated and one matrix is fitted to the other up
+       to a nonzero scalar.
+
+    Either way one `scalar_fit` within tol gives the witness and the
+    deviation, and side 1 is evaluated first. Each derivation is released
+    once it is translated. `budget` bounds evaluation as in `denote`.
+    Raises typing, translation and budget errors."""
     ty1, d1 = infer(ctx, t1)
     ty2, d2 = infer(ctx, t2)
     if size(ty1) != size(ty2):
         return Comparison("size-mismatch", ty1, ty2)
+    g1 = translate(d1).diagram
+    del d1
+    g2 = translate(d2).diagram
+    del d2
     # unbounded, pass the diagram alone: perfbench/tracing.py swaps in a
     # one-argument denote
     bound = () if budget is None else (budget,)
-    m1 = denote(translate(d1).diagram, *bound)
-    m2 = denote(translate(d2).diagram, *bound)
+    m1 = denote(g1, *bound)
+    if same(g1, g2):
+        method, m2 = "same-diagram", m1
+    else:
+        method, m2 = "dense", denote(g2, *bound)
     witness, deviation = scalar_fit(m1, m2, tol)
     if witness is None:
-        return Comparison("distinct", ty1, ty2, deviation=deviation)
+        return Comparison("distinct", ty1, ty2, deviation=deviation, method=method)
     scalar = None if witness is BOTH_ZERO else witness
-    return Comparison("equal", ty1, ty2, scalar, deviation)
+    return Comparison("equal", ty1, ty2, scalar, deviation, method)
 
 
 def denotational_equal(ctx: Context, t1: Term, t2: Term, tol: float):

@@ -399,6 +399,22 @@ class TestEquiv:
         doc = json.loads(capsys.readouterr().out)
         assert doc["verdict"] == "EQUIVALENT"
 
+    def test_json_names_the_method(self, write, capsys):
+        hh = write("hh.zeta", "\\x:1. H (H x)")
+        ident = write("id.zeta", "\\x:1. x")
+        assert main(["equiv", hh, hh, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "verdict": "EQUIVALENT", "scalar": [1.0, 0.0], "method": "same-diagram"}
+        assert main(["equiv", hh, ident, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["method"] == "dense"
+        pole, flipped = write("a.zeta", "Z[1]"), write("b.zeta", "Z[1]^pi")
+        assert main(["equiv", pole, flipped, "--json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["verdict"], doc["method"]) == ("DISTINCT", "dense")
+        # the text output names no method
+        assert main(["equiv", hh, hh]) == 0
+        assert capsys.readouterr().out == "EQUIVALENT  scalar = 1+0i\n"
+
 
 class TestRulesCmd:
     def test_all_sound(self, capsys):

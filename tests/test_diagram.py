@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from zetacalc.diagram import (
     max_width,
     par,
     permutation,
+    same,
     seq,
     thread,
     to_dot,
@@ -236,3 +238,52 @@ class TestDot:
         rng = random.Random(11)
         for _ in range(10):
             assert "digraph" in to_dot(random_diagram(rng))
+
+
+def _z_chain(phases):
+    """A left-nested Seq of 1 -> 1 Z spiders, one per phase, the first
+    deepest."""
+    return reduce(Seq, [Spider(Basis.Z, p, 1, 1) for p in phases])
+
+
+class TestSame:
+    def test_deep_chain_without_recursion(self):
+        a, b = _z_chain([Phase.zero()] * 5000), _z_chain([Phase.zero()] * 5000)
+        with pytest.raises(RecursionError):
+            a == b
+        assert a is not b and same(a, b)
+
+    def test_one_deep_leaf_phase_differs(self):
+        phases = [Phase.zero()] * 5000
+        a = _z_chain(phases)
+        phases[1] = Phase.exact(1, 2)
+        assert not same(a, _z_chain(phases))
+        assert not same(_z_chain(phases), a)
+
+    def test_node_types_and_fields(self):
+        assert same(Had(), Had()) and same(Id(2), Id(2))
+        assert not same(Id(2), Id(3))
+        assert not same(Id(2), Perm((1, 0)))
+        assert not same(Perm((0, 2, 1)), Perm((1, 0, 2)))
+        assert not same(Cup(), Cap())
+        # Seq and Par over the same children are different diagrams
+        assert not same(Seq(Id(1), Had()), Par(Id(1), Had()))
+        assert not same(Par(Had(), Id(1)), Par(Id(1), Had()))
+        x = Spider(Basis.X, Phase.zero(), 1, 2)
+        assert not same(x, Spider(Basis.Z, Phase.zero(), 1, 2))
+        assert not same(x, Spider(Basis.X, Phase.zero(), 2, 1))
+        # an exact and a decimal phase are different fields, as with ==
+        assert not same(Spider(Basis.Z, Phase.exact(1), 1, 1),
+                        Spider(Basis.Z, Phase.radians(np.pi), 1, 1))
+
+    def test_shared_subtree_matches_by_identity(self):
+        body = _z_chain([Phase.exact(1, 4)] * 3)
+        assert same(Par(body, body), Par(body, _z_chain([Phase.exact(1, 4)] * 3)))
+
+    def test_agrees_with_eq_on_random_diagrams(self):
+        rng = random.Random(37)
+        ds = [random_diagram(rng) for _ in range(60)]
+        for d in ds:
+            assert same(d, from_json(to_json(d)))
+        for a, b in zip(ds, ds[1:] + ds[:1]):
+            assert same(a, b) == (a == b)

@@ -942,3 +942,47 @@ class TestScalarFit:
                 got = equal_up_to_scalar(x, y, tol)
                 assert got is witness if witness in (None, BOTH_ZERO) else got == witness
                 assert max_deviation(x, y) == deviation
+
+    def test_a_matrix_fitted_to_itself_gives_what_the_full_fit_gives(self):
+        # scalar_fit(m, m) walks m once; its values must be those of the
+        # full fit of m to a copy, for every tol. A peak of 49 has a
+        # quotient 49/49 that rounds below 1, and a NaN or infinite entry
+        # leaves a NaN deviation: there the full fit still decides.
+        block = evaluator._FIT_BLOCK
+        wide = np.ones((3 * block, 2), dtype=complex)
+        wide.flat[block + 3] = 9j
+        nan, inf = np.array([[1, np.nan], [2, 0]]), np.array([[1, np.inf], [2, 0]])
+        ms = [m for a, b in _fit_cases() for m in (a, b)]
+        ms += [np.array([[49.0, 1]]), np.array([[49 + 0j, 1]]), np.array([[3, 1]]),
+               np.eye(2, dtype=int), nan, inf, nan + 0j, inf.astype(complex), wide, wide.T,
+               np.array([[1e-12, 0]]), np.array([[1e308 + 1e308j]])]
+        for tol in (0.0, 1e-9, 0.5, np.inf, -1.0, np.nan):
+            for m in ms:
+                with np.errstate(invalid="ignore", over="ignore"):
+                    got = evaluator.scalar_fit(m, m, tol)
+                    want = evaluator.scalar_fit(m, m.copy(), tol)
+                assert repr(got) == repr(want), (m, tol)
+
+    def test_a_matrix_fitted_to_itself_is_walked_once(self):
+        m = np.array([[0.5, -0.5j], [0.25, 0]])
+        z = np.zeros((2, 2))
+        peak49 = np.array([49.0, 1.0])
+        with mock.patch.object(evaluator, "_fit", wraps=evaluator._fit) as fits:
+            assert evaluator.scalar_fit(m, m) == (1 + 0j, 0.0)
+            assert evaluator.scalar_fit(z, z) == (BOTH_ZERO, 0.0)
+            assert fits.call_count == 0
+            # 49/49 rounds below 1, so the full fit gives the deviation
+            assert evaluator.scalar_fit(peak49, peak49)[1] > 0
+            assert fits.call_count == 1
+
+    def test_a_matrix_fitted_to_itself_allocates_a_block(self):
+        rng = np.random.default_rng(11)
+        a = rng.normal(size=(2**13, 2)) + 1j * rng.normal(size=(2**13, 2))
+        a /= np.abs(a).max()
+        tracemalloc.start()
+        try:
+            evaluator.scalar_fit(a, a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 1024

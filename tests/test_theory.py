@@ -1,4 +1,5 @@
 import gc
+from collections import Counter
 from functools import reduce
 from unittest import mock
 
@@ -202,11 +203,43 @@ class TestCompare:
         assert "sound" in seen
 
     def test_one_scalar_fit_per_compare(self):
-        with mock.patch.object(theory, "compare", wraps=compare) as compares, \
+        # a pair that translates to one diagram is fitted to itself, which
+        # takes no _fit
+        methods = Counter()
+
+        def counted(*args, **kwargs):
+            result = compare(*args, **kwargs)
+            methods[result.method] += 1
+            return result
+
+        with mock.patch.object(theory, "compare", side_effect=counted) as compares, \
                 mock.patch.object(evaluator, "_fit", wraps=evaluator._fit) as fits:
             for rule, bindings, ctx in standard_instances():
                 check_rule_instance(rule, bindings, ctx)
-        assert compares.call_count == fits.call_count == 264
+        assert compares.call_count == 264
+        assert fits.call_count == methods["dense"] == 143
+        assert methods["same-diagram"] == 121
+
+    def test_which_rung_decides_each_rule(self):
+        # (rule, method) over every compare a rule instance makes, the
+        # cong-abs subgoal's included
+        decided = Counter()
+        for rule, bindings, ctx in standard_instances():
+            def counted(*args, **kwargs):
+                result = compare(*args, **kwargs)
+                decided[rule.id, result.method] += 1
+                return result
+
+            with mock.patch.object(theory, "compare", side_effect=counted):
+                check_rule_instance(rule, bindings, ctx)
+        same = {"alpha": 3, "beta-linear": 6, "eta": 3, "cong-abs": 48, "lambda-embed": 3,
+                "phase-absorb": 12, "rot-compose": 20, "copy": 8, "pi-commute": 10,
+                "unit-left": 4, "unit-right": 4}
+        dense = {"beta-linear": 3, "eta": 2, "phase-absorb": 24, "rot-compose": 16,
+                 "copy": 52, "pi-commute": 10, "color-change": 30, "h-gen": 6}
+        assert decided == Counter(
+            {**{(r, "same-diagram"): n for r, n in same.items()},
+             **{(r, "dense"): n for r, n in dense.items()}})
 
     def test_names_the_benchmark_tracer_swaps_stay(self):
         # perfbench/tracing.py reads and swaps these theory attributes by name
@@ -248,6 +281,52 @@ class TestCompare:
         with pytest.raises(ZetaTypeError):
             compare(EMPTY, parse("y"), parse("Z[1]"), 1e-9)
         assert issubclass(WireBudgetError, ZetaError)
+
+
+def _matrix(src):
+    return denote(translate(infer(EMPTY, parse(src))[1]).diagram)
+
+
+class TestSameDiagramRung:
+    """`compare` decides a pair that translates to one diagram from one
+    evaluation, with what the dense fit of that matrix to itself gives."""
+
+    def test_identical_zero_pair_reads_both_zero(self):
+        zero = parse("Z[-1]^pi Z[1]")  # (<0| - <1|)(|0> + |1>)
+        result = compare(EMPTY, zero, zero, 1e-9)
+        assert (result.status, result.scalar, result.deviation, result.method) == (
+            "equal", None, 0.0, "same-diagram")
+
+    def test_identical_pair_past_the_budget_is_refused_at_the_same_legs(self):
+        # the 14-way Z copy map needs a 15-leg tensor, its 16384 x 2 matrix
+        copy14 = parse("Z x:1. " + "<x," * 13 + "x" + ">" * 13)
+        with pytest.raises(WireBudgetError, match="15 legs"):
+            compare(EMPTY, copy14, copy14, 1e-9, budget=evaluator.WIRE_BUDGET)
+        result = compare(EMPTY, copy14, copy14, 1e-9, budget=15)
+        assert (result.status, result.method) == ("equal", "same-diagram")
+
+    def test_only_one_side_is_evaluated(self):
+        h = parse("\\x:1. H (H x)")
+        with mock.patch.object(theory, "denote", wraps=denote) as denotes:
+            assert compare(EMPTY, h, parse("\\y:1. H (H y)"), 1e-9).method == "same-diagram"
+            assert denotes.call_count == 1
+            assert compare(EMPTY, h, parse("\\x:1. x"), 1e-9).method == "dense"
+            assert denotes.call_count == 3
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, -1.0, float("nan")])
+    @pytest.mark.parametrize("src", ["H", "Z x:1. <x, H x>", "Z[-1]^pi Z[1]"])
+    def test_verdict_is_the_fit_of_the_matrix_to_a_copy(self, src, tol):
+        m = _matrix(src)
+        witness, deviation = evaluator.scalar_fit(m, m.copy(), tol)
+        result = compare(EMPTY, parse(src), parse(src), tol)
+        status = "distinct" if witness is None else "equal"
+        scalar = None if witness in (None, BOTH_ZERO) else witness
+        assert result.method == "same-diagram"
+        assert repr((result.status, result.scalar, result.deviation)) == repr(
+            (status, scalar, deviation))
+
+    def test_size_mismatch_names_no_method(self):
+        assert compare(EMPTY, parse("Z[1]"), parse("Z[2]"), 1e-9).method is None
 
 
 class TestCommutesWithSharing:
