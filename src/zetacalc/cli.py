@@ -5,8 +5,8 @@ diagram, evaluation), DISTINCT or an unsound rule; 2 parse error, unreadable
 or non-UTF-8 file, malformed or negative ZETA_WIRE_BUDGET, a --tol that is
 not a finite number >= 0, a --copies that is not N or LO..HI with
 0 <= LO <= HI, or mismatched equivalence query; 3 wire budget exceeded
-(evaluation would hold a tensor of more than ZETA_WIRE_BUDGET legs, default
-14, whatever the diagram's width), out of memory or a tensor too large to
+(evaluation, in any command, rules too, would hold a tensor of more than
+ZETA_WIRE_BUDGET legs, default 14), out of memory or a tensor too large to
 address within a budget set too high, term too deep to process, or term
 too large (a generator arity past what the machine can index).
 """
@@ -163,7 +163,7 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_rules(args) -> int:
-    verdicts = run_suite(args.tol)
+    verdicts = run_suite(args.tol, wire_budget())
     any_unsound = any(v.status == "unsound" for v in verdicts)
     if args.json:
         print(json.dumps([v.to_json_obj() for v in verdicts]))

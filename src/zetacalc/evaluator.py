@@ -62,8 +62,8 @@ time) over the factors that hold it; one that no factor holds, a closed
 loop, gives 2. The factors left are multiplied over the boundary. The
 elimination is planned on the variable sets first, and WireBudgetError is
 raised before any einsum when the result or a tensor the plan holds has
-more than WIRE_BUDGET legs, the units of `denote`'s budget and the default
-the CLI and `theory` use.
+more than WIRE_BUDGET legs, in `denote`'s units and the CLI's default; the
+gate is fixed, as no command calls the oracle.
 """
 
 from __future__ import annotations

@@ -11,7 +11,8 @@ compositional, so two sides that translate to the same diagram denote one
 matrix, and that matrix is evaluated once and fitted to itself. Otherwise
 `dense` evaluates both sides and fits one to the other. Each side's
 derivation is released once it is translated, so the two are not held
-while the matrices are evaluated.
+while the matrices are evaluated. Every function here that evaluates
+passes its `budget` on to `denote`; None, the default, is unbounded.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .diagram import same
 from .evaluator import (
     BOTH_ZERO,
     DEFAULT_TOL,
-    WIRE_BUDGET,
+    WireBudgetError,
     denote,
     equal_up_to_scalar,
     max_deviation,
@@ -81,7 +82,7 @@ class EquationRule:
     metavariables: tuple[str, ...]
     lhs: Callable[[dict], Term]
     rhs: Callable[[dict], Term]
-    side_condition: Callable[[dict, Context, float], bool]
+    side_condition: Callable[[dict, Context, float, Optional[int]], bool]
     description: str = ""
 
 
@@ -107,23 +108,23 @@ class RuleVerdict:
         }
 
 
-def _always(bindings, ctx, tol) -> bool:
+def _always(bindings, ctx, tol, budget) -> bool:
     return True
 
 
-def _linear(bindings, ctx, tol) -> bool:
+def _linear(bindings, ctx, tol, budget) -> bool:
     return occurrences("x", bindings["M"]) == 1
 
 
-def _x_not_free(bindings, ctx, tol) -> bool:
+def _x_not_free(bindings, ctx, tol, budget) -> bool:
     return "x" not in free_vars(bindings["M"])
 
 
-def _pauli_exponent(bindings, ctx, tol) -> bool:
+def _pauli_exponent(bindings, ctx, tol, budget) -> bool:
     return bindings["a"] in (0, 1)
 
 
-def _pi_commute_cond(bindings, ctx, tol) -> bool:
+def _pi_commute_cond(bindings, ctx, tol, budget) -> bool:
     # X^{a pi} flips Z-phases only for odd a; at a = 0 both sides agree only
     # when the binder phase is self-inverse (2 alpha = 0 mod 2 pi).
     if bindings["a"] % 2 == 1:
@@ -132,12 +133,12 @@ def _pi_commute_cond(bindings, ctx, tol) -> bool:
     return alpha.is_exact and alpha.pi_multiple in (0, 1)
 
 
-def _cong_subgoal(bindings, ctx, tol) -> bool:
+def _cong_subgoal(bindings, ctx, tol, budget) -> bool:
     """Check the premise M == N denotationally in the extended context."""
     extended = ctx.extended(Entry("x", bindings["basis"], bindings["ann"]))
     try:
-        eq = denotational_equal(extended, bindings["M"], bindings["N"], tol)
-    except (ZetaTypeError, ZetaError):
+        eq = denotational_equal(extended, bindings["M"], bindings["N"], tol, budget)
+    except ZetaTypeError:
         return False
     return eq is not None
 
@@ -339,10 +340,12 @@ def compare(
     return Comparison("equal", ty1, ty2, scalar, deviation, method)
 
 
-def denotational_equal(ctx: Context, t1: Term, t2: Term, tol: float):
+def denotational_equal(
+    ctx: Context, t1: Term, t2: Term, tol: float, budget: Optional[int] = None
+):
     """Scalar witness if both judgements denote proportional matrices of the
-    same shape, else None. Raises typing errors."""
-    result = compare(ctx, t1, t2, tol)
+    same shape, else None. Raises typing and budget errors."""
+    result = compare(ctx, t1, t2, tol, budget)
     if result.status != "equal":
         return None
     return BOTH_ZERO if result.scalar is None else result.scalar
@@ -362,20 +365,24 @@ def describe_bindings(bindings: dict) -> str:
 
 
 def check_rule_instance(
-    rule: EquationRule, bindings: dict, ctx: Context, tol: float = DEFAULT_TOL
+    rule: EquationRule, bindings: dict, ctx: Context, tol: float = DEFAULT_TOL,
+    budget: Optional[int] = None,
 ) -> RuleVerdict:
+    """A budget refusal is raised, naming the rule and the bindings."""
     desc = describe_bindings(bindings)
     try:
         lhs = rule.lhs(bindings)
         rhs = rule.rhs(bindings)
     except (ZetaError, KeyError) as exc:
         return RuleVerdict(rule.id, desc, "type-error", detail=str(exc))
-    if not rule.side_condition(bindings, ctx, tol):
-        return RuleVerdict(rule.id, desc, "side-condition-unmet")
     try:
-        result = compare(ctx, lhs, rhs, tol)
+        if not rule.side_condition(bindings, ctx, tol, budget):
+            return RuleVerdict(rule.id, desc, "side-condition-unmet")
+        result = compare(ctx, lhs, rhs, tol, budget)
     except ZetaTypeError as exc:
         return RuleVerdict(rule.id, desc, "type-error", detail=str(exc))
+    except WireBudgetError as exc:
+        raise WireBudgetError(f"{rule.id} [{desc}]: {exc}") from None
     if result.status == "size-mismatch":
         return RuleVerdict(
             rule.id, desc, "type-error",
@@ -392,12 +399,14 @@ def check_rule_instance(
 
 def commutes_with_sharing(
     ctx: Context, term: Term, basis: Basis, n: int, tol: float = DEFAULT_TOL,
-    budget: Optional[int] = WIRE_BUDGET,
+    budget: Optional[int] = None,
 ) -> bool:
     """Does `term` (M : A) commute with sharing n ways in `basis`? That is
     (B y:A. <y, ..., y>) M == <M, ..., M>, n copies a side, decided by
     `compare` within tol and `budget`: contracting each context entry n
-    ways, in its own basis, shares the context."""
+    ways, in its own basis, shares the context. ValueError if n < 0."""
+    if n < 0:
+        raise ValueError(f"cannot share {n} ways")
     ty, _ = infer(ctx, term)
     lhs = App(Abs(basis, Phase.zero(), "y", ty, _copies(Var("y"), n)), term)
     return compare(ctx, lhs, _copies(term, n), tol, budget).status == "equal"
@@ -599,6 +608,6 @@ def standard_instances() -> list[tuple[EquationRule, dict, Context]]:
     return pool
 
 
-def run_suite(tol: float = DEFAULT_TOL) -> list[RuleVerdict]:
-    return [check_rule_instance(rule, bindings, ctx, tol)
+def run_suite(tol: float = DEFAULT_TOL, budget: Optional[int] = None) -> list[RuleVerdict]:
+    return [check_rule_instance(rule, bindings, ctx, tol, budget)
             for rule, bindings, ctx in standard_instances()]

@@ -280,6 +280,20 @@ class TestBudgetCountsTensors:
         monkeypatch.setenv("ZETA_WIRE_BUDGET", "abc")
         assert main(["share-check", f, "--copies", "3"]) == 2
 
+    def test_rules_honours_env(self, capsys, monkeypatch):
+        # the pair-typed cong-abs instances hold a 6-leg tensor, the most
+        # any instance needs
+        assert main(["rules"]) == 0
+        report = capsys.readouterr().out
+        monkeypatch.setenv("ZETA_WIRE_BUDGET", "5")
+        assert main(["rules"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("cong-abs [") and "6 legs" in captured.err
+        monkeypatch.setenv("ZETA_WIRE_BUDGET", "6")
+        assert main(["rules"]) == 0
+        assert capsys.readouterr().out == report
+
     @pytest.mark.parametrize("src, args, budget", [
         (_copy_map(60), ["eval", "--as-map"], "64"),
         (_copy_map(70), ["eval", "--as-map"], "100"),
@@ -504,6 +518,18 @@ class TestRefusedInputs:
         }
         fit = inspect.signature(evaluator.equal_up_to_scalar).parameters["tol"]
         assert tols == {fit.default} == {theory.DEFAULT_TOL} == {evaluator.DEFAULT_TOL}
+
+    def test_one_budget(self, write, capsys, monkeypatch):
+        # every command that evaluates reads ZETA_WIRE_BUDGET; the others
+        # never look at it
+        f = write("h.zeta", "H")
+        monkeypatch.setenv("ZETA_WIRE_BUDGET", "abc")
+        for args in (["eval", f], ["equiv", f, f], ["rules"], ["share-check", f]):
+            assert main(args) == 2, args
+            captured = capsys.readouterr()
+            assert captured.out == "" and "ZETA_WIRE_BUDGET" in captured.err, args
+        for args in (["check", f], ["diagram", f]):
+            assert main(args) == 0, args
 
     def test_zero_tolerance_accepted(self, write, capsys):
         f = write("h.zeta", "H")

@@ -1,4 +1,5 @@
 import gc
+import inspect
 from collections import Counter
 from functools import reduce
 from unittest import mock
@@ -28,6 +29,7 @@ from zetacalc.syntax import (
 )
 from zetacalc.theory import (
     DEFAULT_TOL,
+    EquationRule,
     beta_step,
     check_rule_instance,
     commutes_with_sharing,
@@ -38,7 +40,7 @@ from zetacalc.theory import (
     run_suite,
     standard_instances,
 )
-from zetacalc.types import Context, Numeral, ZetaTypeError, infer, size
+from zetacalc.types import Context, Entry, Numeral, ZetaTypeError, infer, size
 
 EMPTY = Context()
 
@@ -132,6 +134,45 @@ class TestCheckRuleInstance:
         )
         assert v.status == "side-condition-unmet"
 
+    def test_missing_binding_is_a_type_error(self):
+        v = check_rule_instance(self._rule("beta-linear"), {"M": parse("x")}, EMPTY)
+        assert v.status == "type-error" and "N" in v.detail
+
+    def test_unbound_side_is_a_type_error(self):
+        # x is bound in neither the context nor the term
+        v = check_rule_instance(self._rule("unit-left"), {"M": parse("x")}, EMPTY)
+        assert v.status == "type-error" and "x" in v.detail
+
+    def test_size_mismatch_is_a_type_error(self):
+        rule = EquationRule("grow", (), lambda b: parse("Z[1]"), lambda b: parse("Z[2]"),
+                            theory._always)
+        v = check_rule_instance(rule, {}, EMPTY)
+        assert (v.status, v.detail) == (
+            "type-error", "sides have different wire counts (1 vs 2)")
+
+    def test_ill_typed_premise_fails_the_subgoal(self):
+        bindings = {"basis": Basis.Z, "alpha": Phase.zero(), "M": parse("x"),
+                    "N": parse("y"), "ann": Numeral(1)}
+        assert theory._cong_subgoal(bindings, EMPTY, DEFAULT_TOL, None) is False
+        assert check_rule_instance(
+            self._rule("cong-abs"), bindings, EMPTY).status == "side-condition-unmet"
+
+    def test_budget_refusal_names_the_instance(self):
+        # the pair-typed cong-abs premise needs a 6-leg tensor; the refusal
+        # is raised, from the subgoal too, not read as an unmet condition
+        pair = Tensor(Numeral(1), Numeral(1))
+        bindings = {"basis": Basis.Z, "alpha": Phase.zero(), "M": parse("<x, x>"),
+                    "N": parse("<x, x>"), "ann": pair}
+        ctx = EMPTY.extended(Entry("x", Basis.Z, pair))
+        with pytest.raises(WireBudgetError):
+            denotational_equal(ctx, bindings["M"], bindings["N"], DEFAULT_TOL, 5)
+        with pytest.raises(WireBudgetError):
+            theory._cong_subgoal(bindings, EMPTY, DEFAULT_TOL, 5)
+        with pytest.raises(WireBudgetError, match=r"^cong-abs \[M=<x, x>, .*: .*6 legs"):
+            check_rule_instance(self._rule("cong-abs"), bindings, EMPTY, DEFAULT_TOL, 5)
+        v = check_rule_instance(self._rule("cong-abs"), bindings, EMPTY, DEFAULT_TOL, 6)
+        assert v.status == "sound"
+
     def test_verdict_json(self):
         v = check_rule_instance(
             self._rule("h-gen"), {"basis": Basis.Z, "alpha": Phase.exact(1)}, EMPTY
@@ -167,6 +208,16 @@ class TestSuite:
         bad = [v for v in verdicts if v.status in ("unsound", "type-error")]
         assert bad == []
         assert sum(v.status == "sound" for v in verdicts) > len(verdicts) / 2
+
+    def test_default_budget_changes_no_verdict(self):
+        assert run_suite(budget=evaluator.WIRE_BUDGET) == run_suite()
+
+    def test_evaluating_functions_default_to_unbounded(self):
+        # only the CLI chooses a budget
+        for fn in (compare, denotational_equal, check_rule_instance,
+                   commutes_with_sharing, run_suite):
+            assert inspect.signature(fn).parameters["budget"].default is None, fn
+        assert not hasattr(theory, "WIRE_BUDGET")
 
 
 def _chain_verdict(ctx, lhs, rhs, tol):
@@ -328,6 +379,9 @@ class TestSameDiagramRung:
     def test_size_mismatch_names_no_method(self):
         assert compare(EMPTY, parse("Z[1]"), parse("Z[2]"), 1e-9).method is None
 
+    def test_distinct_pair_has_no_witness(self):
+        assert denotational_equal(EMPTY, parse("Z[1]"), parse("X[1]^pi"), 1e-9) is None
+
 
 class TestCommutesWithSharing:
     def test_x_pole_through_z(self):
@@ -344,7 +398,12 @@ class TestCommutesWithSharing:
 
     def test_budget(self):
         with pytest.raises(WireBudgetError):
-            commutes_with_sharing(EMPTY, parse("Z[5]"), Basis.Z, 3)
+            commutes_with_sharing(EMPTY, parse("Z[5]"), Basis.Z, 3,
+                                  budget=evaluator.WIRE_BUDGET)
+
+    def test_negative_copies_refused(self):
+        with pytest.raises(ValueError):
+            commutes_with_sharing(EMPTY, parse("Z[1]"), Basis.Z, -1)
 
     def test_budget_counts_the_evaluated_tensors(self):
         # n copies of a k-wire state end in a k*n-leg tensor
