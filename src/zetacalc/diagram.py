@@ -12,6 +12,8 @@ give it by property, and `Seq` and `Par` compute it once from their
 children when they are built. A `Seq` whose first part's outputs do not
 match its second part's inputs raises `ArityError` at construction, so a
 diagram that exists is well formed and no walk has to re-derive its arity.
+`==` is node for node; on `Seq` and `Par` it walks a stack of node pairs
+and their `hash` walks nothing, so deep diagrams do not recurse (`_eq`).
 Nodes are immutable by contract: no field is assigned after construction;
 slotted, not frozen, for construction cost. A diagram may share subtrees.
 
@@ -123,12 +125,42 @@ def _check_fit(a: Diagram, b: Diagram) -> None:
         )
 
 
-@dataclass(slots=True, unsafe_hash=True)
+def _eq(a: Diagram, b) -> bool:
+    """`==` of Seq and Par: node for node, walked over a stack of node
+    pairs, so deep diagrams do not hit the recursion limit. A subtree both
+    share (`H`'s body) matches by identity; every node but Seq and Par
+    compares with its own `==`. Their `hash`, `_hash`, reads only the class
+    and the stored arity, which equal diagrams share, and walks nothing."""
+    if type(b) is not type(a):
+        return NotImplemented
+    todo = [(a, b)]
+    while todo:
+        x, y = todo.pop()
+        if x is y:
+            continue
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, Seq):
+            todo += [(x.second, y.second), (x.first, y.first)]
+        elif isinstance(x, Par):
+            todo += [(x.bottom, y.bottom), (x.top, y.top)]
+        elif x != y:
+            return False
+    return True
+
+
+def _hash(d: Diagram) -> int:
+    return hash((type(d), d.inputs, d.outputs))
+
+
+@dataclass(slots=True, eq=False)
 class Seq(Diagram):
     first: Diagram
     second: Diagram
-    inputs: int = field(init=False, compare=False, repr=False)
-    outputs: int = field(init=False, compare=False, repr=False)
+    inputs: int = field(init=False, repr=False)
+    outputs: int = field(init=False, repr=False)
+
+    __eq__, __hash__ = _eq, _hash
 
     def __post_init__(self):
         a, b = self.first, self.second
@@ -137,12 +169,14 @@ class Seq(Diagram):
         self.outputs = b.outputs
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@dataclass(slots=True, eq=False)
 class Par(Diagram):
     top: Diagram
     bottom: Diagram
-    inputs: int = field(init=False, compare=False, repr=False)
-    outputs: int = field(init=False, compare=False, repr=False)
+    inputs: int = field(init=False, repr=False)
+    outputs: int = field(init=False, repr=False)
+
+    __eq__, __hash__ = _eq, _hash
 
     def __post_init__(self):
         a, b = self.top, self.bottom
@@ -171,27 +205,6 @@ def max_width(d: Diagram) -> int:
             else:
                 todo += [(node.top, False), (node.bottom, False)]
     return widths[0]
-
-
-def same(a: Diagram, b: Diagram) -> bool:
-    """Whether a and b are the same diagram, node for node: what `==` tells,
-    walked over a stack of node pairs, so deep diagrams do not hit the
-    recursion limit. A subtree both share (`H`'s body) matches by identity;
-    every node but Seq and Par compares with its own `==`."""
-    todo = [(a, b)]
-    while todo:
-        x, y = todo.pop()
-        if x is y:
-            continue
-        if type(x) is not type(y):
-            return False
-        if isinstance(x, Seq):
-            todo += [(x.second, y.second), (x.first, y.first)]
-        elif isinstance(x, Par):
-            todo += [(x.bottom, y.bottom), (x.top, y.top)]
-        elif x != y:
-            return False
-    return True
 
 
 def thread(d: Diagram, wires: list, leaf: Callable[[Diagram, list], list]) -> list:

@@ -10,13 +10,14 @@ binder's wires into dual outputs via cups.
 A beta-redex, an application whose function is an abstraction, is composed,
 not snaked: the argument's outputs feed the body's binder wires directly,
 which is the yanking equation of compact closure applied as the diagram is
-built. Likewise `eval_as_map` of an abstraction returns its body, and of
-that body, when it is the state of an inner abstraction, the inner body
-after the outer binder's rotation, and so on down the chain. Only an
-application of another function head (a variable, a let, an abstraction
-under a contraction) caps the dual outputs of the function against the
-argument's outputs, pairing label a* with label a in label order; the
-function and argument diagrams run side by side, as one `par`.
+built. Likewise `eval_as_map` of an abstraction at the root returns its
+body. Any other state it caps, that body too when it is itself the state
+of an inner abstraction: the dual outputs are capped against new inputs,
+which reads application through compact closure. An application of another
+function head (a variable, a let, an abstraction under a contraction)
+caps the dual outputs of the function against the argument's outputs,
+pairing label a* with label a in label order; the function and argument
+diagrams run side by side, as one `par`.
 
 Only derivations in the W/C-normal form that `infer` builds are translated:
 in every context, one weakening (W) drops all unused entries and contraction
@@ -96,10 +97,6 @@ class JudgementDiagram:
     # the (Gamma, A) -> B map of an abstraction at the root, which
     # eval_as_map returns in place of capping the state's dual outputs
     body: Optional[Diagram] = field(default=None, compare=False, repr=False)
-    # the root abstraction, then each nested one whose body eval_as_map has
-    # built; with no body, when the last one's premise is an abstraction,
-    # the next eval_as_map builds that one's body in place of capping
-    binders: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def input_labels(self) -> tuple:
@@ -205,13 +202,10 @@ def translate(derivation: Derivation) -> JudgementDiagram:
     type."""
     if derivation.rule == "B":
         body = _body(derivation)
-        d, binders = _bend(derivation, body), (derivation,)
+        d = _bend(derivation, body)
     else:
-        body, binders = None, ()
-        d = _translate(derivation)
-    return JudgementDiagram(
-        derivation.ctx, derivation.term, derivation.type, d, body=body, binders=binders
-    )
+        body, d = None, _translate(derivation)
+    return JudgementDiagram(derivation.ctx, derivation.term, derivation.type, d, body=body)
 
 
 @functools.cache
@@ -224,25 +218,19 @@ def _hadamard() -> tuple[Derivation, Diagram]:
     return node, _translate(node.children[0])
 
 
-def _rotation(node: Derivation) -> Diagram:
-    """The binder rotation of a `B` node on its binder's wires: an Id when
-    its phase is zero, as a phase-0 (1,1) spider is an identity."""
-    term: Abs = node.term
-    a = size(node.children[0].ctx.entries[-1].type)
-    if term.phase.is_zero:
-        return Id(a)
-    return par(*[Spider(term.basis, term.phase, 1, 1)] * a)
-
-
 def _body(node: Derivation) -> Diagram:
-    """The (Gamma, A) -> B map of a `B` node: the binder rotation, if its
-    phase is not zero, then the body's diagram; `H`'s one body for `H`'s
-    node."""
+    """The (Gamma, A) -> B map of a `B` node: the binder rotation, one
+    (1,1) spider per binder wire, if its phase is not zero (a phase-0 (1,1)
+    spider is an identity), then the body's diagram; `H`'s one body for
+    `H`'s node."""
     if node is _hadamard_derivation()[-1]:
         return _hadamard()[1]
     d = _translate(node.children[0])
-    if not node.term.phase.is_zero:
-        d = seq(par(Id(node.ctx.wire_count()), _rotation(node)), d)
+    term: Abs = node.term
+    if not term.phase.is_zero:
+        a = size(node.children[0].ctx.entries[-1].type)
+        rot = par(*[Spider(term.basis, term.phase, 1, 1)] * a)
+        d = seq(par(Id(node.ctx.wire_count()), rot), d)
     return d
 
 
@@ -320,10 +308,10 @@ def _translate(node: Derivation) -> Diagram:
 
 
 def eval_as_map(jd: JudgementDiagram) -> JudgementDiagram:
-    """Uncurry once, yielding a (Gamma, A) -> B judgement diagram: the body
-    of an abstraction at the root as it is, and so on down a chain of
-    abstractions, else the state with its A* outputs bent back into
-    inputs."""
+    """Uncurry once, yielding a (Gamma, A) -> B judgement diagram: the
+    stored body of an abstraction at the root as it is, else the state with
+    its A* outputs bent back into inputs (capped). A result of this function
+    stores no body, so uncurrying it again caps."""
     parts = fn_parts(jd.type)
     if parts is None:
         raise TranslationError(
@@ -331,17 +319,8 @@ def eval_as_map(jd: JudgementDiagram) -> JudgementDiagram:
         )
     a_t, b_t = parts
     args = jd.args + (a_t,)
-    body, binders = jd.body, jd.binders
-    if body is None and binders and binders[-1].children[0].rule == "B":
-        # the state of the abstraction that is the last taken body's
-        # premise: its body, after the taken binders' rotations
-        (inner,) = binders[-1].children
-        rotations = par(
-            Id(jd.ctx.wire_count()), *map(_rotation, binders), Id(size(a_t))
-        )
-        body, binders = seq(rotations, _body(inner)), binders + (inner,)
-    if body is not None:
-        return JudgementDiagram(jd.ctx, jd.term, b_t, body, args, binders=binders)
+    if jd.body is not None:
+        return JudgementDiagram(jd.ctx, jd.term, b_t, jd.body, args)
     a, b = size(a_t), size(b_t)
     # inputs [Gamma, A]; run the state diagram on Gamma, carry A through,
     # then cap each dual output against the matching carried input.

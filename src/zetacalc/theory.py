@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
-from .diagram import same
-
 # equal_up_to_scalar and max_deviation are not called here; they stay
 # because perfbench/tracing.py reads and swaps them by name, with infer,
 # translate and denote, around each traced op
@@ -94,6 +92,9 @@ class RuleVerdict:
     scalar: Optional[complex] = None
     deviation: Optional[float] = None
     detail: str = ""
+    # the compare rung that decided the sides (see `Comparison`); None when
+    # no compare did
+    method: Optional[str] = None
 
     def to_json_obj(self) -> dict:
         return {
@@ -105,6 +106,7 @@ class RuleVerdict:
             else [self.scalar.real, self.scalar.imag],
             "deviation": self.deviation,
             "detail": self.detail,
+            "method": self.method,
         }
 
 
@@ -289,9 +291,9 @@ class Comparison:
     """How two judgements' denotations compare. `status` is equal, distinct
     or size-mismatch (the types have different wire counts, so nothing was
     evaluated); `scalar` is the c with [[t1]] = c [[t2]] (None when both
-    sides vanish), and `deviation` is max|[[t1]] - c [[t2]]|. `method` names
-    the rung that decided: same-diagram or dense (None on a size
-    mismatch)."""
+    sides vanish, and when distinct), and `deviation` is max|[[t1]] -
+    c [[t2]]|. `method` names the rung that decided: same-diagram or dense
+    (None on a size mismatch)."""
 
     status: str
     type1: Type
@@ -307,9 +309,9 @@ def compare(
     """Type both terms in ctx, check their wire counts, translate them, and
     decide by the first rung that applies:
 
-    1. same-diagram: the two diagrams are equal node for node
-       (`diagram.same`), so they denote one matrix; it is evaluated once and
-       fitted to itself.
+    1. same-diagram: the two diagrams are `==`, equal node for node (a loop
+       over a stack of node pairs, so deep diagrams do not recurse), so
+       they denote one matrix; it is evaluated once and fitted to itself.
     2. dense: both are evaluated and one matrix is fitted to the other up
        to a nonzero scalar.
 
@@ -329,7 +331,7 @@ def compare(
     # one-argument denote
     bound = () if budget is None else (budget,)
     m1 = denote(g1, *bound)
-    if same(g1, g2):
+    if g1 == g2:
         method, m2 = "same-diagram", m1
     else:
         method, m2 = "dense", denote(g2, *bound)
@@ -390,7 +392,8 @@ def check_rule_instance(
             f" ({size(result.type1)} vs {size(result.type2)})",
         )
     status = "sound" if result.status == "equal" else "unsound"
-    return RuleVerdict(rule.id, desc, status, result.scalar, result.deviation)
+    return RuleVerdict(rule.id, desc, status, result.scalar, result.deviation,
+                       method=result.method)
 
 
 # ---------------------------------------------------------------------------

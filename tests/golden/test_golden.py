@@ -6,7 +6,7 @@ import numpy as np
 
 import regen
 
-EXACT_FIELDS = ("rule", "bindings", "status", "detail")
+EXACT_FIELDS = ("rule", "bindings", "status", "detail", "method")
 
 
 def _close(a, b) -> bool:

@@ -1,5 +1,6 @@
 import random
 from functools import reduce
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from zetacalc.diagram import (
     max_width,
     par,
     permutation,
-    same,
     seq,
     thread,
     to_dot,
@@ -247,43 +247,59 @@ def _z_chain(phases):
 
 
 class TestSame:
+    """`==` and `hash` of Seq and Par: node for node over a stack of node
+    pairs, and the class and arity only, at the default recursion limit."""
+
     def test_deep_chain_without_recursion(self):
         a, b = _z_chain([Phase.zero()] * 5000), _z_chain([Phase.zero()] * 5000)
-        with pytest.raises(RecursionError):
-            a == b
-        assert a is not b and same(a, b)
+        assert a is not b and a == b and not a != b
+        assert hash(a) == hash(b)
+
+    def test_deep_par_chain_without_recursion(self):
+        def chain():
+            return reduce(Par, [Spider(Basis.X, Phase.exact(1, 4), 1, 1) for _ in range(5000)])
+
+        a, b = chain(), chain()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != Par(Id(4999), Spider(Basis.X, Phase.exact(1, 4), 1, 1))
 
     def test_one_deep_leaf_phase_differs(self):
         phases = [Phase.zero()] * 5000
         a = _z_chain(phases)
         phases[1] = Phase.exact(1, 2)
-        assert not same(a, _z_chain(phases))
-        assert not same(_z_chain(phases), a)
+        assert a != _z_chain(phases) and not a == _z_chain(phases)
+        assert _z_chain(phases) != a
 
     def test_node_types_and_fields(self):
-        assert same(Had(), Had()) and same(Id(2), Id(2))
-        assert not same(Id(2), Id(3))
-        assert not same(Id(2), Perm((1, 0)))
-        assert not same(Perm((0, 2, 1)), Perm((1, 0, 2)))
-        assert not same(Cup(), Cap())
-        # Seq and Par over the same children are different diagrams
-        assert not same(Seq(Id(1), Had()), Par(Id(1), Had()))
-        assert not same(Par(Had(), Id(1)), Par(Id(1), Had()))
+        assert Had() == Had() and Id(2) == Id(2)
+        assert Id(2) != Id(3)
+        assert Id(2) != Perm((1, 0))
+        assert Perm((0, 2, 1)) != Perm((1, 0, 2))
+        assert Cup() != Cap()
+        # Seq and Par over the same children are different diagrams, with
+        # different hashes
+        assert Seq(Id(1), Had()) != Par(Id(1), Had())
+        assert hash(Seq(Id(1), Had())) != hash(Par(Id(1), Had()))
+        assert Par(Had(), Id(1)) != Par(Id(1), Had())
+        assert Seq(Id(1), Had()) != Id(1) and Par(Had(), Id(1)) != "Par"
+        # another type's operand gets its say, as with a generated ==
+        assert Seq(Id(1), Had()) == mock.ANY and Par(Had(), Id(1)) == mock.ANY
         x = Spider(Basis.X, Phase.zero(), 1, 2)
-        assert not same(x, Spider(Basis.Z, Phase.zero(), 1, 2))
-        assert not same(x, Spider(Basis.X, Phase.zero(), 2, 1))
-        # an exact and a decimal phase are different fields, as with ==
-        assert not same(Spider(Basis.Z, Phase.exact(1), 1, 1),
-                        Spider(Basis.Z, Phase.radians(np.pi), 1, 1))
+        assert x != Spider(Basis.Z, Phase.zero(), 1, 2)
+        assert x != Spider(Basis.X, Phase.zero(), 2, 1)
+        # an exact and a decimal phase are different fields
+        assert Spider(Basis.Z, Phase.exact(1), 1, 1) != Spider(Basis.Z, Phase.radians(np.pi), 1, 1)
 
     def test_shared_subtree_matches_by_identity(self):
         body = _z_chain([Phase.exact(1, 4)] * 3)
-        assert same(Par(body, body), Par(body, _z_chain([Phase.exact(1, 4)] * 3)))
+        assert Par(body, body) == Par(body, _z_chain([Phase.exact(1, 4)] * 3))
 
     def test_agrees_with_eq_on_random_diagrams(self):
         rng = random.Random(37)
         ds = [random_diagram(rng) for _ in range(60)]
         for d in ds:
-            assert same(d, from_json(to_json(d)))
+            copy = from_json(to_json(d))
+            assert d == copy and hash(d) == hash(copy)
         for a, b in zip(ds, ds[1:] + ds[:1]):
-            assert same(a, b) == (a == b)
+            assert (a == b) == (to_json(a) == to_json(b))
+            assert (a != b) == (to_json(a) != to_json(b))

@@ -292,6 +292,18 @@ class TestCompare:
             {**{(r, "same-diagram"): n for r, n in same.items()},
              **{(r, "dense"): n for r, n in dense.items()}})
 
+    def test_verdict_names_the_rung_that_decided(self):
+        # each verdict carries its compare's method; a side-condition-unmet
+        # instance, where no compare decided the sides, carries None. The
+        # cong-abs subgoal's compares are not verdicts, so half of that
+        # rule's 48 same-diagram compares are
+        verdicts = run_suite()
+        by = Counter((v.status, v.method) for v in verdicts)
+        assert by == Counter({("sound", "same-diagram"): 97, ("sound", "dense"): 143,
+                              ("side-condition-unmet", None): 14})
+        cong = Counter(v.method for v in verdicts if v.rule_id == "cong-abs")
+        assert cong["same-diagram"] == 24
+
     def test_names_the_benchmark_tracer_swaps_stay(self):
         # perfbench/tracing.py reads and swaps these theory attributes by name
         for name in ("infer", "translate", "denote", "equal_up_to_scalar", "max_deviation"):
