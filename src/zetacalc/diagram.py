@@ -1,11 +1,13 @@
 """Compositional ZX string-diagram IR.
 
-Diagrams are trees over generators (spiders, cups/caps, Hadamard, wire
-permutations) combined with sequential (`Seq`) and parallel (`Par`)
-composition; a scalar is a 0 -> 0 spider. Wire 0 is the most significant
-qubit everywhere. A routing of any width is one `Perm` leaf; every walk
-reads it through `Perm.route`. `thread` is the walk that carries an item
-per open wire, for the DOT export and the evaluator's oracle.
+Diagrams are trees over generators (spiders, Hadamard, wire permutations)
+combined with sequential (`Seq`) and parallel (`Par`) composition; a scalar
+is a 0 -> 0 spider, and a cup and a cap are the phase-0 Z spiders 0 -> 2
+and 2 -> 0, which `Cup()` and `Cap()` return. Wire 0 is the most
+significant qubit everywhere. A routing of any width is one `Perm` leaf;
+every walk reads it through `Perm.route`. `thread` is the walk that
+carries an item per open wire, for the DOT export and the evaluator's
+oracle.
 
 Every node carries its wire arity as `inputs` and `outputs`: generators
 give it by property, and `Seq` and `Par` compute it once from their
@@ -58,6 +60,8 @@ class Id(Diagram):
     def __post_init__(self):
         if self.n < 0:
             raise DiagramError("negative wire count")
+        if self.n > sys.maxsize:
+            raise OverflowError("wire count past what the machine can index")
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -103,18 +107,6 @@ class Perm(Diagram):
         for item, p in zip(items, self.perm):
             out[p] = item
         return out
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Cup(Diagram):
-    inputs = property(lambda self: 0)
-    outputs = property(lambda self: 2)
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Cap(Diagram):
-    inputs = property(lambda self: 2)
-    outputs = property(lambda self: 0)
 
 
 def _check_fit(a: Diagram, b: Diagram) -> None:
@@ -284,6 +276,20 @@ def upsilon(wires: int, basis: Basis, n: int) -> Diagram:
     return seq(spiders, permutation(perm))
 
 
+_CUP = Spider(Basis.Z, Phase.zero(), 0, 2)
+_CAP = Spider(Basis.Z, Phase.zero(), 2, 0)
+
+
+def Cup() -> Spider:
+    """The cup, the phase-0 Z spider 0 -> 2, denoting |00> + |11>; one node."""
+    return _CUP
+
+
+def Cap() -> Spider:
+    """The cap, the phase-0 Z spider 2 -> 0, denoting <00| + <11|; one node."""
+    return _CAP
+
+
 def cup_many(n: int) -> Diagram:
     """0 -> 2n diagram denoting sum_x |x>|x> over n-bit x: the first n output
     wires are entangled pairwise with the last n."""
@@ -333,10 +339,6 @@ def to_json_obj(d: Diagram) -> dict:
         return {"kind": "had"}
     if isinstance(d, Perm):
         return {"kind": "perm", "perm": list(d.perm)}
-    if isinstance(d, Cup):
-        return {"kind": "cup"}
-    if isinstance(d, Cap):
-        return {"kind": "cap"}
     if isinstance(d, Seq):
         return {"kind": "seq", "first": to_json_obj(d.first), "second": to_json_obj(d.second)}
     if isinstance(d, Par):
@@ -377,15 +379,11 @@ def from_json_obj(doc) -> Diagram:
             return Had()
         if kind == "perm":
             return Perm(tuple(map(_count, doc["perm"])))
-        if kind == "cup":
-            return Cup()
-        if kind == "cap":
-            return Cap()
         if kind == "seq":
             return Seq(from_json_obj(doc["first"]), from_json_obj(doc["second"]))
         if kind == "par":
             return Par(from_json_obj(doc["top"]), from_json_obj(doc["bottom"]))
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise DiagramError(f"malformed {kind} node: {exc}") from exc
     raise DiagramError(f"unknown node kind {kind!r}")
 
@@ -425,8 +423,6 @@ def to_dot(d: Diagram) -> str:
             name = node(label, style="filled", fillcolor=_SPIDER_COLORS[dg.basis])
         elif isinstance(dg, Had):
             name = node("H", shape="box", style="filled", fillcolor="yellow")
-        elif isinstance(dg, (Cup, Cap)):
-            name = node("cup" if isinstance(dg, Cup) else "cap", shape="point")
         else:
             raise DiagramError(f"not a diagram: {dg!r}")
         for src in ins:

@@ -4,10 +4,10 @@
 Each node is applied to a running tensor t of shape (L, 2^inputs, R): the
 node's input wires sit in the middle axis, and the L * R columns around it
 are wires (and identity columns) that flow past. An Id is skipped, a Perm
-is one transpose of the wire axes, and a Had, Cup or Cap is one matmul with
-its small matrix. A spider has no matrix: it is applied to t by its
-structure. An m -> n Z spider writes the two nonzero rows of a zeroed
-(L, 2^n, R) result, row 0 from t's row 0 and the last row from e^{ia}
+is one transpose of the wire axes, and a Had is one matmul with its 2x2
+matrix. A spider, a cup or cap among them, has no matrix: it is applied to
+t by its structure. An m -> n Z spider writes the two nonzero rows of a
+zeroed (L, 2^n, R) result, row 0 from t's row 0 and the last row from e^{ia}
 times t's last row (one row of t when m is 0); when n is 0 the result is
 one row, the sum of the two. An X spider folds t's rows into two (L, 1, R)
 slabs, u0 = sum_j t_j and u1 = e^{ia} sum_j (-1)^popcount(j) t_j, scaled by
@@ -21,9 +21,10 @@ on whichever is fewer, the L * R columns flowing into it or its own
 2^inputs identity; in the second case its matrix is then applied to the
 running tensor with one matmul. So no sub-diagram is widened by wires it
 does not touch, and none is evaluated on more columns than its own
-identity. No normalization is applied anywhere: the cup denotes
-|00> + |11> with unit entries. `spider_matrix` writes a spider's dense
-matrix entry by entry, the reference the kernels are tested against.
+identity. No normalization is applied anywhere: the cup, the phase-0 Z
+spider 0 -> 2, denotes |00> + |11> with unit entries. `spider_matrix`
+writes a spider's dense matrix entry by entry, the reference the kernels
+are tested against.
 
 The one matrix the walk reuses is that of the body `translate` shares for
 `H`, evaluated once per process on first use and matched by identity at
@@ -33,13 +34,14 @@ Par factor or the whole diagram (`H` x 20 as a map takes 20 matmuls, not
 copy that shares no node; `translate` repeats none.
 
 `denote(d, budget)` raises WireBudgetError before it would create an array
-of more than 2^budget entries (the starting identity, a leaf matrix, a
+of more than 2^budget entries (the starting identity, a Had's matrix, a
 spider's result, or a product with the running tensor), so the budget
 counts the legs of the largest tensor the walk holds, not the width of the
-diagram. A spider costs its result and nothing more, and `H`'s matrix is
-one matmul onto the running tensor: neither holds an array that building
-the spider's matrix or walking `H`'s body would not, so both can only
-remove a refusal.
+diagram. Each gate compares leg counts, so no power of two is formed
+before its test, however large the arity or the budget. A spider costs its
+result and nothing more, and `H`'s matrix is one matmul onto the running
+tensor: neither holds an array that building the spider's matrix or
+walking `H`'s body would not, so both can only remove a refusal.
 
 `scalar_fit` fits one matrix to the other up to a scalar, giving the witness
 and the deviation from one walk over both in blocks of _FIT_BLOCK entries in
@@ -49,17 +51,17 @@ fitted to itself is walked once, for its largest entry.
 `oracle_contract` evaluates the same diagram by a disjoint route: its
 `factor_graph`, a graph over bits read in one `diagram.thread` walk that
 carries a variable per wire. A Z spider is one variable shared by all its
-legs, with the weight (1, e^{ia}); an X spider is such a variable with the
-factor H~ = [[1, 1], [1, -1]] / sqrt(2) on each leg, and a Had is one H~.
-A Cup puts one new variable on its two wires and a Cap unites its two
-wires' variables (a small union-find); `thread` passes an Id's variables
+legs, with the weight (1, e^{ia}): a new variable, which its input wires'
+variables are united with (a small union-find) and its outputs carry. An X
+spider is a new variable with the factor H~ = [[1, 1], [1, -1]] / sqrt(2)
+on each leg, and a Had is one H~. `thread` passes an Id's variables
 through and routes a Perm's. A scalar, a 0 -> 0 spider, is a variable on
 no wire, summed out to 1 + e^{ia}. The boundary is the outputs, then the
 inputs; a variable that reaches a second boundary position is tied there
 to a fresh one by a 2x2 identity. Every other variable is summed out in
 the order the walk made it, with one np.einsum (at most 30 operands at a
-time) over the factors that hold it; one that no factor holds, a closed
-loop, gives 2. The factors left are multiplied over the boundary. The
+time) over the factors that hold it; every one is held, by its spider's
+weight or an H~. The factors left are multiplied over the boundary. The
 elimination is planned on the variable sets first, and WireBudgetError is
 raised before any einsum when the result or a tensor the plan holds has
 more than WIRE_BUDGET legs, in `denote`'s units and the CLI's default; the
@@ -78,8 +80,6 @@ from typing import Optional, Union
 import numpy as np
 
 from .diagram import (
-    Cap,
-    Cup,
     Diagram,
     DiagramError,
     Had,
@@ -98,8 +98,8 @@ SQRT2 = math.sqrt(2.0)
 WIRE_BUDGET = 14
 DEFAULT_TOL = 1e-9  # of every comparison: `compare`, the rule suite and --tol
 
-# the most complex128 entries one array can hold: at most sys.maxsize bytes
-_ADDRESSABLE = sys.maxsize // 16
+# the most legs of one complex128 array: 2^legs entries, at most sys.maxsize bytes
+_ADDRESSABLE = (sys.maxsize // 16).bit_length() - 1
 
 
 class EvalError(ZetaError):
@@ -143,22 +143,16 @@ def spider_matrix(basis: Basis, phase: Phase, m: int, n: int) -> np.ndarray:
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / SQRT2
 
-_CUP = np.array([[1.0], [0.0], [0.0], [1.0]], dtype=complex)
-
 
 def denote(d: Diagram, budget: Optional[int] = None) -> np.ndarray:
     """Dense denotation: a 2^outputs x 2^inputs complex matrix, each spider
     applied by its structure (see the module docstring). Raises
     WireBudgetError instead of creating an array of more than 2^budget
-    entries (no bound when budget is None), MemoryError instead of one too
-    large for the machine to address, and OverflowError on an arity past
-    what the machine can index."""
-    limit = _ADDRESSABLE if budget is None else min(2**budget, _ADDRESSABLE)
-    # a shift, not a power: an arity past what the machine can index
-    # raises OverflowError at once
+    entries (no bound when budget is None), and MemoryError instead of one
+    too large for the machine to address."""
+    _fits(2 * d.inputs, budget)
     n = 1 << d.inputs
-    _fits(n * n, limit)
-    return _apply(d, _identity(n), _hadamard(), limit).reshape(-1, n)
+    return _apply(d, _identity(n), _hadamard(), budget).reshape(-1, n)
 
 
 @functools.cache
@@ -167,19 +161,21 @@ def _hadamard() -> tuple[Diagram, np.ndarray]:
     unbounded walk on the body's own identity, made on first use, so
     importing builds nothing."""
     body = _hadamard_body()[1]
-    m = _apply(body, _identity(2**body.inputs), (None, None), _ADDRESSABLE)[0]
+    m = _apply(body, _identity(2**body.inputs), (None, None), None)[0]
     m.setflags(write=False)
     return body, m
 
 
-def _fits(entries: int, limit: int) -> None:
-    if entries > limit:
-        legs = entries.bit_length() - 1
-        if limit == _ADDRESSABLE:
+def _fits(legs: int, budget: Optional[int]) -> None:
+    """Raise unless a tensor of `legs` legs may be made: WireBudgetError
+    past the budget, MemoryError past _ADDRESSABLE legs when the budget is
+    None or higher. Legs are compared, so no power of two is formed."""
+    if budget is None or budget > _ADDRESSABLE:
+        if legs > _ADDRESSABLE:
             raise MemoryError(f"a {legs}-leg tensor is too large to address")
+    elif legs > budget:
         raise WireBudgetError(
-            f"evaluation needs a tensor of {legs} legs,"
-            f" over the {math.log2(limit):g}-leg wire budget"
+            f"evaluation needs a tensor of {legs} legs, over the {budget}-leg wire budget"
         )
 
 
@@ -204,16 +200,6 @@ def _par_factors(d: Diagram) -> list:
     return factors
 
 
-def _leaf_matrix(d: Diagram) -> np.ndarray:
-    if isinstance(d, Had):
-        return HADAMARD
-    if isinstance(d, Cup):
-        return _CUP
-    if isinstance(d, Cap):
-        return _CUP.T
-    raise DiagramError(f"not a diagram: {d!r}")
-
-
 def _fold(t: np.ndarray, combine, k: int) -> np.ndarray:
     """Combine the two halves of t's middle axis, k times: with np.add, the
     sum of t's 2^k rows; with np.subtract, their sum with sign
@@ -224,12 +210,12 @@ def _fold(t: np.ndarray, combine, k: int) -> np.ndarray:
     return t
 
 
-def _apply_spider(p: Spider, t: np.ndarray, limit) -> np.ndarray:
+def _apply_spider(p: Spider, t: np.ndarray, budget) -> np.ndarray:
     """Apply the m -> n spider p to t, of shape (L, 2^m, R), by its
     structure; the result has shape (L, 2^n, R), and no array made is
     larger than t or the result."""
     L, _, R = t.shape
-    _fits(L * R << p.n, limit)
+    _fits((L * R).bit_length() - 1 + p.n, budget)
     w = phase_exp(p.phase)
     if p.basis is Basis.Z:
         if not p.n:
@@ -252,18 +238,19 @@ def _apply_spider(p: Spider, t: np.ndarray, limit) -> np.ndarray:
     return out
 
 
-def _apply(d: Diagram, t: np.ndarray, h: tuple, limit) -> np.ndarray:
+def _apply(d: Diagram, t: np.ndarray, h: tuple, budget) -> np.ndarray:
     """Apply d to t, of shape (L, 2^d.inputs, R); the result has shape
     (L, 2^d.outputs, R). The walk keeps its own stack of the nodes left to
     apply: a nested Seq part is put back on it as its two parts, so deep
     Seq trees do not hit the recursion limit. A spider is applied to t by
-    `_apply_spider`, and a Had, Cup or Cap is one matmul with its matrix.
+    `_apply_spider`, and a Had is one matmul with its matrix.
     h is `H`'s (body, matrix), or (None, None) while that matrix is being
     made: a node that is that body is one matmul with the matrix. A Par,
     and d itself when it is a Seq, runs on whichever is fewer, the L * R
     columns of t or its own 2^inputs identity (then one matmul onto t). No
-    array of more than `limit` entries is created."""
+    array of more than 2^budget entries is created."""
     L, _, R = t.shape
+    cols = (L * R).bit_length() - 1  # legs of the columns flowing past
     todo = [d]
     while todo:
         p = todo.pop()
@@ -275,15 +262,17 @@ def _apply(d: Diagram, t: np.ndarray, h: tuple, limit) -> np.ndarray:
             t = t.transpose([0, *p.route(range(1, k + 1)), k + 1]).reshape(L, 2**k, R)
             continue
         if isinstance(p, Spider):
-            t = _apply_spider(p, t, limit)
+            t = _apply_spider(p, t, budget)
             continue
         if p is h[0]:
             m = h[1]
         elif not isinstance(p, (Seq, Par)):
-            _fits(2 ** (p.inputs + p.outputs), limit)
-            m = _leaf_matrix(p)
-        elif 2**p.inputs < L * R and (p is d or isinstance(p, Par)):
-            m = _apply(p, _identity(2**p.inputs), h, limit)[0]
+            if not isinstance(p, Had):
+                raise DiagramError(f"not a diagram: {p!r}")
+            _fits(2, budget)
+            m = HADAMARD
+        elif p.inputs < cols and (p is d or isinstance(p, Par)):
+            m = _apply(p, _identity(2**p.inputs), h, budget)[0]
         elif isinstance(p, Seq):
             todo += [p.second, p.first]
             continue
@@ -301,11 +290,11 @@ def _apply(d: Diagram, t: np.ndarray, h: tuple, limit) -> np.ndarray:
                 left, right = sum(widths[:i]), sum(widths[i + 1 :])
                 t = t.reshape(L * 2**left, 2**f.inputs, 2**right * R)
                 spider = isinstance(f, Spider)
-                t = _apply_spider(f, t, limit) if spider else _apply(f, t, h, limit)
+                t = _apply_spider(f, t, budget) if spider else _apply(f, t, h, budget)
                 t = t.reshape(L, -1, R)
                 widths[i] = f.outputs
             continue
-        _fits(L * m.shape[0] * R, limit)
+        _fits(cols + p.outputs, budget)
         t = np.matmul(m, t)
     return t
 
@@ -499,11 +488,6 @@ def factor_graph(d: Diagram) -> tuple[list, list[int], list[int]]:
             out = [new()]
             factors.append((out + legs, _HT))
             return out
-        if isinstance(node, Cup):
-            return [new()] * 2
-        if isinstance(node, Cap):
-            parent[find(legs[0])] = find(legs[1])
-            return []
         raise DiagramError(f"not a diagram: {node!r}")
 
     ins = [new() for _ in range(d.inputs)]
@@ -545,18 +529,14 @@ def oracle_contract(d: Diagram) -> np.ndarray:
         for u in set(a):
             holders.setdefault(u, []).append(i)
     live = set(range(len(axes)))
-    scale = 1.0 + 0j
     for v in inner:
-        group = [i for i in holders.get(v, ()) if i in live]
-        if not group:
-            scale *= 2
-            continue
+        group = [i for i in holders[v] if i in live]
         live.difference_update(group)
         live.add(join(group, v))
         for u in axes[-1]:
             holders.setdefault(u, []).append(len(axes) - 1)
     join(sorted(live), None)
-    _fits(2 ** max(len(set(a)) for a in axes), 2**WIRE_BUDGET)
+    _fits(max(len(set(a)) for a in axes), WIRE_BUDGET)
     tensors = [t for _, t in factors]
     for part, out in steps:
         label = {u: k for k, u in enumerate(dict.fromkeys(u for i in part for u in axes[i]))}
@@ -566,7 +546,7 @@ def oracle_contract(d: Diagram) -> np.ndarray:
             tensors[i] = None
         tensors.append(np.einsum(*operands, [label[u] for u in out]))
     result = tensors[-1].transpose([axes[-1].index(v) for v in boundary])
-    return scale * result.reshape(2**d.outputs, 2**d.inputs)
+    return result.reshape(2**d.outputs, 2**d.inputs)
 
 
 # ---------------------------------------------------------------------------

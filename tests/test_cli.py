@@ -159,8 +159,8 @@ class TestFreshProcess:
 
 class TestDiagram:
     @pytest.mark.parametrize("fmt, digest", [
-        ("json", "cc68d3bb91fadac5c5002dbee6b4179b230b855001c27e08230c19ce25b4c0f0"),
-        ("dot", "dcb7b9b8f6073fe71b430a82546e2586183e1ec20907269a942be4e7ef42b54d"),
+        ("json", "0ee3a8c6ee5c0acd0627521ff4cbfa746e1433cbd59fc07be2cfee5dcf2ff286"),
+        ("dot", "81f6a0b1c4e5ef7f98e75f7eab88972fb896fabf0bb6904fa993da10c7fb625e"),
     ])
     def test_h_chain_output_unchanged_by_sharing(self, write, capsys, fmt, digest):
         # the output from before the H's of a chain shared one derivation

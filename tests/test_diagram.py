@@ -87,9 +87,10 @@ class TestArity:
             return [f"{type(node).__name__}{j}" for j in range(node.outputs)]
 
         # the cap takes the Had's output and the cup's first wire, and the
-        # Id passes the cup's second; leaf never sees the Id
-        assert thread(d, ["a"], leaf) == ["Cup1"]
-        assert seen == [(h, ["a"]), (cup, []), (cap, ["Had0", "Cup0"])]
+        # Id passes the cup's second; leaf never sees the Id. A cup and a
+        # cap are spiders, so their items are named Spider
+        assert thread(d, ["a"], leaf) == ["Spider1"]
+        assert seen == [(h, ["a"]), (cup, []), (cap, ["Had0", "Spider0"])]
         # a Perm routes, input i to position perm[i], and leaf never sees
         # it; the inverse routing would give c, a, b
         seen.clear()
@@ -192,9 +193,11 @@ class TestSerialization:
             from_json("{}")
         with pytest.raises(DiagramError):
             from_json('{"kind": "mystery"}')
-        with pytest.raises(DiagramError, match="unknown node kind 'scalar'"):
-            # a scalar is written as a 0 -> 0 spider
-            from_json('{"kind": "scalar", "re": 1, "im": 0}')
+        # a scalar is written as a 0 -> 0 spider, a cup and a cap as the
+        # phase-0 Z spiders 0 -> 2 and 2 -> 0
+        for doc in ['{"kind": "scalar", "re": 1, "im": 0}', '{"kind": "cup"}', '{"kind": "cap"}']:
+            with pytest.raises(DiagramError, match="unknown node kind"):
+                from_json(doc)
         with pytest.raises(DiagramError):
             from_json("not json")
         spider = '{"kind":"spider","basis":"Z","phase":%s,"in":%s,"out":1}'
@@ -217,6 +220,8 @@ class TestSerialization:
             '{"kind":"id","wires":"1"}',
             '{"kind":"perm","perm":[1.7,0.2]}',
             spider % ('{"pi_num":0}', "1.0"),
+            spider % ('{"pi_num":0}', "100000000000000000000000"),
+            '{"kind":"id","wires":100000000000000000000000}',
         ]:
             with pytest.raises(DiagramError):
                 from_json(doc)

@@ -335,7 +335,7 @@ def _plan_peak(d):
     with mock.patch.object(evaluator, "_fits", wraps=evaluator._fits) as fits:
         oracle_contract(d)
     fits.assert_called_once()
-    return fits.call_args.args[0].bit_length() - 1
+    return fits.call_args.args[0]
 
 
 def _denote_peak(d):
@@ -626,6 +626,26 @@ class TestWireBudget:
         assert denote(d).shape == (2**15, 1)
         with pytest.raises(WireBudgetError, match="15 legs"):
             denote(d, evaluator.WIRE_BUDGET)
+
+    @pytest.mark.parametrize("arity, budget, refusal", [
+        (1, 10**8, None),
+        (10**8, evaluator.WIRE_BUDGET, "100000000 legs"),
+    ], ids=["huge-budget", "huge-arity"])
+    def test_no_power_of_two_before_the_budget_test(self, arity, budget, refusal):
+        # each gate compares leg counts: neither 2^budget nor 2^arity, a
+        # 12.5 MB integer here, is formed
+        d = Spider(Basis.Z, Z0, 0, arity)
+        tracemalloc.start()
+        try:
+            if refusal is None:
+                assert denote(d, budget).shape == (2, 1)
+            else:
+                with pytest.raises(WireBudgetError, match=refusal):
+                    denote(d, budget)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @pytest.mark.parametrize("budget", [None, 100])
     def test_unaddressable_tensor_is_out_of_memory(self, budget):

@@ -7,7 +7,6 @@ import pytest
 from zetacalc.diagram import (
     ArityError,
     Cap,
-    Cup,
     Id,
     Par,
     Perm,
@@ -400,9 +399,9 @@ def _derivations():
         yield label, d
 
 
-def _leaf_kinds(d) -> list:
-    """The kind of every leaf of d, Ids and Perms included."""
-    kinds, todo = [], [d]
+def _leaves(d) -> list:
+    """Every leaf of d, Ids and Perms included."""
+    leaves, todo = [], [d]
     while todo:
         node = todo.pop()
         if isinstance(node, Seq):
@@ -410,8 +409,17 @@ def _leaf_kinds(d) -> list:
         elif isinstance(node, Par):
             todo += [node.bottom, node.top]
         else:
-            kinds.append(type(node))
-    return kinds
+            leaves.append(node)
+    return leaves
+
+
+def test_translations_are_spiders_ids_and_perms():
+    # a cup and a cap are spiders, and H's body is three of them
+    count = 0
+    for src, d in translated_diagrams():
+        assert {type(n) for n in _leaves(d)} <= {Spider, Id, Perm}, src
+        count += 1
+    assert count > 500
 
 
 class TestComposedRedexes:
@@ -435,18 +443,24 @@ class TestComposedRedexes:
 
     @pytest.mark.parametrize("k", range(1, 21))
     def test_h_chain_map_is_its_spiders(self, k):
-        kinds = _leaf_kinds(eval_as_map(jd_of(" o ".join(["H"] * k))).diagram)
-        assert kinds.count(Spider) == 3 * k
-        assert not {Cup, Cap, Perm} & set(kinds)
+        # its 3k spiders are H's 1 -> 1 rotations: no cup, cap or Perm
+        leaves = _leaves(eval_as_map(jd_of(" o ".join(["H"] * k))).diagram)
+        spiders = [n for n in leaves if isinstance(n, Spider)]
+        assert len(spiders) == 3 * k
+        assert all((n.inputs, n.outputs) == (1, 1) for n in spiders)
+        assert {type(n) for n in leaves} <= {Spider, Id}
 
     def test_no_redex_leaves_a_cap(self):
         # an application caps one wire per wire of its argument, unless its
-        # function is an abstraction, which is composed with no Cap; so the
-        # Caps of a diagram are exactly those of its other applications
+        # function is an abstraction, which is composed with no cap; so the
+        # caps, the phase-0 Z 2 -> 0 spiders, of a diagram are exactly those
+        # of its other applications and its effects Z[-2]
         redexes = 0
         for label, d in _derivations():
             expected = 0
             for node in d.walk():
+                if node.rule == "D" and node.term.n == -2 and node.term.basis is Basis.Z:
+                    expected += node.term.phase.is_zero
                 if node.rule != "A":
                     continue
                 head, _ = node.children
@@ -454,7 +468,7 @@ class TestComposedRedexes:
                     redexes += 1
                 else:
                     expected += size(fn_parts(head.type)[0])
-            caps = _leaf_kinds(translate(d).diagram).count(Cap)
+            caps = _leaves(translate(d).diagram).count(Cap())
             assert caps == expected, label
         assert redexes > 500
 
